@@ -29,8 +29,7 @@
 ///     accumulated as the collector copies objects (order- and
 ///     partition-independent), so its output is a pure function of the
 ///     collection schedule: within each collector mode the full flag
-///     serialization must be byte-identical across --gc-threads 1/2/4
-///     and both dispatch tiers.
+///     serialization must be byte-identical across both dispatch tiers.
 ///
 /// Writes BENCH_leak.json and fails (exit 1) when any gate fails.
 ///
@@ -196,21 +195,16 @@ struct DetectResult {
 };
 
 DetectResult runDetect(const vm::Program &Prog, size_t HeapBytes, bool Gen,
-                       size_t NurseryBytes, unsigned GcThreads,
-                       vm::DispatchTier Tier, uint32_t Window,
-                       uint64_t MinBytes) {
+                       size_t NurseryBytes, vm::DispatchTier Tier,
+                       uint32_t Window, uint64_t MinBytes) {
   vm::VMOptions VO;
   VO.HeapBytes = HeapBytes;
   VO.StackWords = 1u << 20;
   VO.GenGc = Gen;
   VO.NurseryBytes = Gen ? NurseryBytes : 0;
   VO.Dispatch = Tier;
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = false;
-  GCO.Threads = GcThreads;
-
   vm::VM M(Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   obs::TracerConfig TC;
   TC.Sites = &Prog.SiteTab;
@@ -423,8 +417,8 @@ int main() {
   // past MinBytes=64 by the first sample — so the earliest possible flag
   // is the Window-th collection, and "within K collections" is exact.
   DetectResult D = runDetect(*LeakProg, 32u << 10, /*Gen=*/false, 0,
-                             /*GcThreads=*/1, vm::DispatchTier::Threaded,
-                             Window, /*MinBytes=*/64);
+                             vm::DispatchTier::Threaded, Window,
+                             /*MinBytes=*/64);
   bool DetectPass = true;
   if (D.Flags.size() != 1 || D.Flags[0].Site != GrowSites[0]) {
     DetectPass = false;
@@ -476,8 +470,8 @@ int main() {
     // mid-run; takl's tiny live set never collects, which trivially (and
     // correctly) produces zero flags.
     DetectResult R = runDetect(*Prog, 64u << 10, /*Gen=*/false, 0,
-                               /*GcThreads=*/1, vm::DispatchTier::Threaded,
-                               Window, /*MinBytes=*/4096);
+                               vm::DispatchTier::Threaded, Window,
+                               /*MinBytes=*/4096);
     if (!R.Flags.empty()) {
       CleanPass = false;
       std::fprintf(stderr,
@@ -503,53 +497,49 @@ int main() {
   else
     AllPass = false;
 
-  //===--- 4. Determinism across threads and tiers ---------------------------===
+  //===--- 4. Determinism across tiers ----------------------------------------===
 
   // Within one collector mode the collection schedule is fixed, so the
-  // detector's serialized flags must be byte-identical across gc-thread
-  // counts and dispatch tiers.  (Across modes the schedules differ, so
-  // gen and two-space are each their own equivalence class.)
+  // detector's serialized flags must be byte-identical across dispatch
+  // tiers.  (Across modes the schedules differ, so gen and two-space are
+  // each their own equivalence class.)
   bool DetPass = true;
   uint64_t Variants = 0;
   for (bool Gen : {false, true}) {
     std::string Ref;
     bool HaveRef = false;
     std::string RefOut;
-    for (unsigned Threads : {1u, 2u, 4u})
-      for (vm::DispatchTier Tier :
-           {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
-        DetectResult R =
-            runDetect(Gen ? *LeakProgWB : *LeakProg, 32u << 10, Gen,
-                      4u << 10, Threads, Tier, Window, /*MinBytes=*/64);
-        ++Variants;
-        if (!HaveRef) {
-          Ref = R.Serialized;
-          RefOut = R.Output;
-          HaveRef = true;
-          if (Gen && R.Flags.empty()) {
-            // The gen run must still catch the leak (samples come from
-            // full collections only; the growing chain forces them).
-            DetPass = false;
-            std::fprintf(stderr,
-                         "leak: FAIL: gen-mode detection run flagged "
-                         "nothing\n");
-          }
-          continue;
-        }
-        if (R.Serialized != Ref || R.Output != RefOut) {
+    for (vm::DispatchTier Tier :
+         {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
+      DetectResult R = runDetect(Gen ? *LeakProgWB : *LeakProg, 32u << 10, Gen,
+                                 4u << 10, Tier, Window, /*MinBytes=*/64);
+      ++Variants;
+      if (!HaveRef) {
+        Ref = R.Serialized;
+        RefOut = R.Output;
+        HaveRef = true;
+        if (Gen && R.Flags.empty()) {
+          // The gen run must still catch the leak (samples come from
+          // full collections only; the growing chain forces them).
           DetPass = false;
           std::fprintf(stderr,
-                       "leak: FAIL: nondeterministic flags (%s, %u threads, "
-                       "%s tier):\n  ref  \"%s\"\n  got  \"%s\"\n",
-                       Gen ? "gen" : "two-space", Threads,
-                       vm::dispatchTierName(Tier), Ref.c_str(),
-                       R.Serialized.c_str());
+                       "leak: FAIL: gen-mode detection run flagged "
+                       "nothing\n");
         }
+        continue;
       }
+      if (R.Serialized != Ref || R.Output != RefOut) {
+        DetPass = false;
+        std::fprintf(stderr,
+                     "leak: FAIL: nondeterministic flags (%s, %s tier):\n"
+                     "  ref  \"%s\"\n  got  \"%s\"\n",
+                     Gen ? "gen" : "two-space", vm::dispatchTierName(Tier),
+                     Ref.c_str(), R.Serialized.c_str());
+      }
+    }
   }
   if (DetPass)
-    std::printf("leak: flags byte-identical across %llu "
-                "thread/tier variants\n",
+    std::printf("leak: flags byte-identical across %llu tier variants\n",
                 static_cast<unsigned long long>(Variants));
   else
     AllPass = false;

@@ -8,21 +8,21 @@
 /// Drives generated MG server programs (src/workload) to steady state and
 /// reports requests/sec, per-request latency percentiles (p50/p99/max,
 /// with GC pause attribution from the tracer's per-phase nanos), and
-/// mutator utilization, swept across heap-sizing policies x --gc-threads
-/// {1,2,4} x both dispatch tiers.  Writes BENCH_server.json.
+/// mutator utilization, swept across heap-sizing policies x both dispatch
+/// tiers.  Writes BENCH_server.json.
 ///
 /// Everything gated is virtual-time deterministic (instruction counts,
 /// outputs, collection counts); wall-clock figures are reported only.
 /// Correctness gates (always enforced, exit 1 on failure):
-///  - within one (workload, policy) cell, all 6 tier x thread runs agree
-///    on output, request count, per-request service instructions, and
+///  - within one (workload, policy) cell, both dispatch tiers agree on
+///    output, request count, per-request service instructions, and
 ///    collection count;
 ///  - across policies, program output is identical, and for workloads
 ///    without spin threads the service samples are too (policies only
 ///    move collections, never retired instructions, single-threaded);
 ///  - per-request GC attribution plus the unattributed tail equals the
 ///    tracer's total across events, in every cell;
-///  - a --gc-threads 4 run under --gc-crosscheck agrees;
+///  - a run under --gc-crosscheck agrees;
 ///  - a same-seed rerun is bit-identical (no wall-clock leakage into the
 ///    virtual-time samples).
 ///
@@ -68,8 +68,7 @@ struct BenchPolicy {
 };
 
 ServerRunConfig cellConfig(const BenchWorkload &W, const BenchPolicy &P,
-                           vm::DispatchTier Tier, unsigned GcThreads,
-                           bool CrossCheck = false) {
+                           vm::DispatchTier Tier, bool CrossCheck = false) {
   ServerRunConfig C;
   C.VO.HeapBytes = HeapBytes;
   C.VO.GenGc = P.GenGc;
@@ -77,7 +76,6 @@ ServerRunConfig cellConfig(const BenchWorkload &W, const BenchPolicy &P,
   C.VO.HeapMaxBytes = P.MaxBytes;
   C.VO.NurseryAuto = P.NurseryAuto;
   C.VO.Dispatch = Tier;
-  C.GCO.Threads = GcThreads;
   C.GCO.CrossCheck = CrossCheck;
   C.Sched = W.Sched;
   C.SpinThreads = W.SpinThreads;
@@ -193,7 +191,6 @@ int main() {
   };
   const vm::DispatchTier Tiers[] = {vm::DispatchTier::Threaded,
                                     vm::DispatchTier::Switch};
-  const unsigned NLevels[] = {1, 2, 4};
 
   // --- Correctness gates ---------------------------------------------------
   for (const BenchWorkload &W : Work) {
@@ -201,50 +198,45 @@ int main() {
     for (const BenchPolicy &P : Policies) {
       ServerRunResult CellRef;
       bool HaveRef = false;
-      for (vm::DispatchTier Tier : Tiers)
-        for (unsigned N : NLevels) {
-          ServerRunResult R =
-              runOrDie(W, cellConfig(W, P, Tier, N), P.Name.c_str());
-          if (R.Stats.Requests != RequestCount) {
+      for (vm::DispatchTier Tier : Tiers) {
+        ServerRunResult R = runOrDie(W, cellConfig(W, P, Tier), P.Name.c_str());
+        if (R.Stats.Requests != RequestCount) {
+          std::fprintf(stderr,
+                       "server: FAIL: %s/%s: %llu requests completed, "
+                       "expected %u\n",
+                       W.Name.c_str(), P.Name.c_str(),
+                       static_cast<unsigned long long>(R.Stats.Requests),
+                       RequestCount);
+          return 1;
+        }
+        if (!attributionExact(R)) {
+          std::fprintf(stderr,
+                       "server: FAIL: %s/%s: GC attribution does not sum "
+                       "to the tracer total\n",
+                       W.Name.c_str(), P.Name.c_str());
+          return 1;
+        }
+        if (!HaveRef) {
+          CellRef = R;
+          HaveRef = true;
+          // Same-seed rerun: bit-identical virtual-time samples.
+          ServerRunResult Again = runOrDie(W, cellConfig(W, P, Tier), "rerun");
+          if (!sameVirtual(R, Again)) {
             std::fprintf(stderr,
-                         "server: FAIL: %s/%s: %llu requests completed, "
-                         "expected %u\n",
-                         W.Name.c_str(), P.Name.c_str(),
-                         static_cast<unsigned long long>(R.Stats.Requests),
-                         RequestCount);
-            return 1;
-          }
-          if (!attributionExact(R)) {
-            std::fprintf(stderr,
-                         "server: FAIL: %s/%s: GC attribution does not sum "
-                         "to the tracer total\n",
+                         "server: FAIL: %s/%s: same-seed rerun diverged\n",
                          W.Name.c_str(), P.Name.c_str());
             return 1;
           }
-          if (!HaveRef) {
-            CellRef = R;
-            HaveRef = true;
-            // Same-seed rerun: bit-identical virtual-time samples.
-            ServerRunResult Again =
-                runOrDie(W, cellConfig(W, P, Tier, N), "rerun");
-            if (!sameVirtual(R, Again)) {
-              std::fprintf(stderr,
-                           "server: FAIL: %s/%s: same-seed rerun diverged\n",
-                           W.Name.c_str(), P.Name.c_str());
-              return 1;
-            }
-          } else if (!sameVirtual(R, CellRef)) {
-            std::fprintf(stderr,
-                         "server: FAIL: %s/%s: tier/thread cell diverges "
-                         "(switch=%d gc-threads=%u)\n",
-                         W.Name.c_str(), P.Name.c_str(),
-                         Tier == vm::DispatchTier::Switch, N);
-            return 1;
-          }
+        } else if (!sameVirtual(R, CellRef)) {
+          std::fprintf(stderr,
+                       "server: FAIL: %s/%s: switch tier diverges\n",
+                       W.Name.c_str(), P.Name.c_str());
+          return 1;
         }
-      // Crosscheck run: decode cross-check on at the widest thread count.
+      }
+      // Crosscheck run: every decode audited against the reference decoder.
       ServerRunResult XC = runOrDie(
-          W, cellConfig(W, P, vm::DispatchTier::Threaded, 4, true),
+          W, cellConfig(W, P, vm::DispatchTier::Threaded, /*CrossCheck=*/true),
           "crosscheck");
       if (!sameVirtual(XC, CellRef)) {
         std::fprintf(stderr, "server: FAIL: %s/%s: crosscheck run diverged\n",
@@ -274,12 +266,12 @@ int main() {
     }
   }
   std::printf("server: identity/attribution/crosscheck gates ok (%zu "
-              "workloads x %zu policies x 6 cells)\n",
+              "workloads x %zu policies x 2 tiers)\n",
               Work.size(), std::size(Policies));
 
-  // --- Timing: best (max rps) per (workload, policy, gc-threads) over
-  // rounds, threaded tier (the switch tier is identity-gated above and
-  // not separately timed into the report cells).
+  // --- Timing: best (max rps) per (workload, policy) over rounds, threaded
+  // tier (the switch tier is identity-gated above and not separately timed
+  // into the report cells).
   struct Cell {
     double Rps = 0, Utilization = 0;
     uint64_t P50Ns = 0, P99Ns = 0, MaxNs = 0;
@@ -287,36 +279,33 @@ int main() {
     uint64_t Collections = 0, HeapGrowths = 0, NurseryResizes = 0,
              FinalHeapBytes = 0, UnattributedGcNs = 0, GcNs = 0;
   };
-  const size_t NP = std::size(Policies), NL = std::size(NLevels);
-  std::vector<std::vector<std::vector<Cell>>> Cells(
-      Work.size(), std::vector<std::vector<Cell>>(NP, std::vector<Cell>(NL)));
+  const size_t NP = std::size(Policies);
+  std::vector<std::vector<Cell>> Cells(Work.size(), std::vector<Cell>(NP));
   for (int Round = 0; Round != Runs; ++Round)
     for (size_t WI = 0; WI != Work.size(); ++WI)
-      for (size_t PI = 0; PI != NP; ++PI)
-        for (size_t LI = 0; LI != NL; ++LI) {
-          ServerRunResult R = runOrDie(
-              Work[WI],
-              cellConfig(Work[WI], Policies[PI], vm::DispatchTier::Threaded,
-                         NLevels[LI]),
-              "timing");
-          Cell &C = Cells[WI][PI][LI];
-          if (R.Rps <= C.Rps)
-            continue;
-          C.Rps = R.Rps;
-          C.Utilization = R.Utilization;
-          C.P50Ns = R.LatP50Ns;
-          C.P99Ns = R.LatP99Ns;
-          C.MaxNs = R.LatMaxNs;
-          C.P50Instr = R.LatP50Instr;
-          C.P99Instr = R.LatP99Instr;
-          C.MaxInstr = R.LatMaxInstr;
-          C.Collections = R.Stats.Collections;
-          C.HeapGrowths = R.HeapGrowths;
-          C.NurseryResizes = R.NurseryResizes;
-          C.FinalHeapBytes = R.FinalHeapBytes;
-          C.GcNs = R.TracerGcNanosTotal;
-          C.UnattributedGcNs = R.UnattributedGcNanos;
-        }
+      for (size_t PI = 0; PI != NP; ++PI) {
+        ServerRunResult R = runOrDie(
+            Work[WI],
+            cellConfig(Work[WI], Policies[PI], vm::DispatchTier::Threaded),
+            "timing");
+        Cell &C = Cells[WI][PI];
+        if (R.Rps <= C.Rps)
+          continue;
+        C.Rps = R.Rps;
+        C.Utilization = R.Utilization;
+        C.P50Ns = R.LatP50Ns;
+        C.P99Ns = R.LatP99Ns;
+        C.MaxNs = R.LatMaxNs;
+        C.P50Instr = R.LatP50Instr;
+        C.P99Instr = R.LatP99Instr;
+        C.MaxInstr = R.LatMaxInstr;
+        C.Collections = R.Stats.Collections;
+        C.HeapGrowths = R.HeapGrowths;
+        C.NurseryResizes = R.NurseryResizes;
+        C.FinalHeapBytes = R.FinalHeapBytes;
+        C.GcNs = R.TracerGcNanosTotal;
+        C.UnattributedGcNs = R.UnattributedGcNanos;
+      }
 
   // --- Report --------------------------------------------------------------
   // The header documents every seed so BENCH_server.json is reproducible
@@ -339,44 +328,34 @@ int main() {
     ji(Json, "spin_threads", Work[WI].SpinThreads);
     Json += ",\"policies\":[";
     for (size_t PI = 0; PI != NP; ++PI) {
+      const Cell &C = Cells[WI][PI];
       if (PI)
         Json += ',';
       Json += '{';
       js(Json, "name", Policies[PI].Name, /*First=*/true);
-      Json += ",\"levels\":[";
-      for (size_t LI = 0; LI != NL; ++LI) {
-        const Cell &C = Cells[WI][PI][LI];
-        if (LI)
-          Json += ',';
-        Json += '{';
-        ji(Json, "gc_threads", NLevels[LI], /*First=*/true);
-        jf(Json, "rps", C.Rps);
-        jf(Json, "utilization", C.Utilization);
-        ji(Json, "lat_p50_ns", C.P50Ns);
-        ji(Json, "lat_p99_ns", C.P99Ns);
-        ji(Json, "lat_max_ns", C.MaxNs);
-        ji(Json, "lat_p50_instr", C.P50Instr);
-        ji(Json, "lat_p99_instr", C.P99Instr);
-        ji(Json, "lat_max_instr", C.MaxInstr);
-        ji(Json, "collections", C.Collections);
-        ji(Json, "gc_ns", C.GcNs);
-        ji(Json, "gc_unattributed_ns", C.UnattributedGcNs);
-        ji(Json, "heap_growths", C.HeapGrowths);
-        ji(Json, "nursery_resizes", C.NurseryResizes);
-        ji(Json, "final_heap_bytes", C.FinalHeapBytes);
-        Json += '}';
-        std::printf("server[%s/%s] gc-threads %u: %.0f rps, p50 %.1f us, "
-                    "p99 %.1f us, max %.1f us, util %.3f, %llu collections"
-                    "%s\n",
-                    Work[WI].Name.c_str(), Policies[PI].Name.c_str(),
-                    NLevels[LI], C.Rps, static_cast<double>(C.P50Ns) / 1e3,
-                    static_cast<double>(C.P99Ns) / 1e3,
-                    static_cast<double>(C.MaxNs) / 1e3, C.Utilization,
-                    static_cast<unsigned long long>(C.Collections),
-                    C.HeapGrowths || C.NurseryResizes ? " (policy active)"
-                                                      : "");
-      }
-      Json += "]}";
+      jf(Json, "rps", C.Rps);
+      jf(Json, "utilization", C.Utilization);
+      ji(Json, "lat_p50_ns", C.P50Ns);
+      ji(Json, "lat_p99_ns", C.P99Ns);
+      ji(Json, "lat_max_ns", C.MaxNs);
+      ji(Json, "lat_p50_instr", C.P50Instr);
+      ji(Json, "lat_p99_instr", C.P99Instr);
+      ji(Json, "lat_max_instr", C.MaxInstr);
+      ji(Json, "collections", C.Collections);
+      ji(Json, "gc_ns", C.GcNs);
+      ji(Json, "gc_unattributed_ns", C.UnattributedGcNs);
+      ji(Json, "heap_growths", C.HeapGrowths);
+      ji(Json, "nursery_resizes", C.NurseryResizes);
+      ji(Json, "final_heap_bytes", C.FinalHeapBytes);
+      Json += '}';
+      std::printf("server[%s/%s]: %.0f rps, p50 %.1f us, p99 %.1f us, "
+                  "max %.1f us, util %.3f, %llu collections%s\n",
+                  Work[WI].Name.c_str(), Policies[PI].Name.c_str(), C.Rps,
+                  static_cast<double>(C.P50Ns) / 1e3,
+                  static_cast<double>(C.P99Ns) / 1e3,
+                  static_cast<double>(C.MaxNs) / 1e3, C.Utilization,
+                  static_cast<unsigned long long>(C.Collections),
+                  C.HeapGrowths || C.NurseryResizes ? " (policy active)" : "");
     }
     Json += "]}";
   }

@@ -10,18 +10,11 @@
 #include "gcmaps/MapIndex.h"
 #include "obs/Trace.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <chrono>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <unordered_set>
 #include <vector>
 
@@ -32,6 +25,8 @@ using namespace mgc::vm;
 namespace {
 
 constexpr uint32_t SentinelPC = 0xFFFFFFFFu;
+/// Decoded-point cache lines (power of two).
+constexpr unsigned DecodeCacheLines = 64;
 
 // The tracer resolves first-collection survival by reading the forwarding
 // tag out of from-space headers (obs::Tracer::sweepSurvivors hardcodes
@@ -46,183 +41,22 @@ struct DerivedEntry {
   std::vector<std::pair<Word *, int>> Bases;
 };
 
-/// Per-worker collection state (--gc-threads).  Worker 0 doubles as the
-/// serial collector's state, so the N=1 path runs through exactly the same
-/// caches and arenas as before the parallel split.  Everything here is
-/// touched by only its owning worker during a parallel phase — except Pub,
-/// the public half of the work-stealing scan queue, which is guarded by
-/// PubMu.  Stat counters accumulate locally and are flushed into VMStats in
-/// worker order once the phase joins, so totals are deterministic at every
-/// N and identical to the serial collector at N=1.
-struct WorkerState {
-  explicit WorkerState(unsigned CacheLines) : Cache(CacheLines) {}
-
-  /// Decoded-point cache: per-worker so the parallel stack walk stays
-  /// allocation-free and lock-free on the PR-1 decode path.  (At N>1 the
-  /// aggregate hit/miss counts legitimately differ from serial: each
-  /// worker's cache is cold for points another worker already decoded.)
-  gcmaps::DecodedPointCache Cache;
-  uint64_t CacheHitsReported = 0;
-  uint64_t CacheMissesReported = 0;
-  /// Reference-decoder scratch (UseMapIndex == false).
-  gcmaps::GcPointInfo RefInfo;
-
-  /// Roots gathered by this worker's share of the stack walk; merged into
-  /// the collector's TidyRoots in worker order after the walk joins.
-  std::vector<Word *> Roots;
-  /// Persistent derived-entry arena (entries beyond Used keep their
-  /// base-vector capacity between collections).
-  std::vector<DerivedEntry> Derived;
-  size_t DerivedUsed = 0;
-
-  // Stat deltas for the current collection, flushed in worker order.
-  uint64_t FramesTraced = 0;
-  uint64_t DecodeCacheHits = 0;
-  uint64_t DecodeCacheMisses = 0;
-  uint64_t DecodeBytesSkipped = 0;
-  uint64_t ObjectsCopied = 0;
-  uint64_t BytesCopied = 0;
-  // Per-phase spans for the tracer's per-worker breakdown.
-  uint64_t TraceNanos = 0;
-  uint64_t CopyNanos = 0;
-
-  /// Leak-detector slab (tracer-owned; null when the detector is off or
-  /// this is a minor collection): each object this worker copies adds its
-  /// bytes to slot [site id]; Tracer::sampleCollection merges and zeroes
-  /// the slabs after the workers join.  Only the full-collection copy
-  /// paths wire this in — minor samples would flag every site.
-  uint64_t *LeakAcc = nullptr;
-  size_t LeakSites = 0;
-
-  /// Work-stealing scan queue over grey (copied, unscanned) to-space
-  /// objects.  Grey is the private LIFO only the owner touches; Pub is the
-  /// public deque thieves steal from (owner pops the back, thieves the
-  /// front).  PubCount mirrors Pub.size() so idle workers can poll victims
-  /// without taking locks.
-  std::vector<Word> Grey;
-  std::deque<Word> Pub;
-  std::mutex PubMu;
-  std::atomic<size_t> PubCount{0};
-
-  void resetForCollection() {
-    Roots.clear();
-    DerivedUsed = 0;
-    FramesTraced = DecodeCacheHits = DecodeCacheMisses = 0;
-    DecodeBytesSkipped = ObjectsCopied = BytesCopied = 0;
-    TraceNanos = CopyNanos = 0;
-    LeakAcc = nullptr;
-    LeakSites = 0;
-    Grey.clear();
-    Pub.clear();
-    PubCount.store(0, std::memory_order_relaxed);
-  }
-};
-
-/// A persistent pool of NW-1 helper threads for the parallel collection
-/// phases; the mutator's OS thread acts as worker 0.  Helpers sleep on a
-/// condition variable between phases (collections are rare; spinning
-/// between them would burn a core per helper for nothing) and are joined
-/// when the collector is destroyed.
-class GcWorkerPool {
-public:
-  explicit GcWorkerPool(unsigned NHelpers) {
-    Helpers.reserve(NHelpers);
-    for (unsigned I = 0; I != NHelpers; ++I)
-      Helpers.emplace_back([this, I] { helperLoop(I + 1); });
-  }
-
-  ~GcWorkerPool() {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Shutdown = true;
-    }
-    Cv.notify_all();
-    for (std::thread &T : Helpers)
-      T.join();
-  }
-
-  /// Runs \p Fn(WI) on every worker — helpers get 1..NHelpers, the calling
-  /// thread runs worker 0 — and returns once all have finished.
-  void run(const std::function<void(unsigned)> &Fn) {
-    {
-      std::lock_guard<std::mutex> L(Mu);
-      Work = &Fn;
-      Remaining = static_cast<unsigned>(Helpers.size());
-      ++Generation;
-    }
-    Cv.notify_all();
-    Fn(0);
-    std::unique_lock<std::mutex> L(Mu);
-    DoneCv.wait(L, [this] { return Remaining == 0; });
-    Work = nullptr;
-  }
-
-private:
-  void helperLoop(unsigned WI) {
-    uint64_t SeenGen = 0;
-    for (;;) {
-      const std::function<void(unsigned)> *Fn;
-      {
-        std::unique_lock<std::mutex> L(Mu);
-        Cv.wait(L, [&] { return Shutdown || Generation != SeenGen; });
-        if (Shutdown)
-          return;
-        SeenGen = Generation;
-        Fn = Work;
-      }
-      (*Fn)(WI);
-      std::lock_guard<std::mutex> L(Mu);
-      if (--Remaining == 0)
-        DoneCv.notify_one();
-    }
-  }
-
-  std::vector<std::thread> Helpers;
-  std::mutex Mu;
-  std::condition_variable Cv, DoneCv;
-  const std::function<void(unsigned)> *Work = nullptr;
-  uint64_t Generation = 0;
-  unsigned Remaining = 0;
-  bool Shutdown = false;
-};
-
 /// The installed collector.  One instance lives for the life of the VM
 /// (captured by the Collector closure), so the decoded-point cache and the
 /// root/derived/scratch buffers persist across collections: steady-state
 /// collections decode from cache and allocate nothing.
 class PreciseCollector {
 public:
-  explicit PreciseCollector(const CollectorOptions &Opts) : Opts(Opts) {
-    // Clamp to the tracer's per-worker array bound; N=1 is the serial
-    // collector.
-    if (this->Opts.Threads < 1)
-      this->Opts.Threads = 1;
-    if (this->Opts.Threads > obs::MaxGcWorkers)
-      this->Opts.Threads = obs::MaxGcWorkers;
-    NW = this->Opts.Threads;
-    Workers.reserve(NW);
-    for (unsigned I = 0; I != NW; ++I)
-      Workers.push_back(std::make_unique<WorkerState>(Opts.CacheLines));
-  }
+  explicit PreciseCollector(const CollectorOptions &Opts)
+      : Opts(Opts), Cache(DecodeCacheLines) {}
 
   void collect(VM &M);
 
 private:
-  void walkThread(VM &M, WorkerState &W, ThreadContext &T, uint32_t TablePC);
+  void walkThread(VM &M, ThreadContext &T, uint32_t TablePC);
   /// The full two-space Cheney copy (also evacuates the nursery in
   /// generational mode).
   void traceFull(VM &M);
-  /// The same evacuation split across the worker pool: roots are deduped
-  /// and sliced per worker, grey objects flow through the per-worker
-  /// work-stealing queues, and every copy goes through the claim-then-copy
-  /// CAS in Heap::forwardParallel.
-  void traceFullParallel(VM &M);
-  /// One worker's share of traceFullParallel: forward a root slice, then
-  /// scan/steal until global quiescence.
-  void evacuateWorker(VM &M, unsigned WI, size_t NRoots);
-  /// Forwards one field through the parallel protocol, pushing the new
-  /// copy on \p W's grey queue when this worker won the claim.
-  void forwardFieldParallel(Heap &H, WorkerState &W, Word &Field);
   /// Generational mode: evacuates only the nursery, using the remembered
   /// set for the old→young roots.
   void traceMinor(VM &M);
@@ -232,33 +66,28 @@ private:
   /// halves swap.
   void crosscheckAfterMinor(VM &M);
   /// The decoded tables for gc-point \p Ordinal of function \p FuncIdx,
-  /// through the configured path (worker-local cache+index, or the
-  /// reference decoder).
-  const gcmaps::GcPointInfo &pointInfo(VM &M, WorkerState &W,
-                                       unsigned FuncIdx, unsigned Ordinal);
+  /// through the configured path (cache+index, or the reference decoder).
+  const gcmaps::GcPointInfo &pointInfo(VM &M, unsigned FuncIdx,
+                                       unsigned Ordinal);
   Word *resolve(const vm::Location &L, uint32_t FP, uint32_t AP,
                 ThreadContext &T, Word **RegHome);
 
   CollectorOptions Opts;
-  unsigned NW = 1;
   /// The in-flight observability event (null when tracing is off); set at
   /// the top of collect() so traceMinor can time the remset rebuild.
   obs::GcEvent *CurEv = nullptr;
-  /// Per-worker state; Workers[0] is also the serial collector's state.
-  std::vector<std::unique_ptr<WorkerState>> Workers;
-  /// Helper threads (NW-1 of them), created lazily on the first parallel
-  /// collection so --gc-threads 1 never spawns an OS thread.
-  std::unique_ptr<GcWorkerPool> Pool;
-  /// Workers currently out of work during a parallel evacuation; the phase
-  /// terminates when all NW are idle at once (pushes only happen from
-  /// non-idle workers, so that state is stable).
-  std::atomic<unsigned> NIdle{0};
-  /// The merged root set (serial: gathered directly; parallel: per-worker
-  /// shares appended in worker order, preserving the serial ordering).
+  gcmaps::DecodedPointCache Cache;
+  /// Reference-decoder scratch (UseMapIndex == false).
+  gcmaps::GcPointInfo RefInfo;
+  /// The root set: table-described slots in walk order, then globals.
   std::vector<Word *> TidyRoots;
+  /// Persistent derived-entry arena (entries beyond DerivedUsed keep their
+  /// base-vector capacity between collections).
+  std::vector<DerivedEntry> Derived;
+  size_t DerivedUsed = 0;
 };
 
-const gcmaps::GcPointInfo &PreciseCollector::pointInfo(VM &M, WorkerState &W,
+const gcmaps::GcPointInfo &PreciseCollector::pointInfo(VM &M,
                                                        unsigned FuncIdx,
                                                        unsigned Ordinal) {
   const gcmaps::EncodedFuncMaps &Maps = M.Prog.Maps[FuncIdx];
@@ -267,23 +96,19 @@ const gcmaps::GcPointInfo &PreciseCollector::pointInfo(VM &M, WorkerState &W,
     assert(FuncIdx < M.Prog.MapIndexes.size() &&
            "program installed without map indexes");
     const gcmaps::FuncMapIndex &Index = M.Prog.MapIndexes[FuncIdx];
-    Info = W.Cache.lookup(FuncIdx, Ordinal);
-    if (!Info) {
-      gcmaps::GcPointInfo &Slot = W.Cache.insert(FuncIdx, Ordinal);
+    Info = Cache.lookup(FuncIdx, Ordinal);
+    if (Info) {
+      ++M.Stats.DecodeCacheHits;
+    } else {
+      ++M.Stats.DecodeCacheMisses;
+      gcmaps::GcPointInfo &Slot = Cache.insert(FuncIdx, Ordinal);
       gcmaps::decodeGcPointIndexed(Maps, Index, Ordinal, Slot,
-                                   &W.DecodeBytesSkipped);
+                                   &M.Stats.DecodeBytesSkipped);
       Info = &Slot;
     }
-    // Accumulate into worker-local deltas; the phase join flushes them
-    // into VMStats in worker order (other workers may be walking frames
-    // concurrently, so VMStats must not be touched here).
-    W.DecodeCacheHits += W.Cache.hits() - W.CacheHitsReported;
-    W.DecodeCacheMisses += W.Cache.misses() - W.CacheMissesReported;
-    W.CacheHitsReported = W.Cache.hits();
-    W.CacheMissesReported = W.Cache.misses();
   } else {
-    W.RefInfo = gcmaps::decodeGcPoint(Maps, Ordinal);
-    Info = &W.RefInfo;
+    RefInfo = gcmaps::decodeGcPoint(Maps, Ordinal);
+    Info = &RefInfo;
   }
   if (Opts.CrossCheck &&
       !(*Info == gcmaps::decodeGcPoint(Maps, Ordinal))) {
@@ -313,8 +138,7 @@ Word *PreciseCollector::resolve(const vm::Location &L, uint32_t FP,
   return nullptr;
 }
 
-void PreciseCollector::walkThread(VM &M, WorkerState &W, ThreadContext &T,
-                                  uint32_t TablePC) {
+void PreciseCollector::walkThread(VM &M, ThreadContext &T, uint32_t TablePC) {
   // Register reconstruction state: where each register's value *as of the
   // frame being processed* lives.  Innermost frame: the live register file;
   // moving outward, registers saved by a frame are found in its save area.
@@ -327,7 +151,7 @@ void PreciseCollector::walkThread(VM &M, WorkerState &W, ThreadContext &T,
   uint32_t AP = T.AP;
 
   while (true) {
-    ++W.FramesTraced;
+    ++M.Stats.FramesTraced;
     unsigned FuncIdx = M.Prog.funcOfPC(PC - 1);
     const CompiledFunction &F = M.Prog.Funcs[FuncIdx];
     const gcmaps::EncodedFuncMaps &Maps = M.Prog.Maps[FuncIdx];
@@ -335,18 +159,18 @@ void PreciseCollector::walkThread(VM &M, WorkerState &W, ThreadContext &T,
     int Ordinal = gcmaps::findGcPoint(Maps, PC);
     assert(Ordinal >= 0 && "suspension point is not a known gc-point");
     const gcmaps::GcPointInfo &Info =
-        pointInfo(M, W, FuncIdx, static_cast<unsigned>(Ordinal));
+        pointInfo(M, FuncIdx, static_cast<unsigned>(Ordinal));
 
     for (const vm::Location &L : Info.LiveSlots)
-      W.Roots.push_back(resolve(L, FP, AP, T, RegHome));
+      TidyRoots.push_back(resolve(L, FP, AP, T, RegHome));
     for (unsigned R = 0; R != NumRegs; ++R)
       if (Info.RegMask & (1u << R))
-        W.Roots.push_back(RegHome[R]);
+        TidyRoots.push_back(RegHome[R]);
 
     for (const gcmaps::DerivationRecord &Rec : Info.Derivs) {
-      if (W.DerivedUsed == W.Derived.size())
-        W.Derived.emplace_back();
-      DerivedEntry &E = W.Derived[W.DerivedUsed++];
+      if (DerivedUsed == Derived.size())
+        Derived.emplace_back();
+      DerivedEntry &E = Derived[DerivedUsed++];
       E.Bases.clear();
       E.Target = resolve(Rec.Target, FP, AP, T, RegHome);
       const std::vector<gcmaps::BaseRef> *Bases = &Rec.Bases;
@@ -405,34 +229,17 @@ void PreciseCollector::traceFull(VM &M) {
   // of a separate O(live) heap walk at sample time (which would cost a
   // significant fraction of the pause itself on GC-bound workloads —
   // bench/leak gates the detector at <= 3% mutator cost).
-  uint64_t *LeakAcc = M.Tracer ? M.Tracer->leakAccumulator(0) : nullptr;
+  uint64_t *LeakAcc = M.Tracer ? M.Tracer->leakAccumulator() : nullptr;
   size_t LeakSites = LeakAcc ? M.Tracer->leakSiteCount() : 0;
 
   Word Scan = H.scanStart();
   while (Scan < H.toAlloc()) {
     // Every object in to-space was evacuated by this collection.
     ++M.Stats.ObjectsCopied;
-    Word *Obj = reinterpret_cast<Word *>(Scan);
-    const ir::TypeDesc &D =
-        M.Prog.TypeDescs[Heap::headerDesc(Obj[0])];
-    for (unsigned Off : D.PtrOffsets) {
-      Word &Field = Obj[1 + Off];
-      if (Field != 0)
-        Field = H.forward(Field);
-    }
-    size_t Words = 1 + D.SizeWords;
-    if (D.IsOpenArray) {
-      int64_t Len = static_cast<int64_t>(Obj[1]);
-      for (int64_t E = 0; E != Len; ++E)
-        for (unsigned Off : D.ElemPtrOffsets) {
-          Word &Field = Obj[2 + static_cast<size_t>(E) * D.ElemSizeWords + Off];
-          if (Field != 0)
-            Field = H.forward(Field);
-        }
-      Words += static_cast<size_t>(Len) * D.ElemSizeWords;
-    }
+    size_t Words = H.forEachPointerField(
+        Scan, [&](Word &Field) { Field = H.forward(Field); });
     if (LeakAcc) {
-      uint32_t Site = Heap::headerSite(Obj[0]);
+      uint32_t Site = Heap::headerSite(*reinterpret_cast<const Word *>(Scan));
       if (Site < LeakSites)
         LeakAcc[Site] += Words * sizeof(Word);
     }
@@ -440,212 +247,6 @@ void PreciseCollector::traceFull(VM &M) {
   }
 
   M.Stats.BytesCopied += H.toAlloc() - H.scanStart();
-  // Survival + attribution sweep: from-space headers (and nursery headers
-  // in generational mode) remain readable until the swap below.
-  if (M.Tracer)
-    M.Tracer->sweepSurvivors(H, /*Minor=*/false);
-  H.endCollection();
-}
-
-void PreciseCollector::forwardFieldParallel(Heap &H, WorkerState &W,
-                                            Word &Field) {
-  // Fields of an unscanned to-space copy always point at from-space: the
-  // claimer copied them verbatim, and only this worker (the one scanning
-  // the object) ever rewrites them.
-  assert(H.inFromSpace(Field) && "tidy field does not point into the heap "
-                                 "(stale table or liveness bug)");
-  bool Copied;
-  size_t Bytes;
-  Word New = H.forwardParallel(Field, Copied, Bytes);
-  Field = New;
-  if (Copied) {
-    ++W.ObjectsCopied;
-    W.BytesCopied += Bytes;
-    // In-copy leak sampling: the CAS winner counts the object exactly
-    // once, into its own slab.  Sums are merged by sampleCollection;
-    // integer addition is order-independent, so the merged sample matches
-    // the serial collector's bit for bit at any worker count.
-    if (W.LeakAcc) {
-      uint32_t Site = Heap::headerSite(*reinterpret_cast<Word *>(New));
-      if (Site < W.LeakSites)
-        W.LeakAcc[Site] += Bytes;
-    }
-    W.Grey.push_back(New);
-  }
-}
-
-void PreciseCollector::evacuateWorker(VM &M, unsigned WI, size_t NRoots) {
-  using Clock = std::chrono::steady_clock;
-  auto T0 = Clock::now();
-  Heap &H = M.TheHeap;
-  WorkerState &W = *Workers[WI];
-
-  // evacuateWorker runs for full collections only, so wiring the leak
-  // slab here can never pollute a minor sample.
-  W.LeakAcc = M.Tracer ? M.Tracer->leakAccumulator(WI) : nullptr;
-  W.LeakSites = W.LeakAcc ? M.Tracer->leakSiteCount() : 0;
-
-  // --- Root slice: roots were deduped (distinct slots), so no other
-  // worker writes these words; values still point at from-space.
-  size_t Lo = WI * NRoots / NW, Hi = (WI + 1) * NRoots / NW;
-  for (size_t I = Lo; I != Hi; ++I) {
-    Word *Root = TidyRoots[I];
-    if (*Root == 0)
-      continue;
-    forwardFieldParallel(H, W, *Root);
-  }
-
-  // --- Grey scan with work stealing.  Each copied object is pushed by
-  // exactly one worker (its claimer) and scanned by exactly one worker
-  // (whoever pops it), so every to-space field is written once.
-  auto ScanObject = [&](Word Scan) {
-    Word *Obj = reinterpret_cast<Word *>(Scan);
-    const ir::TypeDesc &D = M.Prog.TypeDescs[Heap::headerDesc(Obj[0])];
-    for (unsigned Off : D.PtrOffsets) {
-      Word &Field = Obj[1 + Off];
-      if (Field != 0)
-        forwardFieldParallel(H, W, Field);
-    }
-    if (D.IsOpenArray) {
-      int64_t Len = static_cast<int64_t>(Obj[1]);
-      for (int64_t E = 0; E != Len; ++E)
-        for (unsigned Off : D.ElemPtrOffsets) {
-          Word &Field = Obj[2 + static_cast<size_t>(E) * D.ElemSizeWords +
-                            Off];
-          if (Field != 0)
-            forwardFieldParallel(H, W, Field);
-        }
-    }
-  };
-
-  // Take from the private stack first, then the own public deque.
-  auto TakeLocal = [&]() -> Word {
-    if (!W.Grey.empty()) {
-      Word O = W.Grey.back();
-      W.Grey.pop_back();
-      return O;
-    }
-    if (W.PubCount.load(std::memory_order_relaxed) != 0) {
-      std::lock_guard<std::mutex> L(W.PubMu);
-      if (!W.Pub.empty()) {
-        Word O = W.Pub.back();
-        W.Pub.pop_back();
-        W.PubCount.store(W.Pub.size(), std::memory_order_relaxed);
-        return O;
-      }
-    }
-    return 0;
-  };
-
-  // Steal up to half of a victim's public queue (oldest entries first).
-  auto Steal = [&]() -> Word {
-    for (unsigned K = 1; K != NW; ++K) {
-      WorkerState &V = *Workers[(WI + K) % NW];
-      if (V.PubCount.load(std::memory_order_relaxed) == 0)
-        continue;
-      std::lock_guard<std::mutex> L(V.PubMu);
-      if (V.Pub.empty())
-        continue;
-      size_t Take = (V.Pub.size() + 1) / 2;
-      for (size_t J = 1; J != Take; ++J) {
-        W.Grey.push_back(V.Pub.front());
-        V.Pub.pop_front();
-      }
-      Word O = V.Pub.front();
-      V.Pub.pop_front();
-      V.PubCount.store(V.Pub.size(), std::memory_order_relaxed);
-      return O;
-    }
-    return 0;
-  };
-
-  // Donate the oldest half of a deep private stack when our public queue
-  // is empty and someone might be starving.
-  auto MaybeDonate = [&] {
-    if (NW == 1 || W.Grey.size() <= 16 ||
-        W.PubCount.load(std::memory_order_relaxed) != 0)
-      return;
-    size_t Give = W.Grey.size() / 2;
-    std::lock_guard<std::mutex> L(W.PubMu);
-    W.Pub.insert(W.Pub.end(), W.Grey.begin(),
-                 W.Grey.begin() + static_cast<ptrdiff_t>(Give));
-    W.Grey.erase(W.Grey.begin(), W.Grey.begin() + static_cast<ptrdiff_t>(Give));
-    W.PubCount.store(W.Pub.size(), std::memory_order_relaxed);
-  };
-
-  // Termination: a worker only goes idle with its own queues empty and
-  // nothing stealable in sight, and only non-idle workers can publish new
-  // work — so "all NW idle at once" is stable and means global quiescence.
-  bool Idle = false;
-  for (;;) {
-    Word Obj = TakeLocal();
-    if (Obj == 0)
-      Obj = Steal();
-    if (Obj != 0) {
-      if (Idle) {
-        NIdle.fetch_sub(1);
-        Idle = false;
-      }
-      MaybeDonate();
-      ScanObject(Obj);
-      continue;
-    }
-    if (!Idle) {
-      NIdle.fetch_add(1);
-      Idle = true;
-    }
-    if (NIdle.load() == NW)
-      break;
-    std::this_thread::yield();
-  }
-
-  W.CopyNanos = static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - T0)
-          .count());
-}
-
-void PreciseCollector::traceFullParallel(VM &M) {
-  Heap &H = M.TheHeap;
-  H.beginCollection();
-
-  // RootsTraced counts table-described root slots, like the serial
-  // collector — before deduplication, so the total matches serial at any N.
-  M.Stats.RootsTraced += TidyRoots.size();
-  // Dedup: the same stack word can carry two table entries (caller FP slot
-  // and callee AP slot).  The serial loop tolerates duplicates by checking
-  // inToSpace on the second visit; in parallel a duplicate would be a
-  // write-write race between two workers' root slices, so dedup up front.
-  std::sort(TidyRoots.begin(), TidyRoots.end());
-  TidyRoots.erase(std::unique(TidyRoots.begin(), TidyRoots.end()),
-                  TidyRoots.end());
-
-  NIdle.store(0);
-  for (auto &W : Workers) {
-    W->Grey.clear();
-    W->Pub.clear();
-    W->PubCount.store(0, std::memory_order_relaxed);
-  }
-  size_t NRoots = TidyRoots.size();
-  Pool->run([&](unsigned WI) { evacuateWorker(M, WI, NRoots); });
-  assert(H.toAlloc() - H.scanStart() ==
-             [&] {
-               uint64_t B = 0;
-               for (auto &W : Workers)
-                 B += W->BytesCopied;
-               return B;
-             }() &&
-         "parallel copy byte accounting does not cover to-space");
-
-  // ObjectsCopied/BytesCopied flush in worker order (totals are
-  // N-independent; the per-worker split is the load-balance view).
-  for (auto &W : Workers) {
-    M.Stats.ObjectsCopied += W->ObjectsCopied;
-    M.Stats.BytesCopied += W->BytesCopied;
-  }
-  if (CurEv)
-    for (unsigned I = 0; I != NW && I != obs::MaxGcWorkers; ++I)
-      CurEv->WorkerCopyNanos[I] = Workers[I]->CopyNanos;
-
   // Survival + attribution sweep: from-space headers (and nursery headers
   // in generational mode) remain readable until the swap below.
   if (M.Tracer)
@@ -700,20 +301,8 @@ void PreciseCollector::traceMinor(VM &M) {
   auto ScanObject = [&](Word Scan, bool InOldObject) -> size_t {
     // Every scanned object was evacuated (survivor half or promotion).
     ++M.Stats.ObjectsCopied;
-    Word *Obj = reinterpret_cast<Word *>(Scan);
-    const ir::TypeDesc &D =
-        M.Prog.TypeDescs[Heap::headerDesc(Obj[0])];
-    for (unsigned Off : D.PtrOffsets)
-      FwdField(Obj[1 + Off], InOldObject);
-    size_t Words = 1 + D.SizeWords;
-    if (D.IsOpenArray) {
-      int64_t Len = static_cast<int64_t>(Obj[1]);
-      for (int64_t E = 0; E != Len; ++E)
-        for (unsigned Off : D.ElemPtrOffsets)
-          FwdField(Obj[2 + static_cast<size_t>(E) * D.ElemSizeWords + Off],
-                   InOldObject);
-      Words += static_cast<size_t>(Len) * D.ElemSizeWords;
-    }
+    size_t Words = H.forEachPointerField(
+        Scan, [&](Word &Field) { FwdField(Field, InOldObject); });
     return Words * sizeof(Word);
   };
 
@@ -786,17 +375,8 @@ void PreciseCollector::crosscheckAfterMinor(VM &M) {
   while (!Work.empty()) {
     Word Obj = Work.back();
     Work.pop_back();
-    const Word *P = reinterpret_cast<const Word *>(Obj);
-    const ir::TypeDesc &D = H.descOf(Obj);
     (void)H.objectWords(Obj); // Asserts the header is sane.
-    for (unsigned Off : D.PtrOffsets)
-      Push(P[1 + Off]);
-    if (D.IsOpenArray) {
-      int64_t Len = static_cast<int64_t>(P[1]);
-      for (int64_t E = 0; E != Len; ++E)
-        for (unsigned Off : D.ElemPtrOffsets)
-          Push(P[2 + static_cast<size_t>(E) * D.ElemSizeWords + Off]);
-    }
+    H.forEachPointerField(Obj, Push);
   }
 }
 
@@ -810,28 +390,21 @@ void PreciseCollector::collect(VM &M) {
 
   // The VM begins the observability event before invoking us; fill in the
   // per-phase breakdown as each phase completes.  Extra clock reads happen
-  // only while an event is in flight.  The timing skeleton (T0 → walk → T1
-  // → underive → trace → copy → rederive → T2) is shared by the serial and
-  // parallel paths, so the phase-partition invariant — phase nanos sum
-  // exactly to the collector span at every N — holds by construction.
+  // only while an event is in flight.  The phases are carved out of one
+  // timing skeleton (T0 → walk → T1 → underive → copy → rederive → T2), so
+  // the phase nanos sum exactly to the collector span.
   CurEv = M.Tracer ? M.Tracer->current() : nullptr;
-  if (CurEv)
-    CurEv->Workers = NW;
 
   bool Minor = M.TheHeap.generational() && M.RequestedGc == GcKind::Minor;
 
   TidyRoots.clear();
-  for (auto &W : Workers)
-    W->resetForCollection();
+  DerivedUsed = 0;
 
   // --- Stack tracing: locate tables, decode, gather roots (timed
   // separately; this is §6.3's measured quantity).  A minor collection
-  // gathers the identical root set — only the trace differs.  Live
-  // suspended threads are dealt round-robin to the workers; each thread's
-  // frames are walked by exactly one worker, preserving the §3 callee-
-  // before-caller ordering of its derived entries inside that worker's
-  // arena.
-  std::vector<std::pair<ThreadContext *, uint32_t>> Walks;
+  // gathers the identical root set — only the trace differs.  Each
+  // thread's frames are walked innermost first, so its derived entries
+  // land in the arena in the §3 callee-before-caller order.
   for (size_t TI = 0; TI != M.Threads.size(); ++TI) {
     ThreadContext &T = *M.Threads[TI];
     if (!T.Live)
@@ -839,67 +412,26 @@ void PreciseCollector::collect(VM &M) {
     uint32_t TablePC = M.SuspendPCs.empty() ? 0 : M.SuspendPCs[TI];
     if (TablePC == SentinelPC || TablePC == 0)
       continue;
-    Walks.emplace_back(&T, TablePC);
+    walkThread(M, T, TablePC);
   }
-  if (NW == 1) {
-    for (auto &[T, TablePC] : Walks)
-      walkThread(M, *Workers[0], *T, TablePC);
-  } else {
-    if (!Pool)
-      Pool = std::make_unique<GcWorkerPool>(NW - 1);
-    Pool->run([&](unsigned WI) {
-      auto WT0 = Clock::now();
-      WorkerState &W = *Workers[WI];
-      for (size_t I = WI; I < Walks.size(); I += NW)
-        walkThread(M, W, *Walks[I].first, Walks[I].second);
-      W.TraceNanos = Nanos(WT0, Clock::now());
-    });
-  }
-
-  // Merge + flush in worker order: the root set, walk-stat deltas, and the
-  // per-worker trace spans.  At N=1 this reproduces the serial collector's
-  // exact root ordering and stat totals.
-  for (auto &W : Workers)
-    TidyRoots.insert(TidyRoots.end(), W->Roots.begin(), W->Roots.end());
   for (unsigned W : M.Prog.GlobalPtrWords)
     TidyRoots.push_back(&M.Globals[W]);
-  for (auto &W : Workers) {
-    M.Stats.FramesTraced += W->FramesTraced;
-    M.Stats.DecodeCacheHits += W->DecodeCacheHits;
-    M.Stats.DecodeCacheMisses += W->DecodeCacheMisses;
-    M.Stats.DecodeBytesSkipped += W->DecodeBytesSkipped;
-    // Evacuation counters flush after the trace phase below; reset the
-    // walk deltas so the copy flush does not double-count.
-    W->FramesTraced = W->DecodeCacheHits = W->DecodeCacheMisses = 0;
-    W->DecodeBytesSkipped = 0;
-  }
 
   auto T1 = Clock::now();
-  if (CurEv) {
+  if (CurEv)
     CurEv->Phases.StackTrace = Nanos(T0, T1);
-    if (NW == 1)
-      CurEv->WorkerTraceNanos[0] = CurEv->Phases.StackTrace;
-    else
-      for (unsigned I = 0; I != NW && I != obs::MaxGcWorkers; ++I)
-        CurEv->WorkerTraceNanos[I] = Workers[I]->TraceNanos;
-  }
   auto Mark = T1;
 
   // --- Phase 1 (§3): un-derive, innermost frames first, leaving E in each
-  // derived location.  Worker arenas are visited in worker order; entries
-  // within an arena are in walk order, so each thread's frames keep the
-  // required callee-before-caller ordering (threads' derived values are
-  // independent of each other).
-  for (auto &WP : Workers) {
-    WorkerState &W = *WP;
-    for (size_t K = 0; K != W.DerivedUsed; ++K) {
-      const DerivedEntry &E = W.Derived[K];
-      Word V = *E.Target;
-      for (const auto &[BaseLoc, Coeff] : E.Bases)
-        V -= static_cast<Word>(static_cast<int64_t>(Coeff)) * *BaseLoc;
-      *E.Target = V;
-      ++M.Stats.DerivedAdjusted;
-    }
+  // derived location.  (Threads' derived values are independent of each
+  // other, so only the per-thread order matters.)
+  for (size_t K = 0; K != DerivedUsed; ++K) {
+    const DerivedEntry &E = Derived[K];
+    Word V = *E.Target;
+    for (const auto &[BaseLoc, Coeff] : E.Bases)
+      V -= static_cast<Word>(static_cast<int64_t>(Coeff)) * *BaseLoc;
+    *E.Target = V;
+    ++M.Stats.DerivedAdjusted;
   }
 
   if (CurEv) {
@@ -911,10 +443,8 @@ void PreciseCollector::collect(VM &M) {
   if (Minor) {
     ++M.Stats.MinorCollections;
     traceMinor(M);
-  } else if (NW == 1) {
-    traceFull(M);
   } else {
-    traceFullParallel(M);
+    traceFull(M);
   }
 
   if (CurEv) {
@@ -922,28 +452,22 @@ void PreciseCollector::collect(VM &M) {
     // traceMinor timed its remset rebuild separately; the rest of the
     // evacuation span is the copy phase.
     CurEv->Phases.Copy = Nanos(Mark, Now) - CurEv->Phases.RemsetRebuild;
-    if (NW == 1 && !Minor)
-      CurEv->WorkerCopyNanos[0] = CurEv->Phases.Copy;
     Mark = Now;
   }
 
   // --- Phase 2 of the update (§3): re-derive from the new base values, in
   // exactly the reverse order.
-  for (size_t WI = Workers.size(); WI-- > 0;) {
-    WorkerState &W = *Workers[WI];
-    for (size_t K = W.DerivedUsed; K-- > 0;) {
-      const DerivedEntry &E = W.Derived[K];
-      Word V = *E.Target;
-      for (const auto &[BaseLoc, Coeff] : E.Bases)
-        V += static_cast<Word>(static_cast<int64_t>(Coeff)) * *BaseLoc;
-      *E.Target = V;
-    }
+  for (size_t K = DerivedUsed; K-- > 0;) {
+    const DerivedEntry &E = Derived[K];
+    Word V = *E.Target;
+    for (const auto &[BaseLoc, Coeff] : E.Bases)
+      V += static_cast<Word>(static_cast<int64_t>(Coeff)) * *BaseLoc;
+    *E.Target = V;
   }
 
-  // Leak-detector sample: workers are joined, so merging the per-worker
-  // in-copy accumulators here is single-threaded.  The copy loops above
-  // already attributed every evacuated object's bytes to its site, so the
-  // sample costs O(sites), not O(live).
+  // Leak-detector sample: the copy loop above already attributed every
+  // evacuated object's bytes to its site, so the sample costs O(sites),
+  // not O(live).
   if (M.Tracer)
     M.Tracer->sampleCollection(M.Stats.Collections, Minor);
 
@@ -1016,22 +540,10 @@ ConservativeStats gc::conservativeTrace(VM &M,
     Word Obj = Work.back();
     Work.pop_back();
     ++S.ObjectsReached;
-    const ir::TypeDesc &D = H.descOf(Obj);
-    const Word *P = reinterpret_cast<const Word *>(Obj);
-    for (unsigned Off : D.PtrOffsets) {
-      Word V = P[1 + Off];
+    H.forEachPointerField(Obj, [&](Word V) {
       if (H.plausibleObject(V) && Marked.insert(V).second)
         Work.push_back(V);
-    }
-    if (D.IsOpenArray) {
-      int64_t Len = static_cast<int64_t>(P[1]);
-      for (int64_t E = 0; E != Len; ++E)
-        for (unsigned Off : D.ElemPtrOffsets) {
-          Word V = P[2 + static_cast<size_t>(E) * D.ElemSizeWords + Off];
-          if (H.plausibleObject(V) && Marked.insert(V).second)
-            Work.push_back(V);
-        }
-    }
+    });
   }
 
   auto T1 = Clock::now();

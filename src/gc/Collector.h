@@ -43,16 +43,6 @@ struct CollectorOptions {
   /// Re-decode every gc-point through the reference decoder as well and
   /// abort on any disagreement with the indexed/cached result.
   bool CrossCheck = false;
-  /// Decoded-point cache lines (power of two).
-  unsigned CacheLines = 64;
-  /// GC worker threads for the stop-the-world root walk and full-copy
-  /// evacuation (--gc-threads).  1 (the default) is the serial collector,
-  /// bit-identical to the pre-parallel implementation on every GC
-  /// observable; N > 1 splits the stack walk round-robin across workers
-  /// (each with its own decoded-point cache, so the decode path stays
-  /// allocation-free) and runs the Cheney copy over per-worker
-  /// work-stealing scan queues.  Clamped to [1, obs::MaxGcWorkers].
-  unsigned Threads = 1;
 };
 
 /// Installs the precise copying collector on \p M.  The collector's decode

@@ -186,27 +186,6 @@ bool collectRoots(VM &M, bool WalkStacks, std::vector<RootVal> &Roots,
   return true;
 }
 
-/// Applies \p Fn to every non-NIL pointer field of \p Obj with the field's
-/// payload word index (header = word 0).
-template <typename FnT>
-void forEachField(const VM &M, Word Obj, FnT Fn) {
-  const Word *P = reinterpret_cast<const Word *>(Obj);
-  const ir::TypeDesc &D = M.Prog.TypeDescs[Heap::headerDesc(P[0])];
-  for (unsigned Off : D.PtrOffsets) {
-    if (P[1 + Off] != 0)
-      Fn(1 + Off, P[1 + Off]);
-  }
-  if (D.IsOpenArray) {
-    int64_t Len = static_cast<int64_t>(P[1]);
-    for (int64_t E = 0; E != Len; ++E)
-      for (unsigned Off : D.ElemPtrOffsets) {
-        size_t Slot = 2 + static_cast<size_t>(E) * D.ElemSizeWords + Off;
-        if (P[Slot] != 0)
-          Fn(Slot, P[Slot]);
-      }
-  }
-}
-
 } // namespace
 
 bool gc::captureHeapSnapshot(VM &M, obs::HeapSnapshot &Out, bool WalkStacks,
@@ -258,7 +237,7 @@ bool gc::captureHeapSnapshot(VM &M, obs::HeapSnapshot &Out, bool WalkStacks,
   }
   for (size_t Head = 0; Head != Addrs.size(); ++Head) {
     bool Ok = true;
-    forEachField(M, Addrs[Head], [&](size_t, Word V) {
+    H.forEachPointerField(Addrs[Head], [&](Word V) {
       if (!H.plausibleObject(V))
         Ok = false;
       else
@@ -291,8 +270,11 @@ bool gc::captureHeapSnapshot(VM &M, obs::HeapSnapshot &Out, bool WalkStacks,
     N.Site = S == Heap::NoSiteHdr ? obs::NoSite : S;
     N.Age = Heap::headerAge(Hd);
     N.FirstEdge = static_cast<uint32_t>(Out.Edges.size());
-    forEachField(M, A, [&](size_t Slot, Word V) {
-      Out.Edges.push_back({static_cast<uint32_t>(Slot), NodeId[V]});
+    // Edge slots are payload word indices (header = word 0).
+    H.forEachPointerField(A, [&](Word &V) {
+      Out.Edges.push_back(
+          {static_cast<uint32_t>(&V - reinterpret_cast<Word *>(A)),
+           NodeId[V]});
     });
     N.NumEdges = static_cast<uint32_t>(Out.Edges.size()) - N.FirstEdge;
     Out.Nodes.push_back(N);
@@ -324,7 +306,7 @@ bool gc::crosscheckSnapshot(VM &M, const obs::HeapSnapshot &S,
     Word Obj = Work.back();
     Work.pop_back();
     Bytes += H.objectWords(Obj) * sizeof(Word);
-    forEachField(M, Obj, [&](size_t, Word V) { Push(V); });
+    H.forEachPointerField(Obj, Push);
   }
   if (Marked.size() != S.Nodes.size() || Bytes != S.totalBytes()) {
     Err = "snapshot cross-check: snapshot has " +

@@ -20,8 +20,8 @@
 ///    GcPoll/GcCollect) on the executing thread — exactly the places where
 ///    a collection could fire, so a sampled stack is always table-walkable.
 ///    Because the ordinal of every gc-point execution is identical across
-///    `--dispatch threaded/switch`, `--gc-threads`, and indexed/reference
-///    decode, profiles are byte-identical across all of them.
+///    `--dispatch threaded/switch` and indexed/reference decode, profiles
+///    are byte-identical across all of them.
 ///
 ///  - **Interned stacks.**  Each thread carries its current stack as an id
 ///    into a prefix tree of (parent, return-pc) nodes, maintained by O(1)
@@ -183,7 +183,7 @@ struct Profile {
 //===----------------------------------------------------------------------===//
 
 /// Encodes only the body — the byte-identity contract across tiers /
-/// gc-threads / decode modes is over exactly these bytes.
+/// decode modes is over exactly these bytes.
 void encodeProfileBody(const Profile &P, std::vector<uint8_t> &Out);
 
 /// Magic + version + provenance header + body.

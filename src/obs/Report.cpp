@@ -236,18 +236,6 @@ bool obs::readTrace(std::istream &In, TraceReport &R, std::string &Err) {
           static_cast<uint64_t>(Rec.getInt("rendezvous_steps"));
       Ev.CacheHits = static_cast<uint64_t>(Rec.getInt("cache_hits"));
       Ev.CacheMisses = static_cast<uint64_t>(Rec.getInt("cache_misses"));
-      // Parallel-collector fields (absent in pre---gc-threads traces;
-      // default to the serial shape).
-      Ev.Workers = static_cast<uint32_t>(Rec.getInt("workers", 1));
-      if (Ev.Workers > MaxGcWorkers)
-        Ev.Workers = MaxGcWorkers;
-      for (uint32_t W = 0; W != Ev.Workers; ++W) {
-        std::string Key = "w" + std::to_string(W);
-        Ev.WorkerTraceNanos[W] =
-            static_cast<uint64_t>(Rec.getInt(Key + "_trace_ns"));
-        Ev.WorkerCopyNanos[W] =
-            static_cast<uint64_t>(Rec.getInt(Key + "_copy_ns"));
-      }
       R.Events.push_back(Ev);
     } else if (Rec.Type == "req") {
       TraceReport::Request Q;
@@ -497,26 +485,6 @@ std::string obs::renderReport(const TraceReport &R, size_t TopN) {
     }
   }
 
-  // --- Parallel-collection load balance (events with >1 worker).
-  uint32_t MaxWorkers = 0;
-  for (const GcEvent &E : R.Events)
-    MaxWorkers = std::max(MaxWorkers, E.Workers);
-  if (MaxWorkers > 1) {
-    Out += "\n-- gc workers --\n";
-    for (uint32_t W = 0; W != MaxWorkers && W != MaxGcWorkers; ++W) {
-      uint64_t SumTrace = 0, SumCopy = 0;
-      for (const GcEvent &E : R.Events)
-        if (W < E.Workers) {
-          SumTrace += E.WorkerTraceNanos[W];
-          SumCopy += E.WorkerCopyNanos[W];
-        }
-      std::snprintf(Buf, sizeof(Buf),
-                    "  worker %u   trace %12s   copy %12s\n", W,
-                    fmtNanos(SumTrace).c_str(), fmtNanos(SumCopy).c_str());
-      Out += Buf;
-    }
-  }
-
   // --- Server-workload requests (programs that call ReqDone).
   if (!R.Requests.empty()) {
     std::vector<uint64_t> Instrs;
@@ -572,8 +540,8 @@ std::string obs::renderReport(const TraceReport &R, size_t TopN) {
     if (Active.empty())
       return;
     // Tie-break equal keys by site id so the table order (and with it the
-    // rendered report) is identical across gc-thread counts and dispatch
-    // tiers, not at the mercy of std::sort's instability.
+    // rendered report) is identical across dispatch tiers, not at the
+    // mercy of std::sort's instability.
     std::stable_sort(
         Active.begin(), Active.end(),
         [&](const TraceReport::Site *A, const TraceReport::Site *B) {
@@ -838,32 +806,6 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
     ju(Out, "cache_hits", Hits, F);
     ju(Out, "cache_misses", Misses, F);
     Out += '}';
-  }
-
-  // --- Parallel-collection load balance.
-  uint32_t MaxWorkers = 0;
-  for (const GcEvent &E : R.Events)
-    MaxWorkers = std::max(MaxWorkers, E.Workers);
-  if (MaxWorkers > 1) {
-    jkey(Out, "gc_workers", Top);
-    Out += '[';
-    for (uint32_t W = 0; W != MaxWorkers && W != MaxGcWorkers; ++W) {
-      uint64_t SumTrace = 0, SumCopy = 0;
-      for (const GcEvent &E : R.Events)
-        if (W < E.Workers) {
-          SumTrace += E.WorkerTraceNanos[W];
-          SumCopy += E.WorkerCopyNanos[W];
-        }
-      if (W)
-        Out += ',';
-      bool F = true;
-      Out += '{';
-      ju(Out, "worker", W, F);
-      ju(Out, "trace_ns", SumTrace, F);
-      ju(Out, "copy_ns", SumCopy, F);
-      Out += '}';
-    }
-    Out += ']';
   }
 
   // --- Requests.

@@ -150,7 +150,7 @@ std::string renderLeaks(const TraceReport &Report, size_t TopN = 10);
 
 /// Machine-readable mirror of renderReport: one JSON object covering every
 /// rendered section (meta, pause percentiles per kind and phase, volume,
-/// workers, requests, site tables, live-at-finish, age histogram, leaks).
+/// requests, site tables, live-at-finish, age histogram, leaks).
 /// Tables use the same ordering as the rendered report, so the two views
 /// always agree.
 std::string renderReportJson(const TraceReport &Report, size_t TopN = 10);

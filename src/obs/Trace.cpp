@@ -86,8 +86,7 @@ Tracer::Tracer(TracerConfig C) : Config(std::move(C)) {
     if (Config.Leak.Window < 2)
       Config.Leak.Window = 2;
     LeakRing.assign(Counters.size() * size_t(Config.Leak.Window), 0);
-    LeakScratch.assign(Counters.size(), 0);
-    LeakWorkerAcc.assign(Counters.size() * size_t(MaxGcWorkers), 0);
+    LeakAcc.assign(Counters.size(), 0);
     LeakFirst.assign(Counters.size(), 0);
   }
 }
@@ -233,33 +232,24 @@ bool leakEval(const uint64_t *SiteRing, uint32_t W, uint64_t Samples,
 } // namespace
 
 void Tracer::sampleCollection(uint64_t Collections, bool Minor) {
-  if (!Enabled || LeakScratch.empty())
+  if (!Enabled || LeakAcc.empty())
     return;
   ++LeakScans;
   // Minor collections never reclaim old space, so per-site live bytes ramp
   // monotonically between fulls; sampling there would flag every site.
   if (Minor)
     return;
-  // Merge the per-worker in-copy accumulators into one sample: a full
-  // collection copies every live object exactly once, so the slab sums are
-  // the post-collection per-site live bytes.  Integer sums are order- and
-  // partition-independent, so the merged sample (hence every flag) is
-  // byte-identical across --gc-threads.  The slabs are consumed here so
-  // the next full collection starts from zero.
-  size_t NSites = LeakScratch.size();
-  for (size_t S = 0; S != NSites; ++S) {
-    uint64_t Sum = 0;
-    for (unsigned Wk = 0; Wk != MaxGcWorkers; ++Wk) {
-      uint64_t &Slot = LeakWorkerAcc[size_t(Wk) * NSites + S];
-      Sum += Slot;
-      Slot = 0;
-    }
-    LeakScratch[S] = Sum;
-  }
+  // Drain the in-copy accumulator into the window: a full collection
+  // copies every live object exactly once, so the slab holds the
+  // post-collection per-site live bytes.  Zeroing it here lets the next
+  // full collection start from zero.
+  size_t NSites = LeakAcc.size();
   uint32_t W = Config.Leak.Window;
   size_t Slot = static_cast<size_t>(LeakSampleCount % W);
-  for (size_t S = 0; S != NSites; ++S)
-    LeakRing[S * W + Slot] = LeakScratch[S];
+  for (size_t S = 0; S != NSites; ++S) {
+    LeakRing[S * W + Slot] = LeakAcc[S];
+    LeakAcc[S] = 0;
+  }
   ++LeakSampleCount;
   if (LeakSampleCount < W)
     return;
@@ -277,7 +267,7 @@ void Tracer::sampleCollection(uint64_t Collections, bool Minor) {
 std::vector<Tracer::LeakFlag> Tracer::leakFlags() const {
   std::vector<LeakFlag> Out;
   uint32_t W = Config.Leak.Window;
-  for (size_t S = 0; S != LeakScratch.size(); ++S) {
+  for (size_t S = 0; S != LeakAcc.size(); ++S) {
     int64_t Slope;
     uint64_t Newest;
     if (!leakEval(&LeakRing[S * W], W, LeakSampleCount, Config.Leak.MinBytes,
@@ -434,15 +424,6 @@ void Tracer::writeEvent(const GcEvent &Ev) {
   field(L, "rendezvous_steps", Ev.RendezvousSteps);
   field(L, "cache_hits", Ev.CacheHits);
   field(L, "cache_misses", Ev.CacheMisses);
-  field(L, "workers", Ev.Workers);
-  // Per-worker phase spans (the parallel collector's load-balance view).
-  // Unknown int keys are harmless to the strict JSONL re-parser — they
-  // land in the record's generic int map.
-  for (uint32_t W = 0; W != Ev.Workers && W != MaxGcWorkers; ++W) {
-    std::string Key = "w" + std::to_string(W);
-    field(L, (Key + "_trace_ns").c_str(), Ev.WorkerTraceNanos[W]);
-    field(L, (Key + "_copy_ns").c_str(), Ev.WorkerCopyNanos[W]);
-  }
   L += "}\n";
   *Stream << L;
 }
@@ -529,7 +510,7 @@ std::string Tracer::summaryJsonFields() const {
     field(Out, "req_instr_p99", Req.P99);
     field(Out, "req_instr_max", Req.Max);
   }
-  if (!LeakScratch.empty()) {
+  if (!LeakAcc.empty()) {
     // Leak-detector aggregates (flat; the per-site flags are their own
     // "leak" records / the nested leakJsonFields()).
     field(Out, "leak_scans", LeakScans);
@@ -588,7 +569,7 @@ void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H) {
       *Stream << L;
     }
   }
-  if (!LeakScratch.empty()) {
+  if (!LeakAcc.empty()) {
     // One flat record per currently flagged site, in (slope desc, site
     // asc) order, so mgc-report can render the leaks section without any
     // snapshot file.

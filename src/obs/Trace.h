@@ -52,10 +52,6 @@ namespace obs {
 /// GcCollect call, or allocation instructions that predate site linking).
 constexpr uint32_t NoSite = 0xFFFFFFFFu;
 
-/// Upper bound on --gc-threads: sizes the fixed per-worker nano arrays in
-/// GcEvent so the event stays POD and the ring stays preallocated.
-constexpr unsigned MaxGcWorkers = 8;
-
 /// Per-phase nanosecond breakdown of one collection, in pipeline order.
 struct PhaseNanos {
   uint64_t Rendezvous = 0;    ///< §5.3 thread rendezvous (VM side).
@@ -88,15 +84,6 @@ struct GcEvent {
   uint64_t RendezvousSteps = 0;
   uint64_t CacheHits = 0;   ///< Decoded-point cache hits this collection.
   uint64_t CacheMisses = 0; ///< Decoded-point cache misses this collection.
-  /// GC worker threads that performed this collection (1 = serial).  The
-  /// per-worker arrays below are valid for indices [0, Workers).
-  uint32_t Workers = 1;
-  /// Per-worker stack-walk (root gathering) nanos.  For the serial
-  /// collector worker 0 carries the whole StackTrace phase.
-  uint64_t WorkerTraceNanos[MaxGcWorkers] = {};
-  /// Per-worker evacuation (forward + scan, including steal idle) nanos.
-  /// For the serial collector worker 0 carries the whole Copy phase.
-  uint64_t WorkerCopyNanos[MaxGcWorkers] = {};
 };
 
 /// Cumulative counters for one allocation site.
@@ -257,31 +244,27 @@ public:
   void commitEvent();
 
   /// Leak-detector hook: called by the collector at the tail of every
-  /// pause (workers joined, single-threaded).  Minor collections only
-  /// count a scan; full collections merge the per-worker in-copy
-  /// accumulators (leakAccumulator) into one live-bytes sample per site,
-  /// push it into the sliding window, and re-evaluate the flags — the
-  /// post-collection live set is exactly what the collection copied, so
-  /// no separate heap walk is needed.  \p Collections is
+  /// pause.  Minor collections only count a scan; full collections drain
+  /// the in-copy accumulator (leakAccumulator) as one live-bytes sample
+  /// per site, push it into the sliding window, and re-evaluate the flags
+  /// — the post-collection live set is exactly what the collection
+  /// copied, so no separate heap walk is needed.  \p Collections is
   /// VMStats::Collections at the sample (recorded as the flag time).
   /// No-op unless the tracer is enabled and Config.Leak.Enabled is set.
   void sampleCollection(uint64_t Collections, bool Minor);
 
-  /// Per-worker slab for the in-copy leak sampling: during a FULL
+  /// Per-site slab for the in-copy leak sampling: during a FULL
   /// collection the collector adds each object's bytes to slot [site id]
-  /// of the copying worker's slab as it evacuates the object, and
-  /// sampleCollection merges + zeroes the slabs after the workers join.
+  /// as it evacuates the object, and sampleCollection drains the slab.
   /// Returns null (the collector skips the add) unless the tracer is
   /// enabled with the detector configured.  Minor collections must not
-  /// accumulate: only the full-collection copy loops wire these in.
-  uint64_t *leakAccumulator(unsigned Worker) {
-    if (!Enabled || LeakScratch.empty() || Worker >= MaxGcWorkers)
-      return nullptr;
-    return &LeakWorkerAcc[size_t(Worker) * LeakScratch.size()];
+  /// accumulate: only the full-collection copy loop wires this in.
+  uint64_t *leakAccumulator() {
+    return Enabled && !LeakAcc.empty() ? LeakAcc.data() : nullptr;
   }
-  /// Slots per leakAccumulator slab; site ids at or past this bound are
+  /// Slots in the leakAccumulator slab; site ids at or past this bound are
   /// unattributed and must not be added.
-  size_t leakSiteCount() const { return LeakScratch.size(); }
+  size_t leakSiteCount() const { return LeakAcc.size(); }
 
   //===--- Results ---------------------------------------------------------===
 
@@ -348,9 +331,9 @@ public:
     uint64_t FirstFlagged = 0;  ///< VMStats::Collections at the first flag.
   };
   /// Currently flagged sites, sorted by (slope desc, site id asc): the
-  /// inputs are per-site integer sums accumulated as objects are copied —
-  /// sums are order- and partition-independent, so the result is
-  /// byte-identical across --gc-threads and dispatch tiers.
+  /// inputs are per-site integer sums accumulated as objects are copied,
+  /// a pure function of the collection schedule, so the result is
+  /// byte-identical across dispatch tiers and decode paths.
   std::vector<LeakFlag> leakFlags() const;
   uint64_t leakScans() const { return LeakScans; }
   uint64_t leakSamples() const { return LeakSampleCount; }
@@ -422,15 +405,13 @@ private:
 
   // Leak detector (preallocated in the constructor when Config.Leak is
   // enabled and a site table exists; empty otherwise).
-  std::vector<uint64_t> LeakRing;    ///< Site-major: [site * Window + slot].
-  std::vector<uint64_t> LeakScratch; ///< Merged per-site bytes, one sample.
-  /// MaxGcWorkers contiguous per-site slabs ([worker * NSites + site]) the
-  /// collector's full-collection copy loops fill via leakAccumulator();
-  /// consumed (merged + zeroed) by sampleCollection.
-  std::vector<uint64_t> LeakWorkerAcc;
-  std::vector<uint64_t> LeakFirst;   ///< Collections at first flag; 0 = never.
-  uint64_t LeakSampleCount = 0;      ///< Full-collection samples taken.
-  uint64_t LeakScans = 0;            ///< sampleCollection calls (any kind).
+  std::vector<uint64_t> LeakRing; ///< Site-major: [site * Window + slot].
+  /// Per-site bytes the full-collection copy loop fills via
+  /// leakAccumulator(); drained (copied + zeroed) by sampleCollection.
+  std::vector<uint64_t> LeakAcc;
+  std::vector<uint64_t> LeakFirst; ///< Collections at first flag; 0 = never.
+  uint64_t LeakSampleCount = 0;    ///< Full-collection samples taken.
+  uint64_t LeakScans = 0;          ///< sampleCollection calls (any kind).
 };
 
 /// Appends one JSON string literal (quoted, escaped) to \p Out.

@@ -179,73 +179,6 @@ Word Heap::forward(Word Obj) {
   return New;
 }
 
-namespace {
-/// objectWords computed from a saved header value rather than the header
-/// in memory: during a parallel collection the in-memory header of a
-/// claimed object is a bare ForwardBit marker, but the open-array length
-/// word (Obj[1]) is untouched until the winner finishes copying, so size
-/// stays computable from (saved header, Obj).
-size_t objectWordsFromHdr(const std::vector<ir::TypeDesc> &Descs, Word Hdr,
-                          Word Obj) {
-  size_t Idx = Heap::headerDesc(Hdr);
-  assert(Idx < Descs.size() && "corrupt object header");
-  const ir::TypeDesc &D = Descs[Idx];
-  size_t Words = 1 + D.SizeWords;
-  if (D.IsOpenArray) {
-    int64_t Len = static_cast<int64_t>(reinterpret_cast<Word *>(Obj)[1]);
-    assert(Len >= 0 && "corrupt open-array length");
-    Words += static_cast<size_t>(Len) * D.ElemSizeWords;
-  }
-  return Words;
-}
-} // namespace
-
-Word Heap::forwardParallel(Word Obj, bool &Copied, size_t &BytesOut) {
-  Copied = false;
-  BytesOut = 0;
-  assert(inFromSpace(Obj) && "forwarding a non-heap pointer");
-  Word *HdrP = reinterpret_cast<Word *>(Obj);
-  Word H = __atomic_load_n(HdrP, __ATOMIC_ACQUIRE);
-  for (;;) {
-    if (H & ForwardBit) {
-      // Forwarded — or claimed with the copy still in flight (the marker
-      // is a bare ForwardBit, never a valid to-space address).  Spin until
-      // the winner publishes the real forwarding pointer.
-      Word Target = H & ~ForwardBit;
-      while (Target == 0) {
-        H = __atomic_load_n(HdrP, __ATOMIC_ACQUIRE);
-        Target = H & ~ForwardBit;
-      }
-      return Target;
-    }
-    // Try to claim: header -> bare ForwardBit.  On failure H is reloaded
-    // and the loop re-dispatches (another worker claimed or forwarded it).
-    if (__atomic_compare_exchange_n(HdrP, &H, ForwardBit, /*weak=*/false,
-                                    __ATOMIC_ACQ_REL, __ATOMIC_ACQUIRE))
-      break;
-  }
-  // We own the copy.  H is the pre-claim header; the length word (for open
-  // arrays) is still intact in from-space.
-  size_t Words = objectWordsFromHdr(Descs, H, Obj);
-  size_t Bytes = Words * sizeof(Word);
-  Word New = __atomic_fetch_add(&ToAlloc, Bytes, __ATOMIC_RELAXED);
-  assert(New + Bytes <= ToBase + ToSpaceBytes &&
-         "to-space overflow during collection");
-  // Copy payload words only — the destination header is written fresh, and
-  // the source header now holds the claim marker anyway.
-  if (Words > 1)
-    std::memcpy(reinterpret_cast<void *>(New + sizeof(Word)),
-                reinterpret_cast<const void *>(Obj + sizeof(Word)),
-                (Words - 1) * sizeof(Word));
-  setHeader(New, agedHeader(H));
-  // Publish: losers spinning above (and scanners reading fields that point
-  // here) see a fully-copied object once they observe this store.
-  __atomic_store_n(HdrP, New | ForwardBit, __ATOMIC_RELEASE);
-  Copied = true;
-  BytesOut = Bytes;
-  return New;
-}
-
 void Heap::beginCollection() {
   // Growth decision, made before the copy so the Cheney invariant
   // (live <= to-space) is preserved by construction: double the to-space

@@ -58,7 +58,7 @@ using Word = uint64_t;
 
 /// Heap-sizing policy (mgc --heap-growth / --heap-max / --nursery-auto).
 /// Every decision is byte-count driven, so sizing is identical across
-/// dispatch tiers and --gc-threads counts.
+/// dispatch tiers and decode paths.
 struct HeapPolicy {
   /// Occupancy percentage of the semispace at which a full collection
   /// doubles it (growth-only; capped by MaxBytes).  0 = fixed-size heap.
@@ -174,6 +174,32 @@ public:
   /// Total words of an object, header included.
   size_t objectWords(Word Obj) const;
 
+  /// Calls \p Fn(Word &Field) on every non-NIL pointer field of the object
+  /// at \p Obj — the descriptor's PtrOffsets, then each open-array
+  /// element's ElemPtrOffsets — and returns the object's total words,
+  /// header included.  The one field walk shared by the Cheney scans, the
+  /// minor-collection cross-check, the conservative baseline, and heap
+  /// snapshots.  The header must not carry a forwarding overlay.
+  template <typename FnT> size_t forEachPointerField(Word Obj, FnT Fn) const {
+    Word *P = reinterpret_cast<Word *>(Obj);
+    const ir::TypeDesc &D = Descs[headerDesc(P[0])];
+    for (unsigned Off : D.PtrOffsets)
+      if (P[1 + Off] != 0)
+        Fn(P[1 + Off]);
+    size_t Words = 1 + D.SizeWords;
+    if (D.IsOpenArray) {
+      size_t Len = static_cast<size_t>(P[1]);
+      for (size_t E = 0; E != Len; ++E) {
+        Word *Elem = P + 2 + E * D.ElemSizeWords;
+        for (unsigned Off : D.ElemPtrOffsets)
+          if (Elem[Off] != 0)
+            Fn(Elem[Off]);
+      }
+      Words += Len * D.ElemSizeWords;
+    }
+    return Words;
+  }
+
   const ir::TypeDesc &descOf(Word Obj) const;
 
   /// Any space new objects or survivors currently live in (old from-space
@@ -276,17 +302,6 @@ public:
   /// generational mode the source may be either old from-space or the
   /// nursery; everything lands in old to-space.
   Word forward(Word Obj);
-  /// Thread-safe variant of forward() for the parallel full collection
-  /// (--gc-threads > 1).  Claim-then-copy: the header word is CASed to a
-  /// bare ForwardBit ("claimed, copy in flight") before any bytes move, so
-  /// exactly one worker copies each object; losers spin until the winner
-  /// publishes the forwarding pointer.  To-space is carved by an exact-fit
-  /// atomic bump, so the to-space image has no holes and every linear heap
-  /// walk (forEachObject, plausibleObject, snapshots) stays valid.  Sets
-  /// \p Copied iff this call performed the copy — the caller that copied
-  /// owns scanning the new object exactly once.  \p BytesOut receives the
-  /// object's size when copied (for per-worker stat accounting).
-  Word forwardParallel(Word Obj, bool &Copied, size_t &BytesOut);
   /// Cheney scan pointer management.
   Word scanStart() const { return ToBase; }
   Word toAlloc() const { return ToAlloc; }

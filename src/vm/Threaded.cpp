@@ -255,8 +255,13 @@ void VM::runQuantumThreaded(ThreadContext &T, uint64_t Max) {
 
 #if MGC_COMPUTED_GOTO
 
-bool VM::execThreaded(ThreadContext *TP, uint64_t Max,
-                      const void *const **LabelsOut) {
+// Cache-line aligned, so where each handler falls relative to the 32- and
+// 64-byte fetch windows does not move with the size of the code linked
+// before this function.  At the default 16-byte alignment, a 16-byte shift
+// of the whole executor changed the mutator time of the §6 destroy program
+// by about 8% (Xeon, Sapphire Rapids).
+[[gnu::aligned(64)]] bool VM::execThreaded(ThreadContext *TP, uint64_t Max,
+                                           const void *const **LabelsOut) {
   // Handler table: the first 26 entries are in MOp declaration order
   // (codegen/Machine.h); the rest are the specialized variants, in
   // SpecializedHandler order.

@@ -14,7 +14,7 @@
 /// Determinism contract: request *service* cost is measured in virtual
 /// time — instructions retired between consecutive ReqDone markers — so
 /// the same seed yields bit-identical service samples on any host, any
-/// dispatch tier, and any --gc-threads level.  Queueing latency is an
+/// dispatch tier, and either decode path.  Queueing latency is an
 /// open-loop overlay in the same virtual clock: arrivals come from a
 /// seeded schedule (uniform or bursty gaps, in instructions), requests
 /// are served FIFO, and latency_i = completion_i - arrival_i.  Wall-time
@@ -88,7 +88,7 @@ uint64_t percentile(std::vector<uint64_t> V, double P);
 
 struct ServerRunConfig {
   vm::VMOptions VO;             ///< Heap/dispatch/policy knobs.
-  gc::CollectorOptions GCO;     ///< --gc-threads / crosscheck.
+  gc::CollectorOptions GCO;     ///< Decode path / crosscheck.
   ScheduleConfig Sched;         ///< Arrival overlay.
   unsigned SpinThreads = 0;     ///< Extra threads running Spin().
   /// Attach the sampling profiler (obs/Profile.h) for the run: per-request

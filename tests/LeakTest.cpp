@@ -9,7 +9,7 @@
 /// (obs/Trace.h LeakConfig) — injected-leak flagging at the correct site
 /// within its K = Window bound, zero flags on the leak-free §6 suite,
 /// full-collection-only sampling under gen-gc, and byte-identical flags
-/// across --gc-threads and dispatch tiers — plus the flat JSONL leak
+/// across dispatch tiers — plus the flat JSONL leak
 /// records round-tripping through obs::readTrace into renderLeaks /
 /// renderReportJson, snapshot streams captured under gen-gc minors and
 /// --heap-growth feeding watchSnapshots, and strict rejection of
@@ -101,7 +101,7 @@ struct LeakRun {
 
 /// Compiles \p Source and runs it with a leak-enabled tracer.
 LeakRun runLeak(const std::string &Source, bool Gen, size_t HeapBytes,
-                uint32_t Window, uint64_t MinBytes, unsigned GcThreads = 1,
+                uint32_t Window, uint64_t MinBytes,
                 vm::DispatchTier Tier = vm::DispatchTier::Threaded,
                 bool WithStream = false) {
   LeakRun R;
@@ -125,7 +125,6 @@ LeakRun runLeak(const std::string &Source, bool Gen, size_t HeapBytes,
   vm::VM M(*C.Prog, VO);
   gc::CollectorOptions GCO;
   GCO.CrossCheck = true;
-  GCO.Threads = GcThreads;
   gc::installPreciseCollector(M, GCO);
 
   obs::TracerConfig TC;
@@ -224,31 +223,28 @@ TEST(LeakDetector, ZeroFlagsOnLeakFreeSuite) {
 }
 
 TEST(LeakDetector, FlagsByteIdenticalAcrossThreadsAndTiers) {
-  // The detector's inputs are per-site sums over a single-threaded heap
-  // walk, so within one collector mode (fixed collection schedule) the
-  // flag list is a pure function of the program.
+  // The detector's inputs are per-site sums accumulated by the copy loop,
+  // so within one collector mode (fixed collection schedule) the flag list
+  // is a pure function of the program.
   for (bool Gen : {false, true}) {
     SCOPED_TRACE(Gen ? "gen" : "two-space");
     std::string Ref;
     bool HaveRef = false;
-    for (unsigned Threads : {1u, 2u, 4u})
-      for (vm::DispatchTier Tier :
-           {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
-        SCOPED_TRACE(testing::Message()
-                     << Threads << " threads, "
-                     << vm::dispatchTierName(Tier) << " tier");
-        LeakRun R = runLeak(LeakSource, Gen, /*HeapBytes=*/32u << 10,
-                            /*Window=*/4, /*MinBytes=*/64, Threads, Tier);
-        ASSERT_TRUE(R.Ok) << R.Error;
-        ASSERT_FALSE(R.Flags.empty());
-        std::string S = serializeFlags(R.Flags);
-        if (!HaveRef) {
-          Ref = S;
-          HaveRef = true;
-        } else {
-          EXPECT_EQ(S, Ref);
-        }
+    for (vm::DispatchTier Tier :
+         {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
+      SCOPED_TRACE(vm::dispatchTierName(Tier));
+      LeakRun R = runLeak(LeakSource, Gen, /*HeapBytes=*/32u << 10,
+                          /*Window=*/4, /*MinBytes=*/64, Tier);
+      ASSERT_TRUE(R.Ok) << R.Error;
+      ASSERT_FALSE(R.Flags.empty());
+      std::string S = serializeFlags(R.Flags);
+      if (!HaveRef) {
+        Ref = S;
+        HaveRef = true;
+      } else {
+        EXPECT_EQ(S, Ref);
       }
+    }
   }
 }
 
@@ -258,7 +254,7 @@ TEST(LeakDetector, FlagsByteIdenticalAcrossThreadsAndTiers) {
 
 TEST(LeakReport, FlatRecordsRoundTripAndRender) {
   LeakRun R = runLeak(LeakSource, /*Gen=*/false, /*HeapBytes=*/32u << 10,
-                      /*Window=*/4, /*MinBytes=*/64, /*GcThreads=*/1,
+                      /*Window=*/4, /*MinBytes=*/64,
                       vm::DispatchTier::Threaded, /*WithStream=*/true);
   ASSERT_TRUE(R.Ok) << R.Error;
   ASSERT_EQ(R.Flags.size(), 1u);
@@ -295,8 +291,8 @@ TEST(LeakReport, FlatRecordsRoundTripAndRender) {
 TEST(LeakReport, CleanTraceRendersNoLeakTable) {
   LeakRun R = runLeak(programs::DestroySource, /*Gen=*/false,
                       /*HeapBytes=*/48u << 10, /*Window=*/8,
-                      /*MinBytes=*/4096, /*GcThreads=*/1,
-                      vm::DispatchTier::Threaded, /*WithStream=*/true);
+                      /*MinBytes=*/4096, vm::DispatchTier::Threaded,
+                      /*WithStream=*/true);
   ASSERT_TRUE(R.Ok) << R.Error;
   std::istringstream In(R.Trace);
   obs::TraceReport Report;

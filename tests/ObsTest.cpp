@@ -10,8 +10,9 @@
 /// allocation-site attribution against a directed ground truth at -O0 and
 /// -O2 in both collector modes, VMStats/trace invariants across the §6
 /// benchmark programs and the frozen corpus, JSONL round-tripping through
-/// obs::readTrace with zero parse errors, and the error-path flush (a
-/// failed run must still produce a complete, parseable trace).
+/// obs::readTrace with zero parse errors, traces written by older
+/// versions still loading, and the error-path flush (a failed run must
+/// still produce a complete, parseable trace).
 ///
 /// Every suite name starts with "Obs" — tests/CMakeLists.txt gives them
 /// the `obs` ctest label.
@@ -538,6 +539,64 @@ TEST(ObsReportOrdering, TiedSitesRenderInIdOrder) {
   ASSERT_NE(J0, std::string::npos);
   ASSERT_NE(J1, std::string::npos);
   EXPECT_LT(J0, J1);
+}
+
+//===----------------------------------------------------------------------===//
+// Older trace formats
+//===----------------------------------------------------------------------===//
+
+TEST(ObsLegacyTrace, WorkerKeysParseAndRender) {
+  // A gc record as the removed parallel collector wrote it: the per-worker
+  // keys (workers, w<i>_trace_ns, w<i>_copy_ns) are unknown to the reader
+  // now and must be ignored, not rejected.
+  std::istringstream In(
+      R"({"type":"meta","program":"Legacy","tool_version":"mgc 0.10.0",)"
+      R"("build_flags":"cc=12.2.0;assertions=on","seed":0,)"
+      R"("dispatch":"threaded","gen_gc":0,"sites":1,"site_table_bytes":8})"
+      "\n"
+      R"({"type":"site","id":0,"func":"@main","line":8,"col":23,"desc":0})"
+      "\n"
+      R"({"type":"gc","seq":1,"kind":"full","trigger_site":0,)"
+      R"("rendezvous_ns":100,"stack_trace_ns":2000,"underive_ns":30,)"
+      R"("copy_ns":5000,"remset_ns":0,"rederive_ns":40,"total_ns":7170,)"
+      R"("heap_before":4096,"heap_after":1024,"frames":3,"roots":5,)"
+      R"("objects_copied":7,"bytes_copied":1024,"objects_promoted":0,)"
+      R"("bytes_promoted":0,"derived_adjusted":2,"rendezvous_steps":0,)"
+      R"("cache_hits":1,"cache_misses":2,"workers":2,"w0_trace_ns":1500,)"
+      R"("w0_copy_ns":4000,"w1_trace_ns":400,"w1_copy_ns":900})"
+      "\n"
+      R"({"type":"run","exit":"ok","events":1,"events_retained":1,)"
+      R"("events_dropped_from_ring":0})"
+      "\n");
+  obs::TraceReport Report;
+  std::string Err;
+  ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
+  ASSERT_EQ(Report.Events.size(), 1u);
+  const obs::GcEvent &Ev = Report.Events[0];
+  EXPECT_EQ(Ev.Seq, 1u);
+  EXPECT_FALSE(Ev.Minor);
+  EXPECT_EQ(Ev.Phases.StackTrace, 2000u);
+  EXPECT_EQ(Ev.Phases.Copy, 5000u);
+  EXPECT_EQ(Ev.TotalNanos, 7170u);
+  EXPECT_EQ(Ev.FramesTraced, 3u);
+  EXPECT_EQ(Ev.RootsTraced, 5u);
+  EXPECT_EQ(Ev.ObjectsCopied, 7u);
+  EXPECT_EQ(Ev.BytesCopied, 1024u);
+  EXPECT_EQ(Ev.DerivedAdjusted, 2u);
+  EXPECT_EQ(Ev.CacheMisses, 2u);
+  ASSERT_TRUE(Report.HasRun);
+  EXPECT_TRUE(Report.RunOk);
+
+  std::string Rendered = obs::renderReport(Report, /*TopN=*/5);
+  EXPECT_NE(Rendered.find("=== mgc trace report: Legacy ==="),
+            std::string::npos)
+      << Rendered;
+  EXPECT_NE(Rendered.find("full pauses (1 collections)"), std::string::npos)
+      << Rendered;
+  EXPECT_EQ(Rendered.find("worker"), std::string::npos) << Rendered;
+  std::string Json = obs::renderReportJson(Report, /*TopN=*/5);
+  EXPECT_NE(Json.find("\"objects_copied\":7"), std::string::npos) << Json;
+  EXPECT_EQ(Json.find("worker"), std::string::npos) << Json;
 }
 
 } // namespace

@@ -1,26 +1,24 @@
-//===- tests/PauseTest.cpp - Bounded-pause accounting and parallel GC ------===//
+//===- tests/PauseTest.cpp - Pause-event accounting and the rendezvous -----===//
 //
 // Part of the mgc project (PLDI 1992 gc-tables reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Pause-event invariants and parallel-collector determinism:
+/// Pause-event invariants and the §5.3 rendezvous:
 ///
 ///  - every committed GcEvent's phase nanos partition its TotalNanos, its
 ///    RendezvousSteps are the per-collection delta of the VM counter, and
-///    committed events correspond 1:1 with VMStats::Collections — at
-///    --gc-threads 1, 2, and 4 over the §6 programs and the frozen corpus;
-///  - --gc-threads 1 is bit-identical to the default collector (including
-///    the decode-cache counters); higher thread counts reproduce every
-///    deterministic observable except the per-worker cache split;
+///    committed events correspond 1:1 with VMStats::Collections — over
+///    the §6 programs and the frozen corpus;
+///  - on the §6 programs, the decode cross-check and the switch tier
+///    reproduce every deterministic observable of the default run;
 ///  - the §5.3 per-thread handshake's budget-exhaustion diagnostic is
 ///    deterministic and identical across both dispatch tiers, and failed
 ///    runs still flush a parseable trace in both tiers;
 ///  - mgc-report's renderer handles a zero-collection trace.
 ///
-/// These suites carry the `gc` ctest label (see tests/CMakeLists.txt) and
-/// are the ones tools/check.sh additionally builds under ThreadSanitizer.
+/// These suites carry the `gc` ctest label (see tests/CMakeLists.txt).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +37,7 @@ using namespace mgc::test;
 namespace {
 
 //===----------------------------------------------------------------------===//
-// Traced parallel-run helper
+// Traced-run helper
 //===----------------------------------------------------------------------===//
 
 struct PauseRun {
@@ -52,15 +50,13 @@ struct PauseRun {
   std::string Trace; ///< Full JSONL text.
 };
 
-/// Compiles and runs \p Source with a tracer attached and the collector at
-/// \p GcThreads workers.  Honours MGC_TEST_GEN_GC like
-/// test::compileAndRun, so the tier-1 generational sweep also exercises
-/// the parallel root walk in front of minor collections.
-PauseRun runPause(const std::string &Source, unsigned GcThreads,
-                  size_t HeapBytes,
+/// Compiles and runs \p Source with a tracer attached.  Honours
+/// MGC_TEST_GEN_GC like test::compileAndRun, so the tier-1 generational
+/// sweep also checks the event invariants over minor collections.
+PauseRun runPause(const std::string &Source, size_t HeapBytes,
                   vm::DispatchTier Tier = vm::DispatchTier::Threaded,
-                  bool CrossCheck = false, bool UseDefaultCollector = false,
-                  uint64_t RendezvousBudget = 0, unsigned SpawnSpin = 0) {
+                  uint64_t RendezvousBudget = 0, unsigned SpawnSpin = 0,
+                  bool CrossCheck = false) {
   PauseRun R;
   driver::CompilerOptions CO;
   CO.OptLevel = 2;
@@ -71,10 +67,7 @@ PauseRun runPause(const std::string &Source, unsigned GcThreads,
   if (RendezvousBudget)
     VO.RendezvousBudget = RendezvousBudget;
   gc::CollectorOptions GCO;
-  if (!UseDefaultCollector) {
-    GCO.Threads = GcThreads;
-    GCO.CrossCheck = CrossCheck;
-  }
+  GCO.CrossCheck = CrossCheck;
   if (std::getenv("MGC_TEST_GEN_GC")) {
     CO.WriteBarriers = true;
     VO.GenGc = true;
@@ -115,9 +108,7 @@ PauseRun runPause(const std::string &Source, unsigned GcThreads,
   return R;
 }
 
-/// The deterministic observables the parallel collector must reproduce at
-/// any worker count (the per-worker decode-cache hit/miss split is
-/// checked separately: it is only pinned at one worker).
+/// The deterministic observables two runs of one program must share.
 void expectCoreEqual(const PauseRun &A, const PauseRun &B) {
   EXPECT_EQ(A.Out, B.Out);
   EXPECT_EQ(A.Stats.Instrs, B.Stats.Instrs);
@@ -134,7 +125,7 @@ void expectCoreEqual(const PauseRun &A, const PauseRun &B) {
 // Pause-event invariants
 //===----------------------------------------------------------------------===//
 
-void checkEventInvariants(const PauseRun &R, unsigned GcThreads) {
+void checkEventInvariants(const PauseRun &R) {
   // Committed events correspond 1:1 with collections: beginEvent fires
   // only after a successful rendezvous, commitEvent before control
   // returns to the mutator.
@@ -148,11 +139,6 @@ void checkEventInvariants(const PauseRun &R, unsigned GcThreads) {
                         Ev.Phases.Underive + Ev.Phases.Copy +
                         Ev.Phases.RemsetRebuild + Ev.Phases.Rederive;
     EXPECT_EQ(PhaseSum, Ev.TotalNanos) << "event " << Ev.Seq;
-    EXPECT_EQ(Ev.Workers, GcThreads) << "event " << Ev.Seq;
-    for (unsigned W = Ev.Workers; W != obs::MaxGcWorkers; ++W) {
-      EXPECT_EQ(Ev.WorkerTraceNanos[W], 0u);
-      EXPECT_EQ(Ev.WorkerCopyNanos[W], 0u);
-    }
     StepSum += Ev.RendezvousSteps;
     HitSum += Ev.CacheHits;
     MissSum += Ev.CacheMisses;
@@ -164,21 +150,32 @@ void checkEventInvariants(const PauseRun &R, unsigned GcThreads) {
     EXPECT_EQ(HitSum, R.Stats.DecodeCacheHits);
     EXPECT_EQ(MissSum, R.Stats.DecodeCacheMisses);
   }
-  if (GcThreads == 1) {
-    // Serially, every traced frame is exactly one cache probe.
-    EXPECT_EQ(R.Stats.DecodeCacheHits + R.Stats.DecodeCacheMisses,
-              R.Stats.FramesTraced);
-  }
+  // Every traced frame is exactly one cache probe.
+  EXPECT_EQ(R.Stats.DecodeCacheHits + R.Stats.DecodeCacheMisses,
+            R.Stats.FramesTraced);
 }
 
 TEST(PauseInvariants, Section6Programs) {
   for (const programs::NamedProgram &P : programs::All) {
-    for (unsigned N : {1u, 2u, 4u}) {
-      SCOPED_TRACE(std::string(P.Name) + " gc-threads " + std::to_string(N));
-      PauseRun R = runPause(P.Source, N, /*HeapBytes=*/64u << 10);
-      ASSERT_TRUE(R.Ok) << R.Error;
-      EXPECT_EQ(R.Out, P.Expected);
-      checkEventInvariants(R, N);
+    SCOPED_TRACE(P.Name);
+    PauseRun R = runPause(P.Source, /*HeapBytes=*/64u << 10);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Out, P.Expected);
+    checkEventInvariants(R);
+    // The §3 decode cross-check audits every trace without perturbing it,
+    // and the switch tier shares the collector and the handshake engine:
+    // both reproduce every observable, decode-cache counters included.
+    PauseRun XC = runPause(P.Source, /*HeapBytes=*/64u << 10,
+                           vm::DispatchTier::Threaded, /*RendezvousBudget=*/0,
+                           /*SpawnSpin=*/0, /*CrossCheck=*/true);
+    PauseRun Sw = runPause(P.Source, /*HeapBytes=*/64u << 10,
+                           vm::DispatchTier::Switch);
+    for (const PauseRun *Other : {&XC, &Sw}) {
+      ASSERT_TRUE(Other->Ok) << Other->Error;
+      expectCoreEqual(R, *Other);
+      EXPECT_EQ(R.Stats.DecodeCacheHits, Other->Stats.DecodeCacheHits);
+      EXPECT_EQ(R.Stats.DecodeCacheMisses, Other->Stats.DecodeCacheMisses);
+      checkEventInvariants(*Other);
     }
   }
 }
@@ -186,56 +183,10 @@ TEST(PauseInvariants, Section6Programs) {
 TEST(PauseInvariants, FrozenCorpus) {
   ASSERT_FALSE(corpus().empty());
   for (const CorpusProgram &P : corpus()) {
-    for (unsigned N : {1u, 2u, 4u}) {
-      SCOPED_TRACE(P.Name + " gc-threads " + std::to_string(N));
-      PauseRun R = runPause(P.Source, N, /*HeapBytes=*/64u << 10);
-      ASSERT_TRUE(R.Ok) << R.Error;
-      checkEventInvariants(R, N);
-    }
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// Parallel-collector determinism
-//===----------------------------------------------------------------------===//
-
-TEST(PauseParallel, ThreadsOneIsBitIdenticalToDefault) {
-  for (const programs::NamedProgram &P : programs::All) {
     SCOPED_TRACE(P.Name);
-    PauseRun Def = runPause(P.Source, 1, /*HeapBytes=*/64u << 10,
-                            vm::DispatchTier::Threaded, /*CrossCheck=*/false,
-                            /*UseDefaultCollector=*/true);
-    PauseRun N1 = runPause(P.Source, 1, /*HeapBytes=*/64u << 10);
-    ASSERT_TRUE(Def.Ok) << Def.Error;
-    ASSERT_TRUE(N1.Ok) << N1.Error;
-    expectCoreEqual(Def, N1);
-    // One worker runs the pre-parallel serial path: even the cache
-    // counters are pinned.
-    EXPECT_EQ(Def.Stats.DecodeCacheHits, N1.Stats.DecodeCacheHits);
-    EXPECT_EQ(Def.Stats.DecodeCacheMisses, N1.Stats.DecodeCacheMisses);
-  }
-}
-
-TEST(PauseParallel, HigherWorkerCountsReproduceObservables) {
-  for (const programs::NamedProgram &P : programs::All) {
-    SCOPED_TRACE(P.Name);
-    PauseRun N1 = runPause(P.Source, 1, /*HeapBytes=*/64u << 10);
-    ASSERT_TRUE(N1.Ok) << N1.Error;
-    for (unsigned N : {2u, 4u}) {
-      PauseRun R = runPause(P.Source, N, /*HeapBytes=*/64u << 10);
-      ASSERT_TRUE(R.Ok) << R.Error;
-      expectCoreEqual(N1, R);
-    }
-    // And with the §3 decode cross-check auditing every parallel trace.
-    PauseRun XC = runPause(P.Source, 4, /*HeapBytes=*/64u << 10,
-                           vm::DispatchTier::Threaded, /*CrossCheck=*/true);
-    ASSERT_TRUE(XC.Ok) << XC.Error;
-    expectCoreEqual(N1, XC);
-    // The switch tier shares the collector and the handshake engine.
-    PauseRun Sw = runPause(P.Source, 4, /*HeapBytes=*/64u << 10,
-                           vm::DispatchTier::Switch);
-    ASSERT_TRUE(Sw.Ok) << Sw.Error;
-    expectCoreEqual(N1, Sw);
+    PauseRun R = runPause(P.Source, /*HeapBytes=*/64u << 10);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    checkEventInvariants(R);
   }
 }
 
@@ -269,8 +220,7 @@ END M.)";
 
 TEST(PauseRendezvous, BudgetExhaustionDiagnosticIsDeterministic) {
   auto Run = [&](vm::DispatchTier Tier) {
-    return runPause(NoPollSpinSource, 1, /*HeapBytes=*/8u << 10, Tier,
-                    /*CrossCheck=*/false, /*UseDefaultCollector=*/false,
+    return runPause(NoPollSpinSource, /*HeapBytes=*/8u << 10, Tier,
                     /*RendezvousBudget=*/1000, /*SpawnSpin=*/1);
   };
   PauseRun A = Run(vm::DispatchTier::Threaded);
@@ -326,25 +276,21 @@ END Leak.
 )";
   for (vm::DispatchTier Tier :
        {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
-    for (unsigned N : {1u, 4u}) {
-      SCOPED_TRACE(std::string(vm::dispatchTierName(Tier)) + " gc-threads " +
-                   std::to_string(N));
-      PauseRun R = runPause(Leak, N, /*HeapBytes=*/8u << 10, Tier);
-      ASSERT_FALSE(R.Ok);
-      EXPECT_NE(R.Error.find("heap exhausted"), std::string::npos)
-          << R.Error;
-      EXPECT_GT(R.Stats.Collections, 0u);
-      checkEventInvariants(R, N);
-      std::istringstream In(R.Trace);
-      obs::TraceReport Report;
-      std::string Err;
-      ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
-      ASSERT_TRUE(Report.HasRun);
-      EXPECT_FALSE(Report.RunOk);
-      EXPECT_EQ(Report.Events.size(), R.Stats.Collections);
-      std::string Rendered = obs::renderReport(Report, /*TopN=*/5);
-      EXPECT_NE(Rendered.find("FAILED"), std::string::npos);
-    }
+    SCOPED_TRACE(vm::dispatchTierName(Tier));
+    PauseRun R = runPause(Leak, /*HeapBytes=*/8u << 10, Tier);
+    ASSERT_FALSE(R.Ok);
+    EXPECT_NE(R.Error.find("heap exhausted"), std::string::npos) << R.Error;
+    EXPECT_GT(R.Stats.Collections, 0u);
+    checkEventInvariants(R);
+    std::istringstream In(R.Trace);
+    obs::TraceReport Report;
+    std::string Err;
+    ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
+    ASSERT_TRUE(Report.HasRun);
+    EXPECT_FALSE(Report.RunOk);
+    EXPECT_EQ(Report.Events.size(), R.Stats.Collections);
+    std::string Rendered = obs::renderReport(Report, /*TopN=*/5);
+    EXPECT_NE(Rendered.find("FAILED"), std::string::npos);
   }
 }
 
@@ -361,7 +307,7 @@ BEGIN
 END Tiny.
 )";
   // 4 MiB default heap: no collection ever triggers.
-  PauseRun R = runPause(Tiny, 1, /*HeapBytes=*/4u << 20);
+  PauseRun R = runPause(Tiny, /*HeapBytes=*/4u << 20);
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Out, "42\n");
   EXPECT_EQ(R.Stats.Collections, 0u);

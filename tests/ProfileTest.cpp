@@ -7,9 +7,9 @@
 /// \file
 /// The gc-map-driven sampling profiler (obs/Profile.h) must be:
 ///  - deterministic: samples fire at instruction ordinals, so the encoded
-///    profile *body* is byte-identical across dispatch tiers, gc-thread
-///    counts, and the indexed/reference decoders — on the §6 benchmarks
-///    and the frozen fuzz corpus alike;
+///    profile *body* is byte-identical across dispatch tiers and the
+///    indexed/reference decoders — on the §6 benchmarks and the frozen
+///    fuzz corpus alike;
 ///  - verified: every sampled stack is decoded through the gc-map tables
 ///    and cross-checked against the incrementally maintained call chain —
 ///    zero walk errors anywhere in the matrix;
@@ -161,14 +161,6 @@ TEST(ProfIdentity, Sec6AcrossTiersThreadsAndDecoders) {
     vm::VMOptions V2 = VO;
     V2.Dispatch = vm::DispatchTier::Switch;
     Expect(runProfiled(*C.Prog, V2, GCO), "switch dispatch");
-
-    // Parallel collection.
-    for (unsigned Threads : {2u, 4u}) {
-      gc::CollectorOptions G2 = GCO;
-      G2.Threads = Threads;
-      Expect(runProfiled(*C.Prog, VO, G2),
-             Threads == 2 ? "gc-threads 2" : "gc-threads 4");
-    }
 
     // Reference (walk-from-start) decoder.
     gc::CollectorOptions G3 = GCO;

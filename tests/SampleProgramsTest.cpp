@@ -29,6 +29,11 @@ struct Sample {
   const char *Expected;
 };
 
+// Without a printer gtest shows a Sample as its raw bytes, i.e. the two string
+// addresses, which vary with the binary's layout and with ASLR; ctest takes
+// that text into the discovered test names, so they changed on every build.
+void PrintTo(const Sample &S, std::ostream *OS) { *OS << S.File; }
+
 class SamplePrograms : public ::testing::TestWithParam<Sample> {};
 
 TEST_P(SamplePrograms, RunsIdenticallyAcrossConfigurations) {

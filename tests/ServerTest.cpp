@@ -13,8 +13,7 @@
 ///  - the percentile math agrees with a from-scratch sorted reference;
 ///  - arrival schedules are seeded, sorted, and wall-clock free;
 ///  - request outputs and service-instruction samples are identical
-///    across -O0/-O2, two-space/gen-gc, both dispatch tiers, and
-///    --gc-threads 1/4;
+///    across -O0/-O2, two-space/gen-gc, and both dispatch tiers;
 ///  - the heap-sizing policies (--heap-growth, --nursery-auto) never
 ///    shrink below the live set, respect the nursery floor/cap, keep
 ///    program outputs unchanged, and leave the oversize-allocation
@@ -151,33 +150,28 @@ TEST(ServerMatrixTest, IdenticalAcrossModes) {
     ASSERT_TRUE(Prog);
     for (bool Gen : {false, true}) {
       // Virtual-time service demand is a compile-time artifact plus the
-      // collector's gc-point schedule — never the dispatch tier's or the
-      // worker count's.  Within one (opt, collector) cell every
-      // tier/thread combination must match the (threaded, 1) run exactly.
+      // collector's gc-point schedule — never the dispatch tier's.  Within
+      // one (opt, collector) cell the switch tier must match the threaded
+      // run exactly.
       std::vector<uint64_t> RefService;
       for (vm::DispatchTier Tier :
-           {vm::DispatchTier::Threaded, vm::DispatchTier::Switch})
-        for (unsigned Threads : {1u, 4u}) {
-          ServerRunConfig C = smallHeapConfig();
-          C.VO.GenGc = Gen;
-          C.VO.Dispatch = Tier;
-          C.GCO.Threads = Threads;
-          ServerRunResult R = runServer(*Prog, C);
-          ASSERT_TRUE(R.Ok)
-              << R.Error << " (gen=" << Gen << " threads=" << Threads << ")";
-          if (RefOut.empty())
-            RefOut = R.Out;
-          EXPECT_EQ(R.Out, RefOut)
-              << "output diverged (opt=" << Opt << " gen=" << Gen
-              << " threads=" << Threads << ")";
-          EXPECT_EQ(R.Stats.Requests, 250u);
-          if (RefService.empty())
-            RefService = R.ServiceInstrs;
-          EXPECT_EQ(R.ServiceInstrs, RefService)
-              << "service samples diverged (opt=" << Opt << " gen=" << Gen
-              << " switch=" << (Tier == vm::DispatchTier::Switch)
-              << " threads=" << Threads << ")";
-        }
+           {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
+        ServerRunConfig C = smallHeapConfig();
+        C.VO.GenGc = Gen;
+        C.VO.Dispatch = Tier;
+        ServerRunResult R = runServer(*Prog, C);
+        ASSERT_TRUE(R.Ok) << R.Error << " (gen=" << Gen << ")";
+        if (RefOut.empty())
+          RefOut = R.Out;
+        EXPECT_EQ(R.Out, RefOut)
+            << "output diverged (opt=" << Opt << " gen=" << Gen << ")";
+        EXPECT_EQ(R.Stats.Requests, 250u);
+        if (RefService.empty())
+          RefService = R.ServiceInstrs;
+        EXPECT_EQ(R.ServiceInstrs, RefService)
+            << "service samples diverged (opt=" << Opt << " gen=" << Gen
+            << " switch=" << (Tier == vm::DispatchTier::Switch) << ")";
+      }
     }
   }
 }

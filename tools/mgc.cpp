@@ -72,9 +72,6 @@
 ///                    index + decoded-point cache
 ///   --gc-crosscheck  verify every accelerated decode against the
 ///                    reference decoder (aborts on mismatch)
-///   --gc-threads N   GC worker threads for the stop-the-world root walk
-///                    and full-copy evacuation (default 1 = serial,
-///                    bit-identical GC observables; clamped to 1..8)
 ///   --no-run         compile only
 ///
 //===----------------------------------------------------------------------===//
@@ -111,7 +108,7 @@ int usage(const char *Argv0) {
                "[--heap BYTES] [--gen-gc]\n           "
                "[--heap-growth PCT] [--heap-max BYTES] [--nursery-auto]\n"
                "           [--nursery-bytes BYTES] [--no-map-index] "
-               "[--gc-crosscheck] [--gc-threads N]\n           "
+               "[--gc-crosscheck]\n           "
                "[--dispatch {threaded,switch}] [--no-run] [--spawn PROC] "
                "file.mg\n",
                Argv0);
@@ -209,15 +206,6 @@ int main(int argc, char **argv) {
       GCO.UseMapIndex = false;
     } else if (!std::strcmp(Arg, "--gc-crosscheck")) {
       GCO.CrossCheck = true;
-    } else if (!std::strcmp(Arg, "--gc-threads")) {
-      if (++A == argc)
-        return usage(argv[0]);
-      long long N = std::atoll(argv[A]);
-      if (N < 1)
-        N = 1;
-      if (N > static_cast<long long>(obs::MaxGcWorkers))
-        N = obs::MaxGcWorkers;
-      GCO.Threads = static_cast<unsigned>(N);
     } else if (!std::strcmp(Arg, "--no-run")) {
       Run = false;
     } else if (!std::strcmp(Arg, "--heap")) {
