@@ -19,15 +19,23 @@
 /// Ambiguous, listing every alternative — the trigger for the paper's path
 /// variables or path splitting (§4).
 ///
+/// The solver interns every state it meets, so within one analysis a state
+/// is a small integer id.  A program point's state is one id per Derived
+/// vreg of the function, and joins and DeriveDiff combinations are
+/// memoized on id pairs, so the optimizer can rebuild the analysis after
+/// every change at little cost.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MGC_ANALYSIS_DERIVATIONS_H
 #define MGC_ANALYSIS_DERIVATIONS_H
 
+#include "analysis/Liveness.h"
 #include "ir/IR.h"
 
-#include <map>
+#include <cstdint>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace mgc {
@@ -64,34 +72,69 @@ struct DerivState {
   std::vector<ir::VReg> baseVRegs() const;
 };
 
-/// Per-vreg derivation states; only Derived-kind vregs appear.
-using DerivMap = std::map<ir::VReg, DerivState>;
-
 class DerivationAnalysis {
 public:
+  /// A state's id within this analysis.
+  using StateId = uint32_t;
+  /// No definition of the vreg reaches on any path yet.
+  static constexpr StateId Absent = 0;
+  /// A definition reaches, but it derives from a vreg used before being
+  /// defined (DerivState::Kind::Unknown).
+  static constexpr StateId Unknown = 1;
+
   explicit DerivationAnalysis(const ir::Function &F);
 
-  const DerivMap &blockIn(unsigned Block) const { return In[Block]; }
+  /// The function's Derived vregs in ascending order.  A state vector holds
+  /// one id per entry, in this order.
+  const std::vector<ir::VReg> &derivedVRegs() const { return Derived; }
+  /// The position of \p R in a state vector, or -1 when R is not Derived.
+  int slotOf(ir::VReg R) const { return SlotOf[static_cast<size_t>(R)]; }
 
-  /// The state map immediately before instruction \p Index of \p Block.
-  DerivMap stateBefore(unsigned Block, unsigned Index) const;
+  /// The state behind an id; Absent reads as Kind::Unknown.
+  const DerivState &state(StateId Id) const { return States[Id]; }
+  /// Whether any state the solver met is Ambiguous.  When false, no point
+  /// of the function has an ambiguous derivation.
+  bool anyAmbiguous() const;
 
-  /// Applies one instruction's effect to \p State (public so clients can
-  /// walk a block incrementally).
-  static void transfer(const ir::Function &F, const ir::Instr &I,
-                       DerivMap &State);
+  /// Sets \p State to the ids at entry to \p Block.
+  void blockInIds(unsigned Block, std::vector<StateId> &State) const;
+  /// Applies one instruction's effect to \p State (a state vector), so
+  /// clients can walk a block forward.
+  void transfer(const ir::Instr &I, std::vector<StateId> &State);
 
-  /// The instruction-level extra-uses map for Liveness implementing the
-  /// dead-base rule: any instruction using a derived vreg also uses that
-  /// vreg's bases (as derived at that point).
-  std::map<std::pair<unsigned, unsigned>, std::vector<ir::VReg>>
-  computeExtraUses() const;
+  /// The extra uses for Liveness implementing the dead-base rule: any
+  /// instruction using a derived vreg also uses that vreg's bases (as
+  /// derived at that point).
+  ExtraUses computeExtraUses();
 
 private:
-  static void join(DerivMap &Into, const DerivMap &From, bool &Changed);
+  struct StateHash {
+    size_t operator()(const DerivState &S) const;
+  };
+
+  StateId intern(DerivState S);
+  StateId operandState(const ir::Operand &O,
+                       const std::vector<StateId> &State);
+  /// A − B over all alternatives; either being Unknown gives Unknown.
+  StateId diff(StateId A, StateId B);
+  /// Union of the alternatives of two distinct defined states.
+  StateId merge(StateId T, StateId S);
+  bool joinInto(StateId *Into, const std::vector<StateId> &From);
 
   const ir::Function &F;
-  std::vector<DerivMap> In;
+  std::vector<ir::VReg> Derived;
+  std::vector<int> SlotOf;
+  /// Block-major: Derived.size() ids per block.
+  std::vector<StateId> In;
+
+  std::vector<DerivState> States;
+  std::vector<std::vector<ir::VReg>> StateBases; ///< Each state's baseVRegs().
+  std::unordered_map<DerivState, StateId, StateHash> Ids;
+  std::unordered_map<uint64_t, StateId> MergeMemo, DiffMemo;
+  /// Per non-derived vreg: the state it contributes as an operand (Absent
+  /// until first needed).
+  std::vector<StateId> OperandMemo;
+  StateId EOnly = Absent; ///< The empty derivation: E only.
 };
 
 } // namespace analysis

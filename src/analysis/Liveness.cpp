@@ -17,52 +17,48 @@ Liveness::Liveness(const Function &F, const ExtraUses *Extra)
   LiveIn.assign(NumBlocks, DynBitset(NumVRegs));
   LiveOut.assign(NumBlocks, DynBitset(NumVRegs));
 
+  // Block summaries: LiveIn = Gen ∪ (LiveOut − Kill), where Gen holds the
+  // upward-exposed uses and Kill every definition.  LiveIn starts at Gen
+  // and only grows.
+  std::vector<DynBitset> Kill(NumBlocks, DynBitset(NumVRegs));
+  for (size_t B = 0; B != NumBlocks; ++B) {
+    const BasicBlock &BB = *F.Blocks[B];
+    for (size_t I = BB.Instrs.size(); I-- > 0;) {
+      transfer(static_cast<unsigned>(B), static_cast<unsigned>(I), LiveIn[B]);
+      if (BB.Instrs[I].Dst != NoVReg)
+        Kill[B].set(static_cast<size_t>(BB.Instrs[I].Dst));
+    }
+  }
+
   // Iterate to a fixpoint, processing blocks in reverse order (a decent
   // approximation of post-order for our forward-generated CFGs).
   bool Changed = true;
   while (Changed) {
     Changed = false;
     for (size_t B = NumBlocks; B-- > 0;) {
-      DynBitset Out(NumVRegs);
-      for (unsigned Succ : F.Blocks[B]->successors())
-        Out.unionWith(LiveIn[Succ]);
-      DynBitset In = Out;
-      const BasicBlock &BB = *F.Blocks[B];
-      for (size_t I = BB.Instrs.size(); I-- > 0;)
-        applyTransfer(static_cast<unsigned>(B), static_cast<unsigned>(I), In);
-      if (!(Out == LiveOut[B])) {
-        LiveOut[B] = std::move(Out);
-        Changed = true;
-      }
-      if (!(In == LiveIn[B])) {
-        LiveIn[B] = std::move(In);
-        Changed = true;
-      }
+      DynBitset &Out = LiveOut[B];
+      F.Blocks[B]->forEachSuccessor(
+          [&](unsigned Succ) { Changed |= Out.unionWith(LiveIn[Succ]); });
+      Changed |= LiveIn[B].unionWithDifference(Out, Kill[B]);
     }
   }
 }
 
-void Liveness::applyTransfer(unsigned Block, unsigned Index,
-                             DynBitset &Live) const {
+void Liveness::transfer(unsigned Block, unsigned Index,
+                        DynBitset &Live) const {
   const Instr &I = F.Blocks[Block]->Instrs[Index];
   if (I.Dst != NoVReg)
     Live.reset(static_cast<size_t>(I.Dst));
-  std::vector<VReg> Uses;
-  I.collectUses(Uses);
-  for (VReg R : Uses)
-    Live.set(static_cast<size_t>(R));
-  if (Extra) {
-    auto It = Extra->find({Block, Index});
-    if (It != Extra->end())
-      for (VReg R : It->second)
-        Live.set(static_cast<size_t>(R));
-  }
+  I.forEachUse([&](VReg R) { Live.set(static_cast<size_t>(R)); });
+  if (Extra)
+    for (VReg R : Extra->at(Block, Index))
+      Live.set(static_cast<size_t>(R));
 }
 
 DynBitset Liveness::liveBefore(unsigned Block, unsigned Index) const {
   const BasicBlock &BB = *F.Blocks[Block];
   DynBitset Live = LiveOut[Block];
   for (size_t I = BB.Instrs.size(); I-- > Index;)
-    applyTransfer(Block, static_cast<unsigned>(I), Live);
+    transfer(Block, static_cast<unsigned>(I), Live);
   return Live;
 }

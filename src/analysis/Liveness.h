@@ -9,7 +9,10 @@
 /// applies the paper's *dead base* rule (§4): every use of a derived value
 /// is also treated as a use of each of its base values, which forces base
 /// lifetimes to cover the lifetimes of values derived from them.  The
-/// extra-uses map is supplied by the derivation analysis.
+/// extra-uses table is supplied by the derivation analysis.
+///
+/// The fixpoint runs over per-block gen/kill summaries, so it allocates
+/// nothing and touches no instruction after the summaries are built.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,15 +22,31 @@
 #include "ir/IR.h"
 #include "support/DynBitset.h"
 
-#include <map>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 namespace mgc {
 namespace analysis {
 
-/// Extra uses attached to specific instructions: when instruction (Block,
-/// Index) executes, the listed vregs are considered used as well.
-using ExtraUses = std::map<std::pair<unsigned, unsigned>, std::vector<ir::VReg>>;
+/// Extra uses attached to instructions, flat over the function: when
+/// instruction (Block, Index) executes, the vregs at(Block, Index) are
+/// considered used as well.  A default-constructed table attaches none.
+struct ExtraUses {
+  /// Flat number of each block's first instruction.
+  std::vector<uint32_t> BlockBase;
+  /// Flat instruction I's vregs are VRegs[Begin[I], Begin[I + 1]).
+  std::vector<uint32_t> Begin;
+  std::vector<ir::VReg> VRegs;
+
+  bool empty() const { return VRegs.empty(); }
+  std::span<const ir::VReg> at(unsigned Block, unsigned Index) const {
+    if (VRegs.empty())
+      return {};
+    size_t I = BlockBase[Block] + Index;
+    return {VRegs.data() + Begin[I], VRegs.data() + Begin[I + 1]};
+  }
+};
 
 class Liveness {
 public:
@@ -44,22 +63,23 @@ public:
   /// callee).
   DynBitset liveBefore(unsigned Block, unsigned Index) const;
 
+  /// Updates \p Live across instruction (Block, Index), backward.
+  void transfer(unsigned Block, unsigned Index, DynBitset &Live) const;
+
   /// Visits instructions of \p Block backwards; \p Visit(Index, LiveAfter,
   /// LiveBefore) sees the live sets around each instruction.
   template <typename Fn> void visitBlock(unsigned Block, Fn &&Visit) const {
     const ir::BasicBlock &BB = *F.Blocks[Block];
     DynBitset Live = LiveOut[Block];
+    DynBitset After = Live;
     for (size_t I = BB.Instrs.size(); I-- > 0;) {
-      DynBitset After = Live;
-      applyTransfer(Block, static_cast<unsigned>(I), Live);
+      After = Live;
+      transfer(Block, static_cast<unsigned>(I), Live);
       Visit(static_cast<unsigned>(I), After, Live);
     }
   }
 
 private:
-  /// Updates \p Live across instruction (Block, Index), backward.
-  void applyTransfer(unsigned Block, unsigned Index, DynBitset &Live) const;
-
   const ir::Function &F;
   const ExtraUses *Extra;
   std::vector<DynBitset> LiveIn, LiveOut;

@@ -28,8 +28,9 @@ LoopInfo::LoopInfo(const Function &F) {
   }
   while (!Stack.empty()) {
     unsigned Id = Stack.back().first;
-    std::vector<unsigned> Succs = F.Blocks[Id]->successors();
-    if (Stack.back().second < Succs.size()) {
+    unsigned Succs[2], NumSuccs = 0;
+    F.Blocks[Id]->forEachSuccessor([&](unsigned S) { Succs[NumSuccs++] = S; });
+    if (Stack.back().second < NumSuccs) {
       unsigned S = Succs[Stack.back().second++];
       if (State[S] == 0) {
         State[S] = 1;

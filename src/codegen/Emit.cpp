@@ -98,7 +98,13 @@ private:
   std::map<VReg, MOperand> PendingFold;
 
   std::unique_ptr<analysis::DerivationAnalysis> DA;
+  analysis::ExtraUses Extra;
   std::unique_ptr<analysis::Liveness> LV;
+  /// While a block is emitted: the derivation state before the current
+  /// instruction, and the live sets before its remaining gc-points (the
+  /// next one last).
+  std::vector<analysis::DerivationAnalysis::StateId> CurState;
+  std::vector<DynBitset> GcLive;
 
   EmitResult Result;
 };
@@ -137,16 +143,14 @@ EmitResult Emitter::run() {
   // Use counts for the CISC fold.
   UseCount.assign(F.VRegs.size(), 0);
   for (const auto &BB : F.Blocks)
-    for (const Instr &I : BB->Instrs) {
-      std::vector<VReg> Uses;
-      I.collectUses(Uses);
-      for (VReg R : Uses)
-        ++UseCount[static_cast<size_t>(R)];
-    }
+    for (const Instr &I : BB->Instrs)
+      I.forEachUse([&](VReg R) { ++UseCount[static_cast<size_t>(R)]; });
 
-  DA = std::make_unique<analysis::DerivationAnalysis>(F);
-  auto Extra = DA->computeExtraUses();
-  LV = std::make_unique<analysis::Liveness>(F, &Extra);
+  if (Opts.GcSafe) {
+    DA = std::make_unique<analysis::DerivationAnalysis>(F);
+    Extra = DA->computeExtraUses();
+    LV = std::make_unique<analysis::Liveness>(F, &Extra);
+  }
 
   // Prologue: zero-initialize pointer words of lowering-created slots so
   // their always-live ground entries are valid from entry.
@@ -167,8 +171,24 @@ EmitResult Emitter::run() {
   for (const auto &BB : F.Blocks) {
     BlockStart[BB->Id] = static_cast<uint32_t>(Code.size());
     PendingFold.clear();
-    for (unsigned I = 0; I != BB->Instrs.size(); ++I)
+    if (!Opts.GcSafe) {
+      for (unsigned I = 0; I != BB->Instrs.size(); ++I)
+        emitInstr(*BB, I);
+      continue;
+    }
+    // One backward walk collects the block's gc-point live sets; the
+    // derivation state is carried forward as the block is emitted.
+    LV->visitBlock(BB->Id, [&](unsigned Index, const DynBitset &,
+                               const DynBitset &Before) {
+      if (BB->Instrs[Index].isGcPoint())
+        GcLive.push_back(Before);
+    });
+    DA->blockInIds(BB->Id, CurState);
+    for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       emitInstr(*BB, I);
+      DA->transfer(BB->Instrs[I], CurState);
+    }
+    assert(GcLive.empty() && "gc-point without a table entry");
   }
 
   for (const Fixup &Fx : Fixups) {
@@ -195,7 +215,8 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
   gcmaps::GcPointData P;
   P.RetPC = GcInstrLocalIdx + 1;
 
-  DynBitset Live = LV->liveBefore(BB.Id, Index);
+  DynBitset Live = std::move(GcLive.back());
+  GcLive.pop_back();
   const Instr &GcIns = BB.Instrs[Index];
 
   uint16_t RegMask = 0;
@@ -223,8 +244,6 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
   }
 
   // Derivations of live derived values.
-  analysis::DerivMap State = DA->stateBefore(BB.Id, Index);
-
   auto BasesToRefs = [&](const analysis::Derivation &D) {
     std::vector<gcmaps::BaseRef> Refs;
     for (const auto &[BaseR, Coeff] : D.Bases) {
@@ -239,9 +258,10 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
 
   std::vector<gcmaps::DerivationRecord> Derivs;
   auto AddDerived = [&](VReg R, Location Target) {
-    auto It = State.find(R);
-    assert(It != State.end() && "live derived value with unknown state");
-    const analysis::DerivState &S = It->second;
+    auto Id = CurState[static_cast<size_t>(DA->slotOf(R))];
+    assert(Id != analysis::DerivationAnalysis::Absent &&
+           "live derived value with unknown state");
+    const analysis::DerivState &S = DA->state(Id);
     gcmaps::DerivationRecord Rec;
     Rec.Target = Target;
     if (S.K == analysis::DerivState::Kind::Single) {
@@ -399,9 +419,9 @@ void Emitter::emitInstr(const BasicBlock &BB, unsigned Index) {
       for (unsigned K = Index + 1; K != BB.Instrs.size(); ++K) {
         const Instr &Cand = BB.Instrs[K];
         auto UsesT = [&](const Instr &C) {
-          std::vector<VReg> Uses;
-          C.collectUses(Uses);
-          return std::find(Uses.begin(), Uses.end(), I.Dst) != Uses.end();
+          bool Uses = false;
+          C.forEachUse([&](VReg R) { Uses |= R == I.Dst; });
+          return Uses;
         };
         bool Consumes = false;
         if (Cand.isPure() && Cand.Op != Opcode::Mov &&

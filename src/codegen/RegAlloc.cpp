@@ -78,10 +78,7 @@ Assignment codegen::allocateRegisters(Function &F) {
       const Instr &I = BB->Instrs[Index];
       if (I.Dst != NoVReg)
         Touch(I.Dst, P + 1);
-      std::vector<VReg> Uses;
-      I.collectUses(Uses);
-      for (VReg R : Uses)
-        Touch(R, P);
+      I.forEachUse([&](VReg R) { Touch(R, P); });
     });
   }
 

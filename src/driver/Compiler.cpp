@@ -12,7 +12,6 @@
 #include "frontend/Sema.h"
 #include "gcsafety/GcSafety.h"
 #include "gcsafety/Interproc.h"
-#include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "opt/Passes.h"
 
@@ -126,8 +125,6 @@ CompileResult driver::compile(const std::string &Source,
       return Result;
   }
 
-  Result.IRDump = toString(*M);
-
   // Emit every function and link.
   auto Prog = std::make_unique<vm::Program>();
   Prog->Name = M->Name;
@@ -222,6 +219,7 @@ CompileResult driver::compile(const std::string &Source,
 
   Prog->Image = codegen::serializeCode(Prog->Code);
   Result.Prog = std::move(Prog);
+  Result.IR = std::move(M);
   return Result;
 }
 

@@ -16,6 +16,7 @@
 #ifndef MGC_DRIVER_COMPILER_H
 #define MGC_DRIVER_COMPILER_H
 
+#include "ir/IR.h"
 #include "support/Diagnostics.h"
 #include "vm/Program.h"
 
@@ -49,8 +50,9 @@ struct CompilerOptions {
 struct CompileResult {
   std::unique_ptr<vm::Program> Prog; ///< Null on error.
   Diagnostics Diags;
-  /// IR dump after optimization (before emission), for tests and tools.
-  std::string IRDump;
+  /// The optimized IR the program was emitted from (ir::toString prints it
+  /// as `mgc --dump-ir` shows it); null when compilation failed.
+  std::unique_ptr<ir::IRModule> IR;
 };
 
 /// Compiles one MG module.

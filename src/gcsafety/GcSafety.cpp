@@ -151,30 +151,31 @@ GcSafetyInfo gcsafety::assignPathVariables(Function &F) {
   GcSafetyInfo Info;
 
   DerivationAnalysis DA(F);
-  auto Extra = DA.computeExtraUses();
+  if (!DA.anyAmbiguous())
+    return Info;
+  ExtraUses Extra = DA.computeExtraUses();
   Liveness LV(F, &Extra);
 
   // Find derived vregs whose state is ambiguous at some gc-point where they
   // are live.
   std::vector<VReg> Needy;
+  std::vector<DerivationAnalysis::StateId> State;
   for (const auto &BB : F.Blocks) {
-    DerivMap State = DA.blockIn(BB->Id);
+    DA.blockInIds(BB->Id, State);
     for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       const Instr &Ins = BB->Instrs[I];
       if (Ins.isGcPoint()) {
         DynBitset Live = LV.liveBefore(BB->Id, I);
-        for (const auto &[R, S] : State) {
-          if (S.K != DerivState::Kind::Ambiguous)
-            continue;
-          if (!Live.test(static_cast<size_t>(R)))
-            continue;
-          if (Info.PathVars.count(R) ||
+        for (size_t K = 0; K != State.size(); ++K) {
+          VReg R = DA.derivedVRegs()[K];
+          if (DA.state(State[K]).K != DerivState::Kind::Ambiguous ||
+              !Live.test(static_cast<size_t>(R)) ||
               std::find(Needy.begin(), Needy.end(), R) != Needy.end())
             continue;
           Needy.push_back(R);
         }
       }
-      DerivationAnalysis::transfer(F, Ins, State);
+      DA.transfer(Ins, State);
     }
   }
 
@@ -191,16 +192,16 @@ GcSafetyInfo gcsafety::assignPathVariables(Function &F) {
   };
   std::map<VReg, std::vector<DefSite>> Defs;
   for (const auto &BB : F.Blocks) {
-    DerivMap State = DA.blockIn(BB->Id);
+    DA.blockInIds(BB->Id, State);
     for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       const Instr &Ins = BB->Instrs[I];
-      DerivationAnalysis::transfer(F, Ins, State);
+      DA.transfer(Ins, State);
       if (Ins.Dst == NoVReg || F.kindOf(Ins.Dst) != PtrKind::Derived)
         continue;
       DefSite D;
       D.Block = BB->Id;
       D.Index = I;
-      D.Post = State[Ins.Dst];
+      D.Post = DA.state(State[static_cast<size_t>(DA.slotOf(Ins.Dst))]);
       if (Ins.A.isReg())
         D.Source = Ins.A.R;
       Defs[Ins.Dst].push_back(std::move(D));

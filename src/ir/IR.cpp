@@ -63,16 +63,6 @@ const char *ir::opcodeName(Opcode Op) {
   return "?";
 }
 
-void Instr::collectUses(std::vector<VReg> &Uses) const {
-  if (A.isReg())
-    Uses.push_back(A.R);
-  if (B.isReg())
-    Uses.push_back(B.R);
-  for (const Operand &O : Args)
-    if (O.isReg())
-      Uses.push_back(O.R);
-}
-
 bool Instr::replaceUses(VReg From, VReg To) {
   bool Changed = false;
   auto Fix = [&](Operand &O) {
@@ -91,25 +81,28 @@ bool Instr::replaceUses(VReg From, VReg To) {
 std::vector<std::vector<unsigned>> Function::predecessors() const {
   std::vector<std::vector<unsigned>> Preds(Blocks.size());
   for (const auto &BB : Blocks)
-    for (unsigned Succ : BB->successors())
-      Preds[Succ].push_back(BB->Id);
+    BB->forEachSuccessor(
+        [&](unsigned Succ) { Preds[Succ].push_back(BB->Id); });
   return Preds;
 }
 
 std::vector<unsigned> Function::reversePostOrder() const {
   std::vector<unsigned> PostOrder;
+  PostOrder.reserve(Blocks.size());
   std::vector<uint8_t> State(Blocks.size(), 0); // 0=unseen 1=open 2=done
-  // Iterative DFS to avoid deep recursion on long block chains.
-  std::vector<std::pair<unsigned, size_t>> Stack;
+  // Iterative DFS to avoid deep recursion on long block chains.  An entry
+  // holds a block and the number of its successors already visited; each
+  // block is pushed at most once, so the stack never reallocates.
+  std::vector<std::pair<unsigned, unsigned>> Stack;
+  Stack.reserve(Blocks.size());
   Stack.emplace_back(0, 0);
   State[0] = 1;
   while (!Stack.empty()) {
-    unsigned Id = Stack.back().first;
-    std::vector<unsigned> Succs = Blocks[Id]->successors();
-    if (Stack.back().second < Succs.size()) {
-      unsigned S = Succs[Stack.back().second++];
-      // Note: emplace_back below may invalidate references into Stack, so
-      // all reads of the current entry happen before it.
+    auto &[Id, Visited] = Stack.back();
+    unsigned Succs[2], NumSuccs = 0;
+    Blocks[Id]->forEachSuccessor([&](unsigned S) { Succs[NumSuccs++] = S; });
+    if (Visited < NumSuccs) {
+      unsigned S = Succs[Visited++];
       if (State[S] == 0) {
         State[S] = 1;
         Stack.emplace_back(S, 0);

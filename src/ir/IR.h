@@ -181,8 +181,17 @@ struct Instr {
     }
   }
 
-  /// Appends every vreg this instruction reads to \p Uses.
-  void collectUses(std::vector<VReg> &Uses) const;
+  /// Calls \p Visit on every vreg this instruction reads, in operand order
+  /// (A, B, then call arguments); repeated reads are visited repeatedly.
+  template <typename Fn> void forEachUse(Fn &&Visit) const {
+    if (A.isReg())
+      Visit(A.R);
+    if (B.isReg())
+      Visit(B.R);
+    for (const Operand &O : Args)
+      if (O.isReg())
+        Visit(O.R);
+  }
   /// Rewrites every use of \p From into \p To; returns true on change.
   bool replaceUses(VReg From, VReg To);
 
@@ -317,20 +326,18 @@ public:
     return Instrs.back();
   }
 
-  /// Successor block ids in CFG order.
-  std::vector<unsigned> successors() const {
-    std::vector<unsigned> Out;
+  /// Calls \p Visit on each successor block id in CFG order (at most two).
+  template <typename Fn> void forEachSuccessor(Fn &&Visit) const {
     if (!hasTerminator())
-      return Out;
+      return;
     const Instr &T = Instrs.back();
     if (T.Op == Opcode::Jump) {
-      Out.push_back(T.Target0);
+      Visit(T.Target0);
     } else if (T.Op == Opcode::Branch) {
-      Out.push_back(T.Target0);
+      Visit(T.Target0);
       if (T.Target1 != T.Target0)
-        Out.push_back(T.Target1);
+        Visit(T.Target1);
     }
-    return Out;
   }
 };
 

@@ -61,21 +61,20 @@ private:
     }
   }
 
-  void checkReg(const Function &F, const Instr &I, VReg R) {
-    if (R < 0 || static_cast<size_t>(R) >= F.VRegs.size())
-      issue(F, &I, "vreg out of range");
+  bool checkReg(const Function &F, const Instr &I, VReg R) {
+    if (R >= 0 && static_cast<size_t>(R) < F.VRegs.size())
+      return true;
+    issue(F, &I, "vreg out of range");
+    return false;
   }
 
   void verifyInstr(const Function &F, const Instr &I) {
     if (I.Dst != NoVReg)
       checkReg(F, I, I.Dst);
-    std::vector<VReg> Uses;
-    I.collectUses(Uses);
-    for (VReg R : Uses)
-      checkReg(F, I, R);
-    for (VReg R : Uses)
-      if (R < 0 || static_cast<size_t>(R) >= F.VRegs.size())
-        return; // Range errors already reported.
+    bool InRange = true;
+    I.forEachUse([&](VReg R) { InRange &= checkReg(F, I, R); });
+    if (!InRange)
+      return; // Range errors already reported.
 
     auto KindOfOperand = [&](const Operand &O) {
       return O.isReg() ? F.kindOf(O.R) : PtrKind::NonPtr;

@@ -9,6 +9,7 @@
 #include "analysis/Derivations.h"
 #include "analysis/Liveness.h"
 
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -20,23 +21,25 @@ using namespace mgc::ir;
 //===----------------------------------------------------------------------===//
 
 namespace {
+/// Two's-complement wrap of an unsigned result back into an int64_t.
+int64_t wrap(uint64_t V) { return static_cast<int64_t>(V); }
+
 bool foldBinary(Instr &I) {
   if (!I.A.isImm() || !I.B.isImm())
     return false;
   int64_t A = I.A.Imm, B = I.B.Imm, R;
+  uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
   switch (I.Op) {
-  case Opcode::Add: R = A + B; break;
-  case Opcode::Sub: R = A - B; break;
-  case Opcode::Mul: R = A * B; break;
+  case Opcode::Add: R = wrap(UA + UB); break;
+  case Opcode::Sub: R = wrap(UA - UB); break;
+  case Opcode::Mul: R = wrap(UA * UB); break;
   case Opcode::Div:
-    if (B == 0)
-      return false;
-    R = A / B;
-    break;
   case Opcode::Mod:
-    if (B == 0)
+    // Division by zero and INT64_MIN / -1 are left to run (and trap) at
+    // run time rather than being computed here.
+    if (B == 0 || (A == INT64_MIN && B == -1))
       return false;
-    R = A % B;
+    R = I.Op == Opcode::Div ? A / B : A % B;
     break;
   case Opcode::CmpEq: R = A == B; break;
   case Opcode::CmpNe: R = A != B; break;
@@ -106,7 +109,8 @@ bool opt::foldConstants(Function &F) {
         continue;
       }
       if (I.Op == Opcode::Neg && I.A.isImm()) {
-        I = Instr::mov(I.Dst, Operand::imm(-I.A.Imm));
+        I = Instr::mov(I.Dst,
+                       Operand::imm(wrap(-static_cast<uint64_t>(I.A.Imm))));
         Changed = true;
       } else if (I.Op == Opcode::Not && I.A.isImm()) {
         I = Instr::mov(I.Dst, Operand::imm(I.A.Imm == 0 ? 1 : 0));
@@ -315,39 +319,49 @@ bool opt::simplifyCFG(Function &F) {
 //===----------------------------------------------------------------------===//
 
 bool opt::eliminateDeadCode(Function &F) {
+  // One backward sweep per block deletes dead pure definitions and
+  // self-moves as it meets them, so a chain of dead definitions inside a
+  // block goes in one sweep; only a sweep that deleted something solves
+  // again.  Deleting a dead instruction never makes another instruction
+  // live, so the result is the unique fixpoint, the same as deleting the
+  // dead instructions of one solve at a time.
   bool Changed = false;
-  bool LocalChange = true;
-  while (LocalChange) {
-    LocalChange = false;
+  DynBitset Live;
+  std::vector<char> Dead;
+  for (bool Again = true; Again;) {
+    Again = false;
     analysis::DerivationAnalysis DA(F);
-    auto Extra = DA.computeExtraUses();
+    analysis::ExtraUses Extra = DA.computeExtraUses();
     analysis::Liveness LV(F, &Extra);
     for (auto &BB : F.Blocks) {
-      std::vector<char> Dead(BB->Instrs.size(), 0);
-      LV.visitBlock(BB->Id, [&](unsigned Index, const DynBitset &After,
-                                const DynBitset &) {
-        const Instr &I = BB->Instrs[Index];
-        if (I.Dst == NoVReg || !I.isPure())
-          return;
-        if (!After.test(static_cast<size_t>(I.Dst)))
-          Dead[Index] = 1;
-      });
-      for (size_t I = BB->Instrs.size(); I-- > 0;) {
-        if (Dead[I]) {
-          BB->Instrs.erase(BB->Instrs.begin() + static_cast<long>(I));
-          LocalChange = true;
+      std::vector<Instr> &Instrs = BB->Instrs;
+      Live = LV.liveOut(BB->Id);
+      Dead.assign(Instrs.size(), 0);
+      bool Any = false;
+      for (size_t I = Instrs.size(); I-- > 0;) {
+        const Instr &Ins = Instrs[I];
+        bool SelfMove =
+            Ins.Op == Opcode::Mov && Ins.A.isReg() && Ins.A.R == Ins.Dst;
+        if (SelfMove || (Ins.Dst != NoVReg && Ins.isPure() &&
+                         !Live.test(static_cast<size_t>(Ins.Dst)))) {
+          Dead[I] = 1;
+          Any = true;
+          continue;
         }
+        LV.transfer(BB->Id, static_cast<unsigned>(I), Live);
       }
-      // Also drop dead self-moves (mov %x, %x) even if live.
-      for (size_t I = BB->Instrs.size(); I-- > 0;) {
-        const Instr &Ins = BB->Instrs[I];
-        if (Ins.Op == Opcode::Mov && Ins.A.isReg() && Ins.A.R == Ins.Dst) {
-          BB->Instrs.erase(BB->Instrs.begin() + static_cast<long>(I));
-          LocalChange = true;
+      if (!Any)
+        continue;
+      size_t Kept = 0;
+      for (size_t I = 0; I != Instrs.size(); ++I)
+        if (!Dead[I]) {
+          if (Kept != I)
+            Instrs[Kept] = std::move(Instrs[I]);
+          ++Kept;
         }
-      }
+      Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
+      Again = Changed = true;
     }
-    Changed |= LocalChange;
   }
   return Changed;
 }

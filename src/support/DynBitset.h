@@ -59,6 +59,18 @@ public:
     return Changed;
   }
 
+  /// Adds A − B to this set; returns true if this set changed.
+  bool unionWithDifference(const DynBitset &A, const DynBitset &B) {
+    assert(NumBits == A.NumBits && NumBits == B.NumBits);
+    bool Changed = false;
+    for (size_t I = 0; I != Words.size(); ++I) {
+      uint64_t Before = Words[I];
+      Words[I] |= A.Words[I] & ~B.Words[I];
+      Changed |= Words[I] != Before;
+    }
+    return Changed;
+  }
+
   bool operator==(const DynBitset &O) const {
     return NumBits == O.NumBits && Words == O.Words;
   }

@@ -12,12 +12,16 @@
 #include "frontend/Sema.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
+#include "opt/Passes.h"
+
+#include "ReferenceSolvers.h"
 
 #include <gtest/gtest.h>
 
 using namespace mgc;
 using namespace mgc::ir;
 using namespace mgc::analysis;
+using mgc::test::DerivMap;
 
 namespace {
 
@@ -87,7 +91,7 @@ TEST(Liveness, DerivedValueKeepsBaseAliveAtGcPoint) {
 TEST(Derivations, SimpleBase) {
   auto F = makeDerivedFunction();
   DerivationAnalysis DA(*F);
-  DerivMap S = DA.stateBefore(0, 1);
+  DerivMap S = test::stateBefore(DA, *F, 0, 1);
   ASSERT_TRUE(S.count(1));
   EXPECT_EQ(S[1].K, DerivState::Kind::Single);
   ASSERT_EQ(S[1].D.Bases.size(), 1u);
@@ -117,7 +121,7 @@ TEST(Derivations, SelfUpdateKeepsUltimateBase) {
   Exit->Instrs.push_back(Instr::ret(Operand()));
 
   DerivationAnalysis DA(*F);
-  DerivMap S = DA.blockIn(Loop->Id);
+  DerivMap S = test::blockIn(DA, Loop->Id);
   ASSERT_TRUE(S.count(D));
   EXPECT_EQ(S[D].K, DerivState::Kind::Single);
   ASSERT_EQ(S[D].D.Bases.size(), 1u);
@@ -138,7 +142,7 @@ TEST(Derivations, DeriveDiffUnionsNegatedBases) {
   BB->Instrs.push_back(Instr::ret(Operand()));
 
   DerivationAnalysis DA(*F);
-  DerivMap S = DA.stateBefore(0, 1);
+  DerivMap S = test::stateBefore(DA, *F, 0, 1);
   ASSERT_TRUE(S.count(D));
   EXPECT_EQ(S[D].K, DerivState::Kind::Single);
   ASSERT_EQ(S[D].D.Bases.size(), 2u);
@@ -165,7 +169,7 @@ TEST(Derivations, CancellationWhenBasesCoincide) {
   BB->Instrs.push_back(Instr::ret(Operand()));
 
   DerivationAnalysis DA(*F);
-  DerivMap S = DA.stateBefore(0, 3);
+  DerivMap S = test::stateBefore(DA, *F, 0, 3);
   ASSERT_TRUE(S.count(T));
   EXPECT_EQ(S[T].K, DerivState::Kind::Single);
   EXPECT_TRUE(S[T].D.Bases.empty());
@@ -199,12 +203,87 @@ TEST(Derivations, JoinOfDifferentDerivationsIsAmbiguous) {
   J->Instrs.push_back(Instr::ret(Operand()));
 
   DerivationAnalysis DA(*F);
-  DerivMap S = DA.blockIn(J->Id);
+  DerivMap S = test::blockIn(DA, J->Id);
   ASSERT_TRUE(S.count(T));
   EXPECT_EQ(S[T].K, DerivState::Kind::Ambiguous);
   EXPECT_EQ(S[T].Alts.size(), 2u);
   std::vector<VReg> Bases = S[T].baseVRegs();
   EXPECT_EQ(Bases, (std::vector<VReg>{0, 1}));
+}
+
+TEST(Derivations, AbsentAndUnknownJoinRules) {
+  // if c: t = Mov u (u never defined: Unknown) else: t untouched (absent)
+  //       or t = p + 8 (Single).  At the join an absent entry takes the
+  // incoming Unknown, and Unknown gives way to a defined state.
+  for (bool DefineOnElse : {false, true}) {
+    auto F = std::make_unique<Function>();
+    F->Params.push_back({"p", PtrKind::Tidy, false});
+    F->Params.push_back({"c", PtrKind::NonPtr, false});
+    F->newVReg(PtrKind::Tidy, "p", true);
+    F->newVReg(PtrKind::NonPtr, "c", true);
+    VReg U = F->newVReg(PtrKind::Derived, "u");
+    VReg T = F->newVReg(PtrKind::Derived, "t");
+    BasicBlock *Entry = F->newBlock();
+    BasicBlock *A1 = F->newBlock();
+    BasicBlock *A2 = F->newBlock();
+    BasicBlock *J = F->newBlock();
+    Entry->Instrs.push_back(Instr::branch(1, A1->Id, A2->Id));
+    A1->Instrs.push_back(Instr::mov(T, Operand::reg(U)));
+    A1->Instrs.push_back(Instr::jump(J->Id));
+    if (DefineOnElse)
+      A2->Instrs.push_back(
+          Instr::bin(Opcode::DeriveAdd, T, Operand::reg(0), Operand::imm(8)));
+    A2->Instrs.push_back(Instr::jump(J->Id));
+    J->Instrs.push_back(Instr::ret(Operand()));
+
+    DerivationAnalysis DA(*F);
+    DerivMap S = test::blockIn(DA, J->Id);
+    EXPECT_EQ(S.count(U), 0u) << "u is never defined: no entry";
+    ASSERT_EQ(S.count(T), 1u);
+    if (DefineOnElse) {
+      EXPECT_EQ(S[T].K, DerivState::Kind::Single);
+      EXPECT_EQ(S[T].baseVRegs(), std::vector<VReg>{0});
+    } else {
+      EXPECT_EQ(S[T].K, DerivState::Kind::Unknown);
+    }
+    EXPECT_TRUE(S == test::ref::derivationIn(*F)[J->Id]);
+  }
+}
+
+TEST(DeadCode, ChainAcrossTwoBlocksGoesInOneCall) {
+  // bb0: a = p + 1; d = p + 8 (derived); e = d + 8; jump bb1
+  // bb1: b = a * 2; f = mov e; ret p
+  // b and f are dead; deleting them kills a and e in bb0, and with e gone
+  // d dies too.  One call must reach that fixpoint.
+  auto F = std::make_unique<Function>();
+  F->Params.push_back({"p", PtrKind::Tidy, false});
+  F->newVReg(PtrKind::Tidy, "p", true);
+  VReg A = F->newVReg(PtrKind::NonPtr, "a");
+  VReg B = F->newVReg(PtrKind::NonPtr, "b");
+  VReg D = F->newVReg(PtrKind::Derived, "d");
+  VReg E = F->newVReg(PtrKind::Derived, "e");
+  VReg Fv = F->newVReg(PtrKind::Derived, "f");
+  BasicBlock *B0 = F->newBlock();
+  BasicBlock *B1 = F->newBlock();
+  B0->Instrs.push_back(
+      Instr::bin(Opcode::Add, A, Operand::reg(0), Operand::imm(1)));
+  B0->Instrs.push_back(
+      Instr::bin(Opcode::DeriveAdd, D, Operand::reg(0), Operand::imm(8)));
+  B0->Instrs.push_back(
+      Instr::bin(Opcode::DeriveAdd, E, Operand::reg(D), Operand::imm(8)));
+  B0->Instrs.push_back(Instr::jump(B1->Id));
+  B1->Instrs.push_back(
+      Instr::bin(Opcode::Mul, B, Operand::reg(A), Operand::imm(2)));
+  B1->Instrs.push_back(Instr::mov(Fv, Operand::reg(E)));
+  B1->Instrs.push_back(Instr::ret(Operand::reg(0)));
+  F->HasRet = true;
+
+  EXPECT_TRUE(opt::eliminateDeadCode(*F));
+  ASSERT_EQ(B0->Instrs.size(), 1u) << toString(*F);
+  EXPECT_EQ(B0->Instrs[0].Op, Opcode::Jump);
+  ASSERT_EQ(B1->Instrs.size(), 1u) << toString(*F);
+  EXPECT_EQ(B1->Instrs[0].Op, Opcode::Ret);
+  EXPECT_FALSE(opt::eliminateDeadCode(*F));
 }
 
 //===----------------------------------------------------------------------===//

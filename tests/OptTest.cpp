@@ -113,6 +113,58 @@ END M.)");
   EXPECT_LT(After, Before) << toString(*Main);
 }
 
+TEST(Opt, FolderLeavesMinDivMinusOneToRunTime) {
+  // INT64_MIN DIV -1 and MOD -1 overflow in the host; the folder must not
+  // compute them, so the compile succeeds at every level.
+  const char *Src = R"(
+MODULE M;
+PROCEDURE D(): INTEGER;
+VAR a, b: INTEGER;
+BEGIN
+  a := -9223372036854775807 - 1; b := -1; RETURN a DIV b
+END D;
+PROCEDURE R(): INTEGER;
+VAR a, b: INTEGER;
+BEGIN
+  a := -9223372036854775807 - 1; b := -1; RETURN a MOD b
+END R;
+BEGIN
+END M.)";
+  for (int Opt : {0, 2}) {
+    driver::CompilerOptions CO;
+    CO.OptLevel = Opt;
+    driver::CompileResult C = driver::compile(Src, CO);
+    ASSERT_TRUE(C.Prog) << "opt=" << Opt << "\n" << C.Diags.str();
+    if (Opt == 2) {
+      EXPECT_EQ(countOpcode(*findFunc(*C.IR, "D"), Opcode::Div), 1u);
+      EXPECT_EQ(countOpcode(*findFunc(*C.IR, "R"), Opcode::Mod), 1u);
+    }
+  }
+}
+
+TEST(Opt, FolderWrapsOnOverflow) {
+  auto M = lower(R"(
+MODULE M;
+VAR x, y, z: INTEGER;
+BEGIN
+  x := 9223372036854775807 + 1;
+  y := -(-9223372036854775807 - 1);
+  z := 4611686018427387904 * 2
+END M.)");
+  Function *Main = findFunc(*M, "@main");
+  bool Changed = true;
+  while (Changed) {
+    Changed = opt::foldConstants(*Main);
+    Changed |= opt::propagateCopiesLocal(*Main);
+    Changed |= opt::eliminateDeadCode(*Main);
+  }
+  std::string Text = toString(*Main);
+  EXPECT_EQ(countOccurrences(Text, "-9223372036854775808"), 3u) << Text;
+  EXPECT_EQ(countOpcode(*Main, Opcode::Add), 0u) << Text;
+  EXPECT_EQ(countOpcode(*Main, Opcode::Neg), 0u) << Text;
+  EXPECT_EQ(countOpcode(*Main, Opcode::Mul), 0u) << Text;
+}
+
 TEST(Opt, DeadCodeKeepsSideEffects) {
   auto M = lower(R"(
 MODULE M;

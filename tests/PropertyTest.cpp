@@ -11,11 +11,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "Corpus.h"
+#include "CheckedInPrograms.h"
+#include "ReferenceSolvers.h"
 #include "TestUtil.h"
 
-#include "Programs.h"
+#include "analysis/Liveness.h"
 #include "gcmaps/MapIndex.h"
+#include "opt/Passes.h"
 
 using namespace mgc;
 using namespace mgc::test;
@@ -300,5 +302,65 @@ INSTANTIATE_TEST_SUITE_P(FuzzCorpus, CorpusDecodeEquivalence,
                          [](const ::testing::TestParamInfo<std::string> &I) {
                            return I.param;
                          });
+
+//===----------------------------------------------------------------------===//
+// The interned and block-summary solvers equal the map-based reference
+//===----------------------------------------------------------------------===//
+
+/// Compares the derivation and liveness solvers on \p F with the reference
+/// solvers: every block's entry states (absent and Unknown entries alike),
+/// every instruction's dead-base extra uses, and live-in/live-out with and
+/// without those extra uses.
+void expectSolversMatchReference(const ir::Function &F,
+                                 const std::string &Where) {
+  analysis::DerivationAnalysis DA(F);
+  std::vector<DerivMap> RefIn = ref::derivationIn(F);
+  for (const auto &BB : F.Blocks)
+    EXPECT_TRUE(blockIn(DA, BB->Id) == RefIn[BB->Id])
+        << Where << " bb" << BB->Id << ": entry states differ";
+
+  analysis::ExtraUses Extra = DA.computeExtraUses();
+  ref::ExtraUseMap RefExtra = ref::extraUses(F, RefIn);
+  for (const auto &BB : F.Blocks)
+    for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
+      std::span<const ir::VReg> Got = Extra.at(BB->Id, I);
+      auto It = RefExtra.find({BB->Id, I});
+      EXPECT_EQ(std::vector<ir::VReg>(Got.begin(), Got.end()),
+                It == RefExtra.end() ? std::vector<ir::VReg>() : It->second)
+          << Where << " bb" << BB->Id << " instr " << I;
+    }
+
+  for (bool WithExtra : {false, true}) {
+    analysis::Liveness LV(F, WithExtra ? &Extra : nullptr);
+    ref::Liveness Ref(F, WithExtra ? &RefExtra : nullptr);
+    for (const auto &BB : F.Blocks) {
+      EXPECT_TRUE(LV.liveIn(BB->Id) == Ref.LiveIn[BB->Id])
+          << Where << " bb" << BB->Id << " extra=" << WithExtra;
+      EXPECT_TRUE(LV.liveOut(BB->Id) == Ref.LiveOut[BB->Id])
+          << Where << " bb" << BB->Id << " extra=" << WithExtra;
+    }
+  }
+}
+
+TEST(SolverReference, EveryFunctionAtO0AndO2) {
+  unsigned DceChanged = 0;
+  for (const NamedSource &P : checkedInPrograms())
+    for (int Opt : {0, 2}) {
+      driver::CompilerOptions CO;
+      CO.OptLevel = Opt;
+      driver::CompileResult C = driver::compile(P.Source, CO);
+      ASSERT_TRUE(C.IR) << P.Name << ":\n" << C.Diags.str();
+      for (auto &F : C.IR->Functions) {
+        std::string Where = P.Name + " -O" + std::to_string(Opt) + " " +
+                            F->Name;
+        expectSolversMatchReference(*F, Where);
+        // One call reaches DCE's fixpoint.
+        DceChanged += opt::eliminateDeadCode(*F);
+        EXPECT_FALSE(opt::eliminateDeadCode(*F)) << Where;
+        expectSolversMatchReference(*F, Where + " after DCE");
+      }
+    }
+  EXPECT_GT(DceChanged, 0u) << "no function had dead code to delete";
+}
 
 } // namespace

@@ -27,7 +27,7 @@ struct RunResult {
   unsigned PathVars = 0;
   unsigned PathAssigns = 0;
   size_t CodeBytes = 0;
-  std::string IRDump;
+  std::unique_ptr<ir::IRModule> IR; ///< The optimized IR, for messages.
 };
 
 /// Compiles and runs \p Source; fails the current test on compile errors.
@@ -53,7 +53,7 @@ inline RunResult compileAndRun(const std::string &Source,
   R.PathVars = C.Prog->PathVars;
   R.PathAssigns = C.Prog->PathAssigns;
   R.CodeBytes = C.Prog->codeSizeBytes();
-  R.IRDump = C.IRDump;
+  R.IR = std::move(C.IR);
   vm::VM M(*C.Prog, VO);
   gc::installPreciseCollector(M, GCO);
   R.Ok = M.run();

@@ -6,6 +6,8 @@
 
 #include "TestUtil.h"
 
+#include "ir/Printer.h"
+
 using namespace mgc;
 using namespace mgc::test;
 
@@ -19,7 +21,9 @@ void expectOutput(const std::string &Src, const std::string &Expected) {
     CO.OptLevel = Opt;
     RunResult R = compileAndRun(Src, CO);
     EXPECT_TRUE(R.Ok) << "opt=" << Opt << " error: " << R.Error;
-    EXPECT_EQ(R.Out, Expected) << "opt=" << Opt << "\nIR:\n" << R.IRDump;
+    EXPECT_EQ(R.Out, Expected)
+        << "opt=" << Opt << "\nIR:\n"
+        << (R.IR ? ir::toString(*R.IR) : std::string("(no IR)"));
   }
 }
 

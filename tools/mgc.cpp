@@ -80,6 +80,7 @@
 #include "driver/Compiler.h"
 #include "gc/Collector.h"
 #include "gc/Snapshot.h"
+#include "ir/Printer.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
 #include "support/Provenance.h"
@@ -286,7 +287,7 @@ int main(int argc, char **argv) {
   vm::Program &Prog = *Compiled.Prog;
 
   if (DumpIR) {
-    std::fputs(Compiled.IRDump.c_str(), stdout);
+    std::fputs(ir::toString(*Compiled.IR).c_str(), stdout);
     return 0;
   }
   if (DumpAsm) {
