@@ -20,18 +20,14 @@
 /// goto the threaded tier silently executes as switch, so the gate is
 /// vacuous and reported as skipped.
 ///
-///   MGC_DISPATCH_RUNS=N   timing repetitions (default 5)
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "Programs.h"
-#include "support/Provenance.h"
 
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,6 +37,7 @@ using namespace mgc;
 namespace {
 
 constexpr double GateSpeedup = 1.5;
+constexpr int Runs = 5;
 
 struct RunResult {
   uint64_t WallNanos = 0;
@@ -60,12 +57,9 @@ RunResult runOnce(const vm::Program &Prog, vm::DispatchTier Tier) {
   vm::VM M(Prog, VO);
   gc::installPreciseCollector(M, GCO);
 
-  // CPU time, not wall time: single-threaded and immune to scheduler
-  // preemption, which matters for a ratio gate on a shared machine.
-  timespec T0{}, T1{};
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T0);
+  uint64_t T0 = bench::cpuNanos();
   bool Ok = M.run();
-  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &T1);
+  uint64_t T1 = bench::cpuNanos();
   if (!Ok) {
     std::fprintf(stderr, "dispatch: %s (%s): run failed: %s\n",
                  Prog.Name.c_str(), vm::dispatchTierName(Tier),
@@ -73,8 +67,7 @@ RunResult runOnce(const vm::Program &Prog, vm::DispatchTier Tier) {
     std::exit(1);
   }
   RunResult R;
-  R.WallNanos = static_cast<uint64_t>(
-      (T1.tv_sec - T0.tv_sec) * 1000000000ll + (T1.tv_nsec - T0.tv_nsec));
+  R.WallNanos = T1 - T0;
   R.GcNanos = M.Stats.GcNanos;
   R.Instrs = M.Stats.Instrs;
   R.Collections = M.Stats.Collections;
@@ -88,30 +81,9 @@ uint64_t mutatorNanos(const RunResult &R) {
   return R.WallNanos > R.GcNanos ? R.WallNanos - R.GcNanos : 1;
 }
 
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.3f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
-}
-
 } // namespace
 
 int main() {
-  int Runs = 5;
-  if (const char *E = std::getenv("MGC_DISPATCH_RUNS"))
-    Runs = std::atoi(E);
-  if (Runs < 1)
-    Runs = 1;
-
   const bool HaveGoto = MGC_COMPUTED_GOTO != 0;
 
   std::vector<std::unique_ptr<vm::Program>> Progs;
@@ -179,33 +151,29 @@ int main() {
   double GM = Geomean();
   bool GatePass = !HaveGoto || GM >= GateSpeedup;
 
-  std::string Json = "{\"provenance\":";
-  Json += support::provenanceJson();
-  ji(Json, "runs", static_cast<uint64_t>(Runs));
-  Json += ",\"computed_goto\":";
-  Json += HaveGoto ? "true" : "false";
-  Json += ",\"programs\":[";
+  bench::BenchFile File;
+  support::JsonWriter &J = File.J;
+  J.uint("runs", Runs)
+      .boolean("computed_goto", HaveGoto)
+      .beginArray("programs");
   for (size_t I = 0; I != NP; ++I) {
     double IpsSw = static_cast<double>(SwRef[I].Instrs) /
                    (static_cast<double>(MinSw[I]) / 1e9);
     double IpsTh = static_cast<double>(SwRef[I].Instrs) /
                    (static_cast<double>(MinTh[I]) / 1e9);
-    if (I)
-      Json += ',';
-    Json += "{\"name\":\"";
-    Json += programs::All[I].Name;
-    Json += '"';
-    ji(Json, "instrs", SwRef[I].Instrs);
-    ji(Json, "collections", SwRef[I].Collections);
-    ji(Json, "mutator_switch_ns", MinSw[I]);
-    ji(Json, "mutator_threaded_ns", MinTh[I]);
-    ji(Json, "gc_switch_ns", GcSw[I]);
-    ji(Json, "gc_threaded_ns", GcTh[I]);
-    jf(Json, "ips_switch", IpsSw);
-    jf(Json, "ips_threaded", IpsTh);
-    jf(Json, "speedup", static_cast<double>(MinSw[I]) /
-                            static_cast<double>(MinTh[I]));
-    Json += '}';
+    J.beginObject()
+        .str("name", programs::All[I].Name)
+        .uint("instrs", SwRef[I].Instrs)
+        .uint("collections", SwRef[I].Collections)
+        .uint("mutator_switch_ns", MinSw[I])
+        .uint("mutator_threaded_ns", MinTh[I])
+        .uint("gc_switch_ns", GcSw[I])
+        .uint("gc_threaded_ns", GcTh[I])
+        .fixed("ips_switch", IpsSw)
+        .fixed("ips_threaded", IpsTh)
+        .fixed("speedup", static_cast<double>(MinSw[I]) /
+                              static_cast<double>(MinTh[I]))
+        .endObject();
     std::printf("dispatch[%s]: %llu instrs, switch %.3f ms (%.1f Mips), "
                 "threaded %.3f ms (%.1f Mips), speedup %.2fx\n",
                 programs::All[I].Name,
@@ -215,22 +183,15 @@ int main() {
                 static_cast<double>(MinSw[I]) /
                     static_cast<double>(MinTh[I]));
   }
-  Json += "],\"gate\":{";
-  jf(Json, "min_speedup", GateSpeedup, /*First=*/true);
-  jf(Json, "geomean_speedup", GM);
-  Json += ",\"skipped\":";
-  Json += HaveGoto ? "false" : "true";
-  Json += ",\"pass\":";
-  Json += GatePass ? "true" : "false";
-  Json += "}}\n";
-
-  if (std::FILE *F = std::fopen("BENCH_dispatch.json", "w")) {
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  } else {
-    std::fprintf(stderr, "dispatch: cannot write BENCH_dispatch.json\n");
+  J.endArray()
+      .beginObject("gate")
+      .fixed("min_speedup", GateSpeedup)
+      .fixed("geomean_speedup", GM)
+      .boolean("skipped", !HaveGoto)
+      .boolean("pass", GatePass)
+      .endObject();
+  if (!File.write("BENCH_dispatch.json"))
     return 1;
-  }
 
   if (!HaveGoto) {
     std::printf("dispatch: gate skipped (no computed goto; threaded tier "

@@ -33,37 +33,7 @@ using namespace mgc;
 
 namespace {
 
-/// destroy scaled as in sec63_tracing so collections are frequent.
-std::string bigDestroy(int Branch, int Depth, int Iters) {
-  std::string S(programs::DestroySource);
-  auto Replace = [&](const std::string &From, const std::string &To) {
-    size_t Pos = S.find(From);
-    if (Pos != std::string::npos)
-      S.replace(Pos, From.size(), To);
-  };
-  Replace("Branch = 3", "Branch = " + std::to_string(Branch));
-  Replace("Depth = 6", "Depth = " + std::to_string(Depth));
-  Replace("Iters = 60", "Iters = " + std::to_string(Iters));
-  return S;
-}
-
-struct Workload {
-  const char *Name;
-  std::string Source;
-  const char *Expected; ///< Null when scaled away from the pinned output.
-  size_t HeapBytes;
-  size_t NurseryBytes;
-};
-
-std::vector<Workload> &workloads() {
-  static std::vector<Workload> W = {
-      {"destroy", bigDestroy(3, 6, 60), nullptr, 48u << 10, 4u << 10},
-      {"destroy-big", bigDestroy(3, 7, 200), nullptr, 160u << 10, 8u << 10},
-      {"typereg", programs::TypeRegSource, programs::TypeRegExpected,
-       32u << 10, 4u << 10},
-  };
-  return W;
-}
+using bench::Workload;
 
 struct ModeRun {
   vm::VMStats Stats;
@@ -102,7 +72,7 @@ ModeRun runMode(const Workload &W, bool Gen, bool Stress = false,
 /// Both modes must produce identical output (and match the pinned
 /// expected output where one exists); exits non-zero on divergence.
 void verifyModes() {
-  for (const Workload &W : workloads()) {
+  for (const Workload &W : bench::gengcWorkloads()) {
     ModeRun Full = runMode(W, /*Gen=*/false);
     ModeRun Gen = runMode(W, /*Gen=*/true);
     if (Full.Out != Gen.Out ||
@@ -142,7 +112,8 @@ void verifyModes() {
 /// one iteration = one whole program run; the reported time is the mean
 /// pause of its collections.
 void BM_FullGcPause(benchmark::State &State) {
-  const Workload &W = workloads()[static_cast<size_t>(State.range(0))];
+  const Workload &W =
+      bench::gengcWorkloads()[static_cast<size_t>(State.range(0))];
   vm::VMStats S;
   for (auto _ : State) {
     ModeRun R = runMode(W, /*Gen=*/false, /*Stress=*/false,
@@ -163,7 +134,8 @@ BENCHMARK(BM_FullGcPause)->DenseRange(0, 2)->UseManualTime()->Iterations(3);
 /// Average minor-collection pause in generational mode on the same
 /// workloads (full-collection fallbacks excluded from the mean).
 void BM_MinorGcPause(benchmark::State &State) {
-  const Workload &W = workloads()[static_cast<size_t>(State.range(0))];
+  const Workload &W =
+      bench::gengcWorkloads()[static_cast<size_t>(State.range(0))];
   vm::VMStats S;
   for (auto _ : State) {
     ModeRun R = runMode(W, /*Gen=*/true, /*Stress=*/false,

@@ -15,15 +15,12 @@
 /// The figures are recorded, not gated: the binary exits non-zero only
 /// when a run fails or prints the wrong output.  Writes BENCH_pause.json.
 ///
-///   MGC_PAUSE_RUNS=N   timing repetitions (default 3)
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "Programs.h"
 
 #include "obs/Trace.h"
-#include "support/Provenance.h"
 
 #include <algorithm>
 #include <chrono>
@@ -171,29 +168,10 @@ double mmuAt(const std::vector<PauseInterval> &Pauses, uint64_t SpanNs,
   return Mmu < 0 ? 0 : Mmu;
 }
 
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.4f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
-}
-
 } // namespace
 
 int main() {
-  int Runs = 3;
-  if (const char *E = std::getenv("MGC_PAUSE_RUNS"))
-    Runs = std::atoi(E);
-  if (Runs < 1)
-    Runs = 1;
+  constexpr int Runs = 3;
 
   const uint64_t MmuWindows[] = {1'000'000, 5'000'000, 20'000'000};
 
@@ -255,23 +233,20 @@ int main() {
     }
 
   // --- Report -------------------------------------------------------------
-  std::string Json = "{\"provenance\":";
-  Json += support::provenanceJson();
-  ji(Json, "runs", static_cast<uint64_t>(Runs));
-  Json += ",\"workloads\":[";
+  bench::BenchFile File;
+  File.J.uint("runs", Runs).beginArray("workloads");
   for (size_t I = 0; I != Work.size(); ++I) {
     const Cell &C = Cells[I];
-    if (I)
-      Json += ',';
-    Json += "{\"name\":\"" + Work[I].Name + '"';
-    ji(Json, "collections", C.Collections);
-    ji(Json, "pause_p50_ns", C.P50);
-    ji(Json, "pause_p99_ns", C.P99);
-    ji(Json, "pause_max_ns", C.Max);
-    jf(Json, "mmu_1ms", C.Mmu[0]);
-    jf(Json, "mmu_5ms", C.Mmu[1]);
-    jf(Json, "mmu_20ms", C.Mmu[2]);
-    Json += '}';
+    File.J.beginObject()
+        .str("name", Work[I].Name)
+        .uint("collections", C.Collections)
+        .uint("pause_p50_ns", C.P50)
+        .uint("pause_p99_ns", C.P99)
+        .uint("pause_max_ns", C.Max)
+        .fixed("mmu_1ms", C.Mmu[0], 4)
+        .fixed("mmu_5ms", C.Mmu[1], 4)
+        .fixed("mmu_20ms", C.Mmu[2], 4)
+        .endObject();
     std::printf("pause[%s]: %llu collections, p50 %.1f us, p99 %.1f us, "
                 "max %.1f us, MMU(5ms) %.3f\n",
                 Work[I].Name.c_str(),
@@ -280,15 +255,9 @@ int main() {
                 static_cast<double>(C.P99) / 1e3,
                 static_cast<double>(C.Max) / 1e3, C.Mmu[1]);
   }
-  Json += "]}\n";
-
-  if (std::FILE *F = std::fopen("BENCH_pause.json", "w")) {
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  } else {
-    std::fprintf(stderr, "pause: cannot write BENCH_pause.json\n");
+  File.J.endArray();
+  if (!File.write("BENCH_pause.json"))
     return 1;
-  }
   std::printf("pause: ok\n");
   return 0;
 }

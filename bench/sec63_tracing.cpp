@@ -26,20 +26,6 @@ using namespace mgc::bench;
 
 namespace {
 
-/// destroy scaled up so collections are frequent and stacks deep.
-std::string bigDestroy(int Branch, int Depth, int Iters) {
-  std::string S(programs::DestroySource);
-  auto Replace = [&](const std::string &From, const std::string &To) {
-    size_t Pos = S.find(From);
-    if (Pos != std::string::npos)
-      S.replace(Pos, From.size(), To);
-  };
-  Replace("Branch = 3", "Branch = " + std::to_string(Branch));
-  Replace("Depth = 6", "Depth = " + std::to_string(Depth));
-  Replace("Iters = 60", "Iters = " + std::to_string(Iters));
-  return S;
-}
-
 struct Row {
   const char *Label;
   vm::VMStats Stats;
@@ -121,11 +107,11 @@ int main() {
   std::vector<Workload> Workloads;
   // Paper-scale destroy plus two heavier variants.
   Workloads.push_back(
-      {"destroy(3,6,60)", bigDestroy(3, 6, 60), 48u << 10});
+      {"destroy(3,6,60)", destroySource(3, 6, 60), 48u << 10});
   Workloads.push_back(
-      {"destroy(3,7,200)", bigDestroy(3, 7, 200), 160u << 10});
+      {"destroy(3,7,200)", destroySource(3, 7, 200), 160u << 10});
   Workloads.push_back(
-      {"destroy(2,12,80)", bigDestroy(2, 12, 80), 400u << 10});
+      {"destroy(2,12,80)", destroySource(2, 12, 80), 400u << 10});
   // A less gc-intensive program for the paper's "five times lower gc cost"
   // remark.
   Workloads.push_back({"typereg", programs::TypeRegSource, 64u << 10});

@@ -26,14 +26,11 @@
 ///  - a same-seed rerun is bit-identical (no wall-clock leakage into the
 ///    virtual-time samples).
 ///
-///   MGC_SERVER_RUNS=N   timing repetitions (default 2)
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "workload/Server.h"
-#include "support/Provenance.h"
 
 #include <cstdio>
 #include <cstdlib>
@@ -107,40 +104,10 @@ bool attributionExact(const ServerRunResult &R) {
   return Attributed + R.UnattributedGcNanos == R.TracerGcNanosTotal;
 }
 
-void jf(std::string &Out, const char *Key, double V, bool First = false) {
-  char Buf[64];
-  std::snprintf(Buf, sizeof(Buf), "%s\"%s\":%.4f", First ? "" : ",", Key, V);
-  Out += Buf;
-}
-
-void ji(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
-}
-
-void js(std::string &Out, const char *Key, const std::string &V,
-        bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":\"";
-  Out += V;
-  Out += '"';
-}
-
 } // namespace
 
 int main() {
-  int Runs = 2;
-  if (const char *E = std::getenv("MGC_SERVER_RUNS"))
-    Runs = std::atoi(E);
-  if (Runs < 1)
-    Runs = 1;
+  constexpr int Runs = 2;
 
   // --- Workloads: uniform arrivals, bursty arrivals, and a spin-thread
   // mix (two allocation-free mutator threads raising rendezvous cost).
@@ -310,44 +277,40 @@ int main() {
   // --- Report --------------------------------------------------------------
   // The header documents every seed so BENCH_server.json is reproducible
   // bit for bit on the virtual-time fields (wall-time fields vary).
-  std::string Json = "{\"provenance\":";
-  Json += support::provenanceJson(ProgramSeed);
-  ji(Json, "runs", static_cast<uint64_t>(Runs));
-  ji(Json, "program_seed", ProgramSeed);
-  ji(Json, "schedule_seed", ScheduleSeed);
-  ji(Json, "requests", RequestCount);
-  ji(Json, "heap_bytes", HeapBytes);
-  Json += ",\"workloads\":[";
+  bench::BenchFile File(ProgramSeed);
+  support::JsonWriter &J = File.J;
+  J.uint("runs", Runs)
+      .uint("program_seed", ProgramSeed)
+      .uint("schedule_seed", ScheduleSeed)
+      .uint("requests", RequestCount)
+      .uint("heap_bytes", HeapBytes)
+      .beginArray("workloads");
   for (size_t WI = 0; WI != Work.size(); ++WI) {
-    if (WI)
-      Json += ',';
-    Json += '{';
-    js(Json, "name", Work[WI].Name, /*First=*/true);
-    js(Json, "arrivals",
-       Work[WI].Sched.Kind == ArrivalKind::Bursty ? "bursty" : "uniform");
-    ji(Json, "spin_threads", Work[WI].SpinThreads);
-    Json += ",\"policies\":[";
+    J.beginObject()
+        .str("name", Work[WI].Name)
+        .str("arrivals",
+             Work[WI].Sched.Kind == ArrivalKind::Bursty ? "bursty" : "uniform")
+        .uint("spin_threads", Work[WI].SpinThreads)
+        .beginArray("policies");
     for (size_t PI = 0; PI != NP; ++PI) {
       const Cell &C = Cells[WI][PI];
-      if (PI)
-        Json += ',';
-      Json += '{';
-      js(Json, "name", Policies[PI].Name, /*First=*/true);
-      jf(Json, "rps", C.Rps);
-      jf(Json, "utilization", C.Utilization);
-      ji(Json, "lat_p50_ns", C.P50Ns);
-      ji(Json, "lat_p99_ns", C.P99Ns);
-      ji(Json, "lat_max_ns", C.MaxNs);
-      ji(Json, "lat_p50_instr", C.P50Instr);
-      ji(Json, "lat_p99_instr", C.P99Instr);
-      ji(Json, "lat_max_instr", C.MaxInstr);
-      ji(Json, "collections", C.Collections);
-      ji(Json, "gc_ns", C.GcNs);
-      ji(Json, "gc_unattributed_ns", C.UnattributedGcNs);
-      ji(Json, "heap_growths", C.HeapGrowths);
-      ji(Json, "nursery_resizes", C.NurseryResizes);
-      ji(Json, "final_heap_bytes", C.FinalHeapBytes);
-      Json += '}';
+      J.beginObject()
+          .str("name", Policies[PI].Name)
+          .fixed("rps", C.Rps, 4)
+          .fixed("utilization", C.Utilization, 4)
+          .uint("lat_p50_ns", C.P50Ns)
+          .uint("lat_p99_ns", C.P99Ns)
+          .uint("lat_max_ns", C.MaxNs)
+          .uint("lat_p50_instr", C.P50Instr)
+          .uint("lat_p99_instr", C.P99Instr)
+          .uint("lat_max_instr", C.MaxInstr)
+          .uint("collections", C.Collections)
+          .uint("gc_ns", C.GcNs)
+          .uint("gc_unattributed_ns", C.UnattributedGcNs)
+          .uint("heap_growths", C.HeapGrowths)
+          .uint("nursery_resizes", C.NurseryResizes)
+          .uint("final_heap_bytes", C.FinalHeapBytes)
+          .endObject();
       std::printf("server[%s/%s]: %.0f rps, p50 %.1f us, p99 %.1f us, "
                   "max %.1f us, util %.3f, %llu collections%s\n",
                   Work[WI].Name.c_str(), Policies[PI].Name.c_str(), C.Rps,
@@ -357,17 +320,11 @@ int main() {
                   static_cast<unsigned long long>(C.Collections),
                   C.HeapGrowths || C.NurseryResizes ? " (policy active)" : "");
     }
-    Json += "]}";
+    J.endArray().endObject();
   }
-  Json += "],\"pass\":true}\n";
-
-  if (std::FILE *F = std::fopen("BENCH_server.json", "w")) {
-    std::fputs(Json.c_str(), F);
-    std::fclose(F);
-  } else {
-    std::fprintf(stderr, "server: cannot write BENCH_server.json\n");
+  J.endArray().boolean("pass", true);
+  if (!File.write("BENCH_server.json"))
     return 1;
-  }
   std::printf("server: ok\n");
   return 0;
 }

@@ -228,7 +228,7 @@ void PreciseCollector::traceFull(VM &M) {
   // exactly once, so per-site live bytes accumulate here for free instead
   // of a separate O(live) heap walk at sample time (which would cost a
   // significant fraction of the pause itself on GC-bound workloads —
-  // bench/leak gates the detector at <= 3% mutator cost).
+  // bench/obs_overhead gates the detector at <= 3% mutator cost).
   uint64_t *LeakAcc = M.Tracer ? M.Tracer->leakAccumulator() : nullptr;
   size_t LeakSites = LeakAcc ? M.Tracer->leakSiteCount() : 0;
 

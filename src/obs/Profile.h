@@ -71,7 +71,7 @@ constexpr uint32_t ProfileVersion = 1;
 
 struct ProfilerConfig {
   /// Mutator sampling interval in retired instructions.  The default is
-  /// the ≤5%-overhead operating point gated by bench/prof.
+  /// the ≤5%-overhead operating point gated by bench/obs_overhead.
   uint64_t IntervalInstrs = 4096;
   /// Armed at attach.  When false the profiler records nothing and the
   /// hooks cost two predicted branches (the bench "disabled" cell).

@@ -116,12 +116,20 @@ bool parseInt(Cursor &C, int64_t &Out, std::string &Err) {
     Err = "expected integer";
     return false;
   }
-  Out = 0;
+  // Accumulate the magnitude unsigned, refusing any digit that would take
+  // it past INT64_MAX (or INT64_MIN's magnitude for a negative value).
   bool Neg = C.S[Start] == '-';
-  for (size_t K = Start + (Neg ? 1 : 0); K != C.I; ++K)
-    Out = Out * 10 + (C.S[K] - '0');
-  if (Neg)
-    Out = -Out;
+  uint64_t Limit = Neg ? uint64_t(INT64_MAX) + 1 : uint64_t(INT64_MAX);
+  uint64_t Mag = 0;
+  for (size_t K = Start + (Neg ? 1 : 0); K != C.I; ++K) {
+    uint64_t D = static_cast<uint64_t>(C.S[K] - '0');
+    if (Mag > (Limit - D) / 10) {
+      Err = "integer out of range";
+      return false;
+    }
+    Mag = Mag * 10 + D;
+  }
+  Out = static_cast<int64_t>(Neg ? 0 - Mag : Mag);
   return true;
 }
 
@@ -668,78 +676,34 @@ std::string obs::renderLeaks(const TraceReport &R, size_t TopN) {
 
 namespace {
 
-void jesc(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    if (C == '"' || C == '\\') {
-      Out += '\\';
-      Out += C;
-    } else if (static_cast<unsigned char>(C) < 0x20) {
-      char Buf[8];
-      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-      Out += Buf;
-    } else {
-      Out += C;
-    }
-  }
-  Out += '"';
-}
+using support::JsonWriter;
 
-void jkey(std::string &Out, const char *Key, bool &First) {
-  if (!First)
-    Out += ',';
-  First = false;
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-}
-
-void ju(std::string &Out, const char *Key, uint64_t V, bool &First) {
-  jkey(Out, Key, First);
-  Out += std::to_string(V);
-}
-
-void ji(std::string &Out, const char *Key, int64_t V, bool &First) {
-  jkey(Out, Key, First);
-  Out += std::to_string(V);
-}
-
-void js(std::string &Out, const char *Key, const std::string &V,
-        bool &First) {
-  jkey(Out, Key, First);
-  jesc(Out, V);
-}
-
-void jpcts(std::string &Out, const char *Key, const Pcts &P, uint64_t Total,
-           bool &First) {
-  jkey(Out, Key, First);
-  bool F = true;
-  Out += '{';
-  ju(Out, "p50_ns", P.P50, F);
-  ju(Out, "p95_ns", P.P95, F);
-  ju(Out, "max_ns", P.Max, F);
-  ju(Out, "total_ns", Total, F);
-  Out += '}';
+void jpcts(JsonWriter &J, const char *Key, const Pcts &P, uint64_t Total) {
+  J.beginObject(Key)
+      .uint("p50_ns", P.P50)
+      .uint("p95_ns", P.P95)
+      .uint("max_ns", P.Max)
+      .uint("total_ns", Total)
+      .endObject();
 }
 
 } // namespace
 
 std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
   std::string Out;
-  bool Top = true;
-  Out += '{';
-
-  js(Out, "program", R.Program, Top);
-  js(Out, "mode", R.GenGc ? "generational" : "two-space", Top);
-  ju(Out, "collections", R.Events.size(), Top);
-  ju(Out, "sites", R.Sites.size(), Top);
-  ju(Out, "site_table_bytes", R.SiteTableBytes, Top);
+  JsonWriter J(Out);
+  J.beginObject()
+      .str("program", R.Program)
+      .str("mode", R.GenGc ? "generational" : "two-space")
+      .uint("collections", R.Events.size())
+      .uint("sites", R.Sites.size())
+      .uint("site_table_bytes", R.SiteTableBytes);
   if (R.HasRun) {
-    ju(Out, "run_ok", R.RunOk ? 1 : 0, Top);
+    J.uint("run_ok", R.RunOk ? 1 : 0);
     if (!R.RunOk)
-      js(Out, "run_error", R.RunError, Top);
-    ju(Out, "events_dropped_from_ring",
-       static_cast<uint64_t>(R.Run.getInt("events_dropped_from_ring")), Top);
+      J.str("run_error", R.RunError);
+    J.uint("events_dropped_from_ring",
+           static_cast<uint64_t>(R.Run.getInt("events_dropped_from_ring")));
   }
 
   // --- Pause breakdown, mirroring Section().
@@ -767,19 +731,16 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
     }
     if (Total.empty())
       return;
-    jkey(Out, Key, Top);
-    bool F = true;
-    Out += '{';
-    ju(Out, "collections", Total.size(), F);
-    jpcts(Out, "total", pcts(Total), SumTotal, F);
-    jpcts(Out, "rendezvous", pcts(Rend), SumRend, F);
-    jpcts(Out, "stack_trace", pcts(Trace), SumTrace, F);
-    jpcts(Out, "underive", pcts(Und), SumUnd, F);
-    jpcts(Out, "copy", pcts(Copy), SumCopy, F);
+    J.beginObject(Key).uint("collections", Total.size());
+    jpcts(J, "total", pcts(Total), SumTotal);
+    jpcts(J, "rendezvous", pcts(Rend), SumRend);
+    jpcts(J, "stack_trace", pcts(Trace), SumTrace);
+    jpcts(J, "underive", pcts(Und), SumUnd);
+    jpcts(J, "copy", pcts(Copy), SumCopy);
     if (Minor)
-      jpcts(Out, "remset", pcts(Rem), SumRem, F);
-    jpcts(Out, "rederive", pcts(Red), SumRed, F);
-    Out += '}';
+      jpcts(J, "remset", pcts(Rem), SumRem);
+    jpcts(J, "rederive", pcts(Red), SumRed);
+    J.endObject();
   };
   Pauses("minor_pauses", true);
   Pauses("full_pauses", false);
@@ -796,16 +757,14 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
       BytesPromoted += E.BytesPromoted;
       ObjectsCopied += E.ObjectsCopied;
     }
-    jkey(Out, "volume", Top);
-    bool F = true;
-    Out += '{';
-    ju(Out, "objects_copied", ObjectsCopied, F);
-    ju(Out, "bytes_copied", BytesCopied, F);
-    ju(Out, "bytes_promoted", BytesPromoted, F);
-    ju(Out, "frames_traced", Frames, F);
-    ju(Out, "cache_hits", Hits, F);
-    ju(Out, "cache_misses", Misses, F);
-    Out += '}';
+    J.beginObject("volume")
+        .uint("objects_copied", ObjectsCopied)
+        .uint("bytes_copied", BytesCopied)
+        .uint("bytes_promoted", BytesPromoted)
+        .uint("frames_traced", Frames)
+        .uint("cache_hits", Hits)
+        .uint("cache_misses", Misses)
+        .endObject();
   }
 
   // --- Requests.
@@ -818,36 +777,30 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
       Colls += Q.Collections;
     }
     Pcts P = pcts(Instrs);
-    jkey(Out, "requests", Top);
-    bool F = true;
-    Out += '{';
-    ju(Out, "count", R.Requests.size(), F);
-    ju(Out, "instrs_p50", P.P50, F);
-    ju(Out, "instrs_p95", P.P95, F);
-    ju(Out, "instrs_max", P.Max, F);
-    ju(Out, "gc_ns", GcNs, F);
-    ju(Out, "gc_collections", Colls, F);
-    Out += '}';
+    J.beginObject("requests")
+        .uint("count", R.Requests.size())
+        .uint("instrs_p50", P.P50)
+        .uint("instrs_p95", P.P95)
+        .uint("instrs_max", P.Max)
+        .uint("gc_ns", GcNs)
+        .uint("gc_collections", Colls)
+        .endObject();
   }
 
   // --- Hot stacks (sampling profiler; tracer order = weight desc).
   if (!R.HotStacks.empty()) {
-    jkey(Out, "hot_stacks", Top);
-    Out += '[';
+    J.beginArray("hot_stacks");
     size_t N = std::min(TopN, R.HotStacks.size());
     for (size_t I = 0; I != N; ++I) {
       const TraceReport::HotStack &H = R.HotStacks[I];
-      if (I)
-        Out += ',';
-      bool F = true;
-      Out += '{';
-      ju(Out, "rank", H.Rank, F);
-      ju(Out, "samples", H.Samples, F);
-      ju(Out, "weight", H.Weight, F);
-      js(Out, "stack", H.Stack, F);
-      Out += '}';
+      J.beginObject()
+          .uint("rank", H.Rank)
+          .uint("samples", H.Samples)
+          .uint("weight", H.Weight)
+          .str("stack", H.Stack)
+          .endObject();
     }
-    Out += ']';
+    J.endArray();
   }
 
   // --- Site tables: same ordering contract as the rendered report
@@ -866,26 +819,22 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
             return KeyFn(*A) > KeyFn(*B);
           return A->Id < B->Id;
         });
-    jkey(Out, Key, Top);
-    Out += '[';
+    J.beginArray(Key);
     size_t N = std::min(TopN, Active.size());
     for (size_t I = 0; I != N; ++I) {
       const TraceReport::Site &S = *Active[I];
       if (KeyFn(S) == 0)
         break;
-      if (I)
-        Out += ',';
-      bool F = true;
-      Out += '{';
-      ju(Out, "id", S.Id, F);
-      js(Out, "site", siteLabel(S), F);
-      ju(Out, "allocs", S.Count, F);
-      ju(Out, "bytes", S.Bytes, F);
-      ju(Out, "survived", S.Survived, F);
-      ju(Out, "survived_bytes", S.SurvivedBytes, F);
-      Out += '}';
+      J.beginObject()
+          .uint("id", S.Id)
+          .str("site", siteLabel(S))
+          .uint("allocs", S.Count)
+          .uint("bytes", S.Bytes)
+          .uint("survived", S.Survived)
+          .uint("survived_bytes", S.SurvivedBytes)
+          .endObject();
     }
-    Out += ']';
+    J.endArray();
   };
   SiteTable("top_sites_by_bytes",
             [](const TraceReport::Site &S) { return S.Bytes; });
@@ -894,24 +843,18 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
 
   // --- Suspected leaks (tracer order: slope desc, site asc).
   if (!R.Leaks.empty()) {
-    jkey(Out, "leaks", Top);
-    Out += '[';
-    for (size_t I = 0; I != R.Leaks.size(); ++I) {
-      const TraceReport::Leak &L = R.Leaks[I];
-      if (I)
-        Out += ',';
-      bool F = true;
-      Out += '{';
-      ju(Out, "site", L.Site, F);
+    J.beginArray("leaks");
+    for (const TraceReport::Leak &L : R.Leaks) {
+      J.beginObject().uint("site", L.Site);
       if (static_cast<size_t>(L.Site) < R.Sites.size())
-        js(Out, "label", siteLabel(R.Sites[L.Site]), F);
-      ji(Out, "slope_bytes", L.SlopeBytes, F);
-      ju(Out, "live_bytes", L.LiveBytes, F);
-      ju(Out, "first_flagged", L.FirstFlagged, F);
-      ju(Out, "window", L.Window, F);
-      Out += '}';
+        J.str("label", siteLabel(R.Sites[L.Site]));
+      J.sint("slope_bytes", L.SlopeBytes)
+          .uint("live_bytes", L.LiveBytes)
+          .uint("first_flagged", L.FirstFlagged)
+          .uint("window", L.Window)
+          .endObject();
     }
-    Out += ']';
+    J.endArray();
   }
 
   // --- Live at finish by site (bytes desc, id asc — as rendered).
@@ -926,45 +869,35 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
                   return A->Bytes > B->Bytes;
                 return A->Id < B->Id;
               });
-    jkey(Out, "live_by_site", Top);
-    Out += '[';
+    J.beginArray("live_by_site");
     size_t N = std::min(TopN, Live.size());
     for (size_t I = 0; I != N; ++I) {
       const TraceReport::LiveSite &L = *Live[I];
-      if (I)
-        Out += ',';
-      bool F = true;
-      Out += '{';
-      ji(Out, "id", L.Id, F);
-      js(Out, "site",
-         L.Id < 0 ? std::string("(no site)")
-                  : siteLabel(R.Sites[static_cast<size_t>(L.Id)]),
-         F);
-      ju(Out, "objects", L.Objects, F);
-      ju(Out, "bytes", L.Bytes, F);
-      Out += '}';
+      J.beginObject()
+          .sint("id", L.Id)
+          .str("site", L.Id < 0
+                           ? std::string("(no site)")
+                           : siteLabel(R.Sites[static_cast<size_t>(L.Id)]))
+          .uint("objects", L.Objects)
+          .uint("bytes", L.Bytes)
+          .endObject();
     }
-    Out += ']';
+    J.endArray();
   }
 
   // --- Age histogram.
   if (!R.AgeHist.empty()) {
-    jkey(Out, "age_hist", Top);
-    Out += '[';
-    for (size_t I = 0; I != R.AgeHist.size(); ++I) {
-      const TraceReport::AgeBucket &B = R.AgeHist[I];
-      if (I)
-        Out += ',';
-      bool F = true;
-      Out += '{';
-      ju(Out, "age", B.Age, F);
-      ju(Out, "objects", B.Objects, F);
-      ju(Out, "bytes", B.Bytes, F);
-      Out += '}';
-    }
-    Out += ']';
+    J.beginArray("age_hist");
+    for (const TraceReport::AgeBucket &B : R.AgeHist)
+      J.beginObject()
+          .uint("age", B.Age)
+          .uint("objects", B.Objects)
+          .uint("bytes", B.Bytes)
+          .endObject();
+    J.endArray();
   }
 
-  Out += "}\n";
+  J.endObject();
+  Out += '\n';
   return Out;
 }

@@ -16,58 +16,21 @@
 using namespace mgc;
 using namespace mgc::obs;
 
-void obs::appendJsonString(std::string &Out, const std::string &S) {
-  Out += '"';
-  for (char C : S) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    case '\r':
-      Out += "\\r";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        static const char Hex[] = "0123456789abcdef";
-        Out += "\\u00";
-        Out += Hex[(C >> 4) & 0xf];
-        Out += Hex[C & 0xf];
-      } else {
-        Out += C;
-      }
-    }
-  }
-  Out += '"';
-}
+using support::JsonWriter;
 
 namespace {
 
-void field(std::string &Out, const char *Key, uint64_t V, bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
-}
-
-void fieldStr(std::string &Out, const char *Key, const std::string &V,
-              bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  appendJsonString(Out, V);
+/// Streams one flat JSONL record, {"type":Type,...}, which the strict
+/// re-parser in obs/Report.h reads back; \p Fill adds the members.
+template <typename FillFn>
+void writeRecord(std::ostream &OS, const char *Type, FillFn Fill) {
+  std::string L;
+  JsonWriter J(L);
+  J.beginObject().str("type", Type);
+  Fill(J);
+  J.endObject();
+  L += '\n';
+  OS << L;
 }
 
 } // namespace
@@ -102,15 +65,13 @@ void Tracer::recordRequest(uint64_t Seq, uint64_t Instrs, uint64_t GcNanos,
     ReqInstrs.push_back(Instrs);
   else
     ++DroppedRequests;
-  if (Stream) {
-    std::string L = "{\"type\":\"req\"";
-    field(L, "seq", Seq);
-    field(L, "instrs", Instrs);
-    field(L, "gc_ns", GcNanos);
-    field(L, "collections", Collections);
-    L += "}\n";
-    *Stream << L;
-  }
+  if (Stream)
+    writeRecord(*Stream, "req", [&](JsonWriter &J) {
+      J.uint("seq", Seq)
+          .uint("instrs", Instrs)
+          .uint("gc_ns", GcNanos)
+          .uint("collections", Collections);
+    });
 }
 
 void Tracer::enable(std::ostream *S) {
@@ -121,32 +82,30 @@ void Tracer::enable(std::ostream *S) {
 }
 
 void Tracer::writeHeader() {
-  std::string L = "{\"type\":\"meta\"";
-  fieldStr(L, "program", Config.ProgramName);
-  fieldStr(L, "tool_version", support::ToolVersion);
-  fieldStr(L, "build_flags", support::buildFlags());
-  field(L, "seed", Config.Seed);
-  if (!Config.Dispatch.empty())
-    fieldStr(L, "dispatch", Config.Dispatch);
-  field(L, "gen_gc", Config.GenGc ? 1 : 0);
-  field(L, "sites", Counters.size());
-  field(L, "site_table_bytes", Config.SiteTableBytes);
-  L += "}\n";
-  *Stream << L;
+  writeRecord(*Stream, "meta", [&](JsonWriter &J) {
+    J.str("program", Config.ProgramName)
+        .str("tool_version", support::ToolVersion)
+        .str("build_flags", support::buildFlags())
+        .uint("seed", Config.Seed);
+    if (!Config.Dispatch.empty())
+      J.str("dispatch", Config.Dispatch);
+    J.uint("gen_gc", Config.GenGc ? 1 : 0)
+        .uint("sites", Counters.size())
+        .uint("site_table_bytes", Config.SiteTableBytes);
+  });
   if (!Config.Sites)
     return;
   for (size_t I = 0; I != Config.Sites->Sites.size(); ++I) {
     const gcmaps::AllocSite &S = Config.Sites->Sites[I];
-    std::string Line = "{\"type\":\"site\"";
-    field(Line, "id", I);
-    fieldStr(Line, "func",
-             S.Func < Config.FuncNames.size() ? Config.FuncNames[S.Func]
-                                              : std::to_string(S.Func));
-    field(Line, "line", S.Line);
-    field(Line, "col", S.Col);
-    field(Line, "desc", S.Desc);
-    Line += "}\n";
-    *Stream << Line;
+    writeRecord(*Stream, "site", [&](JsonWriter &J) {
+      J.uint("id", I)
+          .str("func", S.Func < Config.FuncNames.size()
+                           ? Config.FuncNames[S.Func]
+                           : std::to_string(S.Func))
+          .uint("line", S.Line)
+          .uint("col", S.Col)
+          .uint("desc", S.Desc);
+    });
   }
 }
 
@@ -289,25 +248,18 @@ std::vector<Tracer::LeakFlag> Tracer::leakFlags() const {
   return Out;
 }
 
-std::string Tracer::leakJsonFields() const {
-  std::string Out;
-  field(Out, "leak_window", Config.Leak.Window, /*First=*/true);
-  field(Out, "leak_min_bytes", Config.Leak.MinBytes);
-  Out += ",\"leak_flags\":[";
-  std::vector<LeakFlag> Flags = leakFlags();
-  for (size_t I = 0; I != Flags.size(); ++I) {
-    if (I)
-      Out += ',';
-    Out += "{\"site\":";
-    Out += std::to_string(Flags[I].Site);
-    Out += ",\"slope_bytes\":";
-    Out += std::to_string(Flags[I].SlopeBytes);
-    field(Out, "live_bytes", Flags[I].LiveBytes);
-    field(Out, "first_flagged", Flags[I].FirstFlagged);
-    Out += '}';
-  }
-  Out += ']';
-  return Out;
+void Tracer::writeLeakJson(JsonWriter &J) const {
+  J.uint("leak_window", Config.Leak.Window)
+      .uint("leak_min_bytes", Config.Leak.MinBytes)
+      .beginArray("leak_flags");
+  for (const LeakFlag &F : leakFlags())
+    J.beginObject()
+        .uint("site", F.Site)
+        .sint("slope_bytes", F.SlopeBytes)
+        .uint("live_bytes", F.LiveBytes)
+        .uint("first_flagged", F.FirstFlagged)
+        .endObject();
+  J.endArray();
 }
 
 std::vector<LiveAgg> Tracer::liveBySite(const vm::Heap &H,
@@ -338,53 +290,26 @@ std::vector<LiveAgg> Tracer::ageHistogram(const vm::Heap &H) const {
   return Hist;
 }
 
-std::string Tracer::liveJsonFields(const vm::Heap &H) const {
+void Tracer::writeLiveJson(JsonWriter &J, const vm::Heap &H) const {
   LiveAgg NoSiteAgg;
   std::vector<LiveAgg> Per = liveBySite(H, NoSiteAgg);
-  auto Object = [&](std::string &Out, const char *Key, bool Bytes) {
-    Out += '"';
-    Out += Key;
-    Out += "\":{";
-    bool First = true;
-    for (size_t I = 0; I != Per.size(); ++I) {
-      if (Per[I].Objects == 0)
-        continue;
-      if (!First)
-        Out += ',';
-      First = false;
-      Out += '"';
-      Out += std::to_string(I);
-      Out += "\":";
-      Out += std::to_string(Bytes ? Per[I].Bytes : Per[I].Objects);
-    }
-    if (NoSiteAgg.Objects != 0) {
-      if (!First)
-        Out += ',';
-      Out += "\"nosite\":";
-      Out += std::to_string(Bytes ? NoSiteAgg.Bytes : NoSiteAgg.Objects);
-    }
-    Out += '}';
+  auto BySite = [&](const char *Key, bool Bytes) {
+    J.beginObject(Key);
+    for (size_t I = 0; I != Per.size(); ++I)
+      if (Per[I].Objects != 0)
+        J.uint(std::to_string(I), Bytes ? Per[I].Bytes : Per[I].Objects);
+    if (NoSiteAgg.Objects != 0)
+      J.uint("nosite", Bytes ? NoSiteAgg.Bytes : NoSiteAgg.Objects);
+    J.endObject();
   };
-  std::string Out;
-  Object(Out, "live_objects_by_site", /*Bytes=*/false);
-  Out += ',';
-  Object(Out, "live_bytes_by_site", /*Bytes=*/true);
-  Out += ",\"live_age_hist\":{";
+  BySite("live_objects_by_site", /*Bytes=*/false);
+  BySite("live_bytes_by_site", /*Bytes=*/true);
+  J.beginObject("live_age_hist");
   std::vector<LiveAgg> Hist = ageHistogram(H);
-  bool First = true;
-  for (size_t Age = 0; Age != Hist.size(); ++Age) {
-    if (Hist[Age].Objects == 0)
-      continue;
-    if (!First)
-      Out += ',';
-    First = false;
-    Out += '"';
-    Out += std::to_string(Age);
-    Out += "\":";
-    Out += std::to_string(Hist[Age].Bytes);
-  }
-  Out += '}';
-  return Out;
+  for (size_t Age = 0; Age != Hist.size(); ++Age)
+    if (Hist[Age].Objects != 0)
+      J.uint(std::to_string(Age), Hist[Age].Bytes);
+  J.endObject();
 }
 
 void Tracer::commitEvent() {
@@ -398,34 +323,31 @@ void Tracer::commitEvent() {
 }
 
 void Tracer::writeEvent(const GcEvent &Ev) {
-  std::string L = "{\"type\":\"gc\"";
-  field(L, "seq", Ev.Seq);
-  fieldStr(L, "kind", Ev.Minor ? "minor" : "full");
-  L += ",\"trigger_site\":";
-  L += Ev.TriggerSite == NoSite
-           ? std::string("-1")
-           : std::to_string(Ev.TriggerSite);
-  field(L, "rendezvous_ns", Ev.Phases.Rendezvous);
-  field(L, "stack_trace_ns", Ev.Phases.StackTrace);
-  field(L, "underive_ns", Ev.Phases.Underive);
-  field(L, "copy_ns", Ev.Phases.Copy);
-  field(L, "remset_ns", Ev.Phases.RemsetRebuild);
-  field(L, "rederive_ns", Ev.Phases.Rederive);
-  field(L, "total_ns", Ev.TotalNanos);
-  field(L, "heap_before", Ev.HeapBeforeBytes);
-  field(L, "heap_after", Ev.HeapAfterBytes);
-  field(L, "frames", Ev.FramesTraced);
-  field(L, "roots", Ev.RootsTraced);
-  field(L, "objects_copied", Ev.ObjectsCopied);
-  field(L, "bytes_copied", Ev.BytesCopied);
-  field(L, "objects_promoted", Ev.ObjectsPromoted);
-  field(L, "bytes_promoted", Ev.BytesPromoted);
-  field(L, "derived_adjusted", Ev.DerivedAdjusted);
-  field(L, "rendezvous_steps", Ev.RendezvousSteps);
-  field(L, "cache_hits", Ev.CacheHits);
-  field(L, "cache_misses", Ev.CacheMisses);
-  L += "}\n";
-  *Stream << L;
+  writeRecord(*Stream, "gc", [&](JsonWriter &J) {
+    J.uint("seq", Ev.Seq)
+        .str("kind", Ev.Minor ? "minor" : "full")
+        .sint("trigger_site",
+              Ev.TriggerSite == NoSite ? -1 : int64_t(Ev.TriggerSite))
+        .uint("rendezvous_ns", Ev.Phases.Rendezvous)
+        .uint("stack_trace_ns", Ev.Phases.StackTrace)
+        .uint("underive_ns", Ev.Phases.Underive)
+        .uint("copy_ns", Ev.Phases.Copy)
+        .uint("remset_ns", Ev.Phases.RemsetRebuild)
+        .uint("rederive_ns", Ev.Phases.Rederive)
+        .uint("total_ns", Ev.TotalNanos)
+        .uint("heap_before", Ev.HeapBeforeBytes)
+        .uint("heap_after", Ev.HeapAfterBytes)
+        .uint("frames", Ev.FramesTraced)
+        .uint("roots", Ev.RootsTraced)
+        .uint("objects_copied", Ev.ObjectsCopied)
+        .uint("bytes_copied", Ev.BytesCopied)
+        .uint("objects_promoted", Ev.ObjectsPromoted)
+        .uint("bytes_promoted", Ev.BytesPromoted)
+        .uint("derived_adjusted", Ev.DerivedAdjusted)
+        .uint("rendezvous_steps", Ev.RendezvousSteps)
+        .uint("cache_hits", Ev.CacheHits)
+        .uint("cache_misses", Ev.CacheMisses);
+  });
 }
 
 std::vector<GcEvent> Tracer::retainedEvents() const {
@@ -477,47 +399,42 @@ Tracer::Percentiles Tracer::requestPercentiles() const {
   return R;
 }
 
-std::string Tracer::summaryJsonFields() const {
-  std::string Out;
-  field(Out, "events", TotalEvents, /*First=*/true);
-  field(Out, "events_retained",
-        std::min<uint64_t>(TotalEvents, Ring.size()));
-  field(Out, "events_dropped_from_ring", eventsDropped());
-  field(Out, "pending_dropped", DroppedPending);
-  field(Out, "unattributed_allocs", UnattributedCount);
-  field(Out, "unattributed_bytes", UnattributedBytes);
-  Percentiles All = pausePercentiles(0);
-  field(Out, "pause_p50_ns", All.P50);
-  field(Out, "pause_p95_ns", All.P95);
-  field(Out, "pause_max_ns", All.Max);
-  Percentiles Minor = pausePercentiles(1);
-  field(Out, "minor_pause_p50_ns", Minor.P50);
-  field(Out, "minor_pause_p95_ns", Minor.P95);
-  field(Out, "minor_pause_max_ns", Minor.Max);
-  Percentiles Full = pausePercentiles(2);
-  field(Out, "full_pause_p50_ns", Full.P50);
-  field(Out, "full_pause_p95_ns", Full.P95);
-  field(Out, "full_pause_max_ns", Full.Max);
+void Tracer::writeSummaryJson(JsonWriter &J) const {
+  J.uint("events", TotalEvents)
+      .uint("events_retained", std::min<uint64_t>(TotalEvents, Ring.size()))
+      .uint("events_dropped_from_ring", eventsDropped())
+      .uint("pending_dropped", DroppedPending)
+      .uint("unattributed_allocs", UnattributedCount)
+      .uint("unattributed_bytes", UnattributedBytes);
+  auto Pauses = [&](const char *Prefix, int Kind) {
+    Percentiles P = pausePercentiles(Kind);
+    std::string K = Prefix;
+    J.uint(K + "pause_p50_ns", P.P50)
+        .uint(K + "pause_p95_ns", P.P95)
+        .uint(K + "pause_max_ns", P.Max);
+  };
+  Pauses("", 0);
+  Pauses("minor_", 1);
+  Pauses("full_", 2);
   if (ReqCount) {
     // Server workloads only: per-request service demand (virtual time, in
     // instructions) and the GC work attributed to completed requests.
-    field(Out, "requests", ReqCount);
-    field(Out, "requests_dropped", DroppedRequests);
-    field(Out, "req_gc_ns", ReqGcNanosTotal);
-    field(Out, "req_collections", ReqCollectionsTotal);
     Percentiles Req = requestPercentiles();
-    field(Out, "req_instr_p50", Req.P50);
-    field(Out, "req_instr_p99", Req.P99);
-    field(Out, "req_instr_max", Req.Max);
+    J.uint("requests", ReqCount)
+        .uint("requests_dropped", DroppedRequests)
+        .uint("req_gc_ns", ReqGcNanosTotal)
+        .uint("req_collections", ReqCollectionsTotal)
+        .uint("req_instr_p50", Req.P50)
+        .uint("req_instr_p99", Req.P99)
+        .uint("req_instr_max", Req.Max);
   }
   if (!LeakAcc.empty()) {
     // Leak-detector aggregates (flat; the per-site flags are their own
-    // "leak" records / the nested leakJsonFields()).
-    field(Out, "leak_scans", LeakScans);
-    field(Out, "leak_samples", LeakSampleCount);
-    field(Out, "leak_sites_flagged", leakFlags().size());
+    // "leak" records / the nested writeLeakJson()).
+    J.uint("leak_scans", LeakScans)
+        .uint("leak_samples", LeakSampleCount)
+        .uint("leak_sites_flagged", leakFlags().size());
   }
-  return Out;
 }
 
 void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H) {
@@ -528,31 +445,25 @@ void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H) {
     const SiteCounters &C = Counters[I];
     if (C.Count == 0)
       continue;
-    std::string L = "{\"type\":\"site_stats\"";
-    field(L, "id", I);
-    field(L, "count", C.Count);
-    field(L, "bytes", C.Bytes);
-    field(L, "survived", C.Survived);
-    field(L, "survived_bytes", C.SurvivedBytes);
-    L += "}\n";
-    *Stream << L;
+    writeRecord(*Stream, "site_stats", [&](JsonWriter &J) {
+      J.uint("id", I)
+          .uint("count", C.Count)
+          .uint("bytes", C.Bytes)
+          .uint("survived", C.Survived)
+          .uint("survived_bytes", C.SurvivedBytes);
+    });
   }
-  if (Config.Attribution && H) {
+  if (H) {
     // End-of-run view of the header-borne attribution: what is still live
     // (per site, and per collection-count age), from a final heap walk.
-    // Flat records so the strict JSONL re-parser in obs/Report.h can
-    // consume them.
     LiveAgg NoSiteAgg;
     std::vector<LiveAgg> Per = liveBySite(*H, NoSiteAgg);
     auto WriteSiteLive = [&](int64_t Id, const LiveAgg &A) {
       if (A.Objects == 0)
         return;
-      std::string L = "{\"type\":\"site_live\",\"id\":";
-      L += std::to_string(Id);
-      field(L, "objects", A.Objects);
-      field(L, "bytes", A.Bytes);
-      L += "}\n";
-      *Stream << L;
+      writeRecord(*Stream, "site_live", [&](JsonWriter &J) {
+        J.sint("id", Id).uint("objects", A.Objects).uint("bytes", A.Bytes);
+      });
     };
     for (size_t I = 0; I != Per.size(); ++I)
       WriteSiteLive(static_cast<int64_t>(I), Per[I]);
@@ -561,37 +472,31 @@ void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H) {
     for (size_t Age = 0; Age != Hist.size(); ++Age) {
       if (Hist[Age].Objects == 0)
         continue;
-      std::string L = "{\"type\":\"age_hist\"";
-      field(L, "age", Age);
-      field(L, "objects", Hist[Age].Objects);
-      field(L, "bytes", Hist[Age].Bytes);
-      L += "}\n";
-      *Stream << L;
+      writeRecord(*Stream, "age_hist", [&](JsonWriter &J) {
+        J.uint("age", Age)
+            .uint("objects", Hist[Age].Objects)
+            .uint("bytes", Hist[Age].Bytes);
+      });
     }
   }
   if (!LeakAcc.empty()) {
-    // One flat record per currently flagged site, in (slope desc, site
-    // asc) order, so mgc-report can render the leaks section without any
+    // One record per currently flagged site, in (slope desc, site asc)
+    // order, so mgc-report can render the leaks section without any
     // snapshot file.
-    for (const LeakFlag &F : leakFlags()) {
-      std::string L = "{\"type\":\"leak\"";
-      field(L, "site", F.Site);
-      L += ",\"slope_bytes\":";
-      L += std::to_string(F.SlopeBytes);
-      field(L, "live_bytes", F.LiveBytes);
-      field(L, "first_flagged", F.FirstFlagged);
-      field(L, "window", Config.Leak.Window);
-      L += "}\n";
-      *Stream << L;
-    }
+    for (const LeakFlag &F : leakFlags())
+      writeRecord(*Stream, "leak", [&](JsonWriter &J) {
+        J.uint("site", F.Site)
+            .sint("slope_bytes", F.SlopeBytes)
+            .uint("live_bytes", F.LiveBytes)
+            .uint("first_flagged", F.FirstFlagged)
+            .uint("window", Config.Leak.Window);
+      });
   }
-  std::string L = "{\"type\":\"run\"";
-  fieldStr(L, "exit", Ok ? "ok" : "error");
-  if (!Ok)
-    fieldStr(L, "error", Error);
-  L += ',';
-  L += summaryJsonFields();
-  L += "}\n";
-  *Stream << L;
+  writeRecord(*Stream, "run", [&](JsonWriter &J) {
+    J.str("exit", Ok ? "ok" : "error");
+    if (!Ok)
+      J.str("error", Error);
+    writeSummaryJson(J);
+  });
   Stream->flush();
 }

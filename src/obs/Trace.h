@@ -12,9 +12,9 @@
 /// Design constraints:
 ///
 ///  - The tracer is always compiled in; when disabled it must cost the
-///    mutator a single predicted branch per allocation (the overhead gate
-///    in bench/trace_overhead.cpp enforces <1% attached-disabled, <3%
-///    enabled on bench/gengc).
+///    mutator a single predicted branch per allocation (the trace row of
+///    bench/obs_overhead.cpp enforces <1% attached-disabled, <3% enabled
+///    on the gengc workloads).
 ///  - The enabled allocation hot path allocates nothing: site counters are
 ///    a flat preallocated vector indexed by site id, and first-collection
 ///    survival tracking appends to a preallocated vector of (address,
@@ -36,6 +36,7 @@
 #define MGC_OBS_TRACE_H
 
 #include "gcmaps/SiteTable.h"
+#include "support/Json.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -148,16 +149,9 @@ struct TracerConfig {
   /// markers); samples beyond it are dropped (and counted), the running
   /// aggregates keep counting.
   size_t RequestCapacity = 1u << 18;
-  /// Report per-object attribution: emit the live-by-site and age-histogram
-  /// trailer records at finish() and the live_*_by_site fields in
-  /// --stats-json.  The attribution data itself is header-borne (vm/Heap.h)
-  /// and always present; this flag only adds the O(live objects) heap walk
-  /// at reporting time.  Collection-time maintenance is the header age
-  /// bump inside the existing copy — bench/snapshot_overhead gates the
-  /// flag's collection-time delta ≤2% (measured ≈0).
-  bool Attribution = false;
-  /// Online leak detection (see LeakConfig).  bench/leak gates the cost:
-  /// ≤1% with the detector off, ≤3% with it on.
+  /// Online leak detection (see LeakConfig).  The leak row of
+  /// bench/obs_overhead gates the cost: ≤1% with the detector off, ≤3%
+  /// with it on.
   LeakConfig Leak;
 };
 
@@ -177,9 +171,9 @@ public:
   /// Writes the trailing site_stats and run records (idempotent; no-op
   /// without a stream).  Call after the VM run ends — including on error
   /// paths, where \p Error carries the VM's message: a mid-collection
-  /// failure must still flush the partial trace.  \p H, when non-null and
-  /// Config.Attribution is set, supplies the heap walked for the site_live
-  /// and age_hist trailer records.
+  /// failure must still flush the partial trace.  \p H, when non-null,
+  /// supplies the heap walked for the site_live and age_hist trailer
+  /// records (the header-borne attribution still live at exit).
   void finish(bool Ok, const std::string &Error,
               const vm::Heap *H = nullptr);
 
@@ -313,9 +307,9 @@ public:
   /// Service-demand percentiles (instructions) over the retained samples.
   Percentiles requestPercentiles() const;
 
-  /// The aggregate counters as one JSON object body (no surrounding
-  /// braces), for embedding in --stats-json.
-  std::string summaryJsonFields() const;
+  /// Writes the aggregate counters as members of the object \p J has
+  /// open, for the run record and --stats-json.
+  void writeSummaryJson(support::JsonWriter &J) const;
 
   //===--- Leak detection results ------------------------------------------===
 
@@ -337,12 +331,12 @@ public:
   std::vector<LeakFlag> leakFlags() const;
   uint64_t leakScans() const { return LeakScans; }
   uint64_t leakSamples() const { return LeakSampleCount; }
-  /// The detector state as JSON object fields ("leak_window":N,
+  /// Writes the detector state as members ("leak_window":N,
   /// "leak_flags":[{...},...]) for --stats-json.  NOT part of
-  /// summaryJsonFields: the flag list is nested, which the strict flat
+  /// writeSummaryJson: the flag list is nested, which the strict flat
   /// JSONL re-parser must never see in a run record (each flag instead
   /// gets its own flat "leak" record at finish()).
-  std::string leakJsonFields() const;
+  void writeLeakJson(support::JsonWriter &J) const;
 
   //===--- Live attribution aggregates (header-borne; heap walks) ----------===
 
@@ -360,12 +354,12 @@ public:
   /// walk; index = age, trailing empty buckets trimmed.
   std::vector<LiveAgg> ageHistogram(const vm::Heap &H) const;
 
-  /// The liveBySite/ageHistogram aggregates as JSON object fields
+  /// Writes the liveBySite/ageHistogram aggregates as members
   /// ("live_objects_by_site":{...},"live_bytes_by_site":{...},
-  /// "live_age_hist":{...}), for --stats-json.  NOT part of
-  /// summaryJsonFields: the values are nested objects, which the strict
+  /// "live_age_hist":{...}) for --stats-json.  NOT part of
+  /// writeSummaryJson: the values are nested objects, which the strict
   /// flat JSONL re-parser (obs/Report.h) must never see in a run record.
-  std::string liveJsonFields(const vm::Heap &H) const;
+  void writeLiveJson(support::JsonWriter &J, const vm::Heap &H) const;
 
 private:
   void writeHeader();
@@ -413,9 +407,6 @@ private:
   uint64_t LeakSampleCount = 0;    ///< Full-collection samples taken.
   uint64_t LeakScans = 0;          ///< sampleCollection calls (any kind).
 };
-
-/// Appends one JSON string literal (quoted, escaped) to \p Out.
-void appendJsonString(std::string &Out, const std::string &S);
 
 } // namespace obs
 } // namespace mgc

@@ -25,6 +25,8 @@
 #ifndef MGC_SUPPORT_PROVENANCE_H
 #define MGC_SUPPORT_PROVENANCE_H
 
+#include "support/Json.h"
+
 #include <cstdint>
 #include <string>
 
@@ -59,17 +61,13 @@ inline const std::string &buildFlags() {
 /// {"tool_version":"...","build_flags":"...","seed":N}.  For embedding
 /// under a "provenance" key in BENCH_*.json and --stats-json.
 inline std::string provenanceJson(uint64_t Seed = 0) {
-  std::string Out = "{\"tool_version\":\"";
-  Out += ToolVersion;
-  Out += "\",\"build_flags\":\"";
-  for (char C : buildFlags()) {
-    if (C == '"' || C == '\\')
-      Out += '\\';
-    Out += C;
-  }
-  Out += "\",\"seed\":";
-  Out += std::to_string(Seed);
-  Out += '}';
+  std::string Out;
+  JsonWriter(Out)
+      .beginObject()
+      .str("tool_version", ToolVersion)
+      .str("build_flags", buildFlags())
+      .uint("seed", Seed)
+      .endObject();
   return Out;
 }
 

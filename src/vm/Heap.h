@@ -21,8 +21,7 @@
 /// index; bits 41..63 hold the allocation-site id (gcmaps/SiteTable.h;
 /// all-ones = unattributed).  Site and age ride the header through every
 /// copy, so per-object attribution survives collections with no side
-/// table and no cost beyond the copy itself (the ≤2%-of-collection-time
-/// gate in bench/snapshot_overhead.cpp).
+/// table and no cost beyond the copy itself.
 ///
 /// The heap runs in one of two modes:
 ///

@@ -25,6 +25,7 @@
 
 #include "obs/Report.h"
 #include "obs/Trace.h"
+#include "support/Json.h"
 
 #include <sstream>
 
@@ -350,7 +351,9 @@ TEST(ObsRingWrap, DropCounterSurfacedInSummaryAndReport) {
   EXPECT_EQ(Dropped, Tracer.eventCount() - Cap);
 
   // --stats-json surface.
-  std::string Fields = Tracer.summaryJsonFields();
+  std::string Fields;
+  support::JsonWriter J(Fields);
+  Tracer.writeSummaryJson(J);
   EXPECT_NE(Fields.find("\"events_dropped_from_ring\":" +
                         std::to_string(Dropped)),
             std::string::npos)
@@ -597,6 +600,72 @@ TEST(ObsLegacyTrace, WorkerKeysParseAndRender) {
   std::string Json = obs::renderReportJson(Report, /*TopN=*/5);
   EXPECT_NE(Json.find("\"objects_copied\":7"), std::string::npos) << Json;
   EXPECT_EQ(Json.find("worker"), std::string::npos) << Json;
+}
+
+//===----------------------------------------------------------------------===//
+// Strict parsing and the shared writer
+//===----------------------------------------------------------------------===//
+
+TEST(ObsParse, IntegerOutOfRangeIsAParseError) {
+  obs::TraceRecord Rec;
+  std::string Err;
+  EXPECT_FALSE(obs::parseTraceLine(
+      R"({"type":"gc","seq":99999999999999999999999})", Rec, Err));
+  EXPECT_FALSE(obs::parseTraceLine(R"({"type":"gc","seq":9223372036854775808})",
+                                   Rec, Err));
+  EXPECT_FALSE(obs::parseTraceLine(
+      R"({"type":"gc","seq":-9223372036854775809})", Rec, Err));
+
+  for (int64_t V : {INT64_MAX, INT64_MIN, int64_t(0), int64_t(-1)}) {
+    std::string Line;
+    support::JsonWriter(Line).beginObject().str("type", "gc").sint("v", V)
+        .endObject();
+    ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Line << ": " << Err;
+    EXPECT_EQ(Rec.getInt("v"), V) << Line;
+  }
+}
+
+TEST(ObsParse, WriterStringsRoundTripByteExact) {
+  const std::string Strs[] = {"quote\"inside", "back\\slash", "new\nline",
+                              "tab\there", "cr\rhere",
+                              std::string("ctl\x01\x1f") + '\0' + "end",
+                              "plain"};
+  for (const std::string &S : Strs) {
+    std::string Line;
+    support::JsonWriter(Line).beginObject().str("type", "t").str("s", S)
+        .endObject();
+    obs::TraceRecord Rec;
+    std::string Err;
+    ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Line << ": " << Err;
+    EXPECT_EQ(Rec.getStr("s"), S) << Line;
+  }
+  // The escapes the JSONL traces have always used.
+  std::string Esc;
+  support::appendJsonString(Esc, "a\"b\\c\nd\te\rf\x01g\x1f");
+  EXPECT_EQ(Esc, R"("a\"b\\c\nd\te\rf\u0001g\u001f")");
+}
+
+TEST(ObsParse, WriterNumbersAndNesting) {
+  std::string Out;
+  support::JsonWriter J(Out);
+  J.beginObject()
+      .uint("u", UINT64_MAX)
+      .sint("i", -42)
+      .fixed("f", -3.32449)
+      .fixed("g", 2.0 / 3.0, 4)
+      .boolean("b", false)
+      .beginArray("a");
+  J.beginObject().uint("x", 1).endObject();
+  J.beginObject().endObject();
+  J.endArray().raw("r", "{\"k\":0}").beginObject("o").endObject().endObject();
+  EXPECT_EQ(Out, R"({"u":18446744073709551615,"i":-42,"f":-3.324,)"
+                 R"("g":0.6667,"b":false,"a":[{"x":1},{}],"r":{"k":0},)"
+                 R"("o":{}})");
+
+  // Depth-0 members form a bare field list for another writer's object.
+  std::string Fields;
+  support::JsonWriter(Fields).uint("a", 1).str("b", "x");
+  EXPECT_EQ(Fields, R"("a":1,"b":"x")");
 }
 
 } // namespace

@@ -83,7 +83,6 @@ SnapRun runAndSnapshot(const std::string &Source, int Opt, bool Gen,
       TC.FuncNames.push_back(F.Name);
     TC.ProgramName = "test";
     TC.GenGc = Gen;
-    TC.Attribution = true;
     Tracer = std::make_unique<obs::Tracer>(std::move(TC));
     Tracer->enable(nullptr);
     M.Tracer = Tracer.get();
@@ -437,7 +436,6 @@ TEST(SnapNoSite, ObjectsPredatingSiteLinking) {
   obs::TracerConfig TC;
   TC.Sites = &C.Prog->SiteTab;
   TC.ProgramName = "test";
-  TC.Attribution = true;
   obs::Tracer Tracer(std::move(TC));
   Tracer.enable(nullptr);
   M.Tracer = &Tracer;

@@ -3,38 +3,19 @@
 #
 # Part of the mgc project (PLDI 1992 gc-tables reproduction).
 #
-# Runs the tier-1 verify line (configure, build, ctest) twice — once in the
-# default two-space configuration and once with MGC_TEST_GEN_GC=1, which
-# re-runs every gc-tables test through generational mode (nursery + write
-# barriers + minor collections) with the remembered-set cross-check on —
-# then the decode microbenchmarks (BENCH_decode.json), the generational
-# pause benchmarks (BENCH_gengc.json), and the observability overhead gate
-# (BENCH_trace.json), and the heap-snapshot cost gate (BENCH_snapshot.json)
-# so successive PRs leave a perf trajectory.  The gengc binary exits
-# non-zero on any cross-check or output divergence between the two modes;
-# trace_overhead exits non-zero when the tracer costs the mutator more
-# than the issue gates allow; snapshot_overhead exits non-zero when
-# attribution maintenance exceeds 2% of collection time or a capture
-# costs more than one full-collection pause; the dispatch gate
-# (BENCH_dispatch.json) exits non-zero when the threaded tier's mutator
-# speedup over the switch interpreter drops below 1.5x or the tiers
-# diverge; the pause recorder (BENCH_pause.json) exits non-zero only
-# when a run fails or prints the wrong output; the server gate
-# (BENCH_server.json) exits non-zero when the request harness loses
-# virtual-time determinism, GC-pause attribution, or cross-policy output
-# identity; the leak gate (BENCH_leak.json) exits non-zero when the
-# online growth detector costs more than its overhead gates (1% off, 3%
-# on), misses the injected leak within its window bound, flags the
-# leak-free §6 suite, or loses flag determinism across dispatch tiers;
-# the profiler gate (BENCH_prof.json) exits non-zero when the sampling
-# profiler costs more than 1% attached-disabled / 5% enabled, when the
-# ground-truth workload pins less than 90% of the sampled weight to the
-# known hot function, or when the dispatch tiers' profiles diverge;
-# and the whole suite (minus the reducer self-test) is additionally
-# built and run under AddressSanitizer + UndefinedBehaviorSanitizer.
-# Snapshots are then captured (cross-checked against an independent
-# precise re-trace) and analyzed for the four §6 benchmark programs and
-# the frozen corpus in both collector modes.
+# Steps, in order (any failure exits non-zero):
+#   verify        configure, build, ctest; ctest again with MGC_TEST_GEN_GC=1
+#   micro_decode  decode microbenchmarks -> BENCH_decode.json
+#   gengc         two-space vs generational pauses -> BENCH_gengc.json
+#   obs_overhead  tracer/snapshot/leak/profiler gates -> BENCH_{trace,
+#                 snapshot,leak,prof}.json
+#   snapshots     mgc-heapsnap on the §6 snapshots and the corpus, both modes
+#   dispatch      threaded >= 1.5x switch, same output -> BENCH_dispatch.json
+#   pause         pause percentiles and MMU, not gated -> BENCH_pause.json
+#   server        request-harness determinism -> BENCH_server.json
+#   asan          the suite under ASan+UBSan in build-asan/
+#   fuzz          fixed-seed differential campaign -> BENCH_fuzz.json
+#   schema        every BENCH_*.json parses and carries provenance
 #
 #   tools/check.sh [--skip-tests]
 #
@@ -83,23 +64,15 @@ MIN_TIME="${BENCH_MIN_TIME:-0.05}"
   --benchmark_out_format=json \
   --benchmark_format=console
 
-# --- Observability overhead gate -----------------------------------------
-# Runs the gengc workloads with the tracer absent / attached-disabled /
-# enabled and exits non-zero when the generational-mode overhead exceeds
-# the issue gates (1% disabled, 3% enabled), failing this script.  Also
-# records pause p50/p95 per collector mode.  MGC_TRACE_RUNS tunes the
-# timing repetitions.
-(cd "$ROOT" && ./build/bench/trace_overhead)
-
-# --- Heap snapshot gate + capture/analysis sweep -------------------------
-# snapshot_overhead gates attribution maintenance (<= 2% of collection
-# time; it is header-borne, so the measured delta is ~0) and capture cost
-# (<= one full-collection pause) on the gengc workloads, cross-checks the
-# at-exit snapshots of the four §6 benchmark programs, writes them to
-# $SNAPDIR for analysis, and emits BENCH_snapshot.json.
+# --- Observability gates + snapshot capture/analysis sweep --------------
+# obs_overhead times the tracer, snapshot capture, leak detector and
+# profiler against their limits, checks leak detection, profiler ground
+# truth and cross-tier identity, and cross-checks the at-exit snapshots of
+# the four §6 programs, which it writes to $SNAPDIR for analysis.  It
+# writes all four BENCH files, then exits non-zero on any failed gate.
 SNAPDIR="$ROOT/build/snapshots"
 mkdir -p "$SNAPDIR"
-(cd "$ROOT" && MGC_SNAP_DIR="$SNAPDIR" ./build/bench/snapshot_overhead)
+(cd "$ROOT" && MGC_SNAP_DIR="$SNAPDIR" ./build/bench/obs_overhead)
 for Snap in "$SNAPDIR"/*.snap; do
   ./build/tools/mgc-heapsnap --top 5 "$Snap" > /dev/null
 done
@@ -126,15 +99,14 @@ done
 # interpreter vs pre-decoded computed-goto), verifies they agree
 # bit-identically on output/instructions/collections, and exits non-zero
 # when the geometric-mean mutator speedup of threaded over switch drops
-# below 1.5x.  Emits BENCH_dispatch.json.  MGC_DISPATCH_RUNS tunes the
-# timing repetitions.
+# below 1.5x.  Emits BENCH_dispatch.json.
 (cd "$ROOT" && ./build/bench/dispatch)
 
 # --- Pause / MMU recorder ------------------------------------------------
 # Runs the §6 benchmarks plus a high-thread-count spin mix through the
 # serial collector and records pause p50/p99/max plus the MMU curve in
 # BENCH_pause.json.  Nothing is gated on time; a failed run or a wrong
-# output exits non-zero.  MGC_PAUSE_RUNS tunes the timing repetitions.
+# output exits non-zero.
 (cd "$ROOT" && ./build/bench/pause)
 
 # --- Server-workload gate -------------------------------------------------
@@ -145,39 +117,21 @@ done
 # cell), exact GC-pause attribution against the tracer, and
 # cross-policy output identity, then records requests/sec, latency
 # p50/p99/max, and mutator utilization per cell in BENCH_server.json.
-# MGC_SERVER_RUNS tunes the timing repetitions.
 (cd "$ROOT" && ./build/bench/server)
-
-# --- Leak-triage gate -----------------------------------------------------
-# Measures the online growth detector's mutator cost on the gengc
-# workloads (tracer enabled in all three cells: no leak config /
-# configured-but-disabled / enabled), then checks detection (an injected
-# global-chain leak must be flagged at the Grow site within K = Window
-# full collections), false positives (the §6 suite must flag nothing),
-# and determinism (flags byte-identical across both dispatch tiers).
-# Emits BENCH_leak.json; any failed gate exits non-zero.  MGC_LEAK_RUNS tunes the timing repetitions.
-(cd "$ROOT" && ./build/bench/leak)
-
-# --- Sampling-profiler gate -----------------------------------------------
-# Times the gengc workloads with the profiler absent / attached-disabled /
-# enabled (<= 1% / <= 5% over baseline), checks the directed ground-truth
-# workload attributes >= 90% of the sampled mutator weight to its hot
-# function with zero table-walk errors, and verifies the threaded and
-# switch tiers produce byte-identical profile bodies.  Emits
-# BENCH_prof.json; MGC_PROF_RUNS tunes the timing repetitions.
-(cd "$ROOT" && ./build/bench/prof)
 
 # --- AddressSanitizer + UndefinedBehaviorSanitizer sweep -----------------
 # The whole suite again with heap-overflow, use-after-free, and UB checks
 # (signed overflow, bad shifts, misaligned loads) fatal.  The reducer
 # self-test FuzzSelfTest.InjectedDeltaBitBugCaughtAndReduced is excluded:
-# its reduction loop takes about eight minutes under ASan.  The sanitizer
-# build tree is separate so the main build stays instrumentation-free.
+# its reduction loop takes about eight minutes under ASan.  The tools are
+# built too: the CliNumericArg ctest cases run them.  The sanitizer build
+# tree is separate so the main build stays instrumentation-free.
 if [ "$SKIP_TESTS" -eq 0 ]; then
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g"
-  cmake --build build-asan --target mgc_tests mgc_fuzz_tests -j "$(nproc)"
+  cmake --build build-asan --target mgc_tests mgc_fuzz_tests mgc mgc-heapsnap \
+    mgc-fuzz -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
       -E '^FuzzSelfTest\.InjectedDeltaBitBugCaughtAndReduced$')
 fi
@@ -217,9 +171,9 @@ if bad:
 print(f"schema-check: {len(sys.argv) - 1} BENCH files ok")
 PYEOF
 
-echo "check.sh: tier-1 ok (default + gen-gc); trace overhead ok;" \
-     "snapshot gate ok; dispatch gate ok; pauses recorded; server gate ok;" \
-     "leak gate ok; prof gate ok; ASan+UBSan suite ok;" \
+echo "check.sh: tier-1 ok (default + gen-gc); obs gates ok (trace," \
+     "snapshot, leak, prof); dispatch gate ok; pauses recorded;" \
+     "server gate ok; ASan+UBSan suite ok;" \
      "fuzz ok ($FUZZ_COUNT programs); benchmarks written to" \
      "BENCH_decode.json, BENCH_gengc.json, BENCH_trace.json," \
      "BENCH_snapshot.json, BENCH_dispatch.json, BENCH_pause.json," \

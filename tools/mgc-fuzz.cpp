@@ -21,9 +21,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "fuzz/Fuzzer.h"
+#include "support/NumericArg.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -48,11 +48,13 @@ int main(int argc, char **argv) {
     if (!std::strcmp(Arg, "--seed")) {
       if (++A == argc)
         return usage(argv[0]);
-      Opts.Seed = static_cast<uint64_t>(std::atoll(argv[A]));
+      if (!support::parseNumericArg("mgc-fuzz", Arg, argv[A], Opts.Seed))
+        return 2;
     } else if (!std::strcmp(Arg, "--count")) {
       if (++A == argc)
         return usage(argv[0]);
-      Opts.Count = static_cast<unsigned>(std::atoi(argv[A]));
+      if (!support::parseNumericArg("mgc-fuzz", Arg, argv[A], Opts.Count))
+        return 2;
     } else if (!std::strcmp(Arg, "--out")) {
       if (++A == argc)
         return usage(argv[0]);

@@ -34,9 +34,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/HeapSnapshot.h"
+#include "support/NumericArg.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -77,7 +77,8 @@ int main(int argc, char **argv) {
     if (!std::strcmp(Arg, "--top")) {
       if (++A == argc)
         return usage();
-      TopN = static_cast<size_t>(std::atoll(argv[A]));
+      if (!support::parseNumericArg("mgc-heapsnap", Arg, argv[A], TopN))
+        return 2;
     } else if (!std::strcmp(Arg, "--diff")) {
       Diff = true;
     } else if (!std::strcmp(Arg, "--watch")) {
@@ -86,7 +87,8 @@ int main(int argc, char **argv) {
       if (++A == argc)
         return usage();
       HavePath = true;
-      PathNode = static_cast<unsigned long long>(std::atoll(argv[A]));
+      if (!support::parseNumericArg("mgc-heapsnap", Arg, argv[A], PathNode))
+        return 2;
     } else if (Arg[0] == '-') {
       return usage();
     } else {

@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Profile.h"
+#include "support/NumericArg.h"
 
 #include <cstdio>
 #include <cstring>
@@ -48,10 +49,9 @@ int main(int argc, char **argv) {
     if (!std::strcmp(Arg, "--top")) {
       if (++A == argc)
         return usage(argv[0]);
-      long long N = std::atoll(argv[A]);
-      if (N < 1)
-        return usage(argv[0]);
-      TopN = static_cast<size_t>(N);
+      if (!support::parseNumericArg("mgc-prof", Arg, argv[A], TopN,
+                                    /*Min=*/1))
+        return 2;
     } else if (!std::strcmp(Arg, "--folded")) {
       Folded = true;
     } else if (!std::strcmp(Arg, "--alloc")) {

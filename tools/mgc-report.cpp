@@ -23,9 +23,9 @@
 //===----------------------------------------------------------------------===//
 
 #include "obs/Report.h"
+#include "support/NumericArg.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 
@@ -41,7 +41,8 @@ int main(int argc, char **argv) {
         std::fprintf(stderr, "mgc-report: --top needs a value\n");
         return 2;
       }
-      TopN = static_cast<size_t>(std::atoll(argv[A]));
+      if (!support::parseNumericArg("mgc-report", "--top", argv[A], TopN))
+        return 2;
     } else if (!std::strcmp(argv[A], "--json")) {
       Json = true;
     } else if (!std::strcmp(argv[A], "--leaks")) {

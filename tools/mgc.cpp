@@ -83,6 +83,7 @@
 #include "ir/Printer.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/NumericArg.h"
 #include "support/Provenance.h"
 #include "vm/VM.h"
 
@@ -91,6 +92,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -116,14 +118,12 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-void jsonField(std::string &Out, const char *Key, unsigned long long V,
-               bool First = false) {
-  if (!First)
-    Out += ',';
-  Out += '"';
-  Out += Key;
-  Out += "\":";
-  Out += std::to_string(V);
+/// Reads a numeric flag value; a malformed or out-of-range one is a usage
+/// error (exit 2).
+template <typename T>
+bool numArg(const char *Flag, const char *Text, T &Out, uint64_t Min = 0,
+            uint64_t Max = std::numeric_limits<T>::max()) {
+  return support::parseNumericArg("mgc", Flag, Text, Out, Min, Max);
 }
 } // namespace
 
@@ -177,17 +177,20 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--snapshot-every")) {
       if (++A == argc)
         return usage(argv[0]);
-      SnapEvery = static_cast<unsigned long long>(std::atoll(argv[A]));
+      if (!numArg(Arg, argv[A], SnapEvery))
+        return 2;
     } else if (!std::strcmp(Arg, "--leak-detect")) {
       Leak.Enabled = true;
     } else if (!std::strcmp(Arg, "--leak-window")) {
       if (++A == argc)
         return usage(argv[0]);
-      Leak.Window = static_cast<uint32_t>(std::atoll(argv[A]));
+      if (!numArg(Arg, argv[A], Leak.Window))
+        return 2;
     } else if (!std::strcmp(Arg, "--leak-min-bytes")) {
       if (++A == argc)
         return usage(argv[0]);
-      Leak.MinBytes = static_cast<uint64_t>(std::atoll(argv[A]));
+      if (!numArg(Arg, argv[A], Leak.MinBytes))
+        return 2;
     } else if (!std::strcmp(Arg, "--profile")) {
       if (++A == argc)
         return usage(argv[0]);
@@ -195,12 +198,8 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--profile-interval")) {
       if (++A == argc)
         return usage(argv[0]);
-      long long N = std::atoll(argv[A]);
-      if (N < 1) {
-        std::fprintf(stderr, "mgc: --profile-interval must be >= 1\n");
+      if (!numArg(Arg, argv[A], ProfileInterval, /*Min=*/1))
         return 2;
-      }
-      ProfileInterval = static_cast<unsigned long long>(N);
     } else if (!std::strcmp(Arg, "--stress")) {
       VO.GcStress = true;
     } else if (!std::strcmp(Arg, "--no-map-index")) {
@@ -212,28 +211,26 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--heap")) {
       if (++A == argc)
         return usage(argv[0]);
-      VO.HeapBytes = static_cast<size_t>(std::atoll(argv[A]));
+      if (!numArg(Arg, argv[A], VO.HeapBytes))
+        return 2;
     } else if (!std::strcmp(Arg, "--gen-gc")) {
       Options.WriteBarriers = true;
       VO.GenGc = true;
     } else if (!std::strcmp(Arg, "--nursery-bytes")) {
       if (++A == argc)
         return usage(argv[0]);
-      VO.NurseryBytes = static_cast<size_t>(std::atoll(argv[A]));
+      if (!numArg(Arg, argv[A], VO.NurseryBytes))
+        return 2;
     } else if (!std::strcmp(Arg, "--heap-growth")) {
       if (++A == argc)
         return usage(argv[0]);
-      long long Pct = std::atoll(argv[A]);
-      if (Pct < 1 || Pct > 100) {
-        std::fprintf(stderr,
-                     "mgc: --heap-growth: occupancy percent must be 1..100\n");
+      if (!numArg(Arg, argv[A], VO.HeapGrowthPct, /*Min=*/1, /*Max=*/100))
         return 2;
-      }
-      VO.HeapGrowthPct = static_cast<unsigned>(Pct);
     } else if (!std::strcmp(Arg, "--heap-max")) {
       if (++A == argc)
         return usage(argv[0]);
-      VO.HeapMaxBytes = static_cast<size_t>(std::atoll(argv[A]));
+      if (!numArg(Arg, argv[A], VO.HeapMaxBytes))
+        return 2;
     } else if (!std::strcmp(Arg, "--nursery-auto")) {
       VO.NurseryAuto = true;
     } else if (!std::strcmp(Arg, "--dispatch") ||
@@ -332,9 +329,6 @@ int main(int argc, char **argv) {
   if (TracePath || StatsJsonPath || SnapPath || Leak.Enabled) {
     obs::TracerConfig TC;
     TC.Sites = &Prog.SiteTab;
-    // Snapshots and the live-by-site stats need the persistent per-object
-    // attribution side table, not just first-survival counters.
-    TC.Attribution = true;
     TC.Leak = Leak;
     for (const vm::CompiledFunction &F : Prog.Funcs)
       TC.FuncNames.push_back(F.Name);
@@ -443,13 +437,15 @@ int main(int argc, char **argv) {
         Hot.resize(10);
       unsigned Rank = 0;
       for (const obs::Profile::MutRow *Row : Hot) {
-        std::string Line = "{\"type\":\"prof_stack\"";
-        jsonField(Line, "rank", ++Rank);
-        jsonField(Line, "samples", Row->Samples);
-        jsonField(Line, "weight", Row->Weight);
-        Line += ",\"stack\":";
-        obs::appendJsonString(Line, obs::foldedStack(Profile, Row->StackId));
-        Line += "}";
+        std::string Line;
+        support::JsonWriter(Line)
+            .beginObject()
+            .str("type", "prof_stack")
+            .uint("rank", ++Rank)
+            .uint("samples", Row->Samples)
+            .uint("weight", Row->Weight)
+            .str("stack", obs::foldedStack(Profile, Row->StackId))
+            .endObject();
         TraceOut << Line << '\n';
       }
     }
@@ -565,75 +561,67 @@ int main(int argc, char **argv) {
 
   if (StatsJsonPath) {
     const vm::VMStats &S = Machine.Stats;
-    std::string J = "{";
-    J += "\"program\":";
-    obs::appendJsonString(J, Prog.Name);
-    J += ",\"exit\":";
-    obs::appendJsonString(J, Ok ? "ok" : "error");
-    if (!Ok) {
-      J += ",\"error\":";
-      obs::appendJsonString(J, Machine.Error);
-    }
-    J += ",\"dispatch\":";
-    obs::appendJsonString(J, vm::dispatchTierName(Machine.activeDispatch()));
-    jsonField(J, "gen_gc", VO.GenGc ? 1 : 0);
-    jsonField(J, "code_bytes", Prog.codeSizeBytes());
-    jsonField(J, "table_bytes_delta_pp", Prog.Sizes.DeltaPP);
-    jsonField(J, "pc_map_bytes", Prog.Sizes.PcMapBytes);
-    jsonField(J, "site_table_bytes", Prog.Sizes.SiteTableBytes);
-    jsonField(J, "sites", Prog.SiteTab.Sites.size());
-    jsonField(J, "instrs", S.Instrs);
-    jsonField(J, "collections", S.Collections);
-    jsonField(J, "minor_collections", S.MinorCollections);
-    jsonField(J, "frames_traced", S.FramesTraced);
-    jsonField(J, "roots_traced", S.RootsTraced);
-    jsonField(J, "objects_copied", S.ObjectsCopied);
-    jsonField(J, "bytes_copied", S.BytesCopied);
-    jsonField(J, "objects_promoted", Machine.TheHeap.ObjectsPromoted);
-    jsonField(J, "bytes_promoted", Machine.TheHeap.BytesPromoted);
-    jsonField(J, "derived_adjusted", S.DerivedAdjusted);
-    jsonField(J, "write_barriers_run", S.WriteBarriersRun);
-    jsonField(J, "remset_records", S.RemSetRecords);
-    jsonField(J, "remset_peak", S.RemSetPeak);
-    jsonField(J, "decode_cache_hits", S.DecodeCacheHits);
-    jsonField(J, "decode_cache_misses", S.DecodeCacheMisses);
-    jsonField(J, "decode_bytes_skipped", S.DecodeBytesSkipped);
-    jsonField(J, "rendezvous_steps", S.RendezvousSteps);
-    jsonField(J, "req_completed", S.Requests);
-    jsonField(J, "heap_growths", Machine.TheHeap.HeapGrowths);
-    jsonField(J, "nursery_resizes", Machine.TheHeap.NurseryResizes);
-    jsonField(J, "heap_capacity_bytes", Machine.TheHeap.capacityBytes());
-    jsonField(J, "gc_ns", S.GcNanos);
-    jsonField(J, "minor_gc_ns", S.MinorGcNanos);
-    jsonField(J, "stack_trace_ns", S.StackTraceNanos);
-    J += ',';
-    J += Tracer->summaryJsonFields();
-    J += ',';
-    J += Tracer->liveJsonFields(Machine.TheHeap);
-    if (Leak.Enabled) {
-      J += ',';
-      J += Tracer->leakJsonFields();
-    }
-    if (Prof) {
-      jsonField(J, "prof_samples", Profile.Samples);
-      jsonField(J, "prof_sample_weight", Profile.SampleWeight);
-      jsonField(J, "prof_interval", Profile.IntervalInstrs);
-      jsonField(J, "prof_allocs", Profile.Allocs);
-      jsonField(J, "prof_alloc_bytes", Profile.AllocBytes);
-      jsonField(J, "prof_stacks", Profile.Stacks.size());
-      jsonField(J, "prof_frames_sampled", Profile.FramesSampled);
-      jsonField(J, "prof_frames_unmapped", Profile.FramesUnmapped);
-      jsonField(J, "prof_walk_errors", Profile.WalkErrors);
-    }
-    J += ",\"provenance\":";
-    J += support::provenanceJson();
-    J += "}\n";
+    const vm::Heap &H = Machine.TheHeap;
+    std::string Text;
+    support::JsonWriter J(Text);
+    J.beginObject()
+        .str("program", Prog.Name)
+        .str("exit", Ok ? "ok" : "error");
+    if (!Ok)
+      J.str("error", Machine.Error);
+    J.str("dispatch", vm::dispatchTierName(Machine.activeDispatch()))
+        .uint("gen_gc", VO.GenGc ? 1 : 0)
+        .uint("code_bytes", Prog.codeSizeBytes())
+        .uint("table_bytes_delta_pp", Prog.Sizes.DeltaPP)
+        .uint("pc_map_bytes", Prog.Sizes.PcMapBytes)
+        .uint("site_table_bytes", Prog.Sizes.SiteTableBytes)
+        .uint("sites", Prog.SiteTab.Sites.size())
+        .uint("instrs", S.Instrs)
+        .uint("collections", S.Collections)
+        .uint("minor_collections", S.MinorCollections)
+        .uint("frames_traced", S.FramesTraced)
+        .uint("roots_traced", S.RootsTraced)
+        .uint("objects_copied", S.ObjectsCopied)
+        .uint("bytes_copied", S.BytesCopied)
+        .uint("objects_promoted", H.ObjectsPromoted)
+        .uint("bytes_promoted", H.BytesPromoted)
+        .uint("derived_adjusted", S.DerivedAdjusted)
+        .uint("write_barriers_run", S.WriteBarriersRun)
+        .uint("remset_records", S.RemSetRecords)
+        .uint("remset_peak", S.RemSetPeak)
+        .uint("decode_cache_hits", S.DecodeCacheHits)
+        .uint("decode_cache_misses", S.DecodeCacheMisses)
+        .uint("decode_bytes_skipped", S.DecodeBytesSkipped)
+        .uint("rendezvous_steps", S.RendezvousSteps)
+        .uint("req_completed", S.Requests)
+        .uint("heap_growths", H.HeapGrowths)
+        .uint("nursery_resizes", H.NurseryResizes)
+        .uint("heap_capacity_bytes", H.capacityBytes())
+        .uint("gc_ns", S.GcNanos)
+        .uint("minor_gc_ns", S.MinorGcNanos)
+        .uint("stack_trace_ns", S.StackTraceNanos);
+    Tracer->writeSummaryJson(J);
+    Tracer->writeLiveJson(J, H);
+    if (Leak.Enabled)
+      Tracer->writeLeakJson(J);
+    if (Prof)
+      J.uint("prof_samples", Profile.Samples)
+          .uint("prof_sample_weight", Profile.SampleWeight)
+          .uint("prof_interval", Profile.IntervalInstrs)
+          .uint("prof_allocs", Profile.Allocs)
+          .uint("prof_alloc_bytes", Profile.AllocBytes)
+          .uint("prof_stacks", Profile.Stacks.size())
+          .uint("prof_frames_sampled", Profile.FramesSampled)
+          .uint("prof_frames_unmapped", Profile.FramesUnmapped)
+          .uint("prof_walk_errors", Profile.WalkErrors);
+    J.raw("provenance", support::provenanceJson()).endObject();
+    Text += '\n';
     std::ofstream JOut(StatsJsonPath);
     if (!JOut) {
       std::fprintf(stderr, "mgc: cannot open stats file %s\n", StatsJsonPath);
       return 1;
     }
-    JOut << J;
+    JOut << Text;
   }
   if (SnapFailed || ProfFailed)
     return 1;
