@@ -59,6 +59,21 @@ inline std::string destroySource(int Branch, int Depth, int Iters) {
   return S;
 }
 
+/// What destroySource(Branch, Depth, Iters) prints, from its closed form:
+/// the complete tree's node count, then the nodes built — the tree plus
+/// Iters replacement subtrees of height Depth - 3 (ReplDepth stays 2).
+inline std::string destroyExpected(int Branch, int Depth, int Iters) {
+  auto Nodes = [&](int Height) {
+    int64_t Total = 0, Level = 1;
+    for (int H = 0; H <= Height; ++H, Level *= Branch)
+      Total += Level;
+    return Total;
+  };
+  int64_t Tree = Nodes(Depth);
+  int64_t Built = Tree + static_cast<int64_t>(Iters) * Nodes(Depth - 3);
+  return std::to_string(Tree) + " " + std::to_string(Built) + "\n";
+}
+
 /// An allocation-heavy program with the heap it runs in.
 struct Workload {
   const char *Name;

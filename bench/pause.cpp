@@ -7,7 +7,11 @@
 /// \file
 /// Records stop-the-world pause times (p50/p99/max) and the minimum
 /// mutator utilization (MMU) curve of the serial collector for the §6
-/// benchmark programs plus a high-thread-count spin mix.  Pauses are the
+/// benchmark programs, a high-thread-count spin mix, and destroy scaled to
+/// a ~3.2 MB live set in a 4 MiB semispace (the regime where the copy is
+/// the whole pause).  Every row also records the objects and bytes copied
+/// and the copy phase's nanoseconds per object copied by full
+/// collections.  Pauses are the
 /// tracer's per-event TotalNanos (rendezvous + collector span); pause
 /// *intervals* for the MMU computation are reconstructed from the VM's
 /// PostGcHook, which fires at the end of every pause.
@@ -79,6 +83,9 @@ struct PauseRun {
   std::vector<uint64_t> Pauses; ///< TotalNanos per collection.
   std::vector<PauseInterval> Intervals;
   uint64_t RunSpanNanos = 0;
+  uint64_t ObjectsCopied = 0, BytesCopied = 0;
+  /// Copy-phase nanoseconds and objects copied, full collections only.
+  uint64_t FullCopyNanos = 0, FullObjectsCopied = 0;
 };
 
 PauseRun runOnce(const Workload &W) {
@@ -110,6 +117,10 @@ PauseRun runOnce(const Workload &W) {
     uint64_t Start = End > Ev->TotalNanos ? End - Ev->TotalNanos : 0;
     R.Pauses.push_back(Ev->TotalNanos);
     R.Intervals.push_back({Start, End});
+    if (!Ev->Minor) {
+      R.FullCopyNanos += Ev->Phases.Copy;
+      R.FullObjectsCopied += Ev->ObjectsCopied;
+    }
   };
 
   T0 = Clock::now();
@@ -117,6 +128,8 @@ PauseRun runOnce(const Workload &W) {
   R.RunSpanNanos = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() - T0)
           .count());
+  R.ObjectsCopied = M.Stats.ObjectsCopied;
+  R.BytesCopied = M.Stats.BytesCopied;
   if (!Ok || M.Out != W.Expected) {
     std::fprintf(stderr, "pause: FAIL: %s: %s\n", W.Name.c_str(),
                  Ok ? ("wrong output: " + M.Out).c_str() : M.Error.c_str());
@@ -208,6 +221,20 @@ int main() {
         W.SpawnFunc = I;
     Work.push_back(std::move(W));
   }
+  {
+    // destroy scaled to destroy_big's live set: ~3.2 MB in 111.5k objects,
+    // copied by every full collection of a 4 MiB semispace.  Last, so the
+    // rows recorded before it keep their places in BENCH_pause.json.
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    std::string Src = bench::destroySource(4, 8, 150);
+    Workload W;
+    W.Name = "destroy-mb";
+    W.Expected = bench::destroyExpected(4, 8, 150);
+    W.Prog = bench::compileOrDie("destroy-mb", Src.c_str(), CO);
+    W.HeapBytes = 4u << 20;
+    Work.push_back(std::move(W));
+  }
 
   // --- Timing: best (min max-pause) profile per workload over interleaved
   // rounds; MMU from the same best round.
@@ -215,6 +242,8 @@ int main() {
     uint64_t P50 = 0, P99 = 0, Max = UINT64_MAX;
     double Mmu[3] = {0, 0, 0};
     uint64_t Collections = 0;
+    uint64_t ObjectsCopied = 0, BytesCopied = 0;
+    double CopyNsPerObject = 0;
   };
   std::vector<Cell> Cells(Work.size());
   for (int Round = 0; Round != Runs; ++Round)
@@ -227,6 +256,12 @@ int main() {
         C.P50 = percentile(R.Pauses, 0.50);
         C.P99 = percentile(R.Pauses, 0.99);
         C.Collections = R.Pauses.size();
+        C.ObjectsCopied = R.ObjectsCopied;
+        C.BytesCopied = R.BytesCopied;
+        C.CopyNsPerObject =
+            R.FullObjectsCopied ? static_cast<double>(R.FullCopyNanos) /
+                                      static_cast<double>(R.FullObjectsCopied)
+                                : 0;
         for (size_t M = 0; M != 3; ++M)
           C.Mmu[M] = mmuAt(R.Intervals, R.RunSpanNanos, MmuWindows[M]);
       }
@@ -246,14 +281,18 @@ int main() {
         .fixed("mmu_1ms", C.Mmu[0], 4)
         .fixed("mmu_5ms", C.Mmu[1], 4)
         .fixed("mmu_20ms", C.Mmu[2], 4)
+        .uint("objects_copied", C.ObjectsCopied)
+        .uint("bytes_copied", C.BytesCopied)
+        .fixed("copy_ns_per_object", C.CopyNsPerObject, 2)
         .endObject();
     std::printf("pause[%s]: %llu collections, p50 %.1f us, p99 %.1f us, "
-                "max %.1f us, MMU(5ms) %.3f\n",
+                "max %.1f us, MMU(5ms) %.3f, copy %.2f ns/object\n",
                 Work[I].Name.c_str(),
                 static_cast<unsigned long long>(C.Collections),
                 static_cast<double>(C.P50) / 1e3,
                 static_cast<double>(C.P99) / 1e3,
-                static_cast<double>(C.Max) / 1e3, C.Mmu[1]);
+                static_cast<double>(C.Max) / 1e3, C.Mmu[1],
+                C.CopyNsPerObject);
   }
   File.J.endArray();
   if (!File.write("BENCH_pause.json"))

@@ -6,6 +6,8 @@
 
 #include "frontend/Lexer.h"
 
+#include "support/IntOps.h"
+
 #include <cctype>
 #include <unordered_map>
 
@@ -182,8 +184,12 @@ Token Lexer::next() {
 
   if (std::isdigit(static_cast<unsigned char>(C))) {
     int64_t Value = 0;
+    bool Overflow = false;
     while (std::isdigit(static_cast<unsigned char>(peek()))) {
-      Value = Value * 10 + (peek() - '0');
+      if (!Overflow && !support::appendDecimalDigit(Value, peek() - '0')) {
+        Diags.error(T.Loc, "integer literal exceeds 9223372036854775807");
+        Overflow = true;
+      }
       advance();
     }
     T.Kind = TokKind::IntLit;

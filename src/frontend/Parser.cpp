@@ -6,6 +6,8 @@
 
 #include "frontend/Parser.h"
 
+#include "support/IntOps.h"
+
 #include <cassert>
 
 using namespace mgc;
@@ -496,7 +498,7 @@ int64_t Parser::parseConstExpr() {
     bool IsAdd = at(TokKind::Plus);
     consume();
     int64_t R = parseConstTerm();
-    V = IsAdd ? V + R : V - R;
+    V = IsAdd ? support::wrapAdd(V, R) : support::wrapSub(V, R);
   }
   return V;
 }
@@ -508,9 +510,12 @@ int64_t Parser::parseConstTerm() {
     consume();
     int64_t R = parseConstFactor();
     if (Op == TokKind::Star) {
-      V *= R;
+      V = support::wrapMul(V, R);
     } else if (R == 0) {
       error("division by zero in constant expression");
+    } else if (support::divOverflows(V, R)) {
+      error("integer overflow in constant expression: smallest INTEGER "
+            "DIV or MOD -1");
     } else if (Op == TokKind::KwDiv) {
       V /= R;
     } else {
@@ -527,7 +532,7 @@ int64_t Parser::parseConstFactor() {
     return V;
   }
   if (accept(TokKind::Minus))
-    return -parseConstFactor();
+    return support::wrapNeg(parseConstFactor());
   if (accept(TokKind::LParen)) {
     int64_t V = parseConstExpr();
     expect(TokKind::RParen);

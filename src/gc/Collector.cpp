@@ -65,6 +65,10 @@ private:
   /// nursery half via a stale remembered set.  Runs before the nursery
   /// halves swap.
   void crosscheckAfterMinor(VM &M);
+  /// --gc-crosscheck after a full collection: a walk over to-space proving
+  /// every root and every non-NIL field lands on the header of an object
+  /// the collection copied.  Runs before the semispaces swap.
+  void crosscheckAfterFull(VM &M);
   /// The decoded tables for gc-point \p Ordinal of function \p FuncIdx,
   /// through the configured path (cache+index, or the reference decoder).
   const gcmaps::GcPointInfo &pointInfo(VM &M, unsigned FuncIdx,
@@ -208,45 +212,24 @@ void PreciseCollector::traceFull(VM &M) {
   Heap &H = M.TheHeap;
   H.beginCollection();
 
-  // --- Trace: forward every tidy root, then Cheney-scan the copied
-  // objects using the heap type descriptors.
-  for (Word *Root : TidyRoots) {
-    ++M.Stats.RootsTraced;
-    if (*Root == 0)
-      continue;
-    // The same word can be described twice (e.g. an outgoing argument slot
-    // by the caller's FP entry and the callee's AP entry); a second visit
-    // sees the already-updated pointer.
-    if (H.inToSpace(*Root))
-      continue;
-    assert(H.inFromSpace(*Root) && "tidy root does not point into the heap "
-                                   "(stale table or liveness bug)");
-    *Root = H.forward(*Root);
-  }
-
-  // In-copy leak sampling: the scan below visits every evacuated object
-  // exactly once, so per-site live bytes accumulate here for free instead
+  // In-copy leak sampling: the kernel visits every evacuated object
+  // exactly once, so per-site live bytes accumulate there for free instead
   // of a separate O(live) heap walk at sample time (which would cost a
   // significant fraction of the pause itself on GC-bound workloads —
   // bench/obs_overhead gates the detector at <= 3% mutator cost).
   uint64_t *LeakAcc = M.Tracer ? M.Tracer->leakAccumulator() : nullptr;
   size_t LeakSites = LeakAcc ? M.Tracer->leakSiteCount() : 0;
 
-  Word Scan = H.scanStart();
-  while (Scan < H.toAlloc()) {
-    // Every object in to-space was evacuated by this collection.
-    ++M.Stats.ObjectsCopied;
-    size_t Words = H.forEachPointerField(
-        Scan, [&](Word &Field) { Field = H.forward(Field); });
-    if (LeakAcc) {
-      uint32_t Site = Heap::headerSite(*reinterpret_cast<const Word *>(Scan));
-      if (Site < LeakSites)
-        LeakAcc[Site] += Words * sizeof(Word);
-    }
-    Scan += Words * sizeof(Word);
-  }
-
+  // --- Trace: forward every tidy root, then Cheney-scan the copied
+  // objects through the heap's scan plans.
+  M.Stats.RootsTraced += TidyRoots.size();
+  M.Stats.ObjectsCopied +=
+      H.evacuate(TidyRoots.data(), TidyRoots.size(), LeakAcc, LeakSites);
   M.Stats.BytesCopied += H.toAlloc() - H.scanStart();
+
+  if (Opts.CrossCheck)
+    crosscheckAfterFull(M);
+
   // Survival + attribution sweep: from-space headers (and nursery headers
   // in generational mode) remain readable until the swap below.
   if (M.Tracer)
@@ -267,7 +250,8 @@ void PreciseCollector::traceMinor(VM &M) {
   // Forwards a field's target out of the nursery if it is young.  Fields
   // of *old-space* objects that end up pointing at a survivor are
   // old→young edges and must enter the new remembered set.
-  auto FwdField = [&](Word &Field, bool InOldObject) {
+  auto FwdField = [&](Word &Field,
+                      bool InOldObject) __attribute__((always_inline)) {
     if (H.inNursery(Field))
       Field = H.forwardYoung(Field);
     if (InOldObject && H.inNurseryTo(Field))
@@ -297,12 +281,20 @@ void PreciseCollector::traceMinor(VM &M) {
 
   // --- Cheney scan over both target regions: the survivor half and the
   // region of old space filled by promotion.  Scanning either can grow
-  // both, so alternate until neither advances.
-  auto ScanObject = [&](Word Scan, bool InOldObject) -> size_t {
+  // both, so alternate until neither advances.  always_inline here, on
+  // the field lambda and on FwdField: the plan walk has three field sites
+  // (fixed fields, pointer arrays, general arrays), and with that much
+  // code GCC calls these lambdas per object or per field instead of
+  // inlining them as it did for the two-site descriptor walk (measured:
+  // server_open's minor pause p50 rose 6-13%).
+  auto ScanObject = [&](Word Scan,
+                        bool InOldObject) __attribute__((always_inline)) {
     // Every scanned object was evacuated (survivor half or promotion).
     ++M.Stats.ObjectsCopied;
     size_t Words = H.forEachPointerField(
-        Scan, [&](Word &Field) { FwdField(Field, InOldObject); });
+        Scan, [&](Word &Field) __attribute__((always_inline)) {
+          FwdField(Field, InOldObject);
+        });
     return Words * sizeof(Word);
   };
 
@@ -378,6 +370,32 @@ void PreciseCollector::crosscheckAfterMinor(VM &M) {
     (void)H.objectWords(Obj); // Asserts the header is sane.
     H.forEachPointerField(Obj, Push);
   }
+}
+
+void PreciseCollector::crosscheckAfterFull(VM &M) {
+  Heap &H = M.TheHeap;
+  Word Lo = H.scanStart(), Hi = H.toAlloc();
+  auto Fail = [](const char *What) {
+    std::fprintf(stderr, "gc cross-check: %s after a full collection\n",
+                 What);
+    std::abort();
+  };
+  // Object starts, found by sizing every object in to-space in turn.
+  std::vector<bool> Starts((Hi - Lo) / sizeof(Word));
+  for (Word P = Lo; P < Hi; P += H.objectWords(P) * sizeof(Word)) {
+    if (*reinterpret_cast<const Word *>(P) & Heap::ForwardBit)
+      Fail("to-space object carries a forwarding header");
+    Starts[(P - Lo) / sizeof(Word)] = true;
+  }
+  auto Check = [&](Word V) {
+    if (V != 0 && (V < Lo || V >= Hi || (V - Lo) % sizeof(Word) != 0 ||
+                   !Starts[(V - Lo) / sizeof(Word)]))
+      Fail("a root or field does not point at a copied object");
+  };
+  for (Word *Root : TidyRoots)
+    Check(*Root);
+  for (Word P = Lo; P < Hi;)
+    P += H.forEachPointerField(P, Check) * sizeof(Word);
 }
 
 void PreciseCollector::collect(VM &M) {

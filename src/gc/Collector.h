@@ -41,7 +41,10 @@ struct CollectorOptions {
   /// decoder — the §6.3 measured artifact (`--no-map-index` in mgc).
   bool UseMapIndex = true;
   /// Re-decode every gc-point through the reference decoder as well and
-  /// abort on any disagreement with the indexed/cached result.
+  /// abort on any disagreement with the indexed/cached result; after every
+  /// collection, also abort unless every reachable pointer lands on a
+  /// copied object (minor: none left in the evacuated nursery half; full:
+  /// every root and field on an object header in to-space).
   bool CrossCheck = false;
 };
 

@@ -8,6 +8,7 @@
 
 #include "analysis/Derivations.h"
 #include "analysis/Liveness.h"
+#include "support/IntOps.h"
 
 #include <cstdint>
 #include <map>
@@ -21,23 +22,19 @@ using namespace mgc::ir;
 //===----------------------------------------------------------------------===//
 
 namespace {
-/// Two's-complement wrap of an unsigned result back into an int64_t.
-int64_t wrap(uint64_t V) { return static_cast<int64_t>(V); }
-
 bool foldBinary(Instr &I) {
   if (!I.A.isImm() || !I.B.isImm())
     return false;
   int64_t A = I.A.Imm, B = I.B.Imm, R;
-  uint64_t UA = static_cast<uint64_t>(A), UB = static_cast<uint64_t>(B);
   switch (I.Op) {
-  case Opcode::Add: R = wrap(UA + UB); break;
-  case Opcode::Sub: R = wrap(UA - UB); break;
-  case Opcode::Mul: R = wrap(UA * UB); break;
+  case Opcode::Add: R = support::wrapAdd(A, B); break;
+  case Opcode::Sub: R = support::wrapSub(A, B); break;
+  case Opcode::Mul: R = support::wrapMul(A, B); break;
   case Opcode::Div:
   case Opcode::Mod:
-    // Division by zero and INT64_MIN / -1 are left to run (and trap) at
+    // Division by zero and the smallest INTEGER by -1 are left to fail at
     // run time rather than being computed here.
-    if (B == 0 || (A == INT64_MIN && B == -1))
+    if (B == 0 || support::divOverflows(A, B))
       return false;
     R = I.Op == Opcode::Div ? A / B : A % B;
     break;
@@ -109,8 +106,7 @@ bool opt::foldConstants(Function &F) {
         continue;
       }
       if (I.Op == Opcode::Neg && I.A.isImm()) {
-        I = Instr::mov(I.Dst,
-                       Operand::imm(wrap(-static_cast<uint64_t>(I.A.Imm))));
+        I = Instr::mov(I.Dst, Operand::imm(support::wrapNeg(I.A.Imm)));
         Changed = true;
       } else if (I.Op == Opcode::Not && I.A.isImm()) {
         I = Instr::mov(I.Dst, Operand::imm(I.A.Imm == 0 ? 1 : 0));

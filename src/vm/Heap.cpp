@@ -13,6 +13,10 @@ using namespace mgc;
 using namespace mgc::vm;
 
 namespace {
+/// Objects up to this many words are copied word by word, larger ones
+/// with memcpy.
+constexpr size_t SmallCopyWords = 8;
+
 Word headerOf(Word Obj) { return *reinterpret_cast<Word *>(Obj); }
 void setHeader(Word Obj, Word H) { *reinterpret_cast<Word *>(Obj) = H; }
 
@@ -36,9 +40,40 @@ size_t addChecked(size_t A, size_t B) {
 Heap::Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
            bool Generational, size_t NurseryBytes, HeapPolicy P)
     : SpaceBytes((SemispaceBytes + 7) & ~size_t(7)), Policy(P),
-      Gen(Generational), Descs(Descs) {
+      Gen(Generational) {
   assert(Descs.size() <= DescMask + 1 &&
          "type descriptor index overflows the header field");
+  // Flatten every descriptor into its scan plan.  The plans are built here
+  // rather than by the compiler so that every heap, however its program
+  // was compiled or loaded, walks objects through the same table.
+  Plans.reserve(Descs.size());
+  for (const ir::TypeDesc &D : Descs) {
+    ScanPlan S;
+    S.FixedWords = 1 + D.SizeWords;
+    S.Ptrs = static_cast<uint32_t>(PlanOffsets.size());
+    S.NumPtrs = static_cast<uint32_t>(D.PtrOffsets.size());
+    for (unsigned Off : D.PtrOffsets)
+      PlanOffsets.push_back(1 + Off);
+    S.ElemPtrs = static_cast<uint32_t>(PlanOffsets.size());
+    S.NumElemPtrs = static_cast<uint32_t>(D.ElemPtrOffsets.size());
+    PlanOffsets.insert(PlanOffsets.end(), D.ElemPtrOffsets.begin(),
+                       D.ElemPtrOffsets.end());
+    if (D.IsOpenArray) {
+      // Elements start after the header and the length word.
+      assert(D.SizeWords == 1 && D.PtrOffsets.empty() &&
+             "an open array's fixed part is its length word");
+      S.Stride = D.ElemSizeWords;
+      if (D.ElemPtrOffsets.empty())
+        S.K = ScanPlan::ScalarArray;
+      else if (D.ElemSizeWords == 1)
+        S.K = ScanPlan::PtrArray;
+      else
+        S.K = ScanPlan::GeneralArray;
+    } else {
+      S.K = D.PtrOffsets.empty() ? ScanPlan::PtrFreeRecord : ScanPlan::Record;
+    }
+    Plans.push_back(S);
+  }
   // Resolve the growth cap once so maxObjectBytes() is a run constant:
   // default 8x the initial semispace, never below it, 8-aligned.  Without
   // a growth trigger the cap is pinned to the (fixed) semispace size.
@@ -82,42 +117,20 @@ Heap::Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
 }
 
 size_t Heap::allocationBytes(unsigned DescIdx, int64_t Length) const {
-  assert(DescIdx < Descs.size());
-  const ir::TypeDesc &D = Descs[DescIdx];
-  size_t Words = 1 + D.SizeWords;
-  if (D.IsOpenArray) {
+  assert(DescIdx < Plans.size());
+  const ScanPlan &S = Plans[DescIdx];
+  size_t Words = S.FixedWords;
+  if (S.isArray()) {
     if (Length < 0)
       return BadAlloc;
-    size_t Elems = mulChecked(static_cast<size_t>(Length), D.ElemSizeWords);
+    size_t Elems = mulChecked(static_cast<size_t>(Length), S.Stride);
     Words = addChecked(Words, Elems);
   }
   return mulChecked(Words, sizeof(Word));
 }
 
-size_t Heap::objectWords(Word Obj) const {
-  const ir::TypeDesc &D = descOf(Obj);
-  size_t Words = 1 + D.SizeWords;
-  if (D.IsOpenArray) {
-    int64_t Len = static_cast<int64_t>(reinterpret_cast<Word *>(Obj)[1]);
-    assert(Len >= 0 && "corrupt open-array length");
-    size_t Elems = mulChecked(static_cast<size_t>(Len), D.ElemSizeWords);
-    Words = addChecked(Words, Elems);
-    assert(Words != BadAlloc && "open-array length does not round-trip");
-  }
-  return Words;
-}
-
-const ir::TypeDesc &Heap::descOf(Word Obj) const {
-  Word H = headerOf(Obj);
-  assert(!(H & ForwardBit) && "descOf on a forwarded object");
-  size_t Idx = headerDesc(H);
-  assert(Idx < Descs.size() && "corrupt object header");
-  return Descs[Idx];
-}
-
 Word Heap::bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx,
                         int64_t Length, uint32_t Site) {
-  const ir::TypeDesc &D = Descs[DescIdx];
   size_t Bytes = allocationBytes(DescIdx, Length);
   // Overflowed or oversized requests fail like an exhausted space; the VM
   // reports them deterministically before ever retrying.  (Bump can sit
@@ -129,7 +142,7 @@ Word Heap::bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx,
   Bump += Bytes;
   std::memset(reinterpret_cast<void *>(Obj), 0, Bytes);
   setHeader(Obj, makeHeader(DescIdx, 0, Site));
-  if (D.IsOpenArray)
+  if (Plans[DescIdx].isArray())
     reinterpret_cast<Word *>(Obj)[1] = static_cast<Word>(Length);
   BytesAllocated += Bytes;
   ++ObjectsAllocated;
@@ -137,7 +150,7 @@ Word Heap::bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx,
 }
 
 Word Heap::allocate(unsigned DescIdx, int64_t Length, uint32_t Site) {
-  assert(DescIdx < Descs.size());
+  assert(DescIdx < Plans.size());
   if (Gen) {
     // Invariant: old-used + nursery-used never exceeds a semispace, so a
     // full collection's to-space copy always fits.  The nursery limit
@@ -154,29 +167,86 @@ Word Heap::allocate(unsigned DescIdx, int64_t Length, uint32_t Site) {
 
 Word Heap::allocateOld(unsigned DescIdx, int64_t Length, uint32_t Site) {
   assert(Gen && "allocateOld is a generational-mode path");
-  assert(DescIdx < Descs.size());
+  assert(DescIdx < Plans.size());
   return bumpAllocate(AllocPtr, OldLimit, DescIdx, Length, Site);
 }
 
-Word Heap::forward(Word Obj) {
-  assert(inFromSpace(Obj) && "forwarding a non-heap pointer");
-  Word H = headerOf(Obj);
-  if (H & ForwardBit)
-    return H & ~ForwardBit;
-  size_t Words = objectWords(Obj);
-  Word New = ToAlloc;
-  assert(New + Words * sizeof(Word) <= ToBase + ToSpaceBytes &&
-         "to-space overflow during collection");
-  ToAlloc += Words * sizeof(Word);
-  std::memcpy(reinterpret_cast<void *>(New),
-              reinterpret_cast<const void *>(Obj), Words * sizeof(Word));
-  // The header (site, descriptor, age) rides the copy; the age bump is the
-  // whole of attribution maintenance.  Ages are monotonic across the
-  // object's lifetime — the promotion policy only ever consults nursery
-  // objects, whose ages restart at 0 on allocation.
-  setHeader(New, agedHeader(H));
-  setHeader(Obj, New | ForwardBit);
-  return New;
+uint64_t Heap::evacuate(Word *const *Roots, size_t NumRoots,
+                        uint64_t *SiteBytes, size_t NumSites) {
+  // The spaces, the bump pointer and the object count live in locals, so
+  // the loops below keep them in registers.
+  const Word FromLo = FromBase, NurLo = NurFromBase, ToLo = ToBase;
+  const size_t FromBytes = SpaceBytes, ToBytes = ToSpaceBytes;
+  const size_t NurBytes = Gen ? NurFromHalfBytes : 0;
+  const ScanPlan *const PlanTab = Plans.data();
+  const uint32_t *const OffTab = PlanOffsets.data();
+  const size_t NumPlans = Plans.size();
+  Word Alloc = ToAlloc;
+  uint64_t Objects = 0;
+
+  // Copies the object at \p Obj to to-space, or returns where it went.
+  // Each object is sized once, from its plan; small ones are copied word
+  // by word.  always_inline: GCC otherwise keeps the lambda out of line,
+  // which costs a call and spills Alloc on every pointer field.
+  auto Forward = [&](Word Obj) __attribute__((always_inline)) -> Word {
+    assert((Obj - FromLo < FromBytes || Obj - NurLo < NurBytes) &&
+           "forwarding a non-heap pointer");
+    Word *Src = reinterpret_cast<Word *>(Obj);
+    Word H = Src[0];
+    if (H & ForwardBit)
+      return H & ~ForwardBit;
+    size_t Idx = headerDesc(H);
+    assert(Idx < NumPlans && "corrupt object header");
+    (void)NumPlans;
+    const ScanPlan &S = PlanTab[Idx];
+    size_t Words = S.isArray() ? arrayWords(S, Src[1]) : S.FixedWords;
+    assert(Words <= (ToLo + ToBytes - Alloc) / sizeof(Word) &&
+           "to-space overflow during collection");
+    Word *Dst = reinterpret_cast<Word *>(Alloc);
+    Alloc += Words * sizeof(Word);
+    // The header (site, descriptor, age) rides the copy; the age bump is
+    // the whole of attribution maintenance.  Ages are monotonic across the
+    // object's lifetime — the promotion policy only ever consults nursery
+    // objects, whose ages restart at 0 on allocation.
+    Dst[0] = agedHeader(H);
+    if (Words <= SmallCopyWords) {
+      for (size_t I = 1; I < Words; ++I)
+        Dst[I] = Src[I];
+    } else {
+      std::memcpy(Dst + 1, Src + 1, (Words - 1) * sizeof(Word));
+    }
+    Src[0] = reinterpret_cast<Word>(Dst) | ForwardBit;
+    return reinterpret_cast<Word>(Dst);
+  };
+
+  for (size_t I = 0; I != NumRoots; ++I) {
+    Word V = *Roots[I];
+    // The same word can be described twice (e.g. an outgoing argument slot
+    // by the caller's FP entry and the callee's AP entry); a second visit
+    // sees the already-updated pointer.
+    if (V == 0 || V - ToLo < ToBytes)
+      continue;
+    assert((V - FromLo < FromBytes || V - NurLo < NurBytes) &&
+           "tidy root does not point into the heap (stale table or "
+           "liveness bug)");
+    *Roots[I] = Forward(V);
+  }
+
+  auto ForwardField = [&](Word &Field) __attribute__((always_inline)) {
+    Field = Forward(Field);
+  };
+  for (Word Scan = ToLo; Scan < Alloc;) {
+    ++Objects;
+    // To-space headers were checked when their objects were copied.
+    Word *P = reinterpret_cast<Word *>(Scan);
+    Word H = P[0];
+    size_t Words = walkFields(PlanTab[headerDesc(H)], OffTab, P, ForwardField);
+    if (SiteBytes && headerSite(H) < NumSites)
+      SiteBytes[headerSite(H)] += Words * sizeof(Word);
+    Scan += Words * sizeof(Word);
+  }
+  ToAlloc = Alloc;
+  return Objects;
 }
 
 void Heap::beginCollection() {
@@ -317,5 +387,5 @@ bool Heap::plausibleObject(Word P) const {
   uint32_t Site = headerSite(H);
   if (Site != NoSiteHdr && Site >= SiteCount)
     return false;
-  return headerDesc(H) < Descs.size();
+  return headerDesc(H) < Plans.size();
 }

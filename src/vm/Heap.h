@@ -14,6 +14,12 @@
 ///     [header][payload words...]                 fixed-shape objects
 ///     [header][length][elements...]              open arrays
 ///
+/// Every walk over an object's fields (the Cheney scans, the minor
+/// cross-check, the conservative baseline, heap snapshots) goes through a
+/// ScanPlan: each ir::TypeDesc flattened once, when the heap is built,
+/// into its kind, its fixed words and element stride, and its pointer
+/// offsets in one flat array.
+///
 /// Header word: bit 0 is the forwarding tag; bits 1..16 hold the object's
 /// age — the number of collections it has been evacuated through,
 /// saturating, consulted both by the generational promotion policy and by
@@ -44,6 +50,7 @@
 
 #include "ir/IR.h"
 
+#include <cassert>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -54,6 +61,27 @@ namespace mgc {
 namespace vm {
 
 using Word = uint64_t;
+
+/// One type descriptor flattened for the field walks.  Fixed-part offsets
+/// are word indices from the header (header = word 0); element offsets are
+/// relative to the element, and elements start at word 2, after the
+/// length word.
+struct ScanPlan {
+  enum Kind : uint8_t {
+    PtrFreeRecord, ///< Fixed size, no pointer fields.
+    Record,        ///< Fixed size, at least one pointer field.
+    PtrArray,      ///< Open array of one-word pointer elements.
+    ScalarArray,   ///< Open array whose elements hold no pointers.
+    GeneralArray,  ///< Any other open array.
+  };
+  Kind K = PtrFreeRecord;
+  uint32_t FixedWords = 1; ///< Header plus fixed payload.
+  uint32_t Stride = 0;     ///< Element words (open arrays).
+  uint32_t Ptrs = 0, NumPtrs = 0;         ///< Fixed offsets in the table.
+  uint32_t ElemPtrs = 0, NumElemPtrs = 0; ///< Element offsets in the table.
+
+  bool isArray() const { return K >= PtrArray; }
+};
 
 /// Heap-sizing policy (mgc --heap-growth / --heap-max / --nursery-auto).
 /// Every decision is byte-count driven, so sizing is identical across
@@ -170,46 +198,30 @@ public:
   Word allocateOld(unsigned DescIdx, int64_t Length,
                    uint32_t Site = NoSiteHdr);
 
-  /// Total words of an object, header included.
-  size_t objectWords(Word Obj) const;
+  /// Total words of an object, header included.  Asserts an unforwarded
+  /// header with an in-range descriptor, and that an open array's length
+  /// round-trips its allocation size.
+  size_t objectWords(Word Obj) const {
+    const Word *P = reinterpret_cast<const Word *>(Obj);
+    const ScanPlan &S = planOf(P[0]);
+    return S.isArray() ? arrayWords(S, P[1]) : S.FixedWords;
+  }
 
   /// Calls \p Fn(Word &Field) on every non-NIL pointer field of the object
-  /// at \p Obj — the descriptor's PtrOffsets, then each open-array
-  /// element's ElemPtrOffsets — and returns the object's total words,
-  /// header included.  The one field walk shared by the Cheney scans, the
-  /// minor-collection cross-check, the conservative baseline, and heap
-  /// snapshots.  The header must not carry a forwarding overlay.
-  template <typename FnT> size_t forEachPointerField(Word Obj, FnT Fn) const {
+  /// at \p Obj (the fixed fields, then each open-array element's) and
+  /// returns the object's total words, header included.  The one field
+  /// walk shared by the Cheney scans, the cross-checks, the conservative
+  /// baseline, and heap snapshots.  Asserts an unforwarded header with an
+  /// in-range descriptor.
+  template <typename FnT>
+  [[gnu::always_inline]] size_t forEachPointerField(Word Obj, FnT Fn) const {
     Word *P = reinterpret_cast<Word *>(Obj);
-    const ir::TypeDesc &D = Descs[headerDesc(P[0])];
-    for (unsigned Off : D.PtrOffsets)
-      if (P[1 + Off] != 0)
-        Fn(P[1 + Off]);
-    size_t Words = 1 + D.SizeWords;
-    if (D.IsOpenArray) {
-      size_t Len = static_cast<size_t>(P[1]);
-      for (size_t E = 0; E != Len; ++E) {
-        Word *Elem = P + 2 + E * D.ElemSizeWords;
-        for (unsigned Off : D.ElemPtrOffsets)
-          if (Elem[Off] != 0)
-            Fn(Elem[Off]);
-      }
-      Words += Len * D.ElemSizeWords;
-    }
-    return Words;
+    return walkFields(planOf(P[0]), PlanOffsets.data(), P, Fn);
   }
 
-  const ir::TypeDesc &descOf(Word Obj) const;
-
-  /// Any space new objects or survivors currently live in (old from-space
-  /// and, in generational mode, the active nursery half).
-  bool inFromSpace(Word P) const {
-    return (P >= FromBase && P < FromBase + SpaceBytes) ||
-           (Gen && inNursery(P));
-  }
-  bool inToSpace(Word P) const {
-    return P >= ToBase && P < ToBase + ToSpaceBytes;
-  }
+  /// The scan plan of descriptor \p DescIdx (tests compare it against
+  /// the descriptor it was built from).
+  const ScanPlan &plan(size_t DescIdx) const { return Plans[DescIdx]; }
 
   //===--- Generational queries --------------------------------------------===
 
@@ -297,11 +309,16 @@ public:
   /// first growing the to-space when the sizing policy triggers (occupancy
   /// above GrowthPct, or an armed demand growth).
   void beginCollection();
-  /// Copies \p Obj to to-space (or returns its forwarding pointer).  In
-  /// generational mode the source may be either old from-space or the
-  /// nursery; everything lands in old to-space.
-  Word forward(Word Obj);
-  /// Cheney scan pointer management.
+  /// The full-collection kernel: forwards every non-NIL root in order,
+  /// then Cheney-scans to-space until it holds every reachable object, in
+  /// the order roots, then breadth first, fixed fields before elements.
+  /// In generational mode the sources are old from-space and the nursery;
+  /// everything lands in old to-space.  When \p SiteBytes is non-null,
+  /// each copied object's bytes are added to SiteBytes[site] for sites
+  /// below \p NumSites.  Returns the number of objects copied.
+  uint64_t evacuate(Word *const *Roots, size_t NumRoots, uint64_t *SiteBytes,
+                    size_t NumSites);
+  /// The used range of to-space after evacuate().
   Word scanStart() const { return ToBase; }
   Word toAlloc() const { return ToAlloc; }
   /// Ends a full collection: swaps the old spaces; generational mode also
@@ -359,6 +376,52 @@ public:
   uint64_t ObjectsAllocated = 0;
 
 private:
+  const ScanPlan &planOf(Word Header) const {
+    assert(!(Header & ForwardBit) && "reading the plan of a forwarded object");
+    size_t Idx = headerDesc(Header);
+    assert(Idx < Plans.size() && "corrupt object header");
+    return Plans[Idx];
+  }
+  /// Total words of an open array of \p Len elements; asserts the length
+  /// round-trips its allocation size.
+  static size_t arrayWords(const ScanPlan &S, Word Len) {
+    assert(static_cast<int64_t>(Len) >= 0 && "corrupt open-array length");
+    size_t Words;
+    bool Overflow = __builtin_mul_overflow(Len, S.Stride, &Words) ||
+                    __builtin_add_overflow(Words, S.FixedWords, &Words);
+    assert(!Overflow && "open-array length does not round-trip");
+    (void)Overflow;
+    return Words;
+  }
+
+  /// forEachPointerField's walk over the object at \p P with plan \p S,
+  /// whose offsets index \p Offsets.  Static, so the collection kernel can
+  /// run it on plan and offset tables it holds in registers.
+  template <typename FnT>
+  [[gnu::always_inline]] static size_t
+  walkFields(const ScanPlan &S, const uint32_t *Offsets, Word *P, FnT &Fn) {
+    const uint32_t *Off = Offsets + S.Ptrs;
+    for (uint32_t I = 0; I != S.NumPtrs; ++I)
+      if (P[Off[I]] != 0)
+        Fn(P[Off[I]]);
+    if (!S.isArray())
+      return S.FixedWords;
+    size_t Len = static_cast<size_t>(P[1]);
+    Word *Elem = P + 2;
+    if (S.K == ScanPlan::PtrArray) {
+      for (size_t E = 0; E != Len; ++E)
+        if (Elem[E] != 0)
+          Fn(Elem[E]);
+    } else if (S.K == ScanPlan::GeneralArray) {
+      const uint32_t *EOff = Offsets + S.ElemPtrs;
+      for (size_t E = 0; E != Len; ++E, Elem += S.Stride)
+        for (uint32_t I = 0; I != S.NumElemPtrs; ++I)
+          if (Elem[EOff[I]] != 0)
+            Fn(Elem[EOff[I]]);
+    }
+    return S.FixedWords + Len * S.Stride;
+  }
+
   Word bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx, int64_t Length,
                     uint32_t Site);
 
@@ -394,7 +457,9 @@ private:
   /// stable between full collections (old objects only move then), which
   /// is what makes raw addresses a sound representation.
   std::unordered_set<Word> RemSet;
-  const std::vector<ir::TypeDesc> &Descs;
+  /// Indexed by descriptor; the offsets of every plan in one array.
+  std::vector<ScanPlan> Plans;
+  std::vector<uint32_t> PlanOffsets;
 };
 
 } // namespace vm

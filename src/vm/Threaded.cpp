@@ -39,6 +39,7 @@
 #include "vm/VM.h"
 
 #include "obs/Profile.h"
+#include "support/IntOps.h"
 
 #include <cassert>
 #include <unordered_map>
@@ -368,32 +369,34 @@ L_Sub: {
 
 L_Mul: {
   Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<Word>(static_cast<int64_t>(A) * static_cast<int64_t>(B)));
+  writeD(I->D, Bases, A * B);
   MGC_FALL();
 }
 
 L_Div: {
+  int64_t A = static_cast<int64_t>(readD(I->A, Bases));
   int64_t B = static_cast<int64_t>(readD(I->B, Bases));
   if (B == 0)
     MGC_FAIL("integer division by zero");
-  writeD(I->D, Bases,
-         static_cast<Word>(static_cast<int64_t>(readD(I->A, Bases)) / B));
+  if (support::divOverflows(A, B))
+    MGC_FAIL(support::DivOverflowMessage);
+  writeD(I->D, Bases, static_cast<Word>(A / B));
   MGC_FALL();
 }
 
 L_Mod: {
+  int64_t A = static_cast<int64_t>(readD(I->A, Bases));
   int64_t B = static_cast<int64_t>(readD(I->B, Bases));
   if (B == 0)
     MGC_FAIL("integer modulus by zero");
-  writeD(I->D, Bases,
-         static_cast<Word>(static_cast<int64_t>(readD(I->A, Bases)) % B));
+  if (support::divOverflows(A, B))
+    MGC_FAIL(support::DivOverflowMessage);
+  writeD(I->D, Bases, static_cast<Word>(A % B));
   MGC_FALL();
 }
 
 L_Neg:
-  writeD(I->D, Bases,
-         static_cast<Word>(-static_cast<int64_t>(readD(I->A, Bases))));
+  writeD(I->D, Bases, 0 - readD(I->A, Bases));
   MGC_FALL();
 
 L_Not:

@@ -18,6 +18,7 @@
 
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/IntOps.h"
 
 #include <cassert>
 #include <chrono>
@@ -320,30 +321,31 @@ bool VM::step(ThreadContext &T) {
   }
   case MOp::Mul: {
     Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<Word>(static_cast<int64_t>(A) *
-                             static_cast<int64_t>(B)));
+    writeD(I.D, Bases, A * B);
     break;
   }
   case MOp::Div: {
+    int64_t A = static_cast<int64_t>(readD(I.A, Bases));
     int64_t B = static_cast<int64_t>(readD(I.B, Bases));
     if (B == 0)
       return fail("integer division by zero");
-    writeD(I.D, Bases,
-           static_cast<Word>(static_cast<int64_t>(readD(I.A, Bases)) / B));
+    if (support::divOverflows(A, B))
+      return fail(support::DivOverflowMessage);
+    writeD(I.D, Bases, static_cast<Word>(A / B));
     break;
   }
   case MOp::Mod: {
+    int64_t A = static_cast<int64_t>(readD(I.A, Bases));
     int64_t B = static_cast<int64_t>(readD(I.B, Bases));
     if (B == 0)
       return fail("integer modulus by zero");
-    writeD(I.D, Bases,
-           static_cast<Word>(static_cast<int64_t>(readD(I.A, Bases)) % B));
+    if (support::divOverflows(A, B))
+      return fail(support::DivOverflowMessage);
+    writeD(I.D, Bases, static_cast<Word>(A % B));
     break;
   }
   case MOp::Neg:
-    writeD(I.D, Bases,
-           static_cast<Word>(-static_cast<int64_t>(readD(I.A, Bases))));
+    writeD(I.D, Bases, 0 - readD(I.A, Bases));
     break;
   case MOp::Not:
     writeD(I.D, Bases, readD(I.A, Bases) == 0 ? 1 : 0);

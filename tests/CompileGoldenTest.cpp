@@ -19,45 +19,20 @@
 //===----------------------------------------------------------------------===//
 
 #include "CheckedInPrograms.h"
+#include "GoldenUtil.h"
 #include "driver/Compiler.h"
 #include "ir/Printer.h"
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 using namespace mgc;
+using test::Fnv64;
 
 namespace {
-
-struct Fnv64 {
-  uint64_t H = 0xcbf29ce484222325ull;
-  void bytes(const void *P, size_t N) {
-    const auto *B = static_cast<const uint8_t *>(P);
-    for (size_t I = 0; I != N; ++I) {
-      H ^= B[I];
-      H *= 0x100000001b3ull;
-    }
-  }
-  void u64(uint64_t V) {
-    uint8_t B[8];
-    for (unsigned I = 0; I != 8; ++I)
-      B[I] = static_cast<uint8_t>(V >> (8 * I));
-    bytes(B, 8);
-  }
-  std::string hex() const {
-    char Buf[17];
-    std::snprintf(Buf, sizeof(Buf), "%016llx",
-                  static_cast<unsigned long long>(H));
-    return Buf;
-  }
-};
 
 struct OptionSet {
   const char *Name;
@@ -114,20 +89,11 @@ std::string rowFor(const std::string &Program, const char *Options,
   return Row.str();
 }
 
-std::string keyOf(const std::string &Row) {
-  size_t Tab = Row.find('\t');
-  return Row.substr(0, Row.find('\t', Tab + 1));
-}
-
 } // namespace
 
 TEST(CompileGolden, OutputMatchesCheckedInRows) {
-  std::map<std::string, std::string> Golden;
-  std::ifstream In(std::string(MGC_SOURCE_DIR) + "/tests/golden/compile.tsv");
-  ASSERT_TRUE(In.good()) << "cannot open tests/golden/compile.tsv";
-  for (std::string Line; std::getline(In, Line);)
-    if (!Line.empty() && Line[0] != '#')
-      Golden[keyOf(Line)] = Line;
+  std::map<std::string, std::string> Golden = test::readGolden("compile.tsv");
+  ASSERT_FALSE(Golden.empty()) << "cannot read tests/golden/compile.tsv";
 
   std::vector<test::NamedSource> Sources = test::checkedInPrograms();
   std::vector<OptionSet> Sets = optionSets();
@@ -140,7 +106,7 @@ TEST(CompileGolden, OutputMatchesCheckedInRows) {
       ASSERT_TRUE(C.Prog) << S.Name << " " << O.Name << ":\n"
                           << C.Diags.str();
       std::string Row = rowFor(S.Name, O.Name, C);
-      auto It = Golden.find(keyOf(Row));
+      auto It = Golden.find(test::goldenKey(Row));
       std::string Want = It == Golden.end() ? "(no row)" : It->second;
       EXPECT_EQ(Row, Want) << "replacement row:\n" << Row;
     }

@@ -20,6 +20,7 @@
 #include "Corpus.h"
 #include "Programs.h"
 #include "TestUtil.h"
+#include "support/IntOps.h"
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,44 @@ TierOutcome compareTiers(const std::string &Source,
       runTier(*C.Prog, vm::DispatchTier::Threaded, VO, GCO, SpawnSpin);
   expectIdentical(Sw, Th, Ctx);
   return Th;
+}
+
+//===----------------------------------------------------------------------===//
+// Integer semantics: the one failing quotient
+//===----------------------------------------------------------------------===//
+
+TEST(DispatchEquivalence, MinDivMinusOneFailsIdenticallyEverywhere) {
+  // The smallest INTEGER DIV or MOD -1 used to raise SIGFPE in the host;
+  // every tier, opt level and collector must report it instead.  Products
+  // and negations that overflow wrap around.
+  for (const char *Op : {"DIV", "MOD"}) {
+    std::string Src = std::string(R"(
+MODULE M;
+VAR b, c: INTEGER;
+BEGIN
+  b := 0 - 9223372036854775807 - 1; c := 0 - 1;
+  PutInt(b * c); PutChar(32); PutInt(-b); PutChar(32);
+  PutInt(3037000500 * 3037000500); PutLn();
+  PutInt(b )") + Op + R"( c); PutLn();
+END M.)";
+    for (int Opt : {0, 2}) {
+      for (bool GenGc : {false, true}) {
+        driver::CompilerOptions CO;
+        CO.OptLevel = Opt;
+        CO.WriteBarriers = GenGc;
+        vm::VMOptions VO;
+        VO.GenGc = GenGc;
+        std::string Ctx = std::string(Op) + " -O" + std::to_string(Opt) +
+                          (GenGc ? " gen-gc" : " two-space");
+        TierOutcome Th = compareTiers(Src, CO, VO, {}, Ctx);
+        EXPECT_FALSE(Th.Ok) << Ctx;
+        EXPECT_EQ(Th.Error, support::DivOverflowMessage) << Ctx;
+        EXPECT_EQ(Th.Out, "-9223372036854775808 -9223372036854775808 "
+                          "-9223372036709301616\n")
+            << Ctx;
+      }
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -80,6 +80,17 @@ TEST(Lexer, IntegerLiterals) {
   EXPECT_EQ(Toks[2].IntValue, 123456789);
 }
 
+TEST(Lexer, IntegerLiteralAboveInt64MaxReported) {
+  Diagnostics D;
+  auto Toks = lexAll("9223372036854775807", D);
+  EXPECT_EQ(Toks[0].IntValue, INT64_MAX);
+  EXPECT_FALSE(D.hasErrors());
+  lexAll("x := 9223372036854775808", D);
+  EXPECT_NE(D.str().find("integer literal exceeds 9223372036854775807"),
+            std::string::npos)
+      << D.str();
+}
+
 TEST(Lexer, StringLiteralsWithEscapes) {
   Diagnostics D;
   auto Toks = lexAll("\"hi there\" \"a\\nb\" \"q\\\"q\"", D);
@@ -193,6 +204,30 @@ BEGIN END M.)");
   ASSERT_EQ(M->Globals.size(), 1u);
   EXPECT_EQ(M->Globals[0]->Ty->lo(), -14);
   EXPECT_EQ(M->Globals[0]->Ty->hi(), 14);
+}
+
+TEST(Parser, ConstExpressionsWrapAndRejectMinDivMinusOne) {
+  // Overflowing sums, products and negations wrap around: W is
+  // INT64_MAX + 1 + INT64_MAX = -1, P is 2^64 = 0, and N is -(INT64_MIN)
+  // = INT64_MIN.
+  auto M = parseOk(R"(
+MODULE M;
+CONST Max = 9223372036854775807; W = Max + 1 + Max; N = -(Max + 1);
+      P = 4294967296 * 4294967296;
+TYPE A = ARRAY [W .. P] OF INTEGER;
+     B = ARRAY [N + Max .. 0] OF INTEGER;
+VAR a: A; b: B;
+BEGIN END M.)");
+  ASSERT_EQ(M->Globals.size(), 2u);
+  EXPECT_EQ(M->Globals[0]->Ty->lo(), -1);
+  EXPECT_EQ(M->Globals[0]->Ty->hi(), 0);
+  EXPECT_EQ(M->Globals[1]->Ty->lo(), -1);
+  for (const char *Op : {"DIV", "MOD"})
+    expectParseError(std::string("MODULE M;\n"
+                                 "CONST Min = 0 - 9223372036854775807 - 1;\n"
+                                 "      X = Min ") +
+                         Op + " (0 - 1);\nBEGIN END M.",
+                     "integer overflow in constant expression");
 }
 
 TEST(Parser, MultiIndexSugar) {

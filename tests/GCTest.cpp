@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "CheckedInPrograms.h"
+#include "Programs.h"
 #include "TestUtil.h"
 
 using namespace mgc;
@@ -616,6 +618,103 @@ TEST(GC, AllocationExactlyFillingASpace) {
   EXPECT_FALSE(Over.Ok);
   EXPECT_NE(Over.Error.find("out of memory"), std::string::npos)
       << Over.Error;
+}
+
+//===----------------------------------------------------------------------===//
+// Scan plans and the full-collection kernel
+//===----------------------------------------------------------------------===//
+
+/// The descriptor walk the scan plans replaced: the fixed PtrOffsets, then
+/// each element's ElemPtrOffsets, elements starting after the length
+/// word.  Appends the word index of every non-NIL field to \p Offs and
+/// returns the object's words.
+size_t referenceWalk(const ir::TypeDesc &D, const vm::Word *P,
+                     std::vector<size_t> &Offs) {
+  for (unsigned Off : D.PtrOffsets)
+    if (P[1 + Off] != 0)
+      Offs.push_back(1 + Off);
+  size_t Words = 1 + D.SizeWords;
+  if (D.IsOpenArray) {
+    size_t Len = static_cast<size_t>(P[1]);
+    for (size_t E = 0; E != Len; ++E)
+      for (unsigned Off : D.ElemPtrOffsets)
+        if (P[2 + E * D.ElemSizeWords + Off] != 0)
+          Offs.push_back(2 + E * D.ElemSizeWords + Off);
+    Words += Len * D.ElemSizeWords;
+  }
+  return Words;
+}
+
+TEST(GC, ScanPlanWalksLikeTheDescriptor) {
+  // Every descriptor of every checked-in program, plus kinds those
+  // programs lack (arrays of records with pointers, empty records).
+  std::vector<test::NamedSource> Sources = test::checkedInPrograms();
+  Sources.push_back({"kinds", R"(
+MODULE M;
+TYPE R = REF RECORD v: INTEGER; n: R END;
+     Pair = RECORD a: INTEGER; p: R; b: INTEGER; q: R END;
+     G = REF ARRAY OF Pair;
+     E = REF RECORD END;
+     F = REF ARRAY OF RECORD a, b: INTEGER END;
+VAR g: G; e: E; f: F;
+BEGIN
+  g := NEW(G, 2); e := NEW(E); f := NEW(F, 2);
+  PutInt(NUMBER(g) + NUMBER(f)); PutLn();
+END M.)"});
+  bool SawGeneral = false;
+  for (const test::NamedSource &Src : Sources) {
+    driver::CompileResult C = driver::compile(Src.Source);
+    ASSERT_TRUE(C.Prog) << Src.Name << ":\n" << C.Diags.str();
+    const std::vector<ir::TypeDesc> &Descs = C.Prog->TypeDescs;
+    vm::Heap H(4096, Descs);
+    for (size_t I = 0; I != Descs.size(); ++I) {
+      const ir::TypeDesc &D = Descs[I];
+      SawGeneral |= H.plan(I).K == vm::ScanPlan::GeneralArray;
+      // A synthetic object of three elements (open arrays) whose every
+      // payload word, so every pointer slot, is non-zero.
+      const size_t Len = 3;
+      size_t Words =
+          1 + D.SizeWords + (D.IsOpenArray ? Len * D.ElemSizeWords : 0);
+      std::vector<vm::Word> Obj(Words);
+      for (size_t W = 1; W != Words; ++W)
+        Obj[W] = 0x1000 + W;
+      Obj[0] = vm::Heap::makeHeader(I, 0);
+      if (D.IsOpenArray)
+        Obj[1] = Len;
+      std::vector<size_t> Want, Got;
+      size_t WantWords = referenceWalk(D, Obj.data(), Want);
+      vm::Word Addr = reinterpret_cast<vm::Word>(Obj.data());
+      size_t GotWords = H.forEachPointerField(Addr, [&](vm::Word &F) {
+        Got.push_back(static_cast<size_t>(&F - Obj.data()));
+      });
+      EXPECT_EQ(Got, Want) << Src.Name << " " << D.Name;
+      EXPECT_EQ(GotWords, WantWords) << Src.Name << " " << D.Name;
+      EXPECT_EQ(H.objectWords(Addr), WantWords) << Src.Name << " " << D.Name;
+      EXPECT_EQ(Want.empty(), H.plan(I).K == vm::ScanPlan::PtrFreeRecord ||
+                                  H.plan(I).K == vm::ScanPlan::ScalarArray)
+          << Src.Name << " " << D.Name;
+    }
+  }
+  EXPECT_TRUE(SawGeneral) << "no descriptor exercised the general array walk";
+}
+
+TEST(GC, FullCollectionCrossCheckPassesOnSec6Programs) {
+  // --gc-crosscheck walks to-space after every full collection; the §6
+  // programs in bench/pause's 64 KiB heap must pass it.
+  uint64_t Collections = 0;
+  for (const programs::NamedProgram &P : programs::All) {
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    vm::VMOptions VO;
+    VO.HeapBytes = 64u << 10;
+    gc::CollectorOptions GCO;
+    GCO.CrossCheck = true;
+    RunResult R = compileAndRun(P.Source, CO, VO, GCO);
+    ASSERT_TRUE(R.Ok) << P.Name << ": " << R.Error;
+    EXPECT_EQ(R.Out, P.Expected) << P.Name;
+    Collections += R.Stats.Collections - R.Stats.MinorCollections;
+  }
+  EXPECT_GT(Collections, 0u) << "no full collection ran the check";
 }
 
 //===----------------------------------------------------------------------===//

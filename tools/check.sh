@@ -103,10 +103,12 @@ done
 (cd "$ROOT" && ./build/bench/dispatch)
 
 # --- Pause / MMU recorder ------------------------------------------------
-# Runs the §6 benchmarks plus a high-thread-count spin mix through the
-# serial collector and records pause p50/p99/max plus the MMU curve in
-# BENCH_pause.json.  Nothing is gated on time; a failed run or a wrong
-# output exits non-zero.
+# Runs the §6 benchmarks, destroy at a 3.2 MB live set in a 4 MiB
+# semispace (the full-collection copy kernel at MB scale) and a
+# high-thread-count spin mix through the serial collector and records
+# pause p50/p99/max, the MMU curve, objects and bytes copied and copy ns
+# per object in BENCH_pause.json.  Nothing is gated on time; a failed run
+# or a wrong output exits non-zero.
 (cd "$ROOT" && ./build/bench/pause)
 
 # --- Server-workload gate -------------------------------------------------

@@ -71,7 +71,8 @@
 ///                    decoder (the §6.3 artifact) instead of the load-time
 ///                    index + decoded-point cache
 ///   --gc-crosscheck  verify every accelerated decode against the
-///                    reference decoder (aborts on mismatch)
+///                    reference decoder, and every collection's result
+///                    against a walk of the heap (aborts on mismatch)
 ///   --no-run         compile only
 ///
 //===----------------------------------------------------------------------===//
