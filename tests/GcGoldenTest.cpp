@@ -11,11 +11,15 @@
 /// allocation, since most corpus programs never fill 64 KiB), and each
 /// run must match its row in tests/golden/gc.tsv: collections, minor
 /// collections, objects and bytes copied, roots traced, derived values
-/// adjusted, and an FNV-1a-64 digest of the heap snapshot captured after
-/// every collection.  The digest
-/// covers the heap layout (every object's offset, descriptor, site, age
-/// and size, every edge and root), so a collector that copies in another
-/// order or drops a field fails here even when its counters agree.
+/// adjusted, an FNV-1a-64 digest of the heap snapshot captured after
+/// every collection, and one of the body of the profile a sampling
+/// profiler (interval 256) attached to the run records.  The snapshot
+/// digest covers the heap layout (every object's offset, descriptor,
+/// site, age and size, every edge and root), so a collector that copies
+/// in another order or drops a field fails here even when its counters
+/// agree.  The profile digest covers the profiler's table walk of every
+/// sampled stack: frames, live slots and registers, derived values,
+/// unmapped frames and walk errors.
 ///
 /// A change that alters collector output on purpose replaces the rows the
 /// failure message prints and says so in its change notes.
@@ -27,6 +31,7 @@
 #include "driver/Compiler.h"
 #include "gc/Collector.h"
 #include "gc/Snapshot.h"
+#include "obs/Profile.h"
 
 #include <gtest/gtest.h>
 
@@ -72,6 +77,10 @@ std::string runRow(const test::NamedSource &S, Mode Md) {
   VO.GcStress = Md == Mode::Stress;
   vm::VM M(*C.Prog, VO);
   gc::installPreciseCollector(M);
+  obs::ProfilerConfig PC;
+  PC.IntervalInstrs = 256;
+  obs::Profiler Prof(*C.Prog, PC);
+  M.Profiler = &Prof;
   test::Fnv64 Snaps;
   obs::HeapSnapshot Snap;
   std::vector<uint8_t> Blob;
@@ -90,12 +99,18 @@ std::string runRow(const test::NamedSource &S, Mode Md) {
   };
   bool Ok = M.run();
   EXPECT_TRUE(Ok) << S.Name << " " << modeName(Md) << ": " << M.Error;
+  Prof.finish(Ok, M.Error, M.Stats.Instrs);
+  Blob.clear();
+  obs::encodeProfileBody(Prof.buildProfile(), Blob);
+  test::Fnv64 ProfBody;
+  ProfBody.bytes(Blob.data(), Blob.size());
   const vm::VMStats &St = M.Stats;
   std::ostringstream Row;
   Row << S.Name << '\t' << modeName(Md) << '\t'
       << St.Collections << '\t' << St.MinorCollections << '\t'
       << St.ObjectsCopied << '\t' << St.BytesCopied << '\t'
-      << St.RootsTraced << '\t' << St.DerivedAdjusted << '\t' << Snaps.hex();
+      << St.RootsTraced << '\t' << St.DerivedAdjusted << '\t' << Snaps.hex()
+      << '\t' << ProfBody.hex();
   return Row.str();
 }
 
