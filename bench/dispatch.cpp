@@ -52,10 +52,8 @@ RunResult runOnce(const vm::Program &Prog, vm::DispatchTier Tier) {
   VO.HeapBytes = 1u << 20;
   VO.StackWords = 1u << 20;
   VO.Dispatch = Tier;
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = false;
   vm::VM M(Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   uint64_t T0 = bench::cpuNanos();
   bool Ok = M.run();

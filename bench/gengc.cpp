@@ -53,14 +53,13 @@ ModeRun runMode(const Workload &W, bool Gen, bool Stress = false,
   VO.GenGc = Gen;
   VO.NurseryBytes = Gen ? W.NurseryBytes : 0;
   VO.GcStress = Stress;
-  gc::CollectorOptions GCO;
   // Every decode + every minor collection verified during the
   // verification phase; off in the timed runs (the minor-collection
   // cross-check is a whole-heap reachability traversal).
-  GCO.CrossCheck = Check;
+  VO.CrossCheck = Check;
 
   vm::VM M(*Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
   if (!M.run()) {
     std::fprintf(stderr, "gengc: %s (%s mode): run failed: %s\n", W.Name,
                  Gen ? "generational" : "two-space", M.Error.c_str());

@@ -227,13 +227,12 @@ void BM_FullCollection(benchmark::State &State) {
   // Run destroy once to a mid-execution heap, then measure explicit
   // collections on the final state.  Arg 0 selects the decoder: 0 = the
   // reference walk-from-start decoder, 1 = index + decoded-point cache.
-  gc::CollectorOptions GCO;
-  GCO.UseMapIndex = State.range(0) != 0;
   vm::VMOptions VO;
   VO.HeapBytes = 1u << 20;
   VO.StackWords = 1u << 20;
+  VO.UseMapIndex = State.range(0) != 0;
   vm::VM M(*F.Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
   if (!M.run()) {
     State.SkipWithError(M.Error.c_str());
     return;
@@ -242,7 +241,7 @@ void BM_FullCollection(benchmark::State &State) {
     M.collectNow();
     benchmark::DoNotOptimize(M.Stats.Collections);
   }
-  State.SetLabel(GCO.UseMapIndex ? "indexed" : "reference");
+  State.SetLabel(VO.UseMapIndex ? "indexed" : "reference");
 }
 BENCHMARK(BM_FullCollection)->Arg(0)->Arg(1);
 

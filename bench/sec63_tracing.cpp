@@ -34,16 +34,15 @@ struct Row {
 };
 
 Row runWorkload(const char *Label, const std::string &Source,
-                size_t HeapBytes, const gc::CollectorOptions &GCO = {}) {
+                size_t HeapBytes, vm::VMOptions VO = {}) {
   driver::CompilerOptions CO;
   CO.OptLevel = 2;
   auto Prog = compileOrDie(Label, Source.c_str(), CO);
 
-  vm::VMOptions VO;
   VO.HeapBytes = HeapBytes;
   VO.StackWords = 1u << 20;
   vm::VM M(*Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   // Wrap the precise collector with a timed conservative scan of the same
   // machine state, for the precise-vs-ambiguous-roots ablation.
@@ -95,9 +94,9 @@ int main() {
               "trace us", "gc us", "trace%", "frames", "us/frame");
   printRule(80);
 
-  gc::CollectorOptions Reference;
+  vm::VMOptions Reference;
   Reference.UseMapIndex = false;
-  gc::CollectorOptions Indexed; // Defaults: index + cache.
+  vm::VMOptions Indexed; // Defaults: index + cache.
 
   struct Workload {
     const char *Label;
@@ -168,7 +167,7 @@ int main() {
 
   // Cross-check mode: every decode of all four benchmark programs is also
   // run through the reference decoder; any disagreement aborts.
-  gc::CollectorOptions Checked;
+  vm::VMOptions Checked;
   Checked.CrossCheck = true;
   std::printf("\nCross-check (cached == reference on every decode): ");
   for (const programs::NamedProgram &P : programs::All)

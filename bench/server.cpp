@@ -73,7 +73,7 @@ ServerRunConfig cellConfig(const BenchWorkload &W, const BenchPolicy &P,
   C.VO.HeapMaxBytes = P.MaxBytes;
   C.VO.NurseryAuto = P.NurseryAuto;
   C.VO.Dispatch = Tier;
-  C.GCO.CrossCheck = CrossCheck;
+  C.VO.CrossCheck = CrossCheck;
   C.Sched = W.Sched;
   C.SpinThreads = W.SpinThreads;
   return C;

@@ -6,6 +6,7 @@
 
 #include "fuzz/Oracle.h"
 
+#include "gc/Collector.h"
 #include "gc/Snapshot.h"
 #include "obs/HeapSnapshot.h"
 #include "obs/Profile.h"
@@ -34,7 +35,7 @@ std::vector<RunSpec> fuzz::buildMatrix(bool HasSpin) {
   auto Base = [&](const char *Name) {
     RunSpec S;
     S.Name = Name;
-    S.GCO.CrossCheck = true;
+    S.VO.CrossCheck = true;
     S.VO.InstrBudget = 50'000'000;
     if (HasSpin) {
       S.CO.ThreadedPolls = true;
@@ -118,7 +119,7 @@ std::vector<RunSpec> fuzz::buildMatrix(bool HasSpin) {
     RunSpec S = Base("O2-two-stress-noindex");
     S.VO.HeapBytes = 1u << 20;
     S.VO.GcStress = true;
-    S.GCO.UseMapIndex = false;
+    S.VO.UseMapIndex = false;
     S.StatsGroup = 1;
     S.CliFlags = "--heap 1048576 --stress --no-map-index --gc-crosscheck";
     M.push_back(S);
@@ -180,7 +181,7 @@ namespace {
 RunOutcome executeInProcess(const vm::Program &Prog, const RunSpec &Spec) {
   RunOutcome O;
   vm::VM M(Prog, Spec.VO);
-  gc::installPreciseCollector(M, Spec.GCO);
+  gc::installPreciseCollector(M);
   // Online leak detector, attached in every cell with a short window and a
   // tiny byte floor so the fuzzer's injected leaks (Coverage::LeakBias) are
   // well within reach.  The flag set is a deterministic function of the
@@ -199,7 +200,6 @@ RunOutcome executeInProcess(const vm::Program &Prog, const RunSpec &Spec) {
   // whole encoded profile (compared via the ProfSummary digest).
   obs::ProfilerConfig PC;
   PC.IntervalInstrs = 256;
-  PC.UseMapIndex = Spec.GCO.UseMapIndex;
   obs::Profiler Prof(Prog, PC);
   M.Profiler = &Prof;
   if (Spec.SpawnSpin) {

@@ -38,7 +38,6 @@
 #define MGC_FUZZ_ORACLE_H
 
 #include "driver/Compiler.h"
-#include "gc/Collector.h"
 #include "vm/VM.h"
 
 #include <cstdint>
@@ -53,7 +52,6 @@ struct RunSpec {
   std::string Name;
   driver::CompilerOptions CO;
   vm::VMOptions VO;
-  gc::CollectorOptions GCO;
   bool SpawnSpin = false;        ///< Spawn the program's Spin() thread.
   bool ConservativeCheck = false; ///< Reference run only: superset check.
   /// Specs sharing a non-negative group id must agree exactly on

@@ -6,9 +6,9 @@
 
 #include "gc/Collector.h"
 
-#include "gcmaps/GcTables.h"
 #include "gcmaps/MapIndex.h"
 #include "obs/Trace.h"
+#include "vm/FrameWalk.h"
 
 #include <cassert>
 #include <chrono>
@@ -24,7 +24,6 @@ using namespace mgc::vm;
 
 namespace {
 
-constexpr uint32_t SentinelPC = 0xFFFFFFFFu;
 /// Decoded-point cache lines (power of two).
 constexpr unsigned DecodeCacheLines = 64;
 
@@ -47,13 +46,16 @@ struct DerivedEntry {
 /// collections decode from cache and allocate nothing.
 class PreciseCollector {
 public:
-  explicit PreciseCollector(const CollectorOptions &Opts)
-      : Opts(Opts), Cache(DecodeCacheLines) {}
+  explicit PreciseCollector(const VMOptions &Opts)
+      : Decoder(Opts.UseMapIndex, Opts.CrossCheck, DecodeCacheLines),
+        CrossCheck(Opts.CrossCheck) {}
 
   void collect(VM &M);
 
 private:
-  void walkThread(VM &M, ThreadContext &T, uint32_t TablePC);
+  /// The stack trace: every suspended thread's tidy roots in walk order
+  /// (then the globals), and its derived values in the derived arena.
+  void gatherRoots(VM &M);
   /// The full two-space Cheney copy (also evacuates the nursery in
   /// generational mode).
   void traceFull(VM &M);
@@ -69,20 +71,12 @@ private:
   /// every root and every non-NIL field lands on the header of an object
   /// the collection copied.  Runs before the semispaces swap.
   void crosscheckAfterFull(VM &M);
-  /// The decoded tables for gc-point \p Ordinal of function \p FuncIdx,
-  /// through the configured path (cache+index, or the reference decoder).
-  const gcmaps::GcPointInfo &pointInfo(VM &M, unsigned FuncIdx,
-                                       unsigned Ordinal);
-  Word *resolve(const vm::Location &L, uint32_t FP, uint32_t AP,
-                ThreadContext &T, Word **RegHome);
 
-  CollectorOptions Opts;
+  gcmaps::PointDecoder Decoder;
+  bool CrossCheck;
   /// The in-flight observability event (null when tracing is off); set at
   /// the top of collect() so traceMinor can time the remset rebuild.
   obs::GcEvent *CurEv = nullptr;
-  gcmaps::DecodedPointCache Cache;
-  /// Reference-decoder scratch (UseMapIndex == false).
-  gcmaps::GcPointInfo RefInfo;
   /// The root set: table-described slots in walk order, then globals.
   std::vector<Word *> TidyRoots;
   /// Persistent derived-entry arena (entries beyond DerivedUsed keep their
@@ -91,121 +85,43 @@ private:
   size_t DerivedUsed = 0;
 };
 
-const gcmaps::GcPointInfo &PreciseCollector::pointInfo(VM &M,
-                                                       unsigned FuncIdx,
-                                                       unsigned Ordinal) {
-  const gcmaps::EncodedFuncMaps &Maps = M.Prog.Maps[FuncIdx];
-  const gcmaps::GcPointInfo *Info;
-  if (Opts.UseMapIndex) {
-    assert(FuncIdx < M.Prog.MapIndexes.size() &&
-           "program installed without map indexes");
-    const gcmaps::FuncMapIndex &Index = M.Prog.MapIndexes[FuncIdx];
-    Info = Cache.lookup(FuncIdx, Ordinal);
-    if (Info) {
-      ++M.Stats.DecodeCacheHits;
-    } else {
-      ++M.Stats.DecodeCacheMisses;
-      gcmaps::GcPointInfo &Slot = Cache.insert(FuncIdx, Ordinal);
-      gcmaps::decodeGcPointIndexed(Maps, Index, Ordinal, Slot,
-                                   &M.Stats.DecodeBytesSkipped);
-      Info = &Slot;
-    }
-  } else {
-    RefInfo = gcmaps::decodeGcPoint(Maps, Ordinal);
-    Info = &RefInfo;
-  }
-  if (Opts.CrossCheck &&
-      !(*Info == gcmaps::decodeGcPoint(Maps, Ordinal))) {
-    std::fprintf(stderr,
-                 "gc cross-check: accelerated decode of func %u point %u "
-                 "disagrees with the reference decoder\n",
-                 FuncIdx, Ordinal);
-    std::abort();
-  }
-  return *Info;
-}
-
-Word *PreciseCollector::resolve(const vm::Location &L, uint32_t FP,
-                                uint32_t AP, ThreadContext &T,
-                                Word **RegHome) {
-  switch (L.K) {
-  case vm::Location::Kind::FpSlot:
-    return &T.Stack[FP + static_cast<unsigned>(L.Index)];
-  case vm::Location::Kind::ApSlot:
-    return &T.Stack[AP + static_cast<unsigned>(L.Index)];
-  case vm::Location::Kind::Reg:
-    return RegHome[L.Index];
-  case vm::Location::Kind::None:
-    break;
-  }
-  assert(false && "unresolvable location");
-  return nullptr;
-}
-
-void PreciseCollector::walkThread(VM &M, ThreadContext &T, uint32_t TablePC) {
-  // Register reconstruction state: where each register's value *as of the
-  // frame being processed* lives.  Innermost frame: the live register file;
-  // moving outward, registers saved by a frame are found in its save area.
-  Word *RegHome[NumRegs];
-  for (unsigned R = 0; R != NumRegs; ++R)
-    RegHome[R] = &T.R[R];
-
-  uint32_t PC = TablePC;
-  uint32_t FP = T.FP;
-  uint32_t AP = T.AP;
-
-  while (true) {
+void PreciseCollector::gatherRoots(VM &M) {
+  TidyRoots.clear();
+  DerivedUsed = 0;
+  uint64_t Hits = Decoder.hits(), Misses = Decoder.misses(),
+           Skipped = Decoder.bytesSkipped();
+  // Each thread's frames come innermost first, so its derived entries land
+  // in the arena in the §3 callee-before-caller order.
+  WalkEnd End = walkSuspendedThreads(M, Decoder, [&](size_t,
+                                                     const WalkFrame &Fr) {
     ++M.Stats.FramesTraced;
-    unsigned FuncIdx = M.Prog.funcOfPC(PC - 1);
-    const CompiledFunction &F = M.Prog.Funcs[FuncIdx];
-    const gcmaps::EncodedFuncMaps &Maps = M.Prog.Maps[FuncIdx];
-
-    int Ordinal = gcmaps::findGcPoint(Maps, PC);
-    assert(Ordinal >= 0 && "suspension point is not a known gc-point");
-    const gcmaps::GcPointInfo &Info =
-        pointInfo(M, FuncIdx, static_cast<unsigned>(Ordinal));
-
+    assert(Fr.Point && "suspension point is not a known gc-point");
+    const gcmaps::GcPointInfo &Info = *Fr.Point;
     for (const vm::Location &L : Info.LiveSlots)
-      TidyRoots.push_back(resolve(L, FP, AP, T, RegHome));
+      TidyRoots.push_back(Fr.home(L));
     for (unsigned R = 0; R != NumRegs; ++R)
       if (Info.RegMask & (1u << R))
-        TidyRoots.push_back(RegHome[R]);
-
+        TidyRoots.push_back(Fr.RegHome[R]);
     for (const gcmaps::DerivationRecord &Rec : Info.Derivs) {
       if (DerivedUsed == Derived.size())
         Derived.emplace_back();
       DerivedEntry &E = Derived[DerivedUsed++];
       E.Bases.clear();
-      E.Target = resolve(Rec.Target, FP, AP, T, RegHome);
-      const std::vector<gcmaps::BaseRef> *Bases = &Rec.Bases;
-      if (Rec.Ambiguous) {
-        // Consult the path variable to select the derivation that actually
-        // happened (§4).  Alts are encoded sorted by path value, so this
-        // is a binary search rather than a linear scan.
-        Word PathValue = *resolve(Rec.PathVar, FP, AP, T, RegHome);
-        const gcmaps::DerivationAlt *Chosen = gcmaps::findDerivationAlt(
-            Rec, static_cast<int32_t>(PathValue));
-        assert(Chosen && "path variable selects no known derivation");
-        Bases = &Chosen->Bases;
-      }
+      E.Target = Fr.home(Rec.Target);
+      const std::vector<gcmaps::BaseRef> *Bases = Fr.bases(Rec);
+      assert(Bases && "path variable selects no known derivation");
       for (const gcmaps::BaseRef &B : *Bases)
-        E.Bases.emplace_back(resolve(B.Loc, FP, AP, T, RegHome), B.Coeff);
+        E.Bases.emplace_back(Fr.home(B.Loc), B.Coeff);
     }
-
-    // Step to the caller: registers this frame saved now live in its save
-    // area as far as outer frames are concerned.
-    for (size_t K = 0; K != F.SavedRegs.size(); ++K)
-      RegHome[F.SavedRegs[K]] = &T.Stack[FP + K];
-
-    uint32_t RetPC = static_cast<uint32_t>(T.Stack[FP - 1]);
-    if (RetPC == SentinelPC)
-      break;
-    uint32_t CallerFP = static_cast<uint32_t>(T.Stack[FP - 2]);
-    uint32_t CallerAP = static_cast<uint32_t>(T.Stack[FP - 3]);
-    PC = RetPC;
-    FP = CallerFP;
-    AP = CallerAP;
-  }
+    return true;
+  });
+  assert(End == WalkEnd::Done && "stack walk left the thread's stack");
+  (void)End;
+  for (unsigned W : M.Prog.GlobalPtrWords)
+    TidyRoots.push_back(&M.Globals[W]);
+  M.Stats.DecodeCacheHits += Decoder.hits() - Hits;
+  M.Stats.DecodeCacheMisses += Decoder.misses() - Misses;
+  M.Stats.DecodeBytesSkipped += Decoder.bytesSkipped() - Skipped;
 }
 
 void PreciseCollector::traceFull(VM &M) {
@@ -227,13 +143,13 @@ void PreciseCollector::traceFull(VM &M) {
       H.evacuate(TidyRoots.data(), TidyRoots.size(), LeakAcc, LeakSites);
   M.Stats.BytesCopied += H.toAlloc() - H.scanStart();
 
-  if (Opts.CrossCheck)
+  if (CrossCheck)
     crosscheckAfterFull(M);
 
   // Survival + attribution sweep: from-space headers (and nursery headers
   // in generational mode) remain readable until the swap below.
   if (M.Tracer)
-    M.Tracer->sweepSurvivors(H, /*Minor=*/false);
+    M.Tracer->sweepSurvivors();
   H.endCollection();
 }
 
@@ -310,7 +226,7 @@ void PreciseCollector::traceMinor(VM &M) {
   M.Stats.BytesCopied += (H.nurToAlloc() - H.nurScanStart()) +
                          (H.oldAllocPtr() - H.oldScanStart());
 
-  if (Opts.CrossCheck)
+  if (CrossCheck)
     crosscheckAfterMinor(M);
 
   // Remembered-set rebuild (timed as its own phase): surviving entries of
@@ -335,7 +251,7 @@ void PreciseCollector::traceMinor(VM &M) {
   // Survival + attribution sweep: evacuated nursery-half headers remain
   // readable until the swap below.
   if (M.Tracer)
-    M.Tracer->sweepSurvivors(H, /*Minor=*/true);
+    M.Tracer->sweepSurvivors();
   H.endMinorCollection();
 }
 
@@ -415,25 +331,10 @@ void PreciseCollector::collect(VM &M) {
 
   bool Minor = M.TheHeap.generational() && M.RequestedGc == GcKind::Minor;
 
-  TidyRoots.clear();
-  DerivedUsed = 0;
-
   // --- Stack tracing: locate tables, decode, gather roots (timed
   // separately; this is §6.3's measured quantity).  A minor collection
-  // gathers the identical root set — only the trace differs.  Each
-  // thread's frames are walked innermost first, so its derived entries
-  // land in the arena in the §3 callee-before-caller order.
-  for (size_t TI = 0; TI != M.Threads.size(); ++TI) {
-    ThreadContext &T = *M.Threads[TI];
-    if (!T.Live)
-      continue; // Finished threads have no frames to scan.
-    uint32_t TablePC = M.SuspendPCs.empty() ? 0 : M.SuspendPCs[TI];
-    if (TablePC == SentinelPC || TablePC == 0)
-      continue;
-    walkThread(M, T, TablePC);
-  }
-  for (unsigned W : M.Prog.GlobalPtrWords)
-    TidyRoots.push_back(&M.Globals[W]);
+  // gathers the identical root set — only the trace differs.
+  gatherRoots(M);
 
   auto T1 = Clock::now();
   if (CurEv)
@@ -503,11 +404,11 @@ void PreciseCollector::collect(VM &M) {
 
 } // namespace
 
-void gc::installPreciseCollector(VM &M, const CollectorOptions &Opts) {
+void gc::installPreciseCollector(VM &M) {
   // The collector instance is shared by every collection of this VM: the
   // decoded-point cache and the root/derived buffers persist, so only the
   // first collections pay decode allocations.
-  auto State = std::make_shared<PreciseCollector>(Opts);
+  auto State = std::make_shared<PreciseCollector>(M.Opts);
   M.Collector = [State](VM &Inner) { State->collect(Inner); };
 }
 

@@ -9,9 +9,10 @@
 ///
 ///  - installPreciseCollector: a two-space copying (Cheney) collector whose
 ///    root enumeration is driven entirely by the compile-time tables.  The
-///    stack walk extracts return addresses, maps each to its gc-point
-///    (§3's pc→tables search), reconstructs register contents from
-///    callee-save areas, and applies the derived-value update protocol:
+///    stack walk (vm/FrameWalk.h) extracts return addresses, maps each to
+///    its gc-point (§3's pc→tables search) and reconstructs register
+///    contents from callee-save areas; the collector applies the
+///    derived-value update protocol:
 ///    un-derive (callee before caller, §3's ordering), trace and update
 ///    every tidy root, copy/scan, then re-derive in exactly reverse order.
 ///
@@ -34,24 +35,11 @@
 namespace mgc {
 namespace gc {
 
-/// How the precise collector resolves gc-point tables.
-struct CollectorOptions {
-  /// Use the load-time FuncMapIndex + decoded-point cache (MapIndex.h).
-  /// When false, every frame decodes through the reference walk-from-start
-  /// decoder — the §6.3 measured artifact (`--no-map-index` in mgc).
-  bool UseMapIndex = true;
-  /// Re-decode every gc-point through the reference decoder as well and
-  /// abort on any disagreement with the indexed/cached result; after every
-  /// collection, also abort unless every reachable pointer lands on a
-  /// copied object (minor: none left in the evacuated nursery half; full:
-  /// every root and field on an object header in to-space).
-  bool CrossCheck = false;
-};
-
-/// Installs the precise copying collector on \p M.  The collector's decode
-/// state (point cache, root/derived buffers) persists across collections,
-/// so steady-state collections perform no decode allocations.
-void installPreciseCollector(vm::VM &M, const CollectorOptions &Opts = {});
+/// Installs the precise copying collector on \p M.  It decodes gc-points
+/// the way \p M's options say (VMOptions::UseMapIndex, CrossCheck), and
+/// its decode state (point cache, root/derived buffers) persists across
+/// collections, so steady-state collections perform no decode allocations.
+void installPreciseCollector(vm::VM &M);
 
 /// Statistics of a conservative (non-moving) trace.
 struct ConservativeStats {

@@ -7,10 +7,9 @@
 #include "gc/Snapshot.h"
 
 #include "gc/Collector.h"
-#include "gcmaps/GcTables.h"
 #include "gcmaps/MapIndex.h"
-#include "obs/Trace.h"
 #include "support/Provenance.h"
+#include "vm/FrameWalk.h"
 
 #include <unordered_map>
 #include <unordered_set>
@@ -21,29 +20,12 @@ using namespace mgc::vm;
 
 namespace {
 
-constexpr uint32_t SentinelPC = 0xFFFFFFFFu;
-
 /// One enumerated root: the record's provenance plus the tidy pointer it
 /// holds (for derived values: the anchor base object's pointer).
 struct RootVal {
   obs::HeapSnapshot::Root Rec;
   Word Value = 0;
 };
-
-Word *resolveLoc(const vm::Location &L, uint32_t FP, uint32_t AP,
-                 ThreadContext &T, Word **RegHome) {
-  switch (L.K) {
-  case vm::Location::Kind::FpSlot:
-    return &T.Stack[FP + static_cast<unsigned>(L.Index)];
-  case vm::Location::Kind::ApSlot:
-    return &T.Stack[AP + static_cast<unsigned>(L.Index)];
-  case vm::Location::Kind::Reg:
-    return RegHome[L.Index];
-  case vm::Location::Kind::None:
-    break;
-  }
-  return nullptr;
-}
 
 obs::HeapSnapshot::RootKind kindOf(const vm::Location &L) {
   switch (L.K) {
@@ -56,124 +38,68 @@ obs::HeapSnapshot::RootKind kindOf(const vm::Location &L) {
   }
 }
 
-/// The provenance-keeping mirror of the collector's walkThread: same
-/// return-address chain, same register reconstruction, same ambiguous
-/// derivation selection — but through the reference decoder (capture is
-/// rare; the decoded-point cache stays untouched) and recording where
-/// every root lives.
-bool walkThreadRoots(VM &M, size_t TI, std::vector<RootVal> &Roots,
-                     std::string &Err) {
-  ThreadContext &T = *M.Threads[TI];
-  Word *RegHome[NumRegs];
-  for (unsigned R = 0; R != NumRegs; ++R)
-    RegHome[R] = &T.R[R];
-
-  uint32_t PC = M.SuspendPCs[TI];
-  uint32_t FP = T.FP;
-  uint32_t AP = T.AP;
-  uint32_t Frame = 0;
-
-  while (true) {
-    unsigned FuncIdx = M.Prog.funcOfPC(PC - 1);
-    const CompiledFunction &F = M.Prog.Funcs[FuncIdx];
-    const gcmaps::EncodedFuncMaps &Maps = M.Prog.Maps[FuncIdx];
-
-    int Ordinal = gcmaps::findGcPoint(Maps, PC);
-    if (Ordinal < 0) {
-      Err = "snapshot: thread " + std::to_string(TI) +
-            " is suspended at pc " + std::to_string(PC) +
-            ", which is not a gc-point of " + F.Name;
-      return false;
-    }
-    gcmaps::GcPointInfo Info =
-        gcmaps::decodeGcPoint(Maps, static_cast<unsigned>(Ordinal));
-
-    auto Provenance = [&](obs::HeapSnapshot::RootKind Kind, int32_t Index) {
-      obs::HeapSnapshot::Root R;
-      R.Kind = Kind;
-      R.Thread = static_cast<uint32_t>(TI);
-      R.Frame = Frame;
-      R.Func = FuncIdx;
-      R.Index = Index;
-      return R;
-    };
-
-    for (const vm::Location &L : Info.LiveSlots) {
-      RootVal R;
-      R.Rec = Provenance(kindOf(L), L.Index);
-      R.Value = *resolveLoc(L, FP, AP, T, RegHome);
-      Roots.push_back(R);
-    }
-    for (unsigned Rg = 0; Rg != NumRegs; ++Rg)
-      if (Info.RegMask & (1u << Rg)) {
-        RootVal R;
-        R.Rec = Provenance(obs::HeapSnapshot::RootKind::Reg,
-                           static_cast<int32_t>(Rg));
-        R.Value = *RegHome[Rg];
-        Roots.push_back(R);
-      }
-
-    for (const gcmaps::DerivationRecord &Rec : Info.Derivs) {
-      const std::vector<gcmaps::BaseRef> *Bases = &Rec.Bases;
-      if (Rec.Ambiguous) {
-        Word PathValue = *resolveLoc(Rec.PathVar, FP, AP, T, RegHome);
-        const gcmaps::DerivationAlt *Chosen = gcmaps::findDerivationAlt(
-            Rec, static_cast<int32_t>(PathValue));
-        if (!Chosen) {
-          Err = "snapshot: path variable selects no known derivation in " +
-                F.Name;
-          return false;
-        }
-        Bases = &Chosen->Bases;
-      }
-      // A derived value introduces no reachability of its own: the tables
-      // keep its bases live (§3), so the record is pure provenance.  The
-      // anchor is the first base holding a tidy pointer.
-      for (const gcmaps::BaseRef &B : *Bases) {
-        Word V = *resolveLoc(B.Loc, FP, AP, T, RegHome);
-        if (V == 0)
-          continue;
-        RootVal R;
-        R.Rec = Provenance(obs::HeapSnapshot::RootKind::Derived,
-                           Rec.Target.Index);
-        R.Value = V;
-        Roots.push_back(R);
-        break;
-      }
-    }
-
-    for (size_t K = 0; K != F.SavedRegs.size(); ++K)
-      RegHome[F.SavedRegs[K]] = &T.Stack[FP + K];
-
-    uint32_t RetPC = static_cast<uint32_t>(T.Stack[FP - 1]);
-    if (RetPC == SentinelPC)
-      break;
-    uint32_t CallerFP = static_cast<uint32_t>(T.Stack[FP - 2]);
-    uint32_t CallerAP = static_cast<uint32_t>(T.Stack[FP - 3]);
-    PC = RetPC;
-    FP = CallerFP;
-    AP = CallerAP;
-    ++Frame;
-  }
-  return true;
-}
-
 /// Enumerates every root with provenance: each live thread's frames
 /// (innermost first) when \p WalkStacks, then the global pointer words.
+/// The stacks are walked as the collector walks them, but through the
+/// reference decoder (capture is rare; the collector's cache stays
+/// untouched).
 bool collectRoots(VM &M, bool WalkStacks, std::vector<RootVal> &Roots,
                   std::string &Err) {
   Roots.clear();
   if (WalkStacks) {
-    for (size_t TI = 0; TI != M.Threads.size(); ++TI) {
-      ThreadContext &T = *M.Threads[TI];
-      if (!T.Live || TI >= M.SuspendPCs.size())
-        continue;
-      uint32_t TablePC = M.SuspendPCs[TI];
-      if (TablePC == SentinelPC || TablePC == 0)
-        continue;
-      if (!walkThreadRoots(M, TI, Roots, Err))
+    gcmaps::PointDecoder Reference(/*UseIndex=*/false, /*CrossCheck=*/false);
+    size_t Thread = 0;
+    WalkEnd End = walkSuspendedThreads(M, Reference, [&](size_t TI,
+                                                         const WalkFrame &Fr) {
+      const CompiledFunction &F = M.Prog.Funcs[Fr.Func];
+      if (!Fr.Point) {
+        Err = "snapshot: thread " + std::to_string(TI) +
+              " is suspended at pc " + std::to_string(Fr.TablePC) +
+              ", which is not a gc-point of " + F.Name;
         return false;
-    }
+      }
+      auto Root = [&](obs::HeapSnapshot::RootKind Kind, int32_t Index,
+                      Word Value) {
+        RootVal R;
+        R.Rec.Kind = Kind;
+        R.Rec.Thread = static_cast<uint32_t>(TI);
+        R.Rec.Frame = Fr.Depth;
+        R.Rec.Func = Fr.Func;
+        R.Rec.Index = Index;
+        R.Value = Value;
+        Roots.push_back(R);
+      };
+      for (const vm::Location &L : Fr.Point->LiveSlots)
+        Root(kindOf(L), L.Index, *Fr.home(L));
+      for (unsigned Rg = 0; Rg != NumRegs; ++Rg)
+        if (Fr.Point->RegMask & (1u << Rg))
+          Root(obs::HeapSnapshot::RootKind::Reg, static_cast<int32_t>(Rg),
+               *Fr.RegHome[Rg]);
+      for (const gcmaps::DerivationRecord &Rec : Fr.Point->Derivs) {
+        const std::vector<gcmaps::BaseRef> *Bases = Fr.bases(Rec);
+        if (!Bases) {
+          Err = "snapshot: path variable selects no known derivation in " +
+                F.Name;
+          return false;
+        }
+        // A derived value introduces no reachability of its own: the tables
+        // keep its bases live (§3), so the record is pure provenance.  The
+        // anchor is the first base holding a tidy pointer.
+        for (const gcmaps::BaseRef &B : *Bases) {
+          Word V = *Fr.home(B.Loc);
+          if (V == 0)
+            continue;
+          Root(obs::HeapSnapshot::RootKind::Derived, Rec.Target.Index, V);
+          break;
+        }
+      }
+      return true;
+    }, &Thread);
+    if (End == WalkEnd::BadFrame)
+      Err = "snapshot: thread " + std::to_string(Thread) +
+            "'s frame chain leaves its stack (corrupt control word)";
+    if (End != WalkEnd::Done)
+      return false;
   }
   for (unsigned W : M.Prog.GlobalPtrWords) {
     RootVal R;

@@ -8,6 +8,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 using namespace mgc;
 using namespace mgc::gcmaps;
@@ -135,6 +137,33 @@ const DerivationAlt *gcmaps::findDerivationAlt(const DerivationRecord &Rec,
   if (It == Rec.Alts.end() || It->PathValue != PathValue)
     return nullptr;
   return &*It;
+}
+
+//===----------------------------------------------------------------------===//
+// The decode path
+//===----------------------------------------------------------------------===//
+
+const GcPointInfo &
+PointDecoder::decodeIntoCache(const std::vector<EncodedFuncMaps> &Maps,
+                              const std::vector<FuncMapIndex> &Indexes,
+                              unsigned Func, unsigned Ordinal) {
+  assert(Func < Indexes.size() && "program installed without map indexes");
+  GcPointInfo &Slot = Cache.insert(Func, Ordinal);
+  decodeGcPointIndexed(Maps[Func], Indexes[Func], Ordinal, Slot,
+                       &BytesSkipped);
+  return Slot;
+}
+
+void PointDecoder::crossCheck(const GcPointInfo &Info,
+                              const EncodedFuncMaps &Maps, unsigned Func,
+                              unsigned Ordinal) {
+  if (Info == decodeGcPoint(Maps, Ordinal))
+    return;
+  std::fprintf(stderr,
+               "gc cross-check: accelerated decode of func %u point %u "
+               "disagrees with the reference decoder\n",
+               Func, Ordinal);
+  std::abort();
 }
 
 //===----------------------------------------------------------------------===//

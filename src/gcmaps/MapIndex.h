@@ -31,6 +31,10 @@
 /// measured §6.3 artifact, and `crossCheck` asserts the accelerated decode
 /// agrees with it bit for bit.
 ///
+/// `PointDecoder` is the one place that chooses between the two paths (and
+/// cross-checks them); every stack walk decodes through one
+/// (vm/FrameWalk.h).
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef MGC_GCMAPS_MAPINDEX_H
@@ -137,6 +141,64 @@ private:
   uint32_t Mask;
   uint64_t Hits = 0;
   uint64_t Misses = 0;
+};
+
+//===----------------------------------------------------------------------===//
+// The decode path
+//===----------------------------------------------------------------------===//
+
+/// Decodes gc-points for one stack-walk user (the collector, snapshot
+/// capture, the profiler), each with its own instance, cache and counters.
+/// The path is chosen once, at construction: the load-time index plus a
+/// decoded-point cache, or the reference walk-from-start decoder
+/// (`--no-map-index`).  With cross-checking on (`--gc-crosscheck`), every
+/// indexed decode, cached or not, is compared with the reference decoder,
+/// and a disagreement aborts the process.
+class PointDecoder {
+public:
+  /// \p CacheLines (a power of two) sizes the cache of the indexed path.
+  PointDecoder(bool UseIndex, bool CrossCheck, unsigned CacheLines = 64)
+      : UseIndex(UseIndex), CrossCheck(CrossCheck),
+        Cache(UseIndex ? CacheLines : 1) {}
+
+  /// The decoded tables of gc-point \p Ordinal of function \p Func, whose
+  /// tables are \p Maps[Func] and load-time index \p Indexes[Func] (read
+  /// only by the indexed path).  Valid until the next decode.
+  const GcPointInfo &decode(const std::vector<EncodedFuncMaps> &Maps,
+                            const std::vector<FuncMapIndex> &Indexes,
+                            unsigned Func, unsigned Ordinal) {
+    if (!UseIndex) {
+      Ref = decodeGcPoint(Maps[Func], Ordinal);
+      return Ref;
+    }
+    const GcPointInfo *Info = Cache.lookup(Func, Ordinal);
+    if (!Info)
+      Info = &decodeIntoCache(Maps, Indexes, Func, Ordinal);
+    if (CrossCheck)
+      crossCheck(*Info, Maps[Func], Func, Ordinal);
+    return *Info;
+  }
+
+  /// Cache hits and misses; zero on the reference path.
+  uint64_t hits() const { return Cache.hits(); }
+  uint64_t misses() const { return Cache.misses(); }
+  /// Blob bytes the reference decoder would have read and the index did
+  /// not.
+  uint64_t bytesSkipped() const { return BytesSkipped; }
+
+private:
+  const GcPointInfo &decodeIntoCache(const std::vector<EncodedFuncMaps> &Maps,
+                                     const std::vector<FuncMapIndex> &Indexes,
+                                     unsigned Func, unsigned Ordinal);
+  static void crossCheck(const GcPointInfo &Info,
+                         const EncodedFuncMaps &Maps, unsigned Func,
+                         unsigned Ordinal);
+
+  bool UseIndex;
+  bool CrossCheck;
+  DecodedPointCache Cache;
+  GcPointInfo Ref; ///< The reference path's result.
+  uint64_t BytesSkipped = 0;
 };
 
 //===----------------------------------------------------------------------===//

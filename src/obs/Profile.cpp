@@ -6,9 +6,9 @@
 
 #include "obs/Profile.h"
 
-#include "gcmaps/GcTables.h"
 #include "support/ByteCodec.h"
 #include "support/Provenance.h"
+#include "vm/FrameWalk.h"
 
 #include <algorithm>
 #include <bit>
@@ -36,8 +36,6 @@ Profiler::Profiler(const vm::Program &P, ProfilerConfig C)
   StackCache.resize(1u << 13);
   NodeCacheMask = NodeCache.size() - 1;
   StackCacheMask = StackCache.size() - 1;
-  if (Cfg.UseMapIndex)
-    Cache = std::make_unique<gcmaps::DecodedPointCache>(128);
 }
 
 uint32_t Profiler::pushNodeSlow(uint32_t Parent, uint32_t RetPC, uint64_t K) {
@@ -97,63 +95,36 @@ void Profiler::takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC) {
   ++CurReqSamples;
   CurReqWeight += Weight;
 
-  verifyAndDecode(T, LeafPC);
+  verifyAndDecode(M, T, LeafPC);
 }
 
-void Profiler::verifyAndDecode(vm::ThreadContext &T, uint32_t LeafPC) {
-  // Phase 1+2 of the collector's walk (gc/Cheney's discipline): the leaf
-  // table pc, then the Stack[FP-1]/Stack[FP-2] chain to the root sentinel.
-  // Collect the caller ret pcs for the incremental-chain check and decode
-  // every frame's gc-point through the same machinery collections use.
+void Profiler::verifyAndDecode(vm::VM &M, vm::ThreadContext &T,
+                               uint32_t LeafPC) {
+  // The collector's walk (vm/FrameWalk.h) from the leaf table pc, decoding
+  // every frame's gc-point the way the sampled VM's collector does, with a
+  // cache of the profiler's own.  It collects the caller ret pcs for the
+  // incremental-chain check.
+  if (!Decoder)
+    Decoder.emplace(M.Opts.UseMapIndex, M.Opts.CrossCheck, DecodeCacheLines);
   WalkScratch.clear();
-  bool WalkBad = false;
-  uint32_t FP = T.FP;
-  uint32_t TablePC = LeafPC;
-  for (;;) {
-    // Phase 3: decode this frame's tables and charge its live roots.
-    unsigned Func = Prog.funcOfPC(TablePC - 1);
-    const gcmaps::EncodedFuncMaps &Maps = Prog.Maps[Func];
-    int Ordinal = gcmaps::findGcPoint(Maps, TablePC);
-    if (Ordinal < 0) {
-      // Possible by design: a poll inside a function whose calls are all
-      // NoGcCallee gets no table entry of its own in outer frames.
-      ++FramesUnmapped;
-    } else {
-      const gcmaps::GcPointInfo *Info = nullptr;
-      if (Cache && !Prog.MapIndexes.empty()) {
-        Info = Cache->lookup(Func, static_cast<uint32_t>(Ordinal));
-        if (!Info) {
-          gcmaps::GcPointInfo &Slot =
-              Cache->insert(Func, static_cast<uint32_t>(Ordinal));
-          gcmaps::decodeGcPointIndexed(Maps, Prog.MapIndexes[Func],
-                                       static_cast<unsigned>(Ordinal), Slot);
-          Info = &Slot;
+  vm::WalkEnd End = vm::walkThread(
+      Prog, T, LeafPC, *Decoder, [&](const vm::WalkFrame &Fr) {
+        if (Fr.Depth)
+          WalkScratch.push_back(Fr.TablePC);
+        if (!Fr.Point) {
+          // Possible by design: a poll inside a function whose calls are
+          // all NoGcCallee gets no table entry of its own in outer frames.
+          ++FramesUnmapped;
+          return true;
         }
-        if (Cfg.CrossCheck &&
-            !gcmaps::crossCheckPoint(Maps, Prog.MapIndexes[Func],
-                                     static_cast<unsigned>(Ordinal)))
-          WalkBad = true;
-      } else {
-        RefScratch = gcmaps::decodeGcPoint(Maps, static_cast<unsigned>(Ordinal));
-        Info = &RefScratch;
-      }
-      ++FramesSampled;
-      LiveSlotsSampled += Info->LiveSlots.size();
-      LiveRegsSampled += std::popcount(static_cast<unsigned>(Info->RegMask));
-      DerivedSampled += Info->Derivs.size();
-    }
-
-    if (FP < vm::CtlWords || FP > T.StackWords) {
-      WalkBad = true;
-      break;
-    }
-    uint32_t Ret = static_cast<uint32_t>(T.Stack[FP - 1]);
-    if (Ret == vm::SentinelRetPC)
-      break;
-    WalkScratch.push_back(Ret);
-    TablePC = Ret;
-    FP = static_cast<uint32_t>(T.Stack[FP - 2]);
-  }
+        ++FramesSampled;
+        LiveSlotsSampled += Fr.Point->LiveSlots.size();
+        LiveRegsSampled +=
+            std::popcount(static_cast<unsigned>(Fr.Point->RegMask));
+        DerivedSampled += Fr.Point->Derivs.size();
+        return true;
+      });
+  bool WalkBad = End != vm::WalkEnd::Done;
 
   // Check the incremental chain against the walked chain, innermost-first.
   // A capped tree legitimately under-records depth; any other discrepancy
@@ -197,8 +168,12 @@ void Profiler::finish(bool Ok, const std::string &Error, uint64_t Instrs) {
   TotalInstrs = Instrs;
 }
 
-uint64_t Profiler::decodeHits() const { return Cache ? Cache->hits() : 0; }
-uint64_t Profiler::decodeMisses() const { return Cache ? Cache->misses() : 0; }
+uint64_t Profiler::decodeHits() const {
+  return Decoder ? Decoder->hits() : 0;
+}
+uint64_t Profiler::decodeMisses() const {
+  return Decoder ? Decoder->misses() : 0;
+}
 
 //===----------------------------------------------------------------------===//
 // Profiler: profile construction

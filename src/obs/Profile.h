@@ -31,13 +31,15 @@
 ///    one vector slot per stack id.  Ids are assigned in first-encounter
 ///    order over a deterministic execution, keeping the dump canonical.
 ///
-///  - **Verification against the tables.**  Every mutator sample re-walks
-///    the frame chain the way the collector does (Stack[FP-1]/[FP-2],
-///    funcOfPC on the table pc) and checks it against the incremental
-///    chain; each frame's gc-point is then decoded through the same
-///    FuncMapIndex + decoded-point cache the collector uses (or the
-///    reference decoder), accumulating live root counts.  A mismatch is a
-///    counted WalkError — the §6 suite asserts zero.
+///  - **Verification against the tables.**  Every mutator sample walks
+///    the frame chain with the collector's walker (vm/FrameWalk.h) and
+///    checks it against the incremental chain; each frame's gc-point
+///    decodes the way the sampled VM's collector decodes
+///    (VMOptions::UseMapIndex and CrossCheck, with a cache of the
+///    profiler's own), accumulating live root counts.  A mismatch, or a
+///    frame chain that leaves the stack, is a counted WalkError — the §6
+///    suite asserts zero.  A cross-check disagreement aborts, as it does
+///    in the collector.
 ///
 ///  - **Two profiles.**  Mutator time: samples weighted by the instruction
 ///    delta since the previous sample (weights sum to ≤ total instrs).
@@ -59,6 +61,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -76,14 +79,6 @@ struct ProfilerConfig {
   /// Armed at attach.  When false the profiler records nothing and the
   /// hooks cost two predicted branches (the bench "disabled" cell).
   bool Enabled = true;
-  /// Decode sampled frames through FuncMapIndex + the decoded-point cache
-  /// (the collector's accelerated path); false = reference decoder.  The
-  /// profile bytes are identical either way — only hit counters differ.
-  bool UseMapIndex = true;
-  /// Additionally cross-check each sampled frame's indexed decode against
-  /// the reference decoder (--gc-crosscheck's discipline); a disagreement
-  /// counts as a WalkError.
-  bool CrossCheck = false;
   /// Stamped into the profile file's provenance header.
   uint64_t Seed = 0;
   /// Innermost frames kept per interned stack.
@@ -375,7 +370,10 @@ private:
   /// One mutator sample: weight bookkeeping, stack intern, and the
   /// table-driven verification walk (frame chain + gc-map decode).
   void takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC);
-  void verifyAndDecode(vm::ThreadContext &T, uint32_t LeafPC);
+  void verifyAndDecode(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC);
+
+  /// Decoded-point cache lines of the profiler's own decoder.
+  static constexpr unsigned DecodeCacheLines = 128;
 
   const vm::Program &Prog;
   ProfilerConfig Cfg;
@@ -418,9 +416,9 @@ private:
   std::string RunError;
   uint64_t TotalInstrs = 0;
 
-  // Decode machinery: the collector's accelerated path, profiler-owned.
-  std::unique_ptr<gcmaps::DecodedPointCache> Cache;
-  gcmaps::GcPointInfo RefScratch;
+  /// Decodes sampled frames the way the sampled VM's options say (made at
+  /// the first sample); its cache and counters are the profiler's own.
+  std::optional<gcmaps::PointDecoder> Decoder;
   std::vector<uint32_t> WalkScratch;
 };
 

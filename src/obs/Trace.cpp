@@ -131,9 +131,7 @@ uint64_t forwardedTo(uint64_t Addr) {
 
 } // namespace
 
-void Tracer::sweepSurvivors(const vm::Heap &H, bool Minor) {
-  (void)H;
-  (void)Minor;
+void Tracer::sweepSurvivors() {
   if (Enabled) {
     for (const PendingAlloc &P : Pending) {
       if (forwardedTo(P.Addr) != 0) {

@@ -231,7 +231,7 @@ public:
   /// Collector.cpp static_asserts the correspondence).  Per-object
   /// site/age attribution needs no sweep at all: it rides in the header
   /// through the copy itself.
-  void sweepSurvivors(const vm::Heap &H, bool Minor);
+  void sweepSurvivors();
 
   /// Commits the in-flight event: ring store, pause bookkeeping, and JSONL
   /// stream write.

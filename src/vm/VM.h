@@ -75,6 +75,18 @@ struct VMOptions {
   unsigned HeapGrowthPct = 0;
   size_t HeapMaxBytes = 0;
   bool NurseryAuto = false;
+  /// How the collector and an attached profiler decode gc-points
+  /// (gcmaps::PointDecoder; snapshot capture always uses the reference
+  /// decoder): through the load-time index and a decoded-point cache, or,
+  /// when false, through the reference walk-from-start decoder, the §6.3
+  /// measured artifact (`--no-map-index`).
+  bool UseMapIndex = true;
+  /// `--gc-crosscheck`: re-decode every indexed gc-point through the
+  /// reference decoder and abort on any disagreement; after every
+  /// collection, also abort unless every reachable pointer lands on a
+  /// copied object (minor: none left in the evacuated nursery half; full:
+  /// every root and field on an object header in to-space).
+  bool CrossCheck = false;
 };
 
 struct VMStats {
@@ -93,8 +105,8 @@ struct VMStats {
   uint64_t RemSetPeak = 0;       ///< Largest remembered set seen at a gc.
   uint64_t DerivedAdjusted = 0; ///< Derived-value un/re-derivations.
   uint64_t RootsTraced = 0;
-  // Decode acceleration counters (zero when the reference decoder is in
-  // use; see gc::CollectorOptions).
+  // The collector's decode counters (zero when the reference decoder is
+  // in use; see VMOptions::UseMapIndex).
   uint64_t DecodeCacheHits = 0;   ///< Decoded-point cache hits.
   uint64_t DecodeCacheMisses = 0; ///< Decoded-point cache misses.
   uint64_t DecodeBytesSkipped = 0; ///< Blob bytes the index let us skip.

@@ -7,6 +7,7 @@
 #include "workload/Server.h"
 
 #include "fuzz/Rng.h"
+#include "gc/Collector.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
@@ -147,7 +148,7 @@ ServerRunResult workload::runServer(const vm::Program &Prog,
   ServerRunResult R;
 
   vm::VM M(Prog, Config.VO);
-  gc::installPreciseCollector(M, Config.GCO);
+  gc::installPreciseCollector(M);
 
   if (Config.SpinThreads) {
     unsigned SpinFunc = 0;
@@ -179,7 +180,6 @@ ServerRunResult workload::runServer(const vm::Program &Prog,
   if (Config.Profile) {
     obs::ProfilerConfig PC;
     PC.IntervalInstrs = Config.ProfileInterval;
-    PC.UseMapIndex = Config.GCO.UseMapIndex;
     PC.Seed = Config.Sched.Seed;
     Prof = std::make_unique<obs::Profiler>(Prog, PC);
     M.Profiler = Prof.get();

@@ -27,7 +27,6 @@
 #ifndef MGC_WORKLOAD_SERVER_H
 #define MGC_WORKLOAD_SERVER_H
 
-#include "gc/Collector.h"
 #include "obs/Profile.h"
 #include "vm/VM.h"
 
@@ -87,8 +86,7 @@ uint64_t percentile(std::vector<uint64_t> V, double P);
 //===----------------------------------------------------------------------===//
 
 struct ServerRunConfig {
-  vm::VMOptions VO;             ///< Heap/dispatch/policy knobs.
-  gc::CollectorOptions GCO;     ///< Decode path / crosscheck.
+  vm::VMOptions VO;             ///< Heap/dispatch/policy/decode knobs.
   ScheduleConfig Sched;         ///< Arrival overlay.
   unsigned SpinThreads = 0;     ///< Extra threads running Spin().
   /// Attach the sampling profiler (obs/Profile.h) for the run: per-request

@@ -38,11 +38,10 @@ struct TierOutcome {
 
 /// Runs an already-compiled program under one dispatch tier.
 TierOutcome runTier(const vm::Program &Prog, vm::DispatchTier Tier,
-                    vm::VMOptions VO, gc::CollectorOptions GCO,
-                    bool SpawnSpin = false) {
+                    vm::VMOptions VO, bool SpawnSpin = false) {
   VO.Dispatch = Tier;
   vm::VM M(Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
   if (SpawnSpin) {
     int Idx = -1;
     for (unsigned F = 0; F != Prog.Funcs.size(); ++F)
@@ -91,7 +90,7 @@ void expectIdentical(const TierOutcome &Sw, const TierOutcome &Th,
 /// extra expectations.
 TierOutcome compareTiers(const std::string &Source,
                          driver::CompilerOptions CO, vm::VMOptions VO,
-                         gc::CollectorOptions GCO, const std::string &Ctx,
+                         const std::string &Ctx,
                          bool SpawnSpin = false) {
   auto C = driver::compile(Source, CO);
   if (!C.Prog) {
@@ -99,9 +98,9 @@ TierOutcome compareTiers(const std::string &Source,
     return {};
   }
   TierOutcome Sw =
-      runTier(*C.Prog, vm::DispatchTier::Switch, VO, GCO, SpawnSpin);
+      runTier(*C.Prog, vm::DispatchTier::Switch, VO, SpawnSpin);
   TierOutcome Th =
-      runTier(*C.Prog, vm::DispatchTier::Threaded, VO, GCO, SpawnSpin);
+      runTier(*C.Prog, vm::DispatchTier::Threaded, VO, SpawnSpin);
   expectIdentical(Sw, Th, Ctx);
   return Th;
 }
@@ -133,7 +132,7 @@ END M.)";
         VO.GenGc = GenGc;
         std::string Ctx = std::string(Op) + " -O" + std::to_string(Opt) +
                           (GenGc ? " gen-gc" : " two-space");
-        TierOutcome Th = compareTiers(Src, CO, VO, {}, Ctx);
+        TierOutcome Th = compareTiers(Src, CO, VO, Ctx);
         EXPECT_FALSE(Th.Ok) << Ctx;
         EXPECT_EQ(Th.Error, support::DivOverflowMessage) << Ctx;
         EXPECT_EQ(Th.Out, "-9223372036854775808 -9223372036854775808 "
@@ -161,12 +160,11 @@ TEST(DispatchEquivalence, Sec6Benchmarks) {
         // Small enough that the allocation-heavy benchmarks collect
         // repeatedly (48 KiB is the e2e sweep's non-stress pressure size).
         VO.HeapBytes = 48u << 10;
-        gc::CollectorOptions GCO;
-        GCO.CrossCheck = true;
+        VO.CrossCheck = true;
         std::string Ctx = std::string(P.Name) + " -O" +
                           std::to_string(Opt) +
                           (GenGc ? " gen-gc" : " two-space");
-        TierOutcome Th = compareTiers(P.Source, CO, VO, GCO, Ctx);
+        TierOutcome Th = compareTiers(P.Source, CO, VO, Ctx);
         EXPECT_TRUE(Th.Ok) << Ctx << ": " << Th.Error;
         EXPECT_EQ(Th.Out, P.Expected) << Ctx;
         TotalCollections += Th.S.Collections;
@@ -197,13 +195,12 @@ TEST_P(DispatchCorpus, TiersBitIdentical) {
       VO.HeapBytes = 1u << 20;
       VO.GcStress = true;
       VO.InstrBudget = 50'000'000;
-      gc::CollectorOptions GCO;
-      GCO.CrossCheck = true;
+      VO.CrossCheck = true;
       std::string Ctx = P.Name + " -O" + std::to_string(Opt) +
                         (GenGc ? " gen-gc" : " two-space") + " stress";
       // Spin programs also spawn their thread: the §5.3 rendezvous (and
       // its RendezvousSteps ordinal) must agree across tiers too.
-      compareTiers(P.Source, CO, VO, GCO, Ctx, P.HasSpin);
+      compareTiers(P.Source, CO, VO, Ctx, P.HasSpin);
     }
   }
 }
@@ -265,17 +262,16 @@ END M.)";
     VO.GenGc = GenGc;
     VO.HeapBytes = 256u << 10;
     VO.GcStress = true;
-    gc::CollectorOptions GCO;
-    GCO.CrossCheck = true;
+    VO.CrossCheck = true;
     auto C = driver::compile(Source, CO);
     ASSERT_TRUE(C.Prog) << C.Diags.str();
-    TierOutcome Th = runTier(*C.Prog, vm::DispatchTier::Threaded, VO, GCO);
+    TierOutcome Th = runTier(*C.Prog, vm::DispatchTier::Threaded, VO);
     ASSERT_TRUE(Th.Ok) << Th.Error;
     EXPECT_EQ(Th.Out, "49000\n");
     EXPECT_GT(Th.S.Collections, 100u)
         << "stress mode must collect at every allocation";
     // And the tiers agree on the storm, collection for collection.
-    TierOutcome Sw = runTier(*C.Prog, vm::DispatchTier::Switch, VO, GCO);
+    TierOutcome Sw = runTier(*C.Prog, vm::DispatchTier::Switch, VO);
     expectIdentical(Sw, Th, GenGc ? "directed gen-gc" : "directed two-space");
   }
 }

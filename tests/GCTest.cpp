@@ -480,9 +480,9 @@ END M.)";
   VO.GcStress = true;
   VO.HeapBytes = 1u << 16;
 
-  gc::CollectorOptions Reference;
-  Reference.UseMapIndex = false;
-  RunResult Ref = compileAndRun(Src, CO, VO, Reference);
+  vm::VMOptions RefVO = VO;
+  RefVO.UseMapIndex = false;
+  RunResult Ref = compileAndRun(Src, CO, RefVO);
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Ref.Out, "1680\n");
   EXPECT_GT(Ref.Stats.Collections, 0u);
@@ -500,9 +500,7 @@ END M.)";
   EXPECT_GT(Fast.Stats.DecodeCacheHits, Fast.Stats.DecodeCacheMisses);
   EXPECT_GT(Fast.Stats.DecodeBytesSkipped, 0u);
 
-  gc::CollectorOptions Checked;
-  Checked.CrossCheck = true;
-  RunResult Cross = compileAndRun(Src, CO, VO, Checked);
+  RunResult Cross = compileAndRun(Src, CO, crossChecked(VO));
   ASSERT_TRUE(Cross.Ok) << Cross.Error;
   EXPECT_EQ(Cross.Out, Ref.Out);
   EXPECT_EQ(Cross.Stats.RootsTraced, Ref.Stats.RootsTraced);
@@ -707,9 +705,8 @@ TEST(GC, FullCollectionCrossCheckPassesOnSec6Programs) {
     CO.OptLevel = 2;
     vm::VMOptions VO;
     VO.HeapBytes = 64u << 10;
-    gc::CollectorOptions GCO;
-    GCO.CrossCheck = true;
-    RunResult R = compileAndRun(P.Source, CO, VO, GCO);
+    VO.CrossCheck = true;
+    RunResult R = compileAndRun(P.Source, CO, VO);
     ASSERT_TRUE(R.Ok) << P.Name << ": " << R.Error;
     EXPECT_EQ(R.Out, P.Expected) << P.Name;
     Collections += R.Stats.Collections - R.Stats.MinorCollections;
@@ -760,10 +757,9 @@ BEGIN
   PutInt(s); PutLn();
 END M.)";
 
-  gc::CollectorOptions Checked;
-  Checked.CrossCheck = true;
-  RunResult Gen = compileAndRun(Src, genCompilerOptions(),
-                                genVMOptions(64u << 10, 1u << 10), Checked);
+  RunResult Gen =
+      compileAndRun(Src, genCompilerOptions(),
+                    crossChecked(genVMOptions(64u << 10, 1u << 10)));
   ASSERT_TRUE(Gen.Ok) << Gen.Error;
   EXPECT_EQ(Gen.Out, "125250\n");
   EXPECT_GT(Gen.Stats.MinorCollections, 0u);
@@ -778,7 +774,7 @@ END M.)";
   CO.OptLevel = 2;
   vm::VMOptions VO;
   VO.HeapBytes = 64u << 10;
-  RunResult Ref = compileAndRun(Src, CO, VO, Checked);
+  RunResult Ref = compileAndRun(Src, CO, crossChecked(VO));
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Ref.Out, Gen.Out);
 }
@@ -810,16 +806,13 @@ BEGIN
   PutInt(s); PutLn();
 END M.)";
 
-  gc::CollectorOptions Checked;
-  Checked.CrossCheck = true;
-
   // Default two-space mode, stressed so every mid-loop gc-point collects.
   driver::CompilerOptions CO;
   CO.OptLevel = 2;
   vm::VMOptions VO;
   VO.HeapBytes = 1u << 16;
   VO.GcStress = true;
-  RunResult Ref = compileAndRun(Src, CO, VO, Checked);
+  RunResult Ref = compileAndRun(Src, CO, crossChecked(VO));
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Ref.Out, "408\n");
   EXPECT_GT(Ref.Stats.DerivedAdjusted, 0u);
@@ -827,7 +820,7 @@ END M.)";
   // Generational mode, stressed: the same gc-points run minor collections.
   vm::VMOptions GenVO = genVMOptions(1u << 16, 1u << 10);
   GenVO.GcStress = true;
-  RunResult Gen = compileAndRun(Src, genCompilerOptions(), GenVO, Checked);
+  RunResult Gen = compileAndRun(Src, genCompilerOptions(), crossChecked(GenVO));
   ASSERT_TRUE(Gen.Ok) << Gen.Error;
   EXPECT_EQ(Gen.Out, Ref.Out);
   EXPECT_GT(Gen.Stats.DerivedAdjusted, 0u);
@@ -855,10 +848,8 @@ BEGIN
   END;
   PutInt(s); PutLn();
 END M.)";
-  gc::CollectorOptions Checked;
-  Checked.CrossCheck = true;
   RunResult R = compileAndRun(Src, genCompilerOptions(),
-                              genVMOptions(32u << 10, 1u << 10), Checked);
+                              crossChecked(genVMOptions(32u << 10, 1u << 10)));
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Out, "4800\n");
   EXPECT_GT(R.Stats.MinorCollections, 0u);
@@ -883,21 +874,18 @@ BEGIN
   WHILE h # NIL DO s := s + h^.v; h := h^.next END;
   PutInt(s); PutLn();
 END M.)";
-  gc::CollectorOptions Checked;
-  Checked.CrossCheck = true;
-
   driver::CompilerOptions CO;
   CO.OptLevel = 2;
   vm::VMOptions VO;
   VO.HeapBytes = 1u << 20;
   VO.GcStress = true;
-  RunResult Ref = compileAndRun(Src, CO, VO, Checked);
+  RunResult Ref = compileAndRun(Src, CO, crossChecked(VO));
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Ref.Out, "820\n");
 
   vm::VMOptions GenVO = genVMOptions(1u << 20, 0);
   GenVO.GcStress = true;
-  RunResult Gen = compileAndRun(Src, genCompilerOptions(), GenVO, Checked);
+  RunResult Gen = compileAndRun(Src, genCompilerOptions(), crossChecked(GenVO));
   ASSERT_TRUE(Gen.Ok) << Gen.Error;
   EXPECT_EQ(Gen.Out, Ref.Out);
   EXPECT_EQ(Gen.Stats.Collections, Ref.Stats.Collections);
@@ -950,13 +938,11 @@ BEGIN
   PutInt(r); PutLn();
 END M.)";
 
-  gc::CollectorOptions Checked;
-  Checked.CrossCheck = true;
   driver::CompilerOptions CO = genCompilerOptions();
   CO.Mode = driver::Disambiguation::PathVariables;
   vm::VMOptions VO = genVMOptions(1u << 20, 1u << 10);
   VO.GcStress = true;
-  RunResult R = compileAndRun(Src, CO, VO, Checked);
+  RunResult R = compileAndRun(Src, CO, crossChecked(VO));
   ASSERT_TRUE(R.Ok) << R.Error;
   EXPECT_EQ(R.Out, "36360\n");
   EXPECT_GT(R.PathVars, 0u) << "the diamond must create a path variable";
@@ -967,7 +953,7 @@ END M.)";
   // Path splitting must agree under the same generational pressure.
   driver::CompilerOptions Split = CO;
   Split.Mode = driver::Disambiguation::PathSplitting;
-  RunResult RS = compileAndRun(Src, Split, VO, Checked);
+  RunResult RS = compileAndRun(Src, Split, crossChecked(VO));
   ASSERT_TRUE(RS.Ok) << RS.Error;
   EXPECT_EQ(RS.Out, "36360\n");
   EXPECT_EQ(RS.PathVars, 0u);

@@ -122,10 +122,9 @@ LeakRun runLeak(const std::string &Source, bool Gen, size_t HeapBytes,
   VO.GenGc = Gen;
   VO.NurseryBytes = Gen ? 4u << 10 : 0;
   VO.Dispatch = Tier;
+  VO.CrossCheck = true;
   vm::VM M(*C.Prog, VO);
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = true;
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   obs::TracerConfig TC;
   TC.Sites = &C.Prog->SiteTab;
@@ -329,10 +328,9 @@ std::vector<obs::HeapSnapshot> captureStream(unsigned Every, bool &Ok,
   VO.GenGc = true;
   VO.NurseryBytes = 2u << 10;
   VO.HeapGrowthPct = 70;
+  VO.CrossCheck = true;
   vm::VM M(*C.Prog, VO);
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = true;
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   obs::TracerConfig TC;
   TC.Sites = &C.Prog->SiteTab;

@@ -107,10 +107,9 @@ TracedRun runTraced(const std::string &Source, int Opt, bool Gen,
   VO.GenGc = Gen;
   VO.NurseryBytes = Gen ? NurseryBytes : 0;
   VO.GcStress = Stress;
+  VO.CrossCheck = true;
   vm::VM M(*C.Prog, VO);
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = true;
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   obs::TracerConfig TC;
   TC.Sites = &C.Prog->SiteTab;
@@ -329,7 +328,7 @@ TEST(ObsRingWrap, DropCounterSurfacedInSummaryAndReport) {
   VO.GenGc = true;
   VO.NurseryBytes = 4u << 10;
   vm::VM M(*C.Prog, VO);
-  gc::installPreciseCollector(M, {});
+  gc::installPreciseCollector(M);
 
   obs::TracerConfig TC;
   TC.Sites = &C.Prog->SiteTab;

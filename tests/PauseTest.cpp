@@ -66,13 +66,12 @@ PauseRun runPause(const std::string &Source, size_t HeapBytes,
   VO.Dispatch = Tier;
   if (RendezvousBudget)
     VO.RendezvousBudget = RendezvousBudget;
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = CrossCheck;
+  VO.CrossCheck = CrossCheck;
   if (std::getenv("MGC_TEST_GEN_GC")) {
     CO.WriteBarriers = true;
     VO.GenGc = true;
     VO.NurseryBytes = 4u << 10;
-    GCO.CrossCheck = true;
+    VO.CrossCheck = true;
   }
   auto C = driver::compile(Source, CO);
   if (!C.Prog) {
@@ -80,7 +79,7 @@ PauseRun runPause(const std::string &Source, size_t HeapBytes,
     return R;
   }
   vm::VM M(*C.Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
   if (SpawnSpin) {
     unsigned SpinIdx = 0;
     for (unsigned I = 0; I != C.Prog->Funcs.size(); ++I)

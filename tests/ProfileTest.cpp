@@ -81,10 +81,9 @@ struct ProfOutcome {
 /// Runs an already-compiled program with the profiler attached under one
 /// configuration and returns the built profile plus its encoded body.
 ProfOutcome runProfiled(const vm::Program &Prog, vm::VMOptions VO,
-                        gc::CollectorOptions GCO, uint64_t Interval = 256,
-                        bool SpawnSpin = false, bool CrossCheck = false) {
+                        uint64_t Interval = 256, bool SpawnSpin = false) {
   vm::VM M(Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
   if (SpawnSpin) {
     int Idx = -1;
     for (unsigned F = 0; F != Prog.Funcs.size(); ++F)
@@ -95,8 +94,6 @@ ProfOutcome runProfiled(const vm::Program &Prog, vm::VMOptions VO,
   }
   obs::ProfilerConfig PC;
   PC.IntervalInstrs = Interval;
-  PC.UseMapIndex = GCO.UseMapIndex;
-  PC.CrossCheck = CrossCheck;
   obs::Profiler Prof(Prog, PC);
   M.Profiler = &Prof;
   ProfOutcome O;
@@ -142,10 +139,9 @@ TEST(ProfIdentity, Sec6AcrossTiersThreadsAndDecoders) {
     VO.HeapBytes = 64u << 10;
     VO.GenGc = true;
     VO.NurseryBytes = 8u << 10;
-    gc::CollectorOptions GCO;
 
     VO.Dispatch = vm::DispatchTier::Threaded;
-    ProfOutcome Ref = runProfiled(*C.Prog, VO, GCO);
+    ProfOutcome Ref = runProfiled(*C.Prog, VO);
     ASSERT_TRUE(Ref.Ok) << Prog.Name << ": " << Ref.Error;
     EXPECT_EQ(Ref.P.WalkErrors, 0u) << Prog.Name;
     EXPECT_GT(Ref.P.Samples, 0u) << Prog.Name;
@@ -160,16 +156,18 @@ TEST(ProfIdentity, Sec6AcrossTiersThreadsAndDecoders) {
     // Switch tier.
     vm::VMOptions V2 = VO;
     V2.Dispatch = vm::DispatchTier::Switch;
-    Expect(runProfiled(*C.Prog, V2, GCO), "switch dispatch");
+    Expect(runProfiled(*C.Prog, V2), "switch dispatch");
 
     // Reference (walk-from-start) decoder.
-    gc::CollectorOptions G3 = GCO;
-    G3.UseMapIndex = false;
-    Expect(runProfiled(*C.Prog, VO, G3), "reference decoder");
+    vm::VMOptions V3 = VO;
+    V3.UseMapIndex = false;
+    Expect(runProfiled(*C.Prog, V3), "reference decoder");
 
-    // Indexed decode cross-checked against the reference per sample.
-    Expect(runProfiled(*C.Prog, VO, GCO, 256, false, /*CrossCheck=*/true),
-           "decode crosscheck");
+    // Indexed decode cross-checked against the reference per sample (and
+    // per collected frame); a disagreement aborts.
+    vm::VMOptions V4 = VO;
+    V4.CrossCheck = true;
+    Expect(runProfiled(*C.Prog, V4), "decode crosscheck");
   }
 }
 
@@ -188,12 +186,11 @@ TEST(ProfIdentity, CorpusCrossTier) {
     VO.GenGc = true;
     VO.NurseryBytes = 16u << 10;
     VO.InstrBudget = 50'000'000;
-    gc::CollectorOptions GCO;
 
     VO.Dispatch = vm::DispatchTier::Threaded;
-    ProfOutcome Th = runProfiled(*C.Prog, VO, GCO, 128, CP.HasSpin);
+    ProfOutcome Th = runProfiled(*C.Prog, VO, 128, CP.HasSpin);
     VO.Dispatch = vm::DispatchTier::Switch;
-    ProfOutcome Sw = runProfiled(*C.Prog, VO, GCO, 128, CP.HasSpin);
+    ProfOutcome Sw = runProfiled(*C.Prog, VO, 128, CP.HasSpin);
 
     ASSERT_EQ(Th.Ok, Sw.Ok) << CP.Name;
     EXPECT_EQ(Th.Error, Sw.Error) << CP.Name;
@@ -216,7 +213,7 @@ TEST(ProfGroundTruth, HotFunctionDominates) {
 
   vm::VMOptions VO;
   VO.HeapBytes = 64u << 10;
-  ProfOutcome O = runProfiled(*C.Prog, VO, {}, /*Interval=*/512);
+  ProfOutcome O = runProfiled(*C.Prog, VO, /*Interval=*/512);
   ASSERT_TRUE(O.Ok) << O.Error;
 
   EXPECT_GE(O.P.Samples, 100u);
@@ -299,7 +296,7 @@ TEST(ProfCodec, RoundTripPreservesEverything) {
   ASSERT_TRUE(C.Prog != nullptr) << C.Diags.str();
   vm::VMOptions VO;
   VO.HeapBytes = 64u << 10;
-  ProfOutcome O = runProfiled(*C.Prog, VO, {});
+  ProfOutcome O = runProfiled(*C.Prog, VO);
   ASSERT_TRUE(O.Ok) << O.Error;
 
   std::vector<uint8_t> Blob;
@@ -339,7 +336,7 @@ TEST(ProfCodec, StrictDecodeRejectsMalformedInput) {
   ASSERT_TRUE(C.Prog != nullptr) << C.Diags.str();
   vm::VMOptions VO;
   VO.HeapBytes = 64u << 10;
-  ProfOutcome O = runProfiled(*C.Prog, VO, {});
+  ProfOutcome O = runProfiled(*C.Prog, VO);
   std::vector<uint8_t> Blob;
   obs::encodeProfile(O.P, Blob);
 
@@ -414,7 +411,7 @@ END M.)";
 
   vm::VMOptions VO;
   VO.HeapBytes = 64u << 10;
-  ProfOutcome O = runProfiled(*C.Prog, VO, {}, /*Interval=*/128);
+  ProfOutcome O = runProfiled(*C.Prog, VO, /*Interval=*/128);
   ASSERT_FALSE(O.Ok);
 
   // The profile survived the crash, carries the failure, and round-trips.

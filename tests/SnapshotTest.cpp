@@ -70,10 +70,9 @@ SnapRun runAndSnapshot(const std::string &Source, int Opt, bool Gen,
   VO.GenGc = Gen;
   VO.NurseryBytes = Gen ? NurseryBytes : 0;
   VO.GcStress = Stress;
+  VO.CrossCheck = true;
   vm::VM M(*C.Prog, VO);
-  gc::CollectorOptions GCO;
-  GCO.CrossCheck = true;
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
 
   std::unique_ptr<obs::Tracer> Tracer;
   if (WithTracer) {
@@ -431,7 +430,7 @@ TEST(SnapNoSite, ObjectsPredatingSiteLinking) {
   C.Prog->SiteTab.Attrs.clear();
 
   vm::VM M(*C.Prog, {});
-  gc::installPreciseCollector(M, {});
+  gc::installPreciseCollector(M);
 
   obs::TracerConfig TC;
   TC.Sites = &C.Prog->SiteTab;

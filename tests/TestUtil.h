@@ -33,8 +33,7 @@ struct RunResult {
 /// Compiles and runs \p Source; fails the current test on compile errors.
 inline RunResult compileAndRun(const std::string &Source,
                                driver::CompilerOptions CO = {},
-                               vm::VMOptions VO = {},
-                               gc::CollectorOptions GCO = {}) {
+                               vm::VMOptions VO = {}) {
   // tools/check.sh runs the tier-1 suite a second time with
   // MGC_TEST_GEN_GC=1: every gc-tables test program goes through
   // generational mode (nursery + barriers + minor collections) with the
@@ -42,7 +41,7 @@ inline RunResult compileAndRun(const std::string &Source,
   if (std::getenv("MGC_TEST_GEN_GC") && CO.GcTables) {
     CO.WriteBarriers = true;
     VO.GenGc = true;
-    GCO.CrossCheck = true;
+    VO.CrossCheck = true;
   }
   RunResult R;
   auto C = driver::compile(Source, CO);
@@ -55,12 +54,18 @@ inline RunResult compileAndRun(const std::string &Source,
   R.CodeBytes = C.Prog->codeSizeBytes();
   R.IR = std::move(C.IR);
   vm::VM M(*C.Prog, VO);
-  gc::installPreciseCollector(M, GCO);
+  gc::installPreciseCollector(M);
   R.Ok = M.run();
   R.Out = M.Out;
   R.Error = M.Error;
   R.Stats = M.Stats;
   return R;
+}
+
+/// \p VO with --gc-crosscheck on.
+inline vm::VMOptions crossChecked(vm::VMOptions VO) {
+  VO.CrossCheck = true;
+  return VO;
 }
 
 /// Number of occurrences of \p Needle in \p Haystack.

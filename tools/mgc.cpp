@@ -131,7 +131,6 @@ bool numArg(const char *Flag, const char *Text, T &Out, uint64_t Min = 0,
 int main(int argc, char **argv) {
   driver::CompilerOptions Options;
   vm::VMOptions VO;
-  gc::CollectorOptions GCO;
   bool DumpIR = false, DumpAsm = false, Stats = false, Run = true;
   const char *Path = nullptr;
   const char *SpawnName = nullptr;
@@ -204,9 +203,9 @@ int main(int argc, char **argv) {
     } else if (!std::strcmp(Arg, "--stress")) {
       VO.GcStress = true;
     } else if (!std::strcmp(Arg, "--no-map-index")) {
-      GCO.UseMapIndex = false;
+      VO.UseMapIndex = false;
     } else if (!std::strcmp(Arg, "--gc-crosscheck")) {
-      GCO.CrossCheck = true;
+      VO.CrossCheck = true;
     } else if (!std::strcmp(Arg, "--no-run")) {
       Run = false;
     } else if (!std::strcmp(Arg, "--heap")) {
@@ -323,7 +322,7 @@ int main(int argc, char **argv) {
     return 0;
 
   vm::VM Machine(Prog, VO);
-  gc::installPreciseCollector(Machine, GCO);
+  gc::installPreciseCollector(Machine);
 
   std::ofstream TraceOut;
   std::unique_ptr<obs::Tracer> Tracer;
@@ -353,10 +352,6 @@ int main(int argc, char **argv) {
   if (ProfilePath) {
     obs::ProfilerConfig PC;
     PC.IntervalInstrs = ProfileInterval;
-    // Decode sampled frames through the same path the collector uses, so
-    // --no-map-index / --gc-crosscheck exercise the profiler's walk too.
-    PC.UseMapIndex = GCO.UseMapIndex;
-    PC.CrossCheck = GCO.CrossCheck;
     Prof = std::make_unique<obs::Profiler>(Prog, PC);
     Machine.Profiler = Prof.get();
   }
@@ -386,7 +381,7 @@ int main(int argc, char **argv) {
         SnapFailed = true;
         return;
       }
-      if (GCO.CrossCheck &&
+      if (VO.CrossCheck &&
           !gc::crosscheckSnapshot(M, Snap, /*WalkStacks=*/true, Err)) {
         // Mirror the decode cross-check: a validation mismatch is a
         // collector bug, not a recoverable condition.
@@ -469,7 +464,7 @@ int main(int argc, char **argv) {
     if (!gc::captureHeapSnapshot(Machine, Snap, /*WalkStacks=*/Ok, Err)) {
       std::fprintf(stderr, "mgc: %s\n", Err.c_str());
       SnapFailed = true;
-    } else if (GCO.CrossCheck &&
+    } else if (VO.CrossCheck &&
                !gc::crosscheckSnapshot(Machine, Snap, /*WalkStacks=*/Ok,
                                        Err)) {
       std::fprintf(stderr, "mgc: %s\n", Err.c_str());
@@ -538,7 +533,7 @@ int main(int argc, char **argv) {
                     static_cast<unsigned long long>(F.FirstFlagged));
       }
     }
-    if (GCO.UseMapIndex && (S.DecodeCacheHits || S.DecodeCacheMisses))
+    if (VO.UseMapIndex && (S.DecodeCacheHits || S.DecodeCacheMisses))
       std::printf("decode: %llu cache hits, %llu misses (%.1f%% hit), "
                   "%llu blob bytes skipped by index\n",
                   static_cast<unsigned long long>(S.DecodeCacheHits),
