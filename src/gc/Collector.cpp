@@ -47,8 +47,7 @@ struct DerivedEntry {
 class PreciseCollector {
 public:
   explicit PreciseCollector(const VMOptions &Opts)
-      : Decoder(Opts.UseMapIndex, Opts.CrossCheck, DecodeCacheLines),
-        CrossCheck(Opts.CrossCheck) {}
+      : Decoder(Opts.UseMapIndex, Opts.CrossCheck, DecodeCacheLines) {}
 
   void collect(VM &M);
 
@@ -73,7 +72,6 @@ private:
   void crosscheckAfterFull(VM &M);
 
   gcmaps::PointDecoder Decoder;
-  bool CrossCheck;
   /// The in-flight observability event (null when tracing is off); set at
   /// the top of collect() so traceMinor can time the remset rebuild.
   obs::GcEvent *CurEv = nullptr;
@@ -143,7 +141,7 @@ void PreciseCollector::traceFull(VM &M) {
       H.evacuate(TidyRoots.data(), TidyRoots.size(), LeakAcc, LeakSites);
   M.Stats.BytesCopied += H.toAlloc() - H.scanStart();
 
-  if (CrossCheck)
+  if (M.Opts.CrossCheck)
     crosscheckAfterFull(M);
 
   // Survival + attribution sweep: from-space headers (and nursery headers
@@ -226,7 +224,7 @@ void PreciseCollector::traceMinor(VM &M) {
   M.Stats.BytesCopied += (H.nurToAlloc() - H.nurScanStart()) +
                          (H.oldAllocPtr() - H.oldScanStart());
 
-  if (CrossCheck)
+  if (M.Opts.CrossCheck)
     crosscheckAfterMinor(M);
 
   // Remembered-set rebuild (timed as its own phase): surviving entries of

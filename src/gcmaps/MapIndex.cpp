@@ -187,10 +187,3 @@ bool gcmaps::operator==(const GcPointInfo &A, const GcPointInfo &B) {
   return A.LiveSlots == B.LiveSlots && A.RegMask == B.RegMask &&
          A.Derivs == B.Derivs;
 }
-
-bool gcmaps::crossCheckPoint(const EncodedFuncMaps &Maps,
-                             const FuncMapIndex &Index, unsigned Ordinal) {
-  GcPointInfo Fast;
-  decodeGcPointIndexed(Maps, Index, Ordinal, Fast);
-  return Fast == decodeGcPoint(Maps, Ordinal);
-}

@@ -28,12 +28,10 @@
 ///    decoding and zero allocation.
 ///
 /// The blobs themselves are unchanged: the reference decoder remains the
-/// measured §6.3 artifact, and `crossCheck` asserts the accelerated decode
-/// agrees with it bit for bit.
-///
-/// `PointDecoder` is the one place that chooses between the two paths (and
-/// cross-checks them); every stack walk decodes through one
-/// (vm/FrameWalk.h).
+/// measured §6.3 artifact.  `PointDecoder` is the one place that chooses
+/// between the paths, and its cross-check asserts the accelerated decode
+/// agrees with the reference bit for bit; every stack walk decodes through
+/// one (vm/FrameWalk.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -209,11 +207,6 @@ bool operator==(const BaseRef &A, const BaseRef &B);
 bool operator==(const DerivationAlt &A, const DerivationAlt &B);
 bool operator==(const DerivationRecord &A, const DerivationRecord &B);
 bool operator==(const GcPointInfo &A, const GcPointInfo &B);
-
-/// True when the indexed decode of \p Ordinal equals the reference
-/// `decodeGcPoint` result.  Used by `--gc-crosscheck` and the tests.
-bool crossCheckPoint(const EncodedFuncMaps &Maps, const FuncMapIndex &Index,
-                     unsigned Ordinal);
 
 } // namespace gcmaps
 } // namespace mgc

@@ -102,15 +102,24 @@ void Profiler::verifyAndDecode(vm::VM &M, vm::ThreadContext &T,
                                uint32_t LeafPC) {
   // The collector's walk (vm/FrameWalk.h) from the leaf table pc, decoding
   // every frame's gc-point the way the sampled VM's collector does, with a
-  // cache of the profiler's own.  It collects the caller ret pcs for the
-  // incremental-chain check.
+  // cache of the profiler's own.  Each caller's ret pc is checked against
+  // the incremental chain, innermost first: a capped tree legitimately
+  // under-records depth; any other discrepancy is a bug in the hooks (or
+  // the tables) and is counted.
   if (!Decoder)
     Decoder.emplace(M.Opts.UseMapIndex, M.Opts.CrossCheck, DecodeCacheLines);
-  WalkScratch.clear();
+  uint32_t NodeId = T.ProfNode;
+  bool Mismatch = false, Shallower = false;
   vm::WalkEnd End = vm::walkThread(
       Prog, T, LeafPC, *Decoder, [&](const vm::WalkFrame &Fr) {
-        if (Fr.Depth)
-          WalkScratch.push_back(Fr.TablePC);
+        if (Fr.Depth && !Mismatch) {
+          if (NodeId == 0)
+            Shallower = true;
+          else if (Nodes[NodeId].RetPC != Fr.TablePC)
+            Mismatch = true;
+          else
+            NodeId = Nodes[NodeId].Parent;
+        }
         if (!Fr.Point) {
           // Possible by design: a poll inside a function whose calls are
           // all NoGcCallee gets no table entry of its own in outer frames.
@@ -124,26 +133,10 @@ void Profiler::verifyAndDecode(vm::VM &M, vm::ThreadContext &T,
         DerivedSampled += Fr.Point->Derivs.size();
         return true;
       });
-  bool WalkBad = End != vm::WalkEnd::Done;
-
-  // Check the incremental chain against the walked chain, innermost-first.
-  // A capped tree legitimately under-records depth; any other discrepancy
-  // is a bug in the hooks (or the tables) and is counted.
-  uint32_t NodeId = T.ProfNode;
-  size_t I = 0;
-  for (; NodeId != 0 && I != WalkScratch.size(); ++I) {
-    const Node &N = Nodes[NodeId];
-    if (N.RetPC != WalkScratch[I]) {
-      WalkBad = true;
-      break;
-    }
-    NodeId = N.Parent;
-  }
-  if (!WalkBad && NodeId != 0)
-    WalkBad = true; // Chain deeper than the real stack: always a bug.
-  if (!WalkBad && I != WalkScratch.size() && NodesDropped == 0)
-    WalkBad = true; // Chain shallower without a cap in effect: a bug.
-  if (WalkBad)
+  // A chain deeper than the real stack is always a bug; a shallower one
+  // only without a cap in effect.
+  if (End != vm::WalkEnd::Done || Mismatch || NodeId != 0 ||
+      (Shallower && NodesDropped == 0))
     ++WalkErrors;
 }
 
@@ -166,13 +159,6 @@ void Profiler::finish(bool Ok, const std::string &Error, uint64_t Instrs) {
   RunOk = Ok;
   RunError = Error;
   TotalInstrs = Instrs;
-}
-
-uint64_t Profiler::decodeHits() const {
-  return Decoder ? Decoder->hits() : 0;
-}
-uint64_t Profiler::decodeMisses() const {
-  return Decoder ? Decoder->misses() : 0;
 }
 
 //===----------------------------------------------------------------------===//

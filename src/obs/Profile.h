@@ -60,7 +60,6 @@
 #include "vm/VM.h"
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -297,11 +296,8 @@ public:
   Profile buildProfile() const;
 
   uint64_t sampleCount() const { return TotalSamples; }
-  uint64_t sampleWeight() const { return TotalWeight; }
-  uint64_t allocCount() const { return TotalAllocs; }
-  uint64_t walkErrors() const { return WalkErrors; }
-  uint64_t decodeHits() const;
-  uint64_t decodeMisses() const;
+  uint64_t decodeHits() const { return Decoder ? Decoder->hits() : 0; }
+  uint64_t decodeMisses() const { return Decoder ? Decoder->misses() : 0; }
 
 private:
   struct Node {
@@ -419,7 +415,6 @@ private:
   /// Decodes sampled frames the way the sampled VM's options say (made at
   /// the first sample); its cache and counters are the profiler's own.
   std::optional<gcmaps::PointDecoder> Decoder;
-  std::vector<uint32_t> WalkScratch;
 };
 
 } // namespace obs

@@ -76,16 +76,13 @@ struct VMOptions {
   size_t HeapMaxBytes = 0;
   bool NurseryAuto = false;
   /// How the collector and an attached profiler decode gc-points
-  /// (gcmaps::PointDecoder; snapshot capture always uses the reference
-  /// decoder): through the load-time index and a decoded-point cache, or,
-  /// when false, through the reference walk-from-start decoder, the §6.3
-  /// measured artifact (`--no-map-index`).
+  /// (gcmaps::PointDecoder): through the load-time index and a
+  /// decoded-point cache or, when false, through the reference
+  /// walk-from-start decoder, the §6.3 measured artifact (`--no-map-index`).
   bool UseMapIndex = true;
-  /// `--gc-crosscheck`: re-decode every indexed gc-point through the
-  /// reference decoder and abort on any disagreement; after every
-  /// collection, also abort unless every reachable pointer lands on a
-  /// copied object (minor: none left in the evacuated nursery half; full:
-  /// every root and field on an object header in to-space).
+  /// `--gc-crosscheck`: abort on any indexed decode that disagrees with the
+  /// reference decoder, and after any collection that leaves a reachable
+  /// pointer off a copied object.
   bool CrossCheck = false;
 };
 

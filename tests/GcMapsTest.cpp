@@ -15,6 +15,15 @@ using namespace mgc::vm;
 
 namespace {
 
+/// True when the indexed decode of \p Ordinal equals the reference
+/// `decodeGcPoint` result.
+bool crossCheckPoint(const EncodedFuncMaps &Maps, const FuncMapIndex &Index,
+                     unsigned Ordinal) {
+  GcPointInfo Fast;
+  decodeGcPointIndexed(Maps, Index, Ordinal, Fast);
+  return Fast == decodeGcPoint(Maps, Ordinal);
+}
+
 //===----------------------------------------------------------------------===//
 // Figure 4: location encoding
 //===----------------------------------------------------------------------===//
