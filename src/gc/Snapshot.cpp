@@ -84,10 +84,12 @@ bool collectRoots(VM &M, bool WalkStacks, std::vector<RootVal> &Roots,
         }
         // A derived value introduces no reachability of its own: the tables
         // keep its bases live (§3), so the record is pure provenance.  The
-        // anchor is the first base holding a tidy pointer.
+        // anchor is the first base that points at a heap object; a value
+        // derived only from non-heap bases (a VAR parameter bound to a
+        // local) gets no record.
         for (const gcmaps::BaseRef &B : *Bases) {
           Word V = *Fr.home(B.Loc);
-          if (V == 0)
+          if (!M.TheHeap.plausibleObject(V))
             continue;
           Root(obs::HeapSnapshot::RootKind::Derived, Rec.Target.Index, V);
           break;

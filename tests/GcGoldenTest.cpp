@@ -57,10 +57,8 @@ const char *modeName(Mode Md) {
 /// Runs \p S in mode \p Md and returns its row.  The snapshot's
 /// provenance fields are blanked before encoding so the digest does not
 /// depend on the toolchain that built the test.  A capture that fails
-/// folds its message into the digest instead: capture anchors a derived
-/// value on its first non-NIL base, and rejects one that is not a heap
-/// object (FieldList's VAR parameters bound to locals), so some FieldList
-/// collections have no snapshot.
+/// folds its message into the digest instead; none of the checked-in
+/// programs' captures fails.
 std::string runRow(const test::NamedSource &S, Mode Md) {
   bool GenGc = Md == Mode::Gen;
   driver::CompilerOptions CO;

@@ -603,6 +603,44 @@ TEST(SnapCrosscheck, BenchmarksAllConfigs) {
       }
 }
 
+// FieldList passes `VAR pos: INTEGER` locals, so some of its derived
+// values have no heap base at all.  Captured after every collection in a
+// 64 KiB heap, two-space and generational, each snapshot must be written
+// and pass the cross-check: capture anchors a derived value on its first
+// base that is a heap object, and records none when no base is one.
+TEST(SnapCrosscheck, FieldListAfterEveryCollection) {
+  for (bool Gen : {false, true}) {
+    SCOPED_TRACE(Gen ? "gen" : "two-space");
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    CO.WriteBarriers = Gen;
+    auto C = driver::compile(programs::FieldListSource, CO);
+    ASSERT_TRUE(C.Prog) << C.Diags.str();
+    vm::VMOptions VO;
+    VO.HeapBytes = 64u << 10;
+    VO.GenGc = Gen;
+    VO.CrossCheck = true;
+    vm::VM M(*C.Prog, VO);
+    gc::installPreciseCollector(M);
+    unsigned Captures = 0, Passed = 0;
+    std::string FirstErr;
+    M.PostGcHook = [&](vm::VM &V) {
+      obs::HeapSnapshot S;
+      std::string Err;
+      ++Captures;
+      if (gc::captureHeapSnapshot(V, S, /*WalkStacks=*/true, Err) &&
+          gc::crosscheckSnapshot(V, S, /*WalkStacks=*/true, Err))
+        ++Passed;
+      else if (FirstErr.empty())
+        FirstErr = Err;
+    };
+    ASSERT_TRUE(M.run()) << M.Error;
+    EXPECT_EQ(M.Out, programs::FieldListExpected);
+    EXPECT_EQ(Captures, Gen ? 26u : 3u);
+    EXPECT_EQ(Passed, Captures) << FirstErr;
+  }
+}
+
 TEST(SnapCrosscheck, CorpusAllConfigs) {
   for (const CorpusProgram &P : corpus())
     for (int Opt : {0, 2})
