@@ -830,10 +830,14 @@ Operand Lowerer::lowerBuiltin(const CallExpr &E) {
                                                     : AT->hi();
       return Operand::imm(V);
     }
-    // Open array: length stored in the word after the header.
+    // Open array: length stored in the word after the header, read
+    // through the reference: `v` itself, or the `v` of `v^` (open arrays
+    // exist only under REF, so any other argument is a dereference).
     if (E.BuiltinKind == Builtin::First)
       return Operand::imm(0);
-    Operand Ref = lowerExpr(Arg);
+    assert(ViaRef || Arg.ExprKind == Expr::Kind::Deref);
+    Operand Ref = lowerExpr(ViaRef ? Arg
+                                   : *static_cast<const DerefExpr &>(Arg).Base);
     VReg R = toVReg(Ref, PtrKind::Tidy);
     VReg Len = temp(PtrKind::NonPtr);
     emit(Instr::load(Len, R, HeaderBytes));

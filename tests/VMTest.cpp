@@ -197,6 +197,22 @@ END M.)",
                "21\n");
 }
 
+TEST(VM, NumberAndLastThroughDereference) {
+  // NUMBER(v^) and LAST(v^) read the open array's length through v, as
+  // NUMBER(v) and LAST(v) do.
+  expectOutput(R"(
+MODULE M;
+TYPE V = REF ARRAY OF INTEGER;
+VAR v: V;
+BEGIN
+  v := NEW(V, 3);
+  PutInt(NUMBER(v^)); PutChar(32); PutInt(NUMBER(v)); PutChar(32);
+  PutInt(LAST(v^)); PutChar(32); PutInt(LAST(v)); PutChar(32);
+  PutInt(FIRST(v^)); PutLn();
+END M.)",
+               "3 3 2 2 0\n");
+}
+
 TEST(VM, RecordsAndNestedAggregates) {
   expectOutput(R"(
 MODULE M;
