@@ -12,7 +12,8 @@
 /// NoSite behavior for objects predating site linking, snapshot diffing
 /// of an induced leak, codec round-trips and mutation strictness over the
 /// frozen corpus, and the capture-vs-recount-vs-conservative cross-check
-/// on the §6 benchmarks and the corpus in all four configurations.
+/// on the §6 benchmarks and the corpus in all four configurations, plus
+/// the stack walk's failure path on a corrupt frame chain.
 ///
 /// Every suite name starts with "Snap" — tests/CMakeLists.txt gives them
 /// the `snap` ctest label.
@@ -370,6 +371,61 @@ END SnapAge.
   ASSERT_EQ(R.Snap.Nodes.size(), 1u);
   EXPECT_EQ(R.Snap.Nodes[0].Age, 5u);
   EXPECT_NE(R.Snap.Nodes[0].Site, obs::NoSite);
+}
+
+//===----------------------------------------------------------------------===//
+// The stack walk's failure path: a corrupt frame chain is an error
+//===----------------------------------------------------------------------===//
+
+// Every collection happens inside Work, so the innermost frame has a
+// caller.  Pointing Work's saved caller FP (Stack[FP-2]) past the end of
+// the stack, or below the first frame, must make capture fail instead of
+// reading outside ThreadContext::Stack; restored, the capture succeeds
+// and the run finishes.
+TEST(SnapWalk, CorruptCallerFrameIsAnError) {
+  const char *Source = R"MG(MODULE SnapWalk;
+TYPE Pair = REF PairRec;
+     PairRec = RECORD v: INTEGER; left, right: Pair END;
+VAR g: Pair; i: INTEGER;
+PROCEDURE Work();
+VAR p: Pair;
+BEGIN
+  p := NEW(Pair);
+  p^.left := g;
+  g := p;
+  GcCollect()
+END Work;
+BEGIN
+  FOR i := 1 TO 3 DO Work() END
+END SnapWalk.
+)MG";
+  auto C = driver::compile(Source, driver::CompilerOptions());
+  ASSERT_TRUE(C.Prog) << C.Diags.str();
+  vm::VM M(*C.Prog, vm::VMOptions());
+  gc::installPreciseCollector(M);
+  unsigned Collections = 0, Rejected = 0, Restored = 0;
+  std::string Err;
+  M.PostGcHook = [&](vm::VM &V) {
+    ++Collections;
+    vm::ThreadContext &T = *V.Threads[0];
+    vm::Word &CallerFP = T.Stack[T.FP - 2];
+    const vm::Word Saved = CallerFP;
+    obs::HeapSnapshot S;
+    for (vm::Word Bad : {vm::Word(T.StackWords + 1024), vm::Word(1)}) {
+      CallerFP = Bad;
+      if (!gc::captureHeapSnapshot(V, S, /*WalkStacks=*/true, Err) &&
+          Err.find("leaves its stack") != std::string::npos)
+        ++Rejected;
+    }
+    CallerFP = Saved;
+    std::string RestoredErr;
+    if (gc::captureHeapSnapshot(V, S, /*WalkStacks=*/true, RestoredErr))
+      ++Restored;
+  };
+  ASSERT_TRUE(M.run()) << M.Error;
+  EXPECT_EQ(Collections, 3u);
+  EXPECT_EQ(Rejected, 2 * Collections) << Err;
+  EXPECT_EQ(Restored, Collections);
 }
 
 //===----------------------------------------------------------------------===//
