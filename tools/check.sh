@@ -9,7 +9,8 @@
 #   gengc         two-space vs generational pauses -> BENCH_gengc.json
 #   obs_overhead  tracer/snapshot/leak/profiler gates -> BENCH_{trace,
 #                 snapshot,leak,prof}.json
-#   snapshots     mgc-heapsnap on the §6 snapshots and the corpus, both modes
+#   snapshots     mgc-heapsnap on the §6 snapshots and the corpus, both modes;
+#                 per-collection §6 streams through mgc-heapsnap --watch
 #   dispatch      threaded >= 1.5x switch, same output -> BENCH_dispatch.json
 #   pause         pause percentiles and MMU, not gated -> BENCH_pause.json
 #   server        request-harness determinism -> BENCH_server.json
@@ -92,6 +93,24 @@ for Mg in "$ROOT"/tests/corpus/*.mg; do
   ./build/tools/mgc-heapsnap --top 5 "$Base.gen.snap" > /dev/null
   ./build/tools/mgc-heapsnap --diff "$Base.snap" "$Base.gen.snap" \
       > /dev/null
+done
+
+# Snapshots after every collection: the §6 programs that collect in a
+# 64 KiB heap, two-space and generational, each capture cross-checked by
+# mgc (a failed capture exits 1), then each stream read back by
+# mgc-heapsnap --watch.  takl is left out: it never collects in 64 KiB,
+# and --watch needs two snapshots.
+for Name in destroy typereg fieldlist; do
+  for Mode in two-space gen-gc; do
+    Base="$SNAPDIR/every.$Name.$Mode.snap"
+    rm -f "$Base" "$Base".*
+    Flags=(--heap 65536 --gc-crosscheck)
+    [ "$Mode" = gen-gc ] && Flags+=(--gen-gc)
+    ./build/tools/mgc "${Flags[@]}" --heap-snapshot "$Base" \
+        --snapshot-every 1 "$ROOT/perfbench/programs/sec6_$Name.mg" \
+        > /dev/null
+    ./build/tools/mgc-heapsnap --watch "$Base" > /dev/null
+  done
 done
 
 # --- Dispatch-tier throughput gate ---------------------------------------
