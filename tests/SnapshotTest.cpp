@@ -28,6 +28,7 @@
 #include "obs/HeapSnapshot.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <memory>
 
 using namespace mgc;
@@ -378,25 +379,33 @@ END SnapAge.
 //===----------------------------------------------------------------------===//
 
 // Every collection happens inside Work, so the innermost frame has a
-// caller.  Pointing Work's saved caller FP (Stack[FP-2]) past the end of
-// the stack, or below the first frame, must make capture fail instead of
-// reading outside ThreadContext::Stack; restored, the capture succeeds
-// and the run finishes.
+// caller: the module body, which holds the Pair it passes to Keep while
+// Work runs.  Pointing Work's saved caller FP (Stack[FP-2]) past the end
+// of the stack, or below the first frame, must make capture fail instead
+// of reading outside ThreadContext::Stack; restored, the capture succeeds
+// (with a root in the body's frame) and the run finishes.
 TEST(SnapWalk, CorruptCallerFrameIsAnError) {
   const char *Source = R"MG(MODULE SnapWalk;
 TYPE Pair = REF PairRec;
      PairRec = RECORD v: INTEGER; left, right: Pair END;
 VAR g: Pair; i: INTEGER;
-PROCEDURE Work();
+PROCEDURE Work(): INTEGER;
 VAR p: Pair;
 BEGIN
   p := NEW(Pair);
   p^.left := g;
   g := p;
-  GcCollect()
+  GcCollect();
+  RETURN 1
 END Work;
+PROCEDURE Keep(p: Pair; n: INTEGER);
 BEGIN
-  FOR i := 1 TO 3 DO Work() END
+  p^.v := n;
+  p^.right := g;
+  g := p
+END Keep;
+BEGIN
+  FOR i := 1 TO 3 DO Keep(NEW(Pair), Work()) END
 END SnapWalk.
 )MG";
   auto C = driver::compile(Source, driver::CompilerOptions());
@@ -419,7 +428,11 @@ END SnapWalk.
     }
     CallerFP = Saved;
     std::string RestoredErr;
-    if (gc::captureHeapSnapshot(V, S, /*WalkStacks=*/true, RestoredErr))
+    if (gc::captureHeapSnapshot(V, S, /*WalkStacks=*/true, RestoredErr) &&
+        std::any_of(S.Roots.begin(), S.Roots.end(),
+                    [](const obs::HeapSnapshot::Root &R) {
+                      return R.Frame == 1;
+                    }))
       ++Restored;
   };
   ASSERT_TRUE(M.run()) << M.Error;
