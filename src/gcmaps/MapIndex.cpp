@@ -143,17 +143,6 @@ const DerivationAlt *gcmaps::findDerivationAlt(const DerivationRecord &Rec,
 // The decode path
 //===----------------------------------------------------------------------===//
 
-const GcPointInfo &
-PointDecoder::decodeIntoCache(const std::vector<EncodedFuncMaps> &Maps,
-                              const std::vector<FuncMapIndex> &Indexes,
-                              unsigned Func, unsigned Ordinal) {
-  assert(Func < Indexes.size() && "program installed without map indexes");
-  GcPointInfo &Slot = Cache.insert(Func, Ordinal);
-  decodeGcPointIndexed(Maps[Func], Indexes[Func], Ordinal, Slot,
-                       &BytesSkipped);
-  return Slot;
-}
-
 void PointDecoder::crossCheck(const GcPointInfo &Info,
                               const EncodedFuncMaps &Maps, unsigned Func,
                               unsigned Ordinal) {

@@ -40,6 +40,7 @@
 
 #include "gcmaps/GcTables.h"
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -170,8 +171,13 @@ public:
       return Ref;
     }
     const GcPointInfo *Info = Cache.lookup(Func, Ordinal);
-    if (!Info)
-      Info = &decodeIntoCache(Maps, Indexes, Func, Ordinal);
+    if (!Info) {
+      assert(Func < Indexes.size() && "program installed without indexes");
+      GcPointInfo &Slot = Cache.insert(Func, Ordinal);
+      decodeGcPointIndexed(Maps[Func], Indexes[Func], Ordinal, Slot,
+                           &BytesSkipped);
+      Info = &Slot;
+    }
     if (CrossCheck)
       crossCheck(*Info, Maps[Func], Func, Ordinal);
     return *Info;
@@ -185,9 +191,7 @@ public:
   uint64_t bytesSkipped() const { return BytesSkipped; }
 
 private:
-  const GcPointInfo &decodeIntoCache(const std::vector<EncodedFuncMaps> &Maps,
-                                     const std::vector<FuncMapIndex> &Indexes,
-                                     unsigned Func, unsigned Ordinal);
+  /// Aborts unless \p Info equals the reference decode.
   static void crossCheck(const GcPointInfo &Info,
                          const EncodedFuncMaps &Maps, unsigned Func,
                          unsigned Ordinal);

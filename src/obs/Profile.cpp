@@ -95,11 +95,6 @@ void Profiler::takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC) {
   ++CurReqSamples;
   CurReqWeight += Weight;
 
-  verifyAndDecode(M, T, LeafPC);
-}
-
-void Profiler::verifyAndDecode(vm::VM &M, vm::ThreadContext &T,
-                               uint32_t LeafPC) {
   // The collector's walk (vm/FrameWalk.h) from the leaf table pc, decoding
   // every frame's gc-point the way the sampled VM's collector does, with a
   // cache of the profiler's own.  Each caller's ret pc is checked against

@@ -32,14 +32,11 @@
 ///    order over a deterministic execution, keeping the dump canonical.
 ///
 ///  - **Verification against the tables.**  Every mutator sample walks
-///    the frame chain with the collector's walker (vm/FrameWalk.h) and
-///    checks it against the incremental chain; each frame's gc-point
-///    decodes the way the sampled VM's collector decodes
-///    (VMOptions::UseMapIndex and CrossCheck, with a cache of the
-///    profiler's own), accumulating live root counts.  A mismatch, or a
-///    frame chain that leaves the stack, is a counted WalkError — the §6
-///    suite asserts zero.  A cross-check disagreement aborts, as it does
-///    in the collector.
+///    the stack with the collector's walker (vm/FrameWalk.h), checks it
+///    against the incremental chain and counts each frame's live roots,
+///    decoding the way the sampled VM's options say (with a cache of the
+///    profiler's own).  A chain mismatch, or a frame chain that leaves the
+///    stack, is a counted WalkError — the §6 suite asserts zero.
 ///
 ///  - **Two profiles.**  Mutator time: samples weighted by the instruction
 ///    delta since the previous sample (weights sum to ≤ total instrs).
@@ -366,7 +363,6 @@ private:
   /// One mutator sample: weight bookkeeping, stack intern, and the
   /// table-driven verification walk (frame chain + gc-map decode).
   void takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC);
-  void verifyAndDecode(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC);
 
   /// Decoded-point cache lines of the profiler's own decoder.
   static constexpr unsigned DecodeCacheLines = 128;

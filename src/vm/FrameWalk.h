@@ -8,19 +8,9 @@
 /// §3's stack walk, written once for every reader of the gc tables: the
 /// collector (tidy roots and derived values), heap-snapshot capture (roots
 /// with provenance) and the sampling profiler (its verification walk).
-///
-/// A thread is walked innermost frame first from its table pc, the return
-/// address of the gc-point it is stopped at.  A frame's table pc names its
-/// function (Program::funcOfPC) and gc-point (findGcPoint), whose tables
-/// decode through a gcmaps::PointDecoder.  A register's value as of a
-/// frame lives in the register file for the innermost frame, and for the
-/// others in the save area of the nearest inner frame that saved it.  The
-/// caller's table pc, FP and AP come from the control words
-/// Stack[FP-1..FP-3], down to the root frame's SentinelRetPC.  Before a
-/// frame is visited the walk checks that it lies inside the thread's
-/// stack, and that every caller's frame lies below its callee's, so a
-/// corrupt control word ends the walk with WalkEnd::BadFrame instead of a
-/// read outside the stack or a loop.
+/// DESIGN.md §3 describes the walk; each frame is checked to lie inside
+/// the thread's stack and below its callee before it is visited, so a
+/// corrupt control word ends the walk with an error, not a stray read.
 ///
 //===----------------------------------------------------------------------===//
 
