@@ -49,13 +49,14 @@ bool collectRoots(VM &M, bool WalkStacks, std::vector<RootVal> &Roots,
   if (WalkStacks) {
     gcmaps::PointDecoder Reference(/*UseIndex=*/false, /*CrossCheck=*/false);
     size_t Thread = 0;
-    WalkEnd End = walkSuspendedThreads(M, Reference, [&](size_t TI,
+    std::string Refused; // Why the visitor stopped the walk, if it did.
+    bool Walked = walkSuspendedThreads(M, Reference, [&](size_t TI,
                                                          const WalkFrame &Fr) {
       const CompiledFunction &F = M.Prog.Funcs[Fr.Func];
       if (!Fr.Point) {
-        Err = "snapshot: thread " + std::to_string(TI) +
-              " is suspended at pc " + std::to_string(Fr.TablePC) +
-              ", which is not a gc-point of " + F.Name;
+        Refused = "snapshot: thread " + std::to_string(TI) +
+                  " is suspended at pc " + std::to_string(Fr.TablePC) +
+                  ", which is not a gc-point of " + F.Name;
         return false;
       }
       auto Root = [&](obs::HeapSnapshot::RootKind Kind, int32_t Index,
@@ -78,8 +79,9 @@ bool collectRoots(VM &M, bool WalkStacks, std::vector<RootVal> &Roots,
       for (const gcmaps::DerivationRecord &Rec : Fr.Point->Derivs) {
         const std::vector<gcmaps::BaseRef> *Bases = Fr.bases(Rec);
         if (!Bases) {
-          Err = "snapshot: path variable selects no known derivation in " +
-                F.Name;
+          Refused =
+              "snapshot: path variable selects no known derivation in " +
+              F.Name;
           return false;
         }
         // A derived value introduces no reachability of its own: the tables
@@ -97,11 +99,13 @@ bool collectRoots(VM &M, bool WalkStacks, std::vector<RootVal> &Roots,
       }
       return true;
     }, &Thread);
-    if (End == WalkEnd::BadFrame)
-      Err = "snapshot: thread " + std::to_string(Thread) +
-            "'s frame chain leaves its stack (corrupt control word)";
-    if (End != WalkEnd::Done)
+    if (!Walked) {
+      Err = !Refused.empty()
+                ? Refused
+                : "snapshot: thread " + std::to_string(Thread) +
+                      "'s frame chain leaves its stack (corrupt control word)";
       return false;
+    }
   }
   for (unsigned W : M.Prog.GlobalPtrWords) {
     RootVal R;

@@ -6,16 +6,16 @@
 ///
 /// \file
 /// Captures precise heap snapshots (obs/HeapSnapshot.h) out of a live VM.
-/// The capture re-runs the table-driven three-phase root walk the precise
-/// collector uses — return-address lookup, gc-point decode, register
+/// The capture walks the stacks with the precise collector's walker
+/// (vm/FrameWalk.h) — return-address lookup, gc-point decode, register
 /// reconstruction from callee-save areas, ambiguous-derivation selection
 /// through path variables — but keeps the *provenance* of every root
 /// (thread, frame depth, function, slot kind and index) instead of just
 /// the pointer, then breadth-first walks the object graph through the
 /// heap type descriptors.  Capture is a rare, pause-time operation: it
-/// always decodes through the reference decoder (gcmaps::decodeGcPoint)
-/// and touches no collector state, so it cannot pollute the decoded-point
-/// cache or the mutator hot path.
+/// always decodes through an uncached reference decoder and touches no
+/// collector state, so it cannot pollute the decoded-point cache or the
+/// mutator hot path.
 ///
 /// Capture runs at safe points only: inside a VM::PostGcHook (threads
 /// suspended at gc-points, heap freshly compacted) or after run() returns.
@@ -47,7 +47,8 @@ namespace gc {
 /// must be true only when every live thread is suspended at a gc-point
 /// (PostGcHook, or after a successful run when no threads remain); false
 /// enumerates globals only.  Returns false and sets \p Err on a
-/// malformed heap or table (never aborts — tools report and exit).
+/// malformed heap, table or frame chain (never aborts — tools report and
+/// exit).
 bool captureHeapSnapshot(vm::VM &M, obs::HeapSnapshot &Out, bool WalkStacks,
                          std::string &Err);
 

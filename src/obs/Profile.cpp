@@ -105,7 +105,7 @@ void Profiler::takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC) {
     Decoder.emplace(M.Opts.UseMapIndex, M.Opts.CrossCheck, DecodeCacheLines);
   uint32_t NodeId = T.ProfNode;
   bool Mismatch = false, Shallower = false;
-  vm::WalkEnd End = vm::walkThread(
+  bool Walked = vm::walkThread(
       Prog, T, LeafPC, *Decoder, [&](const vm::WalkFrame &Fr) {
         if (Fr.Depth && !Mismatch) {
           if (NodeId == 0)
@@ -130,7 +130,7 @@ void Profiler::takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC) {
       });
   // A chain deeper than the real stack is always a bug; a shallower one
   // only without a cap in effect.
-  if (End != vm::WalkEnd::Done || Mismatch || NodeId != 0 ||
+  if (!Walked || Mismatch || NodeId != 0 ||
       (Shallower && NodesDropped == 0))
     ++WalkErrors;
 }

@@ -72,19 +72,13 @@ struct WalkFrame {
   }
 };
 
-/// How a walk ended.
-enum class WalkEnd : uint8_t {
-  Done,     ///< Reached the root frame.
-  Stopped,  ///< The visitor returned false.
-  BadFrame, ///< A frame outside the stack, or a caller not below its callee.
-};
-
 /// Walks thread \p T of \p P from table pc \p TablePC, innermost frame
 /// first, decoding each frame's gc-point through \p D and calling
-/// \p Visit(const WalkFrame &) on it; a visitor that returns false stops
-/// the walk.
+/// \p Visit(const WalkFrame &) on it.  Returns true when the walk reached
+/// the root frame; false when the visitor returned false to stop it, or
+/// at a frame outside the stack or a caller not below its callee.
 template <typename Visitor>
-WalkEnd walkThread(const Program &P, ThreadContext &T, uint32_t TablePC,
+bool walkThread(const Program &P, ThreadContext &T, uint32_t TablePC,
                    gcmaps::PointDecoder &D, Visitor &&Visit) {
   WalkFrame Fr;
   Fr.T = &T;
@@ -99,14 +93,14 @@ WalkEnd walkThread(const Program &P, ThreadContext &T, uint32_t TablePC,
     if (Fr.FP < CtlWords ||
         uint64_t{Fr.FP} + F.FrameWords > T.StackWords ||
         uint64_t{Fr.AP} + F.NumParams > T.StackWords)
-      return WalkEnd::BadFrame;
+      return false;
     Fr.Ordinal = gcmaps::findGcPoint(P.Maps[Fr.Func], Fr.TablePC);
     Fr.Point = Fr.Ordinal < 0
                    ? nullptr
                    : &D.decode(P.Maps, P.MapIndexes, Fr.Func,
                                static_cast<unsigned>(Fr.Ordinal));
     if (!Visit(std::as_const(Fr)))
-      return WalkEnd::Stopped;
+      return false;
 
     // Step to the caller: registers this frame saved now live in its save
     // area as far as outer frames are concerned.
@@ -114,10 +108,10 @@ WalkEnd walkThread(const Program &P, ThreadContext &T, uint32_t TablePC,
       Fr.RegHome[F.SavedRegs[K]] = &T.Stack[Fr.FP + K];
     uint32_t RetPC = static_cast<uint32_t>(T.Stack[Fr.FP - 1]);
     if (RetPC == SentinelRetPC)
-      return WalkEnd::Done;
+      return true;
     uint32_t CallerFP = static_cast<uint32_t>(T.Stack[Fr.FP - 2]);
     if (CallerFP >= Fr.FP)
-      return WalkEnd::BadFrame;
+      return false;
     Fr.AP = static_cast<uint32_t>(T.Stack[Fr.FP - 3]);
     Fr.FP = CallerFP;
     Fr.TablePC = RetPC;
@@ -127,11 +121,11 @@ WalkEnd walkThread(const Program &P, ThreadContext &T, uint32_t TablePC,
 /// Walks every live thread of \p M that is stopped at a gc-point
 /// (VM::SuspendPCs: valid while the collector runs and in PostGcHook), in
 /// thread order, calling \p Visit(ThreadIndex, const WalkFrame &) on each
-/// frame.  Stops at the first walk that does not reach its root frame and
-/// returns how it ended, with its thread in \p *Thread when given.
+/// frame.  Returns false at the first walk that does not reach its root
+/// frame, with its thread in \p *Thread when given.
 template <typename Visitor>
-WalkEnd walkSuspendedThreads(VM &M, gcmaps::PointDecoder &D,
-                             Visitor &&Visit, size_t *Thread = nullptr) {
+bool walkSuspendedThreads(VM &M, gcmaps::PointDecoder &D, Visitor &&Visit,
+                          size_t *Thread = nullptr) {
   for (size_t TI = 0; TI != M.Threads.size(); ++TI) {
     ThreadContext &T = *M.Threads[TI];
     if (!T.Live || TI >= M.SuspendPCs.size())
@@ -139,16 +133,14 @@ WalkEnd walkSuspendedThreads(VM &M, gcmaps::PointDecoder &D,
     uint32_t TablePC = M.SuspendPCs[TI];
     if (TablePC == SentinelRetPC || TablePC == 0)
       continue;
-    WalkEnd End =
-        walkThread(M.Prog, T, TablePC, D,
-                   [&](const WalkFrame &Fr) { return Visit(TI, Fr); });
-    if (End != WalkEnd::Done) {
+    if (!walkThread(M.Prog, T, TablePC, D,
+                    [&](const WalkFrame &Fr) { return Visit(TI, Fr); })) {
       if (Thread)
         *Thread = TI;
-      return End;
+      return false;
     }
   }
-  return WalkEnd::Done;
+  return true;
 }
 
 } // namespace vm
