@@ -90,8 +90,7 @@ void expectIdentical(const TierOutcome &Sw, const TierOutcome &Th,
 /// extra expectations.
 TierOutcome compareTiers(const std::string &Source,
                          driver::CompilerOptions CO, vm::VMOptions VO,
-                         const std::string &Ctx,
-                         bool SpawnSpin = false) {
+                         const std::string &Ctx, bool SpawnSpin = false) {
   auto C = driver::compile(Source, CO);
   if (!C.Prog) {
     ADD_FAILURE() << Ctx << " compilation failed:\n" << C.Diags.str();
