@@ -16,9 +16,7 @@
 /// collection count for every program; a mismatch is a correctness bug
 /// and fails immediately.  Writes BENCH_dispatch.json and *fails*
 /// (exit 1) when the geometric-mean speedup of threaded over switch
-/// drops below the issue gate of 1.5x.  In a build without computed
-/// goto the threaded tier silently executes as switch, so the gate is
-/// vacuous and reported as skipped.
+/// drops below the gate of 1.5x.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -82,8 +80,6 @@ uint64_t mutatorNanos(const RunResult &R) {
 } // namespace
 
 int main() {
-  const bool HaveGoto = MGC_COMPUTED_GOTO != 0;
-
   std::vector<std::unique_ptr<vm::Program>> Progs;
   for (const programs::NamedProgram &P : programs::All) {
     driver::CompilerOptions CO;
@@ -143,17 +139,14 @@ int main() {
   // Minima only tighten with more samples: when a noisy round leaves the
   // ratio under the gate, buy more rounds (bounded) before concluding the
   // speedup is not there.
-  if (HaveGoto)
-    for (int Extra = 0; Geomean() < GateSpeedup && Extra < 3 * Runs; ++Extra)
-      Round();
+  for (int Extra = 0; Geomean() < GateSpeedup && Extra < 3 * Runs; ++Extra)
+    Round();
   double GM = Geomean();
-  bool GatePass = !HaveGoto || GM >= GateSpeedup;
+  bool GatePass = GM >= GateSpeedup;
 
   bench::BenchFile File;
   support::JsonWriter &J = File.J;
-  J.uint("runs", Runs)
-      .boolean("computed_goto", HaveGoto)
-      .beginArray("programs");
+  J.uint("runs", Runs).beginArray("programs");
   for (size_t I = 0; I != NP; ++I) {
     double IpsSw = static_cast<double>(SwRef[I].Instrs) /
                    (static_cast<double>(MinSw[I]) / 1e9);
@@ -185,17 +178,11 @@ int main() {
       .beginObject("gate")
       .fixed("min_speedup", GateSpeedup)
       .fixed("geomean_speedup", GM)
-      .boolean("skipped", !HaveGoto)
       .boolean("pass", GatePass)
       .endObject();
   if (!File.write("BENCH_dispatch.json"))
     return 1;
 
-  if (!HaveGoto) {
-    std::printf("dispatch: gate skipped (no computed goto; threaded tier "
-                "executes as switch)\n");
-    return 0;
-  }
   if (!GatePass) {
     std::fprintf(stderr,
                  "dispatch: FAIL: geomean mutator speedup %.2fx < %.1fx\n",

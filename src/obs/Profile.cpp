@@ -44,7 +44,7 @@ uint32_t Profiler::pushNodeSlow(uint32_t Parent, uint32_t RetPC, uint64_t K) {
     NodeCache[slot(K, NodeCacheMask)] = {K, It->second};
     return It->second;
   }
-  if (Nodes.size() >= Cfg.MaxNodes) {
+  if (Nodes.size() >= ProfMaxNodes) {
     // Chain stops extending; pops stay correct through the shadow stack.
     ++NodesDropped;
     return Parent;
@@ -63,7 +63,7 @@ uint32_t Profiler::internStackSlow(uint32_t NodeId, uint32_t LeafPC,
     StackCache[slot(K, StackCacheMask)] = {K, It->second};
     return It->second;
   }
-  if (Stacks.size() >= Cfg.MaxStacks) {
+  if (Stacks.size() >= ProfMaxStacks) {
     ++StacksDropped;
     return 0;
   }
@@ -138,7 +138,7 @@ void Profiler::takeSample(vm::VM &M, vm::ThreadContext &T, uint32_t LeafPC) {
 void Profiler::onRequestDone(uint64_t Seq) {
   if (!Cfg.Enabled)
     return;
-  if (Requests.size() >= Cfg.MaxRequests) {
+  if (Requests.size() >= ProfMaxRequests) {
     ++RequestsDropped;
   } else {
     Requests.push_back(
@@ -194,7 +194,7 @@ Profile Profiler::buildProfile() const {
 
   // Expand every interned stack (each was interned by a sample or an
   // allocation, so none is unused).  Frames innermost-first, truncated to
-  // the innermost MaxFrames — the truncation point is a deterministic
+  // the innermost ProfMaxFrames — the truncation point is a deterministic
   // function of the interned chain, preserving cross-tier identity.
   P.Stacks.reserve(Stacks.size());
   P.Stacks.push_back(Profile::Stack()); // Id 0: overflow, no frames.
@@ -205,7 +205,7 @@ Profile Profiler::buildProfile() const {
     P.Frames.push_back(
         {LeafPC, static_cast<uint32_t>(Prog.funcOfPC(LeafPC - 1))});
     uint32_t N = 1;
-    for (uint32_t NodeId = Stacks[Id].Node; NodeId != 0 && N < Cfg.MaxFrames;
+    for (uint32_t NodeId = Stacks[Id].Node; NodeId != 0 && N < ProfMaxFrames;
          NodeId = Nodes[NodeId].Parent, ++N) {
       uint32_t PC = Nodes[NodeId].RetPC;
       P.Frames.push_back({PC, static_cast<uint32_t>(Prog.funcOfPC(PC - 1))});

@@ -68,6 +68,17 @@ namespace obs {
 /// Profile file format version ('MGPF' files).
 constexpr uint32_t ProfileVersion = 1;
 
+/// Innermost frames kept per interned stack.
+constexpr uint32_t ProfMaxFrames = 64;
+/// Caps on the interned prefix tree / stack table: beyond them, deeper
+/// chains stop extending and new stacks aggregate into stack id 0 (the
+/// overflow bucket).  Deterministic: the caps trip at the same event in
+/// every tier.
+constexpr uint32_t ProfMaxNodes = 1u << 20;
+constexpr uint32_t ProfMaxStacks = 1u << 20;
+/// Per-request rows retained (rows beyond it are dropped and counted).
+constexpr uint32_t ProfMaxRequests = 1u << 16;
+
 struct ProfilerConfig {
   /// Mutator sampling interval in retired instructions.  The default is
   /// the ≤5%-overhead operating point gated by bench/obs_overhead.
@@ -77,16 +88,6 @@ struct ProfilerConfig {
   bool Enabled = true;
   /// Stamped into the profile file's provenance header.
   uint64_t Seed = 0;
-  /// Innermost frames kept per interned stack.
-  uint32_t MaxFrames = 64;
-  /// Caps on the interned prefix tree / stack table: beyond them, deeper
-  /// chains stop extending and new stacks aggregate into stack id 0 (the
-  /// overflow bucket).  Deterministic: the caps trip at the same event in
-  /// every tier.
-  uint32_t MaxNodes = 1u << 20;
-  uint32_t MaxStacks = 1u << 20;
-  /// Per-request rows retained (rows beyond it are dropped and counted).
-  uint32_t MaxRequests = 1u << 16;
 };
 
 /// A decoded (or built) profile: pure data + codec.  Stack id 0 is the
@@ -94,7 +95,7 @@ struct ProfilerConfig {
 struct Profile {
   // Provenance header (support/Provenance.h).  NOT part of the body:
   // profiles must stay byte-identical across command lines that differ
-  // only in dispatch tier / gc threads / decode mode.
+  // only in dispatch tier / decode mode.
   std::string ToolVersion;
   std::string BuildFlags;
   uint64_t Seed = 0;

@@ -38,11 +38,11 @@ void writeRecord(std::ostream &OS, const char *Type, FillFn Fill) {
 Tracer::Tracer(TracerConfig C) : Config(std::move(C)) {
   if (Config.Sites)
     Counters.resize(Config.Sites->Sites.size());
-  Pending.reserve(Config.PendingCapacity);
+  Pending.reserve(TracePendingCapacity);
   Ring.resize(std::max<size_t>(Config.RingCapacity, 1));
   PausesMinor.reserve(1024);
   PausesFull.reserve(1024);
-  ReqInstrs.reserve(std::min<size_t>(Config.RequestCapacity, 1u << 12));
+  ReqInstrs.reserve(std::min<size_t>(TraceRequestCapacity, 1u << 12));
   if (Config.Leak.Enabled && !Counters.empty()) {
     // The least-squares denominator needs W >= 2; everything below is
     // preallocated so sampleCollection never allocates.
@@ -61,7 +61,7 @@ void Tracer::recordRequest(uint64_t Seq, uint64_t Instrs, uint64_t GcNanos,
   ++ReqCount;
   ReqGcNanosTotal += GcNanos;
   ReqCollectionsTotal += Collections;
-  if (ReqInstrs.size() < Config.RequestCapacity)
+  if (ReqInstrs.size() < TraceRequestCapacity)
     ReqInstrs.push_back(Instrs);
   else
     ++DroppedRequests;

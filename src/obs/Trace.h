@@ -125,6 +125,14 @@ struct LeakConfig {
   uint64_t MinBytes = 4096;
 };
 
+/// Capacity of the first-collection survival buffer: allocations between
+/// consecutive collections beyond this are dropped (and counted).
+constexpr size_t TracePendingCapacity = 1u << 15;
+/// Capacity of the per-request service-demand sample buffer (ReqDone
+/// markers); samples beyond it are dropped (and counted), the running
+/// aggregates keep counting.
+constexpr size_t TraceRequestCapacity = 1u << 18;
+
 /// Static configuration captured when the tracer is attached to a VM.
 struct TracerConfig {
   /// The program's allocation-site table; may be null (counters off).
@@ -141,14 +149,8 @@ struct TracerConfig {
   /// meta record alongside tool version and build flags so artifacts are
   /// self-describing and reproducible.
   uint64_t Seed = 0;
+  /// Committed events retained in memory (a stream sees every event).
   size_t RingCapacity = 1024;
-  /// Capacity of the first-collection survival buffer: allocations between
-  /// consecutive collections beyond this are dropped (and counted).
-  size_t PendingCapacity = 1u << 15;
-  /// Capacity of the per-request service-demand sample buffer (ReqDone
-  /// markers); samples beyond it are dropped (and counted), the running
-  /// aggregates keep counting.
-  size_t RequestCapacity = 1u << 18;
   /// Online leak detection (see LeakConfig).  The leak row of
   /// bench/obs_overhead gates the cost: ≤1% with the detector off, ≤3%
   /// with it on.
@@ -198,7 +200,7 @@ public:
       UnattributedBytes += Bytes;
     }
     if (Counted && Movable) {
-      if (Pending.size() < Config.PendingCapacity)
+      if (Pending.size() < TracePendingCapacity)
         Pending.push_back({Addr, Site, Bytes});
       else
         ++DroppedPending;
@@ -300,7 +302,7 @@ public:
   uint64_t requestCollections() const { return ReqCollectionsTotal; }
   uint64_t droppedRequests() const { return DroppedRequests; }
   /// Per-request service demand in instructions, in completion order (at
-  /// most Config.RequestCapacity retained).
+  /// most TraceRequestCapacity retained).
   const std::vector<uint64_t> &requestInstrSamples() const {
     return ReqInstrs;
   }

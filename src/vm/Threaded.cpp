@@ -22,17 +22,15 @@
 //     machinery (or an error path) can observe them — before
 //     allocate()/collect(), on every fail, and at quantum end.
 //
-//     On top of the 26 generic handlers, installHandlers() selects
-//     *specialized* variants per instruction where the operand pattern
-//     allows it (all-direct moves/compares/arithmetic, one-sided memory
-//     moves, direct branch conditions), eliminating the per-operand
-//     memory-form tests from the hottest paths.  Handlers replicate the
-//     reference interpreter's semantics *mechanically*, including its
-//     quirks (a failing memory read yields 0 and execution continues to
-//     the instruction's remaining effects; the error is only acted on at
-//     the bottom-of-step check, which Jump/Branch/Call/Ret skip), so the
-//     two tiers stay bit-identical on every observable, not just on the
-//     happy path.
+//     The 26 generic handlers are the bodies of vm/Ops.def, the one
+//     definition of each instruction that VM::step also runs; this file
+//     supplies only their control hooks.  On top of them,
+//     installHandlers() selects hand-written *specialized* variants per
+//     instruction where the operand pattern allows it (all-direct
+//     moves/compares/arithmetic, one-sided memory moves, direct branch
+//     conditions), eliminating the per-operand memory-form tests from the
+//     hottest paths.  The variants are written separately on purpose: the
+//     cross-tier tests check them against the shared definitions.
 //
 //===----------------------------------------------------------------------===//
 
@@ -181,7 +179,6 @@ enum SpecializedHandler : size_t {
 } // namespace
 
 void VM::installHandlers() {
-#if MGC_COMPUTED_GOTO
   if (Opts.Dispatch != DispatchTier::Threaded)
     return;
   const void *const *Labels = nullptr;
@@ -239,22 +236,11 @@ void VM::installHandlers() {
     }
     I.Handler = Labels[H];
   }
-#endif
-}
-
-void VM::runQuantumThreaded(ThreadContext &T, uint64_t Max) {
-#if MGC_COMPUTED_GOTO
-  execThreaded(&T, Max, nullptr);
-#else
-  runQuantumSwitch(T, Max);
-#endif
 }
 
 //===----------------------------------------------------------------------===//
 // The computed-goto executor
 //===----------------------------------------------------------------------===//
-
-#if MGC_COMPUTED_GOTO
 
 // Cache-line aligned, so where each handler falls relative to the 32- and
 // 64-byte fetch windows does not move with the size of the code linked
@@ -300,12 +286,14 @@ void VM::runQuantumThreaded(ThreadContext &T, uint64_t Max) {
                             T.Stack.get() + T.AP, Globals.data(),
                             DProg.ConstPool.data()};
 
-// Publish PC and the retired-instruction count: required before anything
-// that can observe them (collect() reads Stats.Instrs and walks stacks;
-// run() checks the instruction budget after the quantum).  The retired
-// count is derived from the budget (Max - Remaining) instead of a second
-// per-instruction counter.
-#define MGC_SYNC()                                                            \
+// The control hooks of vm/Ops.def.
+//
+// vmsync() publishes PC and the retired-instruction count: required before
+// anything that can observe them (collect() reads Stats.Instrs and walks
+// stacks; run() checks the instruction budget after the quantum).  The
+// retired count is derived from the budget (Max - Remaining) instead of a
+// second per-instruction counter.
+#define vmsync()                                                              \
   do {                                                                        \
     T.PC = static_cast<uint32_t>(I - Code);                                   \
     uint64_t Retired = Max - Remaining;                                       \
@@ -314,291 +302,65 @@ void VM::runQuantumThreaded(ThreadContext &T, uint64_t Max) {
   } while (0)
 
 // Dispatch *I.  The instruction is counted as retired *before* its
-// handler runs, matching the reference step()'s ++Stats.Instrs placement.
-// Control-transfer handlers set I and dispatch; fall-through handlers
-// advance via MGC_FALL.
-#define MGC_DISPATCH()                                                        \
+// handler runs, matching step()'s ++Stats.Instrs placement.
+#define vmdispatch()                                                          \
   do {                                                                        \
     if (Remaining == 0) {                                                     \
-      MGC_SYNC();                                                             \
+      vmsync();                                                               \
       return true;                                                            \
     }                                                                         \
     --Remaining;                                                              \
     goto *I->Handler;                                                         \
   } while (0)
 
-// Bottom-of-step for fall-through instructions: act on a pending error
-// (set by this instruction, or left behind by a preceding Branch whose
-// condition read failed — the reference interpreter's quirk), else
-// advance.  Jump/Branch/Call/Ret bypass this, exactly like the early
-// `return true`s in step().
-#define MGC_FALL()                                                            \
+#define vmcase(Op) L_##Op:
+#define vmbreak                                                               \
   do {                                                                        \
     if (__builtin_expect(!Error.empty(), 0)) {                                \
-      MGC_SYNC();                                                             \
+      vmsync();                                                               \
       return false;                                                           \
     }                                                                         \
     ++I;                                                                      \
-    MGC_DISPATCH();                                                           \
+    vmdispatch();                                                             \
   } while (0)
-
-#define MGC_FAIL(Msg)                                                         \
+#define vmjump(NewPC)                                                         \
   do {                                                                        \
-    MGC_SYNC();                                                               \
+    I = Code + (NewPC);                                                       \
+    vmdispatch();                                                             \
+  } while (0)
+#define vmjumpframe(NewPC)                                                    \
+  do {                                                                        \
+    I = Code + (NewPC);                                                       \
+    Bases[DBaseFP] = T.Stack.get() + T.FP;                                    \
+    Bases[DBaseAP] = T.Stack.get() + T.AP;                                    \
+    vmdispatch();                                                             \
+  } while (0)
+#define vmfail(Msg)                                                           \
+  do {                                                                        \
+    vmsync();                                                                 \
     fail(Msg);                                                                \
     return false;                                                             \
   } while (0)
+#define vmfinish()                                                            \
+  do {                                                                        \
+    vmsync();                                                                 \
+    return true;                                                              \
+  } while (0)
+#define vmpc() static_cast<uint32_t>(I - Code)
 
-  MGC_DISPATCH();
+  vmdispatch();
 
-L_Mov:
-  writeD(I->D, Bases, readD(I->A, Bases));
-  MGC_FALL();
-
-L_Add: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A + B);
-  MGC_FALL();
-}
-
-L_Sub: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A - B);
-  MGC_FALL();
-}
-
-L_Mul: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A * B);
-  MGC_FALL();
-}
-
-L_Div: {
-  int64_t A = static_cast<int64_t>(readD(I->A, Bases));
-  int64_t B = static_cast<int64_t>(readD(I->B, Bases));
-  if (B == 0)
-    MGC_FAIL("integer division by zero");
-  if (support::divOverflows(A, B))
-    MGC_FAIL(support::DivOverflowMessage);
-  writeD(I->D, Bases, static_cast<Word>(A / B));
-  MGC_FALL();
-}
-
-L_Mod: {
-  int64_t A = static_cast<int64_t>(readD(I->A, Bases));
-  int64_t B = static_cast<int64_t>(readD(I->B, Bases));
-  if (B == 0)
-    MGC_FAIL("integer modulus by zero");
-  if (support::divOverflows(A, B))
-    MGC_FAIL(support::DivOverflowMessage);
-  writeD(I->D, Bases, static_cast<Word>(A % B));
-  MGC_FALL();
-}
-
-L_Neg:
-  writeD(I->D, Bases, 0 - readD(I->A, Bases));
-  MGC_FALL();
-
-L_Not:
-  writeD(I->D, Bases, readD(I->A, Bases) == 0 ? 1 : 0);
-  MGC_FALL();
-
-L_CmpEq: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A == B ? 1 : 0);
-  MGC_FALL();
-}
-
-L_CmpNe: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases, A != B ? 1 : 0);
-  MGC_FALL();
-}
-
-L_CmpLt: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
-
-L_CmpLe: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) <= static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
-
-L_CmpGt: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) > static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
-
-L_CmpGe: {
-  Word A = readD(I->A, Bases), B = readD(I->B, Bases);
-  writeD(I->D, Bases,
-         static_cast<int64_t>(A) >= static_cast<int64_t>(B) ? 1 : 0);
-  MGC_FALL();
-}
-
-L_AddrSlot:
-  writeD(I->D, Bases,
-         reinterpret_cast<Word>(&T.Stack[T.FP + I->Index]) +
-             static_cast<Word>(I->AuxImm));
-  MGC_FALL();
-
-L_AddrGlobal:
-  writeD(I->D, Bases,
-         reinterpret_cast<Word>(&Globals[static_cast<size_t>(I->Index)]) +
-             static_cast<Word>(I->AuxImm));
-  MGC_FALL();
-
-L_NewObj:
-L_NewArr: {
-  int64_t Len =
-      I->Op == MOp::NewArr ? static_cast<int64_t>(readD(I->A, Bases)) : 0;
-  if (I->Op == MOp::NewArr && Len < 0)
-    MGC_FAIL("negative open array length");
-  CurAllocSite = I->Site;
-  MGC_SYNC(); // allocate() can collect: PC and Instrs must be current.
-  Word Obj = allocate(static_cast<unsigned>(I->Index), Len, T.PC + 1);
-  CurAllocSite = NoAllocSite;
-  if (Obj == 0)
-    return false;
-  writeD(I->D, Bases, Obj);
-  MGC_FALL();
-}
-
-L_Call: {
-  if (__builtin_expect(Profiler != nullptr, 0)) {
-    MGC_SYNC(); // The due-check and sample read Stats.Instrs and T.PC.
-    Profiler->onCall(*this, T, I->IsGcPoint,
-                     static_cast<uint32_t>(I - Code) + 1);
-  }
-  const CompiledFunction &Callee = Prog.Funcs[static_cast<size_t>(I->Index)];
-  uint32_t CtlBase = T.FP + I->CallerFrameWords;
-  uint32_t NewFP = CtlBase + CtlWords;
-  if (NewFP + Callee.FrameWords >= T.StackWords)
-    MGC_FAIL("stack overflow calling " + Callee.Name);
-  T.Stack[CtlBase] = T.AP;
-  T.Stack[CtlBase + 1] = T.FP;
-  T.Stack[CtlBase + 2] = static_cast<uint32_t>(I - Code) + 1;
-  for (size_t K = 0; K != Callee.SavedRegs.size(); ++K)
-    T.Stack[NewFP + K] = T.R[Callee.SavedRegs[K]];
-  for (uint32_t W = NewFP + Callee.SavedRegs.size();
-       W != NewFP + Callee.FrameWords; ++W)
-    T.Stack[W] = FramePoison;
-  T.AP = T.FP + I->ArgBase;
-  T.FP = NewFP;
-  I = Code + Callee.EntryIndex;
-  Bases[DBaseFP] = T.Stack.get() + T.FP;
-  Bases[DBaseAP] = T.Stack.get() + T.AP;
-  MGC_DISPATCH();
-}
-
-L_CallRt:
-  switch (static_cast<ir::RtFn>(I->Index)) {
-  case ir::RtFn::PutInt:
-    Out += std::to_string(static_cast<int64_t>(T.Stack[T.FP + I->ArgBase]));
-    break;
-  case ir::RtFn::PutChar:
-    Out += static_cast<char>(T.Stack[T.FP + I->ArgBase] & 0xff);
-    break;
-  case ir::RtFn::PutLn:
-    Out += '\n';
-    break;
-  case ir::RtFn::GcCollect:
-    MGC_SYNC();
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onPoint(*this, T, T.PC + 1);
-    if (!collect(T.PC + 1))
-      return false;
-    break;
-  case ir::RtFn::Halt:
-    T.Finished = true;
-    T.Live = false;
-    MGC_SYNC();
-    return true; // Thread done; not an error.
-  case ir::RtFn::ReqDone:
-    // Sync first so Stats.Instrs (and T.PC, for hooks) match the switch
-    // tier bit-for-bit at the marker.
-    MGC_SYNC();
-    finishRequest();
-    break;
-  }
-  MGC_FALL();
-
-L_GcPoll:
-  // A voluntary gc-point; the rendezvous loop stops *before* executing it.
-  if (__builtin_expect(Profiler != nullptr, 0)) {
-    MGC_SYNC();
-    Profiler->onPoint(*this, T, T.PC + 1);
-  }
-  MGC_FALL();
-
-L_WriteBarrier:
-  if (Opts.GenGc) {
-    ++Stats.WriteBarriersRun;
-    Word Slot = readD(I->A, Bases) + static_cast<Word>(I->AuxImm);
-    if (TheHeap.writeBarrier(Slot))
-      ++Stats.RemSetRecords;
-  }
-  MGC_FALL();
-
-L_Jump:
-  I = Code + I->Target0;
-  MGC_DISPATCH();
-
-L_Branch:
-  // No error check here — the reference interpreter's early `return true`
-  // means a failing condition read only stops execution at the next
-  // fall-through instruction (see MGC_FALL).
-  I = Code + (readD(I->A, Bases) != 0 ? I->Target0 : I->Target1);
-  MGC_DISPATCH();
-
-L_Ret: {
-  if (__builtin_expect(Profiler != nullptr, 0))
-    Profiler->onRet(T);
-  const CompiledFunction &F = Prog.Funcs[I->FuncIdx];
-  for (size_t K = 0; K != F.SavedRegs.size(); ++K)
-    T.R[F.SavedRegs[K]] = T.Stack[T.FP + K];
-  uint32_t RetPC = static_cast<uint32_t>(T.Stack[T.FP - 1]);
-  uint32_t OldFP = static_cast<uint32_t>(T.Stack[T.FP - 2]);
-  uint32_t OldAP = static_cast<uint32_t>(T.Stack[T.FP - 3]);
-  if (RetPC == SentinelRetPC) {
-    T.Finished = true;
-    T.Live = false;
-    MGC_SYNC();
-    return true; // Thread done; not an error.
-  }
-  I = Code + RetPC;
-  T.FP = OldFP;
-  T.AP = OldAP;
-  Bases[DBaseFP] = T.Stack.get() + T.FP;
-  Bases[DBaseAP] = T.Stack.get() + T.AP;
-  MGC_DISPATCH();
-}
-
-L_Trap: {
-  static const char *Reasons[] = {
-      "function ended without RETURN", "array index out of bounds",
-      "NIL dereference"};
-  int R = I->Index;
-  MGC_FAIL(std::string("trap: ") +
-           (R >= 0 && R < 3 ? Reasons[R] : "unknown"));
-}
+#include "vm/Ops.def"
 
   //===--- Specialized variants -------------------------------------------===
   // Each computes exactly what its generic counterpart would for the
-  // operand pattern installHandlers() matched; MGC_FALL's error check is
+  // operand pattern installHandlers() matched; vmbreak's error check is
   // kept even where the handler itself cannot fail, because a preceding
-  // Branch may have left a pending error (the quirk above).
+  // Branch may have left a pending error (the quirk in vm/Ops.def).
 
 L_MovDirect:
   Bases[I->D.Base][I->D.Index] = Bases[I->A.Base][I->A.Index];
-  MGC_FALL();
+  vmbreak;
 
 L_MovLoad: {
   Word Addr =
@@ -611,7 +373,7 @@ L_MovLoad: {
     V = *reinterpret_cast<Word *>(Addr);
   }
   Bases[I->D.Base][I->D.Index] = V;
-  MGC_FALL();
+  vmbreak;
 }
 
 L_MovStore: {
@@ -622,28 +384,28 @@ L_MovStore: {
     fail("NIL dereference (address " + std::to_string(Addr) + ")");
   else
     *reinterpret_cast<Word *>(Addr) = V;
-  MGC_FALL();
+  vmbreak;
 }
 
 L_AddDirect:
   Bases[I->D.Base][I->D.Index] =
       Bases[I->A.Base][I->A.Index] + Bases[I->B.Base][I->B.Index];
-  MGC_FALL();
+  vmbreak;
 
 L_SubDirect:
   Bases[I->D.Base][I->D.Index] =
       Bases[I->A.Base][I->A.Index] - Bases[I->B.Base][I->B.Index];
-  MGC_FALL();
+  vmbreak;
 
 L_CmpEqDirect:
   Bases[I->D.Base][I->D.Index] =
       Bases[I->A.Base][I->A.Index] == Bases[I->B.Base][I->B.Index] ? 1 : 0;
-  MGC_FALL();
+  vmbreak;
 
 L_CmpNeDirect:
   Bases[I->D.Base][I->D.Index] =
       Bases[I->A.Base][I->A.Index] != Bases[I->B.Base][I->B.Index] ? 1 : 0;
-  MGC_FALL();
+  vmbreak;
 
 L_CmpLtDirect:
   Bases[I->D.Base][I->D.Index] =
@@ -651,7 +413,7 @@ L_CmpLtDirect:
               static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
           ? 1
           : 0;
-  MGC_FALL();
+  vmbreak;
 
 L_CmpLeDirect:
   Bases[I->D.Base][I->D.Index] =
@@ -659,7 +421,7 @@ L_CmpLeDirect:
               static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
           ? 1
           : 0;
-  MGC_FALL();
+  vmbreak;
 
 L_CmpGtDirect:
   Bases[I->D.Base][I->D.Index] =
@@ -667,7 +429,7 @@ L_CmpGtDirect:
               static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
           ? 1
           : 0;
-  MGC_FALL();
+  vmbreak;
 
 L_CmpGeDirect:
   Bases[I->D.Base][I->D.Index] =
@@ -675,23 +437,18 @@ L_CmpGeDirect:
               static_cast<int64_t>(Bases[I->B.Base][I->B.Index])
           ? 1
           : 0;
-  MGC_FALL();
+  vmbreak;
 
 L_BranchDirect:
-  I = Code +
-      (Bases[I->A.Base][I->A.Index] != 0 ? I->Target0 : I->Target1);
-  MGC_DISPATCH();
+  vmjump(Bases[I->A.Base][I->A.Index] != 0 ? I->Target0 : I->Target1);
 
-#undef MGC_FAIL
-#undef MGC_FALL
-#undef MGC_DISPATCH
-#undef MGC_SYNC
+#undef vmpc
+#undef vmfinish
+#undef vmfail
+#undef vmjumpframe
+#undef vmjump
+#undef vmbreak
+#undef vmcase
+#undef vmdispatch
+#undef vmsync
 }
-
-#else // !MGC_COMPUTED_GOTO
-
-bool VM::execThreaded(ThreadContext *, uint64_t, const void *const **) {
-  return true; // Unreachable: runQuantumThreaded falls back to the switch.
-}
-
-#endif // MGC_COMPUTED_GOTO

@@ -10,8 +10,7 @@
 /// `DInstr` carries
 ///
 ///   - a handler address (a GCC/Clang `&&label` inside the computed-goto
-///     executor; null in portable builds, which fall back to the switch
-///     loop), and
+///     executor; null when the switch tier runs), and
 ///   - fully resolved operands: every non-memory operand reads/writes as
 ///     `Bases[O.Base][O.Index]`, where `Bases` is a 5-entry table of word
 ///     pointers (registers, FP frame, AP args, globals, and a constant
@@ -26,9 +25,11 @@
 /// and `VMStats::Instrs` are bit-identical across dispatch tiers — the
 /// threaded-index ↔ MInstr-PC mapping is the identity, which is what lets
 /// every gc-map keyed by a return PC keep working unchanged.  Both tiers
-/// share this representation: the reference switch interpreter (`VM::step`)
-/// executes the same resolved operands, so the only difference between the
-/// tiers is the dispatch mechanism itself.
+/// share this representation and the one definition of each instruction
+/// in vm/Ops.def: the reference switch interpreter (`VM::step`) executes
+/// the same resolved operands through the same bodies, so the tiers differ
+/// only in dispatch and in the threaded tier's operand-specialized
+/// variants.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,15 +40,6 @@
 #include "vm/Heap.h"
 
 #include <vector>
-
-/// Direct threading needs GNU computed goto (`&&label`).  Portable builds
-/// compile the same pre-decoded stream but dispatch it through the switch
-/// loop (VM::runQuantumSwitch).
-#if defined(__GNUC__) || defined(__clang__)
-#define MGC_COMPUTED_GOTO 1
-#else
-#define MGC_COMPUTED_GOTO 0
-#endif
 
 namespace mgc {
 namespace vm {

@@ -4,13 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// The reference (switch-dispatch) interpreter.  Since the threaded tier
-// landed, both engines execute the *pre-decoded* stream (vm/Threaded.h):
-// step() switches on MOp but accesses operands through the resolved
-// base/index form, so per-operand Kind switches are gone from the hot
-// path of this tier too, and the two tiers differ only in dispatch.
-// step() is also the single-step engine the rendezvous loop (§5.3) uses
-// to run other threads forward to their gc-points, in both tiers.
+// The reference (switch-dispatch) interpreter.  Both engines execute the
+// *pre-decoded* stream (vm/Threaded.h) through the one definition of each
+// instruction in vm/Ops.def: step() switches on MOp into those bodies and
+// accesses operands through the resolved base/index form, so the two
+// tiers differ only in dispatch.  step() is also the single-step engine
+// the rendezvous loop (§5.3) uses to run other threads forward to their
+// gc-points, in both tiers.
 //
 //===----------------------------------------------------------------------===//
 
@@ -99,85 +99,46 @@ Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
   // stats read attribution straight off the heap, tracer or not.
   uint32_t HdrSite = Heap::clampSite(CurAllocSite);
 
+  // Generational mode puts objects too large for the nursery straight into
+  // old space; everything else bump-allocates in the nursery (or the
+  // semispace), escalating exhaustion to a minor collection when the
+  // nursery has headroom and only then to a full one.
+  const bool Old =
+      TheHeap.generational() && Bytes > TheHeap.nurseryCapacityBytes();
+  auto TryAllocate = [&] {
+    return Old ? TheHeap.allocateOld(DescIdx, Length, HdrSite)
+               : TheHeap.allocate(DescIdx, Length, HdrSite);
+  };
+  Word Obj = TryAllocate();
+  if (Obj == 0 && !Old && TheHeap.generational() &&
+      TheHeap.minorHeadroomOk()) {
+    if (!collect(RetPC, GcKind::Minor))
+      return 0;
+    Obj = TryAllocate();
+  }
+  if (Obj == 0) {
+    // A full collection and a retry; under a growth policy, each further
+    // full collection doubles the semispace until the request fits or the
+    // cap is reached.
+    do {
+      if (!collect(RetPC, GcKind::Full))
+        return 0;
+      Obj = TryAllocate();
+    } while (Obj == 0 && TheHeap.requestGrowth());
+    if (Obj == 0) {
+      fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
+           " bytes live of " + std::to_string(TheHeap.capacityBytes()));
+      return 0;
+    }
+  }
+
   // Observability: one predicted branch when no tracer is attached.  The
   // next collection will move any nursery/from-space object, so survival
   // tracking is sound everywhere except direct-to-old allocations (which a
   // minor collection leaves in place).
-  auto Record = [&](Word Obj, bool TrackSurvival) {
-    if (Tracer)
-      Tracer->recordAlloc(CurAllocSite, Obj, Bytes, TrackSurvival);
-    return Obj;
-  };
-
-  if (!TheHeap.generational()) {
-    Word Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-    if (Obj != 0)
-      return Record(Obj, /*TrackSurvival=*/true);
-    if (!collect(RetPC))
-      return 0;
-    Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-    // Demand escalation under a growth policy: each extra collection
-    // doubles the semispace until the request fits or the cap is reached.
-    while (Obj == 0 && TheHeap.requestGrowth()) {
-      if (!collect(RetPC))
-        return 0;
-      Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-    }
-    if (Obj == 0) {
-      fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
-           " bytes live of " + std::to_string(TheHeap.capacityBytes()));
-      return 0;
-    }
-    return Record(Obj, /*TrackSurvival=*/true);
-  }
-
-  // Generational mode.  Objects too large for the nursery go straight to
-  // old space; everything else bump-allocates in the nursery, escalating
-  // nursery-exhaustion to a minor collection and only then to a full one.
-  if (Bytes > TheHeap.nurseryCapacityBytes()) {
-    Word Obj = TheHeap.allocateOld(DescIdx, Length, HdrSite);
-    if (Obj != 0)
-      return Record(Obj, /*TrackSurvival=*/false);
-    if (!collect(RetPC, GcKind::Full))
-      return 0;
-    Obj = TheHeap.allocateOld(DescIdx, Length, HdrSite);
-    while (Obj == 0 && TheHeap.requestGrowth()) {
-      if (!collect(RetPC, GcKind::Full))
-        return 0;
-      Obj = TheHeap.allocateOld(DescIdx, Length, HdrSite);
-    }
-    if (Obj == 0) {
-      fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
-           " bytes live of " + std::to_string(TheHeap.capacityBytes()));
-      return 0;
-    }
-    return Record(Obj, /*TrackSurvival=*/false);
-  }
-
-  Word Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-  if (Obj != 0)
-    return Record(Obj, /*TrackSurvival=*/true);
-  if (TheHeap.minorHeadroomOk()) {
-    if (!collect(RetPC, GcKind::Minor))
-      return 0;
-    Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-    if (Obj != 0)
-      return Record(Obj, /*TrackSurvival=*/true);
-  }
-  if (!collect(RetPC, GcKind::Full))
-    return 0;
-  Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-  while (Obj == 0 && TheHeap.requestGrowth()) {
-    if (!collect(RetPC, GcKind::Full))
-      return 0;
-    Obj = TheHeap.allocate(DescIdx, Length, HdrSite);
-  }
-  if (Obj == 0) {
-    fail("heap exhausted: " + std::to_string(TheHeap.usedBytes()) +
-         " bytes live of " + std::to_string(TheHeap.capacityBytes()));
-    return 0;
-  }
-  return Record(Obj, /*TrackSurvival=*/true);
+  if (Tracer)
+    Tracer->recordAlloc(CurAllocSite, Obj, Bytes, /*Movable=*/!Old);
+  return Obj;
 }
 
 bool VM::collect(uint32_t TriggerRetPC, GcKind Kind) {
@@ -300,222 +261,36 @@ void VM::collectNow() {
 }
 
 bool VM::step(ThreadContext &T) {
-  const DInstr &I = DProg.Code[T.PC];
+  const DInstr *const I = &DProg.Code[T.PC];
   ++Stats.Instrs;
   Word *const Bases[DNumBases] = {T.R, T.Stack.get() + T.FP,
                                   T.Stack.get() + T.AP, Globals.data(),
                                   DProg.ConstPool.data()};
-  switch (I.Op) {
-  case MOp::Mov:
-    writeD(I.D, Bases, readD(I.A, Bases));
-    break;
-  case MOp::Add: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A + B);
-    break;
+// The control hooks of vm/Ops.def for one instruction: T.PC and
+// Stats.Instrs are always current, and the bases are rebuilt per step.
+#define vmcase(Op) case MOp::Op:
+#define vmbreak break
+#define vmjump(NewPC)                                                         \
+  do {                                                                        \
+    T.PC = (NewPC);                                                           \
+    return true;                                                              \
+  } while (0)
+#define vmjumpframe(NewPC) vmjump(NewPC)
+#define vmfail(Msg) return fail(Msg)
+#define vmsync() ((void)0)
+#define vmfinish() return false
+#define vmpc() T.PC
+  switch (I->Op) {
+#include "vm/Ops.def"
   }
-  case MOp::Sub: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A - B);
-    break;
-  }
-  case MOp::Mul: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A * B);
-    break;
-  }
-  case MOp::Div: {
-    int64_t A = static_cast<int64_t>(readD(I.A, Bases));
-    int64_t B = static_cast<int64_t>(readD(I.B, Bases));
-    if (B == 0)
-      return fail("integer division by zero");
-    if (support::divOverflows(A, B))
-      return fail(support::DivOverflowMessage);
-    writeD(I.D, Bases, static_cast<Word>(A / B));
-    break;
-  }
-  case MOp::Mod: {
-    int64_t A = static_cast<int64_t>(readD(I.A, Bases));
-    int64_t B = static_cast<int64_t>(readD(I.B, Bases));
-    if (B == 0)
-      return fail("integer modulus by zero");
-    if (support::divOverflows(A, B))
-      return fail(support::DivOverflowMessage);
-    writeD(I.D, Bases, static_cast<Word>(A % B));
-    break;
-  }
-  case MOp::Neg:
-    writeD(I.D, Bases, 0 - readD(I.A, Bases));
-    break;
-  case MOp::Not:
-    writeD(I.D, Bases, readD(I.A, Bases) == 0 ? 1 : 0);
-    break;
-  case MOp::CmpEq: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A == B ? 1 : 0);
-    break;
-  }
-  case MOp::CmpNe: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases, A != B ? 1 : 0);
-    break;
-  }
-  case MOp::CmpLt: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) < static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::CmpLe: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) <= static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::CmpGt: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) > static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::CmpGe: {
-    Word A = readD(I.A, Bases), B = readD(I.B, Bases);
-    writeD(I.D, Bases,
-           static_cast<int64_t>(A) >= static_cast<int64_t>(B) ? 1 : 0);
-    break;
-  }
-  case MOp::AddrSlot:
-    writeD(I.D, Bases,
-           reinterpret_cast<Word>(&T.Stack[T.FP + I.Index]) +
-               static_cast<Word>(I.AuxImm));
-    break;
-  case MOp::AddrGlobal:
-    writeD(I.D, Bases,
-           reinterpret_cast<Word>(&Globals[static_cast<size_t>(I.Index)]) +
-               static_cast<Word>(I.AuxImm));
-    break;
-  case MOp::NewObj:
-  case MOp::NewArr: {
-    int64_t Len = I.Op == MOp::NewArr
-                      ? static_cast<int64_t>(readD(I.A, Bases))
-                      : 0;
-    if (I.Op == MOp::NewArr && Len < 0)
-      return fail("negative open array length");
-    CurAllocSite = I.Site;
-    Word Obj = allocate(static_cast<unsigned>(I.Index), Len, T.PC + 1);
-    CurAllocSite = NoAllocSite;
-    if (Obj == 0)
-      return false;
-    writeD(I.D, Bases, Obj);
-    break;
-  }
-  case MOp::Call: {
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onCall(*this, T, I.IsGcPoint, T.PC + 1);
-    const CompiledFunction &Callee =
-        Prog.Funcs[static_cast<size_t>(I.Index)];
-    uint32_t CtlBase = T.FP + I.CallerFrameWords;
-    uint32_t NewFP = CtlBase + CtlWords;
-    if (NewFP + Callee.FrameWords >= T.StackWords)
-      return fail("stack overflow calling " + Callee.Name);
-    T.Stack[CtlBase] = T.AP;
-    T.Stack[CtlBase + 1] = T.FP;
-    T.Stack[CtlBase + 2] = T.PC + 1;
-    // Prologue: save the callee-saved registers this function uses.
-    for (size_t K = 0; K != Callee.SavedRegs.size(); ++K)
-      T.Stack[NewFP + K] = T.R[Callee.SavedRegs[K]];
-    // Poison the rest of the frame: only table-described state may be
-    // touched by the collector.
-    for (uint32_t W = NewFP + Callee.SavedRegs.size();
-         W != NewFP + Callee.FrameWords; ++W)
-      T.Stack[W] = FramePoison;
-    T.AP = T.FP + I.ArgBase;
-    T.FP = NewFP;
-    T.PC = Callee.EntryIndex;
-    return true;
-  }
-  case MOp::CallRt: {
-    switch (static_cast<ir::RtFn>(I.Index)) {
-    case ir::RtFn::PutInt:
-      Out += std::to_string(
-          static_cast<int64_t>(T.Stack[T.FP + I.ArgBase]));
-      break;
-    case ir::RtFn::PutChar:
-      Out += static_cast<char>(T.Stack[T.FP + I.ArgBase] & 0xff);
-      break;
-    case ir::RtFn::PutLn:
-      Out += '\n';
-      break;
-    case ir::RtFn::GcCollect:
-      if (__builtin_expect(Profiler != nullptr, 0))
-        Profiler->onPoint(*this, T, T.PC + 1);
-      if (!collect(T.PC + 1))
-        return false;
-      break;
-    case ir::RtFn::Halt:
-      T.Finished = true;
-      T.Live = false;
-      return false;
-    case ir::RtFn::ReqDone:
-      finishRequest();
-      break;
-    }
-    break;
-  }
-  case MOp::WriteBarrier:
-    // Records [A + disp] in the remembered set when it is an old-space slot
-    // now holding a nursery pointer.  A no-op outside generational mode, so
-    // barrier-compiled binaries still run identically under the default
-    // collector.
-    if (Opts.GenGc) {
-      ++Stats.WriteBarriersRun;
-      Word Slot = readD(I.A, Bases) + static_cast<Word>(I.AuxImm);
-      if (TheHeap.writeBarrier(Slot))
-        ++Stats.RemSetRecords;
-    }
-    break;
-  case MOp::GcPoll:
-    // A voluntary gc-point; nothing happens unless a collection is in
-    // progress, in which case the rendezvous loop stops *before* executing
-    // this instruction.
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onPoint(*this, T, T.PC + 1);
-    break;
-  case MOp::Jump:
-    T.PC = I.Target0;
-    return true;
-  case MOp::Branch:
-    T.PC = readD(I.A, Bases) != 0 ? I.Target0 : I.Target1;
-    return true;
-  case MOp::Ret: {
-    if (__builtin_expect(Profiler != nullptr, 0))
-      Profiler->onRet(T);
-    const CompiledFunction &F = Prog.Funcs[I.FuncIdx];
-    // Epilogue: restore saved registers.
-    for (size_t K = 0; K != F.SavedRegs.size(); ++K)
-      T.R[F.SavedRegs[K]] = T.Stack[T.FP + K];
-    uint32_t RetPC = static_cast<uint32_t>(T.Stack[T.FP - 1]);
-    uint32_t OldFP = static_cast<uint32_t>(T.Stack[T.FP - 2]);
-    uint32_t OldAP = static_cast<uint32_t>(T.Stack[T.FP - 3]);
-    if (RetPC == SentinelRetPC) {
-      T.Finished = true;
-      T.Live = false;
-      return false;
-    }
-    T.PC = RetPC;
-    T.FP = OldFP;
-    T.AP = OldAP;
-    return true;
-  }
-  case MOp::Trap: {
-    static const char *Reasons[] = {
-        "function ended without RETURN", "array index out of bounds",
-        "NIL dereference"};
-    int R = I.Index;
-    return fail(std::string("trap: ") +
-                (R >= 0 && R < 3 ? Reasons[R] : "unknown"));
-  }
-  }
+#undef vmpc
+#undef vmfinish
+#undef vmsync
+#undef vmfail
+#undef vmjumpframe
+#undef vmjump
+#undef vmbreak
+#undef vmcase
   if (!Error.empty())
     return false;
   T.PC += 1;
@@ -540,14 +315,7 @@ void VM::finishRequest() {
     RequestHook(*this, Smp);
 }
 
-void VM::runQuantumSwitch(ThreadContext &T, uint64_t Max) {
-  for (uint64_t Q = 0; Q != Max && T.Live; ++Q)
-    if (!step(T))
-      break;
-}
-
 bool VM::run() {
-  const bool Threaded = activeDispatch() == DispatchTier::Threaded;
   // Round-robin with instruction-level pre-emption.
   while (true) {
     bool AnyLive = false;
@@ -563,10 +331,12 @@ bool VM::run() {
       break;
 
     ThreadContext &T = *Threads[CurThread];
-    if (Threaded)
-      runQuantumThreaded(T, Opts.Quantum);
+    if (Opts.Dispatch == DispatchTier::Threaded)
+      execThreaded(&T, Opts.Quantum, nullptr);
     else
-      runQuantumSwitch(T, Opts.Quantum);
+      for (uint64_t Q = 0; Q != Opts.Quantum && T.Live; ++Q)
+        if (!step(T))
+          break;
     if (!Error.empty())
       return false;
     // Checked per quantum, not per instruction: cheap, and still a

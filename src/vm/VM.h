@@ -64,9 +64,9 @@ struct VMOptions {
   /// non-terminating reducer candidate fails identically everywhere
   /// instead of hanging the oracle.
   uint64_t InstrBudget = 0;
-  /// Execution engine (vm/Threaded.h).  Threaded is the default; builds
-  /// without computed goto silently execute Switch (activeDispatch()
-  /// reports what actually ran).  Both tiers are observably identical.
+  /// Execution engine (vm/Threaded.h).  Threaded is the default.  Both
+  /// tiers run the one definition of each instruction in vm/Ops.def and
+  /// are observably identical.
   DispatchTier Dispatch = DispatchTier::Threaded;
   /// Heap-sizing policy (vm/Heap.h): occupancy percentage at which a full
   /// collection doubles the semispace (0 = fixed-size heap), the semispace
@@ -160,16 +160,6 @@ public:
   /// Forces a collection (testing hook; must not be called mid-run).
   void collectNow();
 
-  /// The dispatch tier that actually executes: Opts.Dispatch, demoted to
-  /// Switch when the build has no computed goto.
-  DispatchTier activeDispatch() const {
-#if MGC_COMPUTED_GOTO
-    return Opts.Dispatch;
-#else
-    return DispatchTier::Switch;
-#endif
-  }
-
   //===--- State exposed to the collector ----------------------------------===
 
   const Program &Prog;
@@ -250,21 +240,17 @@ private:
   Word readD(const DOperand &O, Word *const *Bases);
   void writeD(const DOperand &O, Word *const *Bases, Word V);
 
-  /// Executes one instruction of thread \p T.  Returns false when the
-  /// thread finished or an error occurred.
+  /// The reference executor: one instruction of thread \p T, switching
+  /// on its MOp into the bodies of vm/Ops.def.  Runs the switch tier and
+  /// single-steps the other threads at a rendezvous.  Returns false when
+  /// the thread finished or an error occurred.
   bool step(ThreadContext &T);
 
-  /// One scheduler quantum (at most \p Max instructions) of thread \p T
-  /// under the reference switch dispatch.
-  void runQuantumSwitch(ThreadContext &T, uint64_t Max);
-
-  /// The same quantum under computed-goto dispatch (vm/Threaded.cpp);
-  /// falls back to runQuantumSwitch in portable builds.
-  void runQuantumThreaded(ThreadContext &T, uint64_t Max);
-
-  /// The computed-goto executor.  With \p LabelsOut set it only exports
-  /// the handler-label table (indexed by MOp) and runs nothing; otherwise
-  /// it executes up to \p Max instructions of \p T.
+  /// The computed-goto executor (vm/Threaded.cpp): the same vm/Ops.def
+  /// bodies behind handler labels, plus operand-specialized variants.
+  /// With \p LabelsOut set it only exports the handler-label table
+  /// (indexed by MOp) and runs nothing; otherwise it executes one quantum,
+  /// up to \p Max instructions of \p T.
   bool execThreaded(ThreadContext *T, uint64_t Max,
                     const void *const **LabelsOut);
 
@@ -288,7 +274,7 @@ private:
 
   /// Retires one ReqDone() marker: accounts the request window against the
   /// current counters, records it with the tracer, and runs RequestHook.
-  /// Callers must have Stats.Instrs synced (threaded tier: MGC_SYNC).
+  /// Callers must have Stats.Instrs synced (vm/Ops.def: vmsync()).
   void finishRequest();
 
   bool fail(const std::string &Msg);

@@ -282,22 +282,6 @@ END M.)";
 TEST(DispatchTier, NamesAndActiveSelection) {
   EXPECT_STREQ(vm::dispatchTierName(vm::DispatchTier::Threaded), "threaded");
   EXPECT_STREQ(vm::dispatchTierName(vm::DispatchTier::Switch), "switch");
-
-  driver::CompilerOptions CO;
-  auto C =
-      driver::compile("MODULE M;\nBEGIN PutInt(1); PutLn();\nEND M.", CO);
-  ASSERT_TRUE(C.Prog) << C.Diags.str();
-  vm::VMOptions VO;
-  VO.Dispatch = vm::DispatchTier::Switch;
-  vm::VM M(*C.Prog, VO);
-  EXPECT_EQ(M.activeDispatch(), vm::DispatchTier::Switch);
-  vm::VMOptions VT; // default
-  vm::VM N(*C.Prog, VT);
-#if MGC_COMPUTED_GOTO
-  EXPECT_EQ(N.activeDispatch(), vm::DispatchTier::Threaded);
-#else
-  EXPECT_EQ(N.activeDispatch(), vm::DispatchTier::Switch);
-#endif
 }
 
 } // namespace

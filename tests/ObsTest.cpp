@@ -11,8 +11,10 @@
 /// -O2 in both collector modes, VMStats/trace invariants across the §6
 /// benchmark programs and the frozen corpus, JSONL round-tripping through
 /// obs::readTrace with zero parse errors, traces written by older
-/// versions still loading, and the error-path flush (a failed run must
-/// still produce a complete, parseable trace).
+/// versions still loading, the error-path flush (a failed run must
+/// still produce a complete, parseable trace), and the reader's
+/// strictness (every prefix and a flipped bit in any byte of a real trace
+/// either fail with a diagnostic or render).
 ///
 /// Every suite name starts with "Obs" — tests/CMakeLists.txt gives them
 /// the `obs` ctest label.
@@ -621,6 +623,102 @@ TEST(ObsParse, IntegerOutOfRangeIsAParseError) {
         .endObject();
     ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Line << ": " << Err;
     EXPECT_EQ(Rec.getInt("v"), V) << Line;
+  }
+}
+
+/// A trace stream with every record kind the tracer writes (meta, site,
+/// gc of both kinds, req, site_stats, site_live, age_hist, leak, run),
+/// configured the way `mgc --trace --gen-gc --leak-detect` configures it.
+std::string fullTrace() {
+  const char *Source = R"(MODULE Mutate;
+TYPE Cell = REF RECORD v: INTEGER; next: Cell END;
+VAR keep, t: Cell; i: INTEGER;
+
+PROCEDURE Grow(l: Cell; n: INTEGER): Cell;
+VAR c: Cell;
+BEGIN
+  c := NEW(Cell); c^.v := n; c^.next := l;
+  RETURN c
+END Grow;
+
+BEGIN
+  FOR i := 1 TO 400 DO
+    keep := Grow(keep, i);
+    t := NEW(Cell);
+    IF i MOD 80 = 0 THEN GcCollect(); ReqDone() END
+  END;
+  PutInt(keep^.v); PutLn()
+END Mutate.
+)";
+  driver::CompilerOptions CO;
+  CO.WriteBarriers = true;
+  auto C = driver::compile(Source, CO);
+  if (!C.Prog) {
+    ADD_FAILURE() << "compilation failed:\n" << C.Diags.str();
+    return "";
+  }
+  vm::VMOptions VO;
+  VO.GenGc = true;
+  VO.NurseryBytes = 2u << 10;
+  vm::VM M(*C.Prog, VO);
+  gc::installPreciseCollector(M);
+  obs::TracerConfig TC;
+  TC.Sites = &C.Prog->SiteTab;
+  for (const vm::CompiledFunction &F : C.Prog->Funcs)
+    TC.FuncNames.push_back(F.Name);
+  TC.ProgramName = C.Prog->Name;
+  TC.GenGc = true;
+  TC.Dispatch = vm::dispatchTierName(M.Opts.Dispatch);
+  TC.SiteTableBytes = C.Prog->Sizes.SiteTableBytes;
+  TC.Leak.Enabled = true;
+  TC.Leak.Window = 3;
+  TC.Leak.MinBytes = 64;
+  obs::Tracer Tracer(std::move(TC));
+  std::ostringstream OS;
+  Tracer.enable(&OS);
+  M.Tracer = &Tracer;
+  bool Ok = M.run();
+  EXPECT_TRUE(Ok) << M.Error;
+  Tracer.finish(Ok, M.Error, &M.TheHeap);
+  return OS.str();
+}
+
+TEST(ObsParse, StrictOnMutation) {
+  std::string Trace = fullTrace();
+  for (const char *Kind : {"meta", "site", "gc", "req", "site_stats",
+                           "site_live", "age_hist", "leak", "run"})
+    ASSERT_NE(Trace.find(std::string("{\"type\":\"") + Kind + "\""),
+              std::string::npos)
+        << Kind;
+  ASSERT_NE(Trace.find("\"kind\":\"minor\""), std::string::npos);
+  ASSERT_NE(Trace.find("\"kind\":\"full\""), std::string::npos);
+  {
+    std::istringstream In(Trace);
+    obs::TraceReport Report;
+    std::string Err;
+    ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
+    EXPECT_EQ(Report.Leaks.size(), 1u);
+  }
+  // Each mutation either fails with a diagnostic or renders both ways.
+  auto Check = [](const std::string &Text, size_t At) {
+    std::istringstream In(Text);
+    obs::TraceReport Report;
+    std::string Err;
+    if (!obs::readTrace(In, Report, Err)) {
+      EXPECT_FALSE(Err.empty()) << At;
+      return;
+    }
+    EXPECT_FALSE(obs::renderReport(Report).empty()) << At;
+    EXPECT_FALSE(obs::renderReportJson(Report).empty()) << At;
+  };
+  for (size_t Len = 0; Len < Trace.size(); ++Len)
+    Check(Trace.substr(0, Len), Len);
+  // Flipping the low bit keeps a digit a digit, so besides broken syntax
+  // the reader and renderers also see wrong but well-formed numbers.
+  for (size_t I = 0; I < Trace.size(); ++I) {
+    std::string T = Trace;
+    T[I] ^= 0x01;
+    Check(T, I);
   }
 }
 

@@ -19,7 +19,9 @@
 ///    marker, conserving the global sample counters;
 ///  - strict on disk: the codec round-trips every field, and truncation,
 ///    trailing bytes, bad magic/version, and out-of-range indices are
-///    decode errors, never best-effort results;
+///    decode errors, never best-effort results; every prefix of a real
+///    profile and a flipped bit in any of its bytes either fails with a
+///    diagnostic or decodes to a profile that round-trips and renders;
 ///  - honest about failures: a crashed run still yields a profile, marked
 ///    RunOk=false with the VM error preserved.
 ///
@@ -380,6 +382,53 @@ TEST(ProfCodec, StrictDecodeRejectsMalformedInput) {
     obs::encodeProfile(P, B);
     EXPECT_FALSE(obs::decodeProfile(B, D, Err));
     EXPECT_NE(Err.find("stack"), std::string::npos) << Err;
+  }
+}
+
+TEST(ProfCodec, StrictOnMutation) {
+  // typereg's profile (about 8 KiB) has hundreds of stacks and allocation
+  // rows.
+  driver::CompilerOptions CO;
+  CO.OptLevel = 2;
+  auto C = driver::compile(programs::TypeRegSource, CO);
+  ASSERT_TRUE(C.Prog != nullptr) << C.Diags.str();
+  vm::VMOptions VO;
+  VO.HeapBytes = 64u << 10;
+  ProfOutcome O = runProfiled(*C.Prog, VO, /*Interval=*/8192);
+  ASSERT_TRUE(O.Ok) << O.Error;
+  std::vector<uint8_t> Blob;
+  obs::encodeProfile(O.P, Blob);
+
+  // Every truncation is rejected with a diagnostic, never a crash.
+  for (size_t Len = 0; Len < Blob.size(); ++Len) {
+    std::vector<uint8_t> B(Blob.begin(), Blob.begin() + Len);
+    obs::Profile D;
+    std::string Err;
+    EXPECT_FALSE(obs::decodeProfile(B, D, Err)) << "prefix " << Len;
+    EXPECT_FALSE(Err.empty()) << "prefix " << Len;
+  }
+  // A flipped bit in any byte either fails with a diagnostic or yields a
+  // profile that re-encodes to one that decodes equal, and renders.
+  for (size_t I = 0; I < Blob.size(); ++I) {
+    std::vector<uint8_t> B = Blob;
+    B[I] ^= 0x40;
+    obs::Profile M;
+    std::string Err;
+    if (!obs::decodeProfile(B, M, Err)) {
+      EXPECT_FALSE(Err.empty()) << "byte " << I;
+      continue;
+    }
+    std::vector<uint8_t> Re, Re2;
+    obs::encodeProfile(M, Re);
+    obs::Profile M2;
+    ASSERT_TRUE(obs::decodeProfile(Re, M2, Err)) << "byte " << I << ": "
+                                                  << Err;
+    obs::encodeProfile(M2, Re2);
+    EXPECT_EQ(Re2, Re) << "byte " << I;
+    EXPECT_EQ(obs::profileSummary(M2), obs::profileSummary(M)) << "byte " << I;
+    EXPECT_FALSE(obs::renderProfile(M2, 5).empty()) << "byte " << I;
+    obs::renderFolded(M2, /*Alloc=*/false);
+    obs::renderFolded(M2, /*Alloc=*/true);
   }
 }
 

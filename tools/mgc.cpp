@@ -48,8 +48,7 @@
 ///                    mutator-time samples at gc-point granularity plus
 ///                    per-site/per-stack allocation attribution, written
 ///                    as a binary profile (analyze with mgc-prof); byte-
-///                    identical across dispatch tiers, gc threads, and
-///                    decode modes
+///                    identical across dispatch tiers and decode modes
 ///   --profile-interval N
 ///                    mutator sampling interval in retired instructions
 ///                    (default 4096)
@@ -334,7 +333,7 @@ int main(int argc, char **argv) {
       TC.FuncNames.push_back(F.Name);
     TC.ProgramName = Prog.Name;
     TC.GenGc = VO.GenGc;
-    TC.Dispatch = vm::dispatchTierName(Machine.activeDispatch());
+    TC.Dispatch = vm::dispatchTierName(Machine.Opts.Dispatch);
     TC.SiteTableBytes = Prog.Sizes.SiteTableBytes;
     Tracer = std::make_unique<obs::Tracer>(std::move(TC));
     if (TracePath) {
@@ -364,6 +363,10 @@ int main(int argc, char **argv) {
     if (Idx < 0) {
       std::fprintf(stderr, "mgc: --spawn: no procedure named %s\n",
                    SpawnName);
+      return 1;
+    }
+    if (Prog.Funcs[static_cast<unsigned>(Idx)].NumParams != 0) {
+      std::fprintf(stderr, "mgc: --spawn: %s takes parameters\n", SpawnName);
       return 1;
     }
     Machine.spawnThread(static_cast<unsigned>(Idx));
@@ -477,7 +480,7 @@ int main(int argc, char **argv) {
   if (Stats) {
     const vm::VMStats &S = Machine.Stats;
     std::printf("dispatch: %s\n",
-                vm::dispatchTierName(Machine.activeDispatch()));
+                vm::dispatchTierName(Machine.Opts.Dispatch));
     std::printf("run: %llu instrs, %llu collections, %llu bytes copied, "
                 "%llu frames traced, %llu derived adjusted\n",
                 static_cast<unsigned long long>(S.Instrs),
@@ -565,7 +568,7 @@ int main(int argc, char **argv) {
         .str("exit", Ok ? "ok" : "error");
     if (!Ok)
       J.str("error", Machine.Error);
-    J.str("dispatch", vm::dispatchTierName(Machine.activeDispatch()))
+    J.str("dispatch", vm::dispatchTierName(Machine.Opts.Dispatch))
         .uint("gen_gc", VO.GenGc ? 1 : 0)
         .uint("code_bytes", Prog.codeSizeBytes())
         .uint("table_bytes_delta_pp", Prog.Sizes.DeltaPP)
