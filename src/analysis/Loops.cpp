@@ -102,15 +102,6 @@ LoopInfo::LoopInfo(const Function &F) {
     }
     L.Depth = Depth;
   }
-
-  // Innermost-loop map: deepest loop wins.
-  InnermostLoop.assign(NumBlocks, -1);
-  for (size_t I = 0; I != Loops.size(); ++I)
-    Loops[I].Blocks.forEach([&](size_t B) {
-      int Cur = InnermostLoop[B];
-      if (Cur < 0 || Loops[Cur].Depth < Loops[I].Depth)
-        InnermostLoop[B] = static_cast<int>(I);
-    });
 }
 
 unsigned analysis::ensurePreheader(Function &F, const Loop &L) {

@@ -39,12 +39,8 @@ public:
 
   const std::vector<Loop> &loops() const { return Loops; }
 
-  /// The innermost loop containing \p Block, or -1.
-  int innermostLoop(unsigned Block) const { return InnermostLoop[Block]; }
-
 private:
   std::vector<Loop> Loops;
-  std::vector<int> InnermostLoop;
 };
 
 /// Ensures the loop has a preheader: a block that is the unique non-loop

@@ -130,9 +130,6 @@ struct MOperand {
   }
 
   bool isNone() const { return K == Kind::None; }
-  bool isMem() const {
-    return K == Kind::MemReg || K == Kind::MemSlot || K == Kind::MemASlot;
-  }
 };
 
 /// Sentinel allocation-site id: the instruction has no attribution (set

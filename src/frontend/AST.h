@@ -350,13 +350,6 @@ public:
   StmtList MainBody;
   /// FOR indices and WITH aliases synthesized by Sema for the main body.
   std::vector<std::unique_ptr<Symbol>> MainLocals;
-
-  ProcDecl *findProc(const std::string &Name) const {
-    for (const auto &P : Procs)
-      if (P->Name == Name)
-        return P.get();
-    return nullptr;
-  }
 };
 
 } // namespace mgc

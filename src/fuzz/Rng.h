@@ -17,7 +17,6 @@
 
 #include <cassert>
 #include <cstdint>
-#include <vector>
 
 namespace mgc {
 namespace fuzz {
@@ -43,12 +42,6 @@ public:
 
   /// True with probability Percent/100.
   bool pct(unsigned Percent) { return next() % 100 < Percent; }
-
-  /// Uniformly chosen element of \p V (must be non-empty).
-  template <typename T> const T &pick(const std::vector<T> &V) {
-    assert(!V.empty());
-    return V[next() % V.size()];
-  }
 
 private:
   uint64_t State;

@@ -159,11 +159,6 @@ struct Instr {
     }
   }
 
-  bool isDerive() const {
-    return Op == Opcode::DeriveAdd || Op == Opcode::DeriveSub ||
-           Op == Opcode::DeriveDiff;
-  }
-
   /// Instructions with no side effect other than defining Dst; candidates
   /// for CSE/LICM/DCE.
   bool isPure() const {
@@ -381,8 +376,6 @@ public:
   std::vector<SlotInfo> Slots;
   std::vector<std::unique_ptr<BasicBlock>> Blocks;
 
-  /// Parameter I is virtual register I.
-  VReg paramVReg(unsigned I) const { return static_cast<VReg>(I); }
   unsigned numParams() const { return static_cast<unsigned>(Params.size()); }
 
   VReg newVReg(PtrKind K, std::string Name = "", bool IsUserVar = false) {
@@ -463,8 +456,6 @@ public:
     Functions.push_back(std::move(F));
     return Functions.back().get();
   }
-
-  Function *mainFunction() const { return Functions[MainIndex].get(); }
 
   /// Absolute global-area word offsets holding pointers (the collector's
   /// global roots).

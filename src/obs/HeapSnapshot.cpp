@@ -10,7 +10,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 using namespace mgc;
@@ -24,70 +23,56 @@ namespace {
 
 const char SnapMagic[4] = {'M', 'G', 'H', 'S'};
 
-// Shared codec helpers (support/ByteCodec.h) under the names this file has
-// always used.
-void writeU32(std::vector<uint8_t> &Out, uint32_t V) {
-  appendPackedU32(Out, V);
-}
-
-void writeU64(std::vector<uint8_t> &Out, uint64_t V) {
-  appendPackedU64(Out, V);
-}
-
-void writeStr(std::vector<uint8_t> &Out, const std::string &S) {
-  appendPackedStr(Out, S);
-}
-
 } // namespace
 
 void obs::encodeSnapshot(const HeapSnapshot &S, std::vector<uint8_t> &Out) {
   Out.insert(Out.end(), SnapMagic, SnapMagic + 4);
-  writeU32(Out, SnapshotVersion);
-  writeStr(Out, S.Program);
-  writeStr(Out, S.ToolVersion);
-  writeStr(Out, S.BuildFlags);
-  writeU64(Out, S.Seed);
+  appendPackedU32(Out, SnapshotVersion);
+  appendPackedStr(Out, S.Program);
+  appendPackedStr(Out, S.ToolVersion);
+  appendPackedStr(Out, S.BuildFlags);
+  appendPackedU64(Out, S.Seed);
   Out.push_back(static_cast<uint8_t>((S.GenGc ? 1 : 0) |
                                      (S.StacksWalked ? 2 : 0)));
-  writeU64(Out, S.Collections);
+  appendPackedU64(Out, S.Collections);
 
-  writeU32(Out, static_cast<uint32_t>(S.FuncNames.size()));
+  appendPackedU32(Out, static_cast<uint32_t>(S.FuncNames.size()));
   for (const std::string &F : S.FuncNames)
-    writeStr(Out, F);
-  writeU32(Out, static_cast<uint32_t>(S.TypeNames.size()));
+    appendPackedStr(Out, F);
+  appendPackedU32(Out, static_cast<uint32_t>(S.TypeNames.size()));
   for (const std::string &T : S.TypeNames)
-    writeStr(Out, T);
-  writeU32(Out, static_cast<uint32_t>(S.Sites.size()));
+    appendPackedStr(Out, T);
+  appendPackedU32(Out, static_cast<uint32_t>(S.Sites.size()));
   for (const HeapSnapshot::Site &St : S.Sites) {
-    writeU32(Out, St.Func);
-    writeU32(Out, St.Line);
-    writeU32(Out, St.Col);
-    writeU32(Out, St.Desc);
+    appendPackedU32(Out, St.Func);
+    appendPackedU32(Out, St.Line);
+    appendPackedU32(Out, St.Col);
+    appendPackedU32(Out, St.Desc);
   }
 
-  writeU32(Out, static_cast<uint32_t>(S.Nodes.size()));
+  appendPackedU32(Out, static_cast<uint32_t>(S.Nodes.size()));
   for (const HeapSnapshot::Node &N : S.Nodes) {
     Out.push_back(N.Gen);
-    writeU64(Out, N.OffsetWords);
-    writeU32(Out, N.Desc);
-    writeU32(Out, N.Site); // NoSite packs as -1: a single byte.
-    writeU32(Out, N.Age);
-    writeU32(Out, N.ShallowBytes);
-    writeU32(Out, N.NumEdges);
+    appendPackedU64(Out, N.OffsetWords);
+    appendPackedU32(Out, N.Desc);
+    appendPackedU32(Out, N.Site); // NoSite packs as -1: a single byte.
+    appendPackedU32(Out, N.Age);
+    appendPackedU32(Out, N.ShallowBytes);
+    appendPackedU32(Out, N.NumEdges);
     for (uint32_t E = 0; E != N.NumEdges; ++E) {
-      writeU32(Out, S.Edges[N.FirstEdge + E].Slot);
-      writeU32(Out, S.Edges[N.FirstEdge + E].Target);
+      appendPackedU32(Out, S.Edges[N.FirstEdge + E].Slot);
+      appendPackedU32(Out, S.Edges[N.FirstEdge + E].Target);
     }
   }
 
-  writeU32(Out, static_cast<uint32_t>(S.Roots.size()));
+  appendPackedU32(Out, static_cast<uint32_t>(S.Roots.size()));
   for (const HeapSnapshot::Root &R : S.Roots) {
     Out.push_back(static_cast<uint8_t>(R.Kind));
-    writeU32(Out, R.Thread);
-    writeU32(Out, R.Frame);
-    writeU32(Out, R.Func); // NoFunc packs as -1.
+    appendPackedU32(Out, R.Thread);
+    appendPackedU32(Out, R.Frame);
+    appendPackedU32(Out, R.Func); // NoFunc packs as -1.
     appendPacked(Out, R.Index);
-    writeU32(Out, R.Node);
+    appendPackedU32(Out, R.Node);
   }
 }
 
@@ -215,31 +200,13 @@ bool obs::writeSnapshotFile(const std::string &Path, const HeapSnapshot &S,
                             std::string &Err) {
   std::vector<uint8_t> Blob;
   encodeSnapshot(S, Blob);
-  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
-  if (!F) {
-    Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  F.write(reinterpret_cast<const char *>(Blob.data()),
-          static_cast<std::streamsize>(Blob.size()));
-  F.flush();
-  if (!F) {
-    Err = "write to '" + Path + "' failed";
-    return false;
-  }
-  return true;
+  return writeByteFile(Path, Blob, Err);
 }
 
 bool obs::readSnapshotFile(const std::string &Path, HeapSnapshot &S,
                            std::string &Err) {
-  std::ifstream F(Path, std::ios::binary);
-  if (!F) {
-    Err = "cannot open '" + Path + "'";
-    return false;
-  }
-  std::vector<uint8_t> Blob((std::istreambuf_iterator<char>(F)),
-                            std::istreambuf_iterator<char>());
-  return decodeSnapshot(Blob, S, Err);
+  std::vector<uint8_t> Blob;
+  return readByteFile(Path, Blob, Err) && decodeSnapshot(Blob, S, Err);
 }
 
 //===----------------------------------------------------------------------===//

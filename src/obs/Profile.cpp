@@ -13,7 +13,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <fstream>
 #include <map>
 
 using namespace mgc;
@@ -459,31 +458,13 @@ bool obs::writeProfileFile(const std::string &Path, const Profile &P,
                            std::string &Err) {
   std::vector<uint8_t> Blob;
   encodeProfile(P, Blob);
-  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
-  if (!F) {
-    Err = "cannot open '" + Path + "' for writing";
-    return false;
-  }
-  F.write(reinterpret_cast<const char *>(Blob.data()),
-          static_cast<std::streamsize>(Blob.size()));
-  F.flush();
-  if (!F) {
-    Err = "write to '" + Path + "' failed";
-    return false;
-  }
-  return true;
+  return writeByteFile(Path, Blob, Err);
 }
 
 bool obs::readProfileFile(const std::string &Path, Profile &P,
                           std::string &Err) {
-  std::ifstream F(Path, std::ios::binary);
-  if (!F) {
-    Err = "cannot open '" + Path + "'";
-    return false;
-  }
-  std::vector<uint8_t> Blob((std::istreambuf_iterator<char>(F)),
-                            std::istreambuf_iterator<char>());
-  return decodeProfile(Blob, P, Err);
+  std::vector<uint8_t> Blob;
+  return readByteFile(Path, Blob, Err) && decodeProfile(Blob, P, Err);
 }
 
 //===----------------------------------------------------------------------===//

@@ -294,9 +294,6 @@ public:
   Profile buildProfile() const;
 
   uint64_t sampleCount() const { return TotalSamples; }
-  uint64_t sampleWeight() const { return TotalWeight; }
-  uint64_t allocCount() const { return TotalAllocs; }
-  uint64_t walkErrors() const { return WalkErrors; }
   uint64_t decodeHits() const { return Decoder ? Decoder->hits() : 0; }
   uint64_t decodeMisses() const { return Decoder ? Decoder->misses() : 0; }
 

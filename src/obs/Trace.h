@@ -267,8 +267,6 @@ public:
   const TracerConfig &config() const { return Config; }
   const std::vector<SiteCounters> &siteCounters() const { return Counters; }
   uint64_t unattributedCount() const { return UnattributedCount; }
-  uint64_t unattributedBytes() const { return UnattributedBytes; }
-  uint64_t droppedPending() const { return DroppedPending; }
 
   /// Committed events, oldest first (at most RingCapacity retained; the
   /// stream, when attached, saw every event).
@@ -294,18 +292,6 @@ public:
 
   //===--- Request aggregation (server workloads) --------------------------===
 
-  uint64_t requestCount() const { return ReqCount; }
-  /// Sum of per-request GC attribution: equals the sum of TotalNanos over
-  /// the events inside completed request windows (the tail after the last
-  /// marker is unattributed).
-  uint64_t requestGcNanos() const { return ReqGcNanosTotal; }
-  uint64_t requestCollections() const { return ReqCollectionsTotal; }
-  uint64_t droppedRequests() const { return DroppedRequests; }
-  /// Per-request service demand in instructions, in completion order (at
-  /// most TraceRequestCapacity retained).
-  const std::vector<uint64_t> &requestInstrSamples() const {
-    return ReqInstrs;
-  }
   /// Service-demand percentiles (instructions) over the retained samples.
   Percentiles requestPercentiles() const;
 

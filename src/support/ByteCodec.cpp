@@ -7,6 +7,7 @@
 #include "support/ByteCodec.h"
 
 #include <cassert>
+#include <fstream>
 
 using namespace mgc;
 
@@ -49,4 +50,33 @@ int32_t mgc::readPacked(const uint8_t *Data, size_t Size, size_t &Pos) {
     V = (V << 7) | (First & 0x7f);
   }
   return static_cast<int32_t>(V);
+}
+
+bool mgc::writeByteFile(const std::string &Path,
+                        const std::vector<uint8_t> &Bytes, std::string &Err) {
+  std::ofstream F(Path, std::ios::binary | std::ios::trunc);
+  if (!F) {
+    Err = "cannot open '" + Path + "' for writing";
+    return false;
+  }
+  F.write(reinterpret_cast<const char *>(Bytes.data()),
+          static_cast<std::streamsize>(Bytes.size()));
+  F.flush();
+  if (!F) {
+    Err = "write to '" + Path + "' failed";
+    return false;
+  }
+  return true;
+}
+
+bool mgc::readByteFile(const std::string &Path, std::vector<uint8_t> &Bytes,
+                       std::string &Err) {
+  std::ifstream F(Path, std::ios::binary);
+  if (!F) {
+    Err = "cannot open '" + Path + "'";
+    return false;
+  }
+  Bytes.assign(std::istreambuf_iterator<char>(F),
+               std::istreambuf_iterator<char>());
+  return true;
 }

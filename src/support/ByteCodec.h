@@ -92,6 +92,16 @@ inline void appendPackedStr(std::vector<uint8_t> &Out, const StringT &S) {
   Out.insert(Out.end(), S.begin(), S.end());
 }
 
+/// Writes \p Bytes to the file \p Path, replacing it.  On failure sets \p Err
+/// to "cannot open 'Path' for writing" or "write to 'Path' failed".
+bool writeByteFile(const std::string &Path, const std::vector<uint8_t> &Bytes,
+                   std::string &Err);
+
+/// Reads the whole file \p Path into \p Bytes.  On failure sets \p Err to
+/// "cannot open 'Path'".
+bool readByteFile(const std::string &Path, std::vector<uint8_t> &Bytes,
+                  std::string &Err);
+
 /// Bounds-checked varint reader: readPacked asserts on truncation, but a
 /// decoder facing untrusted files must fail cleanly instead.  Once any
 /// read fails, every subsequent read reports failure and returns zero.

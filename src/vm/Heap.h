@@ -252,8 +252,6 @@ public:
   }
   size_t capacityBytes() const { return SpaceBytes; }
   size_t nurseryCapacityBytes() const { return NurFromHalfBytes; }
-  size_t nurseryUsedBytes() const { return Gen ? NurAlloc - NurFromBase : 0; }
-  size_t oldUsedBytes() const { return AllocPtr - FromBase; }
 
   /// The old-space reserve: room for a full nursery of promotions.  With
   /// auto-sizing the halves can differ transiently; the reserve covers the

@@ -332,9 +332,9 @@ bool VM::run() {
 
     ThreadContext &T = *Threads[CurThread];
     if (Opts.Dispatch == DispatchTier::Threaded)
-      execThreaded(&T, Opts.Quantum, nullptr);
+      execThreaded(&T, SchedulerQuantum, nullptr);
     else
-      for (uint64_t Q = 0; Q != Opts.Quantum && T.Live; ++Q)
+      for (uint64_t Q = 0; Q != SchedulerQuantum && T.Live; ++Q)
         if (!step(T))
           break;
     if (!Error.empty())

@@ -41,6 +41,9 @@ class Tracer;
 } // namespace obs
 namespace vm {
 
+/// Thread scheduler quantum in instructions (multi-threaded runs).
+constexpr uint64_t SchedulerQuantum = 61;
+
 struct VMOptions {
   size_t HeapBytes = 4u << 20;
   size_t StackWords = 1u << 16;
@@ -53,8 +56,6 @@ struct VMOptions {
   size_t NurseryBytes = 0;
   /// Collect before every allocation (stress testing).
   bool GcStress = false;
-  /// Thread scheduler quantum in instructions (multi-threaded runs).
-  uint64_t Quantum = 61;
   /// Upper bound on instructions a thread may run while the collector
   /// waits for it to reach a gc-point; exceeding it is a runtime error
   /// (demonstrating why §5.3 requires loop polls).

@@ -56,9 +56,10 @@ TEST_P(BenchmarkMatrix, ProducesExpectedOutput) {
   EXPECT_EQ(R.Out, P.Expected) << P.Name;
   // takl allocates only three small lists and legitimately never fills
   // the heap; the other three programs must collect for real.
-  if (!C.Stress && std::string(P.Name) != "takl")
+  if (!C.Stress && std::string(P.Name) != "takl") {
     EXPECT_GT(R.Stats.Collections, 0u)
         << P.Name << ": the heap is sized to force real collections";
+  }
 }
 
 std::vector<Config> allConfigs() {
@@ -137,8 +138,9 @@ TEST(EndToEnd, EveryCallSiteIsAKnownGcPoint) {
           EXPECT_NE(L.K, vm::Location::Kind::None);
         for (const auto &D : Info.Derivs) {
           EXPECT_NE(D.Target.K, vm::Location::Kind::None);
-          if (!D.Ambiguous)
+          if (!D.Ambiguous) {
             EXPECT_FALSE(D.Bases.empty());
+          }
         }
       }
   }

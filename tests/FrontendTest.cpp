@@ -144,8 +144,9 @@ std::unique_ptr<ModuleAST> checkOk(const std::string &Src) {
   Diagnostics D;
   auto M = parseModule(Src, D);
   EXPECT_TRUE(M != nullptr) << D.str();
-  if (M)
+  if (M) {
     EXPECT_TRUE(checkModule(*M, D)) << D.str();
+  }
   return M;
 }
 
