@@ -25,6 +25,7 @@
 #include "Programs.h"
 
 #include "obs/Trace.h"
+#include "support/Percentile.h"
 
 #include <algorithm>
 #include <chrono>
@@ -138,15 +139,6 @@ PauseRun runOnce(const Workload &W) {
   return R;
 }
 
-uint64_t percentile(std::vector<uint64_t> V, double P) {
-  if (V.empty())
-    return 0;
-  std::sort(V.begin(), V.end());
-  size_t I =
-      static_cast<size_t>(P * static_cast<double>(V.size() - 1) + 0.5);
-  return V[std::min(I, V.size() - 1)];
-}
-
 /// Minimum mutator utilization over every window of \p WindowNs within the
 /// run: 1 - (pause time inside the worst window) / window.  The minimum is
 /// attained by a window anchored at a pause boundary, so O(P^2) over the
@@ -250,11 +242,11 @@ int main() {
     for (size_t I = 0; I != Work.size(); ++I) {
       PauseRun R = runOnce(Work[I]);
       Cell &C = Cells[I];
-      uint64_t Max = percentile(R.Pauses, 1.0);
+      uint64_t Max = support::percentile(R.Pauses, 1.0);
       if (Max < C.Max) {
         C.Max = Max;
-        C.P50 = percentile(R.Pauses, 0.50);
-        C.P99 = percentile(R.Pauses, 0.99);
+        C.P50 = support::percentile(R.Pauses, 0.50);
+        C.P99 = support::percentile(R.Pauses, 0.99);
         C.Collections = R.Pauses.size();
         C.ObjectsCopied = R.ObjectsCopied;
         C.BytesCopied = R.BytesCopied;

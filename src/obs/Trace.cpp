@@ -6,6 +6,9 @@
 
 #include "obs/Trace.h"
 
+#include "obs/Profile.h"
+#include "obs/TraceFormat.h"
+#include "support/Percentile.h"
 #include "support/Provenance.h"
 #include "vm/Heap.h"
 
@@ -17,23 +20,6 @@ using namespace mgc;
 using namespace mgc::obs;
 
 using support::JsonWriter;
-
-namespace {
-
-/// Streams one flat JSONL record, {"type":Type,...}, which the strict
-/// re-parser in obs/Report.h reads back; \p Fill adds the members.
-template <typename FillFn>
-void writeRecord(std::ostream &OS, const char *Type, FillFn Fill) {
-  std::string L;
-  JsonWriter J(L);
-  J.beginObject().str("type", Type);
-  Fill(J);
-  J.endObject();
-  L += '\n';
-  OS << L;
-}
-
-} // namespace
 
 Tracer::Tracer(TracerConfig C) : Config(std::move(C)) {
   if (Config.Sites)
@@ -66,12 +52,7 @@ void Tracer::recordRequest(uint64_t Seq, uint64_t Instrs, uint64_t GcNanos,
   else
     ++DroppedRequests;
   if (Stream)
-    writeRecord(*Stream, "req", [&](JsonWriter &J) {
-      J.uint("seq", Seq)
-          .uint("instrs", Instrs)
-          .uint("gc_ns", GcNanos)
-          .uint("collections", Collections);
-    });
+    writeRecord(*Stream, RequestRecord{Seq, Instrs, GcNanos, Collections});
 }
 
 void Tracer::enable(std::ostream *S) {
@@ -82,30 +63,26 @@ void Tracer::enable(std::ostream *S) {
 }
 
 void Tracer::writeHeader() {
-  writeRecord(*Stream, "meta", [&](JsonWriter &J) {
-    J.str("program", Config.ProgramName)
-        .str("tool_version", support::ToolVersion)
-        .str("build_flags", support::buildFlags())
-        .uint("seed", Config.Seed);
-    if (!Config.Dispatch.empty())
-      J.str("dispatch", Config.Dispatch);
-    J.uint("gen_gc", Config.GenGc ? 1 : 0)
-        .uint("sites", Counters.size())
-        .uint("site_table_bytes", Config.SiteTableBytes);
-  });
+  MetaRecord M;
+  M.Program = Config.ProgramName;
+  M.ToolVersion = support::ToolVersion;
+  M.BuildFlags = support::buildFlags();
+  M.Seed = Config.Seed;
+  if (!Config.Dispatch.empty())
+    M.Dispatch = Config.Dispatch;
+  M.GenGc = Config.GenGc;
+  M.Sites = Counters.size();
+  M.SiteTableBytes = Config.SiteTableBytes;
+  writeRecord(*Stream, M);
   if (!Config.Sites)
     return;
   for (size_t I = 0; I != Config.Sites->Sites.size(); ++I) {
     const gcmaps::AllocSite &S = Config.Sites->Sites[I];
-    writeRecord(*Stream, "site", [&](JsonWriter &J) {
-      J.uint("id", I)
-          .str("func", S.Func < Config.FuncNames.size()
-                           ? Config.FuncNames[S.Func]
-                           : std::to_string(S.Func))
-          .uint("line", S.Line)
-          .uint("col", S.Col)
-          .uint("desc", S.Desc);
-    });
+    writeRecord(*Stream, SiteRecord{I,
+                                    S.Func < Config.FuncNames.size()
+                                        ? Config.FuncNames[S.Func]
+                                        : std::to_string(S.Func),
+                                    S.Line, S.Col, S.Desc});
   }
 }
 
@@ -250,13 +227,11 @@ void Tracer::writeLeakJson(JsonWriter &J) const {
   J.uint("leak_window", Config.Leak.Window)
       .uint("leak_min_bytes", Config.Leak.MinBytes)
       .beginArray("leak_flags");
-  for (const LeakFlag &F : leakFlags())
-    J.beginObject()
-        .uint("site", F.Site)
-        .sint("slope_bytes", F.SlopeBytes)
-        .uint("live_bytes", F.LiveBytes)
-        .uint("first_flagged", F.FirstFlagged)
-        .endObject();
+  for (const LeakFlag &F : leakFlags()) {
+    J.beginObject();
+    writeKeys(J, F);
+    J.endObject();
+  }
   J.endArray();
 }
 
@@ -317,35 +292,7 @@ void Tracer::commitEvent() {
   ++TotalEvents;
   (Cur.Minor ? PausesMinor : PausesFull).push_back(Cur.TotalNanos);
   if (Stream)
-    writeEvent(Cur);
-}
-
-void Tracer::writeEvent(const GcEvent &Ev) {
-  writeRecord(*Stream, "gc", [&](JsonWriter &J) {
-    J.uint("seq", Ev.Seq)
-        .str("kind", Ev.Minor ? "minor" : "full")
-        .sint("trigger_site",
-              Ev.TriggerSite == NoSite ? -1 : int64_t(Ev.TriggerSite))
-        .uint("rendezvous_ns", Ev.Phases.Rendezvous)
-        .uint("stack_trace_ns", Ev.Phases.StackTrace)
-        .uint("underive_ns", Ev.Phases.Underive)
-        .uint("copy_ns", Ev.Phases.Copy)
-        .uint("remset_ns", Ev.Phases.RemsetRebuild)
-        .uint("rederive_ns", Ev.Phases.Rederive)
-        .uint("total_ns", Ev.TotalNanos)
-        .uint("heap_before", Ev.HeapBeforeBytes)
-        .uint("heap_after", Ev.HeapAfterBytes)
-        .uint("frames", Ev.FramesTraced)
-        .uint("roots", Ev.RootsTraced)
-        .uint("objects_copied", Ev.ObjectsCopied)
-        .uint("bytes_copied", Ev.BytesCopied)
-        .uint("objects_promoted", Ev.ObjectsPromoted)
-        .uint("bytes_promoted", Ev.BytesPromoted)
-        .uint("derived_adjusted", Ev.DerivedAdjusted)
-        .uint("rendezvous_steps", Ev.RendezvousSteps)
-        .uint("cache_hits", Ev.CacheHits)
-        .uint("cache_misses", Ev.CacheMisses);
-  });
+    writeRecord(*Stream, Cur);
 }
 
 std::vector<GcEvent> Tracer::retainedEvents() const {
@@ -357,13 +304,19 @@ std::vector<GcEvent> Tracer::retainedEvents() const {
   return Out;
 }
 
-static uint64_t percentileOf(std::vector<uint64_t> Sorted, double P) {
-  if (Sorted.empty())
-    return 0;
-  size_t Idx = static_cast<size_t>(P * static_cast<double>(Sorted.size() - 1) +
-                                   0.5);
-  return Sorted[std::min(Idx, Sorted.size() - 1)];
+namespace {
+
+Tracer::Percentiles percentilesOf(const std::vector<uint64_t> &V) {
+  Tracer::Percentiles R;
+  R.Count = V.size();
+  R.P50 = support::percentile(V, 0.50);
+  R.P95 = support::percentile(V, 0.95);
+  R.P99 = support::percentile(V, 0.99);
+  R.Max = support::percentile(V, 1.0);
+  return R;
 }
+
+} // namespace
 
 Tracer::Percentiles Tracer::pausePercentiles(int Kind) const {
   std::vector<uint64_t> V;
@@ -371,130 +324,102 @@ Tracer::Percentiles Tracer::pausePercentiles(int Kind) const {
     V.insert(V.end(), PausesMinor.begin(), PausesMinor.end());
   if (Kind == 0 || Kind == 2)
     V.insert(V.end(), PausesFull.begin(), PausesFull.end());
-  std::sort(V.begin(), V.end());
-  Percentiles R;
-  R.Count = V.size();
-  if (!V.empty()) {
-    R.P50 = percentileOf(V, 0.50);
-    R.P95 = percentileOf(V, 0.95);
-    R.P99 = percentileOf(V, 0.99);
-    R.Max = V.back();
-  }
-  return R;
+  return percentilesOf(V);
 }
 
 Tracer::Percentiles Tracer::requestPercentiles() const {
-  std::vector<uint64_t> V = ReqInstrs;
-  std::sort(V.begin(), V.end());
-  Percentiles R;
-  R.Count = V.size();
-  if (!V.empty()) {
-    R.P50 = percentileOf(V, 0.50);
-    R.P95 = percentileOf(V, 0.95);
-    R.P99 = percentileOf(V, 0.99);
-    R.Max = V.back();
-  }
-  return R;
+  return percentilesOf(ReqInstrs);
 }
 
-void Tracer::writeSummaryJson(JsonWriter &J) const {
-  J.uint("events", TotalEvents)
-      .uint("events_retained", std::min<uint64_t>(TotalEvents, Ring.size()))
-      .uint("events_dropped_from_ring", eventsDropped())
-      .uint("pending_dropped", DroppedPending)
-      .uint("unattributed_allocs", UnattributedCount)
-      .uint("unattributed_bytes", UnattributedBytes);
-  auto Pauses = [&](const char *Prefix, int Kind) {
-    Percentiles P = pausePercentiles(Kind);
-    std::string K = Prefix;
-    J.uint(K + "pause_p50_ns", P.P50)
-        .uint(K + "pause_p95_ns", P.P95)
-        .uint(K + "pause_max_ns", P.Max);
-  };
-  Pauses("", 0);
-  Pauses("minor_", 1);
-  Pauses("full_", 2);
+RunSummary Tracer::summary() const {
+  RunSummary S;
+  S.Events = TotalEvents;
+  S.EventsRetained = std::min<uint64_t>(TotalEvents, Ring.size());
+  S.EventsDropped = eventsDropped();
+  S.PendingDropped = DroppedPending;
+  S.UnattributedAllocs = UnattributedCount;
+  S.UnattributedBytes = UnattributedBytes;
+  Percentiles All = pausePercentiles(0), Minor = pausePercentiles(1),
+              Full = pausePercentiles(2);
+  S.PauseP50 = All.P50;
+  S.PauseP95 = All.P95;
+  S.PauseMax = All.Max;
+  S.MinorPauseP50 = Minor.P50;
+  S.MinorPauseP95 = Minor.P95;
+  S.MinorPauseMax = Minor.Max;
+  S.FullPauseP50 = Full.P50;
+  S.FullPauseP95 = Full.P95;
+  S.FullPauseMax = Full.Max;
   if (ReqCount) {
     // Server workloads only: per-request service demand (virtual time, in
     // instructions) and the GC work attributed to completed requests.
     Percentiles Req = requestPercentiles();
-    J.uint("requests", ReqCount)
-        .uint("requests_dropped", DroppedRequests)
-        .uint("req_gc_ns", ReqGcNanosTotal)
-        .uint("req_collections", ReqCollectionsTotal)
-        .uint("req_instr_p50", Req.P50)
-        .uint("req_instr_p99", Req.P99)
-        .uint("req_instr_max", Req.Max);
+    S.Reqs = RunSummary::Requests{ReqCount,           DroppedRequests,
+                                  ReqGcNanosTotal,    ReqCollectionsTotal,
+                                  Req.P50,            Req.P99,
+                                  Req.Max};
   }
-  if (!LeakAcc.empty()) {
-    // Leak-detector aggregates (flat; the per-site flags are their own
-    // "leak" records / the nested writeLeakJson()).
-    J.uint("leak_scans", LeakScans)
-        .uint("leak_samples", LeakSampleCount)
-        .uint("leak_sites_flagged", leakFlags().size());
-  }
+  if (!LeakAcc.empty())
+    S.Leaks =
+        RunSummary::Leak{LeakScans, LeakSampleCount, leakFlags().size()};
+  return S;
 }
 
-void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H) {
+void Tracer::writeSummaryJson(JsonWriter &J) const { writeKeys(J, summary()); }
+
+void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H,
+                    const Profile *Prof) {
   if (Finished || !Stream)
     return;
   Finished = true;
-  for (size_t I = 0; I != Counters.size(); ++I) {
-    const SiteCounters &C = Counters[I];
-    if (C.Count == 0)
-      continue;
-    writeRecord(*Stream, "site_stats", [&](JsonWriter &J) {
-      J.uint("id", I)
-          .uint("count", C.Count)
-          .uint("bytes", C.Bytes)
-          .uint("survived", C.Survived)
-          .uint("survived_bytes", C.SurvivedBytes);
-    });
-  }
+  for (size_t I = 0; I != Counters.size(); ++I)
+    if (Counters[I].Count != 0)
+      writeRecord(*Stream, SiteStatsRecord{I, Counters[I]});
   if (H) {
     // End-of-run view of the header-borne attribution: what is still live
     // (per site, and per collection-count age), from a final heap walk.
     LiveAgg NoSiteAgg;
     std::vector<LiveAgg> Per = liveBySite(*H, NoSiteAgg);
     auto WriteSiteLive = [&](int64_t Id, const LiveAgg &A) {
-      if (A.Objects == 0)
-        return;
-      writeRecord(*Stream, "site_live", [&](JsonWriter &J) {
-        J.sint("id", Id).uint("objects", A.Objects).uint("bytes", A.Bytes);
-      });
+      if (A.Objects != 0)
+        writeRecord(*Stream, SiteLiveRecord{Id, A});
     };
     for (size_t I = 0; I != Per.size(); ++I)
       WriteSiteLive(static_cast<int64_t>(I), Per[I]);
     WriteSiteLive(-1, NoSiteAgg);
     std::vector<LiveAgg> Hist = ageHistogram(*H);
-    for (size_t Age = 0; Age != Hist.size(); ++Age) {
-      if (Hist[Age].Objects == 0)
-        continue;
-      writeRecord(*Stream, "age_hist", [&](JsonWriter &J) {
-        J.uint("age", Age)
-            .uint("objects", Hist[Age].Objects)
-            .uint("bytes", Hist[Age].Bytes);
-      });
-    }
+    for (size_t Age = 0; Age != Hist.size(); ++Age)
+      if (Hist[Age].Objects != 0)
+        writeRecord(*Stream, AgeRecord{static_cast<uint32_t>(Age), Hist[Age]});
   }
   if (!LeakAcc.empty()) {
     // One record per currently flagged site, in (slope desc, site asc)
     // order, so mgc-report can render the leaks section without any
     // snapshot file.
     for (const LeakFlag &F : leakFlags())
-      writeRecord(*Stream, "leak", [&](JsonWriter &J) {
-        J.uint("site", F.Site)
-            .sint("slope_bytes", F.SlopeBytes)
-            .uint("live_bytes", F.LiveBytes)
-            .uint("first_flagged", F.FirstFlagged)
-            .uint("window", Config.Leak.Window);
-      });
+      writeRecord(*Stream, LeakRecord{F, Config.Leak.Window});
   }
-  writeRecord(*Stream, "run", [&](JsonWriter &J) {
-    J.str("exit", Ok ? "ok" : "error");
-    if (!Ok)
-      J.str("error", Error);
-    writeSummaryJson(J);
-  });
+  RunRecord Run{Ok, std::nullopt, summary()};
+  if (!Ok)
+    Run.Error = Error;
+  writeRecord(*Stream, Run);
+  if (Prof) {
+    // The profile's ten heaviest mutator stacks, by weight then stack id,
+    // so mgc-report shows them next to the gc events.
+    std::vector<const Profile::MutRow *> Hot;
+    for (const Profile::MutRow &Row : Prof->Mutator)
+      Hot.push_back(&Row);
+    std::stable_sort(Hot.begin(), Hot.end(),
+                     [](const Profile::MutRow *A, const Profile::MutRow *B) {
+                       if (A->Weight != B->Weight)
+                         return A->Weight > B->Weight;
+                       return A->StackId < B->StackId;
+                     });
+    Hot.resize(std::min<size_t>(Hot.size(), 10));
+    uint64_t Rank = 0;
+    for (const Profile::MutRow *Row : Hot)
+      writeRecord(*Stream, HotStack{++Rank, Row->Samples, Row->Weight,
+                                    foldedStack(*Prof, Row->StackId)});
+  }
   Stream->flush();
 }

@@ -24,6 +24,9 @@
 ///  - Collections are rare relative to allocations, so event commit (ring
 ///    store + optional JSONL stream write) may format text.
 ///
+/// The JSONL records the tracer streams, and the keys of each, are defined
+/// once in obs/TraceFormat.h, which obs/Report.h reads them back through.
+///
 /// Event lifecycle: the VM begins an event after the rendezvous completes
 /// (so committed events correspond 1:1 with VMStats::Collections), the
 /// collector fills in the per-phase breakdown and sweeps survivors before
@@ -48,6 +51,9 @@ namespace vm {
 class Heap;
 } // namespace vm
 namespace obs {
+
+struct Profile;
+struct RunSummary;
 
 /// Sentinel site id: no attribution (collections triggered by an explicit
 /// GcCollect call, or allocation instructions that predate site linking).
@@ -175,9 +181,11 @@ public:
   /// paths, where \p Error carries the VM's message: a mid-collection
   /// failure must still flush the partial trace.  \p H, when non-null,
   /// supplies the heap walked for the site_live and age_hist trailer
-  /// records (the header-borne attribution still live at exit).
+  /// records (the header-borne attribution still live at exit).  \p Prof,
+  /// when non-null, is the run's profile: its ten heaviest mutator stacks
+  /// follow the run record as prof_stack records.
   void finish(bool Ok, const std::string &Error,
-              const vm::Heap *H = nullptr);
+              const vm::Heap *H = nullptr, const Profile *Prof = nullptr);
 
   //===--- Mutator hot path ------------------------------------------------===
 
@@ -295,8 +303,8 @@ public:
   /// Service-demand percentiles (instructions) over the retained samples.
   Percentiles requestPercentiles() const;
 
-  /// Writes the aggregate counters as members of the object \p J has
-  /// open, for the run record and --stats-json.
+  /// Writes the aggregate counters (the run record's RunSummary) as
+  /// members of the object \p J has open, for --stats-json.
   void writeSummaryJson(support::JsonWriter &J) const;
 
   //===--- Leak detection results ------------------------------------------===
@@ -320,10 +328,11 @@ public:
   uint64_t leakScans() const { return LeakScans; }
   uint64_t leakSamples() const { return LeakSampleCount; }
   /// Writes the detector state as members ("leak_window":N,
-  /// "leak_flags":[{...},...]) for --stats-json.  NOT part of
-  /// writeSummaryJson: the flag list is nested, which the strict flat
-  /// JSONL re-parser must never see in a run record (each flag instead
-  /// gets its own flat "leak" record at finish()).
+  /// "leak_flags":[{...},...]) for --stats-json; each flag object has the
+  /// keys of a leak record's flag.  NOT part of writeSummaryJson: the flag
+  /// list is nested, which the strict flat JSONL re-parser must never see
+  /// in a run record (each flag instead gets its own flat "leak" record at
+  /// finish()).
   void writeLeakJson(support::JsonWriter &J) const;
 
   //===--- Live attribution aggregates (header-borne; heap walks) ----------===
@@ -346,12 +355,13 @@ public:
   /// ("live_objects_by_site":{...},"live_bytes_by_site":{...},
   /// "live_age_hist":{...}) for --stats-json.  NOT part of
   /// writeSummaryJson: the values are nested objects, which the strict
-  /// flat JSONL re-parser (obs/Report.h) must never see in a run record.
+  /// flat JSONL re-parser (obs/TraceFormat.h) must never see in a run
+  /// record.
   void writeLiveJson(support::JsonWriter &J, const vm::Heap &H) const;
 
 private:
   void writeHeader();
-  void writeEvent(const GcEvent &Ev);
+  RunSummary summary() const;
 
   TracerConfig Config;
   bool Enabled = false;

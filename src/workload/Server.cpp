@@ -9,6 +9,7 @@
 #include "fuzz/Rng.h"
 #include "gc/Collector.h"
 #include "obs/Trace.h"
+#include "support/Percentile.h"
 
 #include <algorithm>
 #include <chrono>
@@ -130,14 +131,6 @@ std::vector<uint64_t> workload::arrivalSchedule(const ScheduleConfig &C,
   return A;
 }
 
-uint64_t workload::percentile(std::vector<uint64_t> V, double P) {
-  if (V.empty())
-    return 0;
-  std::sort(V.begin(), V.end());
-  size_t I = static_cast<size_t>(P * static_cast<double>(V.size() - 1) + 0.5);
-  return V[std::min(I, V.size() - 1)];
-}
-
 //===----------------------------------------------------------------------===//
 // Running
 //===----------------------------------------------------------------------===//
@@ -249,12 +242,12 @@ ServerRunResult workload::runServer(const vm::Program &Prog,
     LatNs.push_back(static_cast<uint64_t>(
                         static_cast<double>(R.LatencyInstrs[I]) * NsPerInstr) +
                     R.GcNanos[I]);
-  R.LatP50Ns = percentile(LatNs, 0.50);
-  R.LatP99Ns = percentile(LatNs, 0.99);
-  R.LatMaxNs = percentile(LatNs, 1.0);
-  R.LatP50Instr = percentile(R.LatencyInstrs, 0.50);
-  R.LatP99Instr = percentile(R.LatencyInstrs, 0.99);
-  R.LatMaxInstr = percentile(R.LatencyInstrs, 1.0);
+  R.LatP50Ns = support::percentile(LatNs, 0.50);
+  R.LatP99Ns = support::percentile(LatNs, 0.99);
+  R.LatMaxNs = support::percentile(LatNs, 1.0);
+  R.LatP50Instr = support::percentile(R.LatencyInstrs, 0.50);
+  R.LatP99Instr = support::percentile(R.LatencyInstrs, 0.99);
+  R.LatMaxInstr = support::percentile(R.LatencyInstrs, 1.0);
 
   if (R.WallNanos) {
     R.Rps = static_cast<double>(N) * 1e9 / static_cast<double>(R.WallNanos);

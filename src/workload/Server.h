@@ -77,10 +77,6 @@ struct ScheduleConfig {
 /// monotone nondecreasing, fully determined by \p Config.
 std::vector<uint64_t> arrivalSchedule(const ScheduleConfig &Config, size_t N);
 
-/// Nearest-rank percentile over a copy of \p V (same index formula as the
-/// tracer's pause percentiles): index = P * (n - 1) + 0.5, clamped.
-uint64_t percentile(std::vector<uint64_t> V, double P);
-
 //===----------------------------------------------------------------------===//
 // Running a server program
 //===----------------------------------------------------------------------===//

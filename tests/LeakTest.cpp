@@ -263,10 +263,10 @@ TEST(LeakReport, FlatRecordsRoundTripAndRender) {
   std::string Err;
   ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
   ASSERT_EQ(Report.Leaks.size(), 1u);
-  EXPECT_EQ(Report.Leaks[0].Site, R.Flags[0].Site);
-  EXPECT_EQ(Report.Leaks[0].SlopeBytes, R.Flags[0].SlopeBytes);
-  EXPECT_EQ(Report.Leaks[0].LiveBytes, R.Flags[0].LiveBytes);
-  EXPECT_EQ(Report.Leaks[0].FirstFlagged, R.Flags[0].FirstFlagged);
+  EXPECT_EQ(Report.Leaks[0].Flag.Site, R.Flags[0].Site);
+  EXPECT_EQ(Report.Leaks[0].Flag.SlopeBytes, R.Flags[0].SlopeBytes);
+  EXPECT_EQ(Report.Leaks[0].Flag.LiveBytes, R.Flags[0].LiveBytes);
+  EXPECT_EQ(Report.Leaks[0].Flag.FirstFlagged, R.Flags[0].FirstFlagged);
   EXPECT_EQ(Report.Leaks[0].Window, 4u);
 
   // renderLeaks names the flagged site; the full report embeds the table.

@@ -30,6 +30,8 @@
 #include "support/Json.h"
 
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 using namespace mgc;
 using namespace mgc::test;
@@ -252,7 +254,7 @@ void checkTraceRoundTrip(const TracedRun &R) {
   ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
   EXPECT_EQ(Report.Events.size(), R.Stats.Collections);
   ASSERT_TRUE(Report.HasRun);
-  EXPECT_EQ(Report.RunOk, R.Ok);
+  EXPECT_EQ(Report.Run.Ok, R.Ok);
   uint64_t Minor = 0, Full = 0;
   for (const obs::GcEvent &Ev : Report.Events)
     (Ev.Minor ? Minor : Full) += 1;
@@ -369,13 +371,9 @@ TEST(ObsRingWrap, DropCounterSurfacedInSummaryAndReport) {
   ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
   ASSERT_TRUE(Report.HasRun);
   EXPECT_EQ(Report.Events.size(), Tracer.eventCount());
-  EXPECT_EQ(static_cast<uint64_t>(Report.Run.getInt("events_retained")),
-            static_cast<uint64_t>(Cap));
-  EXPECT_EQ(static_cast<uint64_t>(
-                Report.Run.getInt("events_dropped_from_ring")),
-            Dropped);
-  EXPECT_EQ(static_cast<uint64_t>(Report.Run.getInt("events")),
-            Tracer.eventCount());
+  EXPECT_EQ(Report.Run.Summary.EventsRetained, static_cast<uint64_t>(Cap));
+  EXPECT_EQ(Report.Run.Summary.EventsDropped, Dropped);
+  EXPECT_EQ(Report.Run.Summary.Events, Tracer.eventCount());
 
   // mgc-report surfaces: a visible warning in the text report and the
   // counter in the JSON mirror.
@@ -402,7 +400,7 @@ TEST(ObsRingWrap, NoDropsWhenRingCovers) {
   std::string Err;
   ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
   ASSERT_TRUE(Report.HasRun);
-  EXPECT_EQ(Report.Run.getInt("events_dropped_from_ring"), 0);
+  EXPECT_EQ(Report.Run.Summary.EventsDropped, 0u);
   EXPECT_EQ(obs::renderReport(Report, 5).find("dropped from the ring"),
             std::string::npos);
 }
@@ -439,8 +437,9 @@ END Leak.
     std::string Err;
     ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
     ASSERT_TRUE(Report.HasRun);
-    EXPECT_FALSE(Report.RunOk);
-    EXPECT_NE(Report.RunError.find("heap exhausted"), std::string::npos);
+    EXPECT_FALSE(Report.Run.Ok);
+    EXPECT_NE(Report.Run.Error.value_or("").find("heap exhausted"),
+              std::string::npos);
     EXPECT_EQ(Report.Events.size(), R.Stats.Collections);
 
     // And the renderer must cope with a failed run (banner, no crash).
@@ -508,20 +507,20 @@ TEST(ObsReportOrdering, TiedSitesRenderInIdOrder) {
   // report's tables stable-sort with an id tiebreak, so the output is a
   // pure function of the trace regardless of sort implementation.
   obs::TraceReport R;
-  R.Program = "ties";
+  R.Meta.Program = "ties";
   for (uint32_t Id = 0; Id != 4; ++Id) {
     obs::TraceReport::Site S;
-    S.Id = Id;
-    S.Func = "f" + std::to_string(Id);
-    S.Line = Id + 1;
-    S.Count = 10;
-    S.Bytes = 4096;          // all tied
-    S.Survived = 5;
-    S.SurvivedBytes = 2048;  // all tied
+    S.Info.Id = Id;
+    S.Info.Func = "f" + std::to_string(Id);
+    S.Info.Line = Id + 1;
+    S.Stats.Count = 10;
+    S.Stats.Bytes = 4096;          // all tied
+    S.Stats.Survived = 5;
+    S.Stats.SurvivedBytes = 2048;  // all tied
     R.Sites.push_back(S);
   }
   R.HasRun = true;
-  R.RunOk = true;
+  R.Run.Ok = true;
 
   std::string Rendered = obs::renderReport(R, /*TopN=*/4);
   size_t P0 = Rendered.find("f0:");
@@ -589,7 +588,7 @@ TEST(ObsLegacyTrace, WorkerKeysParseAndRender) {
   EXPECT_EQ(Ev.DerivedAdjusted, 2u);
   EXPECT_EQ(Ev.CacheMisses, 2u);
   ASSERT_TRUE(Report.HasRun);
-  EXPECT_TRUE(Report.RunOk);
+  EXPECT_TRUE(Report.Run.Ok);
 
   std::string Rendered = obs::renderReport(Report, /*TopN=*/5);
   EXPECT_NE(Rendered.find("=== mgc trace report: Legacy ==="),
@@ -622,7 +621,7 @@ TEST(ObsParse, IntegerOutOfRangeIsAParseError) {
     support::JsonWriter(Line).beginObject().str("type", "gc").sint("v", V)
         .endObject();
     ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Line << ": " << Err;
-    EXPECT_EQ(Rec.getInt("v"), V) << Line;
+    EXPECT_EQ(Rec.Ints.at("v"), V) << Line;
   }
 }
 
@@ -683,6 +682,29 @@ END Mutate.
   return OS.str();
 }
 
+TEST(ObsParse, HostileSiteCountIsAParseError) {
+  // The meta record's "sites" is a claim the reader checks against the
+  // site records, never an allocation size.
+  std::string Trace = fullTrace();
+  size_t At = Trace.find("\"sites\":");
+  ASSERT_NE(At, std::string::npos);
+  At += std::string("\"sites\":").size();
+  size_t End = Trace.find_first_not_of("0123456789", At);
+  uint64_t Listed = std::stoull(Trace.substr(At, End - At));
+  ASSERT_GT(Listed, 0u);
+  for (const std::string &Count :
+       {std::string("99999999999"), std::string("-5"),
+        std::to_string(Listed + 1), std::to_string(Listed - 1)}) {
+    SCOPED_TRACE(Count);
+    std::istringstream In(Trace.substr(0, At) + Count + Trace.substr(End));
+    obs::TraceReport Report;
+    std::string Err;
+    EXPECT_FALSE(obs::readTrace(In, Report, Err));
+    EXPECT_EQ(Err.rfind("line ", 0), 0u) << Err;
+    EXPECT_EQ(Err.find('\n'), std::string::npos) << Err;
+  }
+}
+
 TEST(ObsParse, StrictOnMutation) {
   std::string Trace = fullTrace();
   for (const char *Kind : {"meta", "site", "gc", "req", "site_stats",
@@ -734,7 +756,7 @@ TEST(ObsParse, WriterStringsRoundTripByteExact) {
     obs::TraceRecord Rec;
     std::string Err;
     ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Line << ": " << Err;
-    EXPECT_EQ(Rec.getStr("s"), S) << Line;
+    EXPECT_EQ(Rec.Strs.at("s"), S) << Line;
   }
   // The escapes the JSONL traces have always used.
   std::string Esc;
@@ -763,6 +785,117 @@ TEST(ObsParse, WriterNumbersAndNesting) {
   std::string Fields;
   support::JsonWriter(Fields).uint("a", 1).str("b", "x");
   EXPECT_EQ(Fields, R"("a":1,"b":"x")");
+}
+
+//===----------------------------------------------------------------------===//
+// The key lists of obs/TraceFormat.h
+//===----------------------------------------------------------------------===//
+
+/// Gives every member a distinct value: numbers count up from Next (and
+/// are negative in signed members), strings name their key and hold the
+/// characters the writer escapes, bools and site ids follow Flag.
+struct FillKeys {
+  uint64_t Next;
+  bool Flag;
+
+  template <typename T> void num(const char *, T &V) {
+    if constexpr (std::is_signed_v<T>)
+      V = -static_cast<T>(Next++);
+    else
+      V = static_cast<T>(Next++);
+  }
+  void str(const char *Key, std::string &V) {
+    V = std::string(Key) + " \"\\\t\n" + std::to_string(Next++);
+  }
+  void str(const char *Key, std::optional<std::string> &V) {
+    str(Key, V.emplace());
+  }
+  void flag(const char *, bool &V) { V = Flag; }
+  void name(const char *, bool &V, const char *, const char *) { V = Flag; }
+  void site(const char *, uint32_t &V) {
+    V = Flag ? static_cast<uint32_t>(Next++) : obs::NoSite;
+  }
+  template <typename T> void group(std::optional<T> &V) {
+    obs::listKeys(*this, V.emplace());
+  }
+};
+
+/// Lists every member as "key=value".
+struct ShowKeys {
+  std::vector<std::string> Out;
+
+  void add(const char *Key, const std::string &V) {
+    Out.push_back(std::string(Key) + "=" + V);
+  }
+  template <typename T> void num(const char *Key, const T &V) {
+    add(Key, std::to_string(V));
+  }
+  void str(const char *Key, const std::string &V) { add(Key, V); }
+  void str(const char *Key, const std::optional<std::string> &V) {
+    add(Key, V ? "\"" + *V + "\"" : "(none)");
+  }
+  void flag(const char *Key, bool V) { add(Key, V ? "1" : "0"); }
+  void name(const char *Key, bool V, const char *Yes, const char *No) {
+    add(Key, V ? Yes : No);
+  }
+  void site(const char *Key, uint32_t V) { add(Key, std::to_string(V)); }
+  template <typename T> void group(const std::optional<T> &V) {
+    if (V)
+      obs::listKeys(*this, *V);
+    else
+      Out.push_back("(group absent)");
+  }
+};
+
+TEST(ObsTraceFormat, EveryKeyOfEveryRecordRoundTrips) {
+  // Walks the key lists the tracer writes and readTrace reads through, so
+  // a key added there is written, read and checked here with no edit.
+  uint64_t Types = 0;
+  obs::forEachRecordType([&]<typename T>() {
+    ++Types;
+    for (bool Flag : {true, false}) {
+      SCOPED_TRACE(std::string(obs::TraceKeys<T>::Type) +
+                   (Flag ? " (true)" : " (false)"));
+      T V;
+      FillKeys Fill{1000 * Types, Flag};
+      obs::listKeys(Fill, V);
+      std::ostringstream OS;
+      obs::writeRecord(OS, V);
+      std::string Line = OS.str();
+      ASSERT_FALSE(Line.empty());
+      ASSERT_EQ(Line.back(), '\n');
+      Line.pop_back();
+
+      obs::TraceRecord Rec;
+      std::string Err;
+      ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Err;
+      EXPECT_EQ(Rec.Type, obs::TraceKeys<T>::Type);
+      T Back;
+      ASSERT_TRUE(obs::decodeRecord(Rec, Back, Err)) << Err;
+
+      ShowKeys Want, Got;
+      obs::listKeys(Want, std::as_const(V));
+      obs::listKeys(Got, std::as_const(Back));
+      EXPECT_EQ(Got.Out, Want.Out) << Line;
+      // Each key is on the line once and the line holds no other key.
+      EXPECT_EQ(Rec.Ints.size() + Rec.Strs.size(), Want.Out.size()) << Line;
+    }
+  });
+  EXPECT_EQ(Types, 10u);
+}
+
+TEST(ObsTraceFormat, NumberThatDoesNotFitItsMemberIsAParseError) {
+  for (const char *Line :
+       {R"({"type":"site","id":-1})", R"({"type":"site","line":4294967296})",
+        R"({"type":"gc","trigger_site":4294967296})",
+        R"({"type":"age_hist","age":-2})"}) {
+    SCOPED_TRACE(Line);
+    std::istringstream In(Line);
+    obs::TraceReport Report;
+    std::string Err;
+    EXPECT_FALSE(obs::readTrace(In, Report, Err));
+    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+  }
 }
 
 } // namespace

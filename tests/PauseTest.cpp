@@ -249,9 +249,10 @@ TEST(PauseRendezvous, BudgetExhaustionDiagnosticIsDeterministic) {
     std::string Err;
     ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
     ASSERT_TRUE(Report.HasRun);
-    EXPECT_FALSE(Report.RunOk);
-    EXPECT_NE(Report.RunError.find("rendezvous budget exhausted"),
-              std::string::npos);
+    EXPECT_FALSE(Report.Run.Ok);
+    EXPECT_NE(
+        Report.Run.Error.value_or("").find("rendezvous budget exhausted"),
+        std::string::npos);
   }
 }
 
@@ -286,7 +287,7 @@ END Leak.
     std::string Err;
     ASSERT_TRUE(obs::readTrace(In, Report, Err)) << Err;
     ASSERT_TRUE(Report.HasRun);
-    EXPECT_FALSE(Report.RunOk);
+    EXPECT_FALSE(Report.Run.Ok);
     EXPECT_EQ(Report.Events.size(), R.Stats.Collections);
     std::string Rendered = obs::renderReport(Report, /*TopN=*/5);
     EXPECT_NE(Rendered.find("FAILED"), std::string::npos);

@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TestUtil.h"
+#include "support/Percentile.h"
 #include "workload/Server.h"
 
 #include <gtest/gtest.h>
@@ -105,11 +106,12 @@ TEST(ServerHarnessTest, PercentileMatchesSortedReference) {
   for (double P : {0.0, 0.5, 0.9, 0.95, 0.99, 1.0}) {
     size_t I =
         static_cast<size_t>(P * static_cast<double>(Sorted.size() - 1) + 0.5);
-    EXPECT_EQ(percentile(V, P), Sorted[std::min(I, Sorted.size() - 1)])
+    EXPECT_EQ(support::percentile(V, P),
+              Sorted[std::min(I, Sorted.size() - 1)])
         << "P=" << P;
   }
-  EXPECT_EQ(percentile({}, 0.5), 0u);
-  EXPECT_EQ(percentile({42}, 0.99), 42u);
+  EXPECT_EQ(support::percentile({}, 0.5), 0u);
+  EXPECT_EQ(support::percentile({42}, 0.99), 42u);
 }
 
 TEST(ServerHarnessTest, ArrivalScheduleDeterministicAndSorted) {

@@ -87,7 +87,6 @@
 #include "support/Provenance.h"
 #include "vm/VM.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -402,12 +401,11 @@ int main(int argc, char **argv) {
 
   bool Ok = Machine.run();
   std::fputs(Machine.Out.c_str(), stdout);
-  // A failed run still flushes everything below: the partial trace (the
-  // run record carries the error), the in-progress profile (its body
-  // records RunOk=false and the error), and the statistics gathered so
-  // far are exactly what a mid-collection failure needs for diagnosis.
-  if (Tracer)
-    Tracer->finish(Ok, Machine.Error, &Machine.TheHeap);
+  // A failed run still flushes everything below: the in-progress profile
+  // (its body records RunOk=false and the error), the partial trace (the
+  // run record carries the error; the profile's hottest stacks follow
+  // it), and the statistics gathered so far are exactly what a
+  // mid-collection failure needs for diagnosis.
   bool ProfFailed = false;
   obs::Profile Profile;
   if (Prof) {
@@ -418,37 +416,10 @@ int main(int argc, char **argv) {
       std::fprintf(stderr, "mgc: %s\n", Err.c_str());
       ProfFailed = true;
     }
-    // Surface the hottest stacks in the trace stream so mgc-report shows
-    // them next to the gc events (top 10 by sampled weight).
-    if (TracePath && TraceOut) {
-      std::vector<const obs::Profile::MutRow *> Hot;
-      Hot.reserve(Profile.Mutator.size());
-      for (const obs::Profile::MutRow &Row : Profile.Mutator)
-        Hot.push_back(&Row);
-      std::stable_sort(Hot.begin(), Hot.end(),
-                       [](const obs::Profile::MutRow *A,
-                          const obs::Profile::MutRow *B) {
-                         if (A->Weight != B->Weight)
-                           return A->Weight > B->Weight;
-                         return A->StackId < B->StackId;
-                       });
-      if (Hot.size() > 10)
-        Hot.resize(10);
-      unsigned Rank = 0;
-      for (const obs::Profile::MutRow *Row : Hot) {
-        std::string Line;
-        support::JsonWriter(Line)
-            .beginObject()
-            .str("type", "prof_stack")
-            .uint("rank", ++Rank)
-            .uint("samples", Row->Samples)
-            .uint("weight", Row->Weight)
-            .str("stack", obs::foldedStack(Profile, Row->StackId))
-            .endObject();
-        TraceOut << Line << '\n';
-      }
-    }
   }
+  if (Tracer)
+    Tracer->finish(Ok, Machine.Error, &Machine.TheHeap,
+                   Prof ? &Profile : nullptr);
   if (!Ok) {
     std::fprintf(stderr, "mgc: runtime error: %s\n", Machine.Error.c_str());
     if (Stats)
