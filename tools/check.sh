@@ -10,7 +10,9 @@
 #   obs_overhead  tracer/snapshot/leak/profiler gates -> BENCH_{trace,
 #                 snapshot,leak,prof}.json
 #   snapshots     mgc-heapsnap on the §6 snapshots and the corpus, both modes;
-#                 per-collection §6 streams through mgc-heapsnap --watch
+#                 the corpus traces and profiles through mgc-report and
+#                 mgc-prof; per-collection §6 streams through mgc-heapsnap
+#                 --watch
 #   dispatch      threaded >= 1.5x switch, same output -> BENCH_dispatch.json
 #   pause         pause percentiles and MMU, not gated -> BENCH_pause.json
 #   server        request-harness determinism -> BENCH_server.json
@@ -80,17 +82,31 @@ done
 
 # The frozen corpus through the CLI pipeline, two-space and generational:
 # capture an at-exit snapshot with the capture-vs-recount-vs-conservative
-# cross-check on, analyze it, and diff the two modes' snapshots (same
-# program, so per-site growth is well-defined; exercises mgc-heapsnap
-# --diff end to end).
+# cross-check on, a trace with the leak detector on and a profile; analyze
+# the snapshot, render the trace with every mgc-report view (the --json
+# one must parse) and the profile with both mgc-prof views; then diff the
+# two modes' snapshots (same program, so per-site growth is well-defined;
+# exercises mgc-heapsnap --diff end to end).
 for Mg in "$ROOT"/tests/corpus/*.mg; do
   Base="$SNAPDIR/$(basename "$Mg" .mg)"
-  ./build/tools/mgc --gc-crosscheck --heap-snapshot "$Base.snap" \
-      "$Mg" > /dev/null
-  ./build/tools/mgc --gen-gc --gc-crosscheck \
-      --heap-snapshot "$Base.gen.snap" "$Mg" > /dev/null
-  ./build/tools/mgc-heapsnap --top 5 "$Base.snap" > /dev/null
-  ./build/tools/mgc-heapsnap --top 5 "$Base.gen.snap" > /dev/null
+  for Mode in two-space gen-gc; do
+    Out="$Base"
+    Flags=(--gc-crosscheck)
+    if [ "$Mode" = gen-gc ]; then
+      Out="$Base.gen"
+      Flags+=(--gen-gc)
+    fi
+    ./build/tools/mgc "${Flags[@]}" --heap-snapshot "$Out.snap" \
+        --trace "$Out.jsonl" --leak-detect --profile "$Out.prof" \
+        "$Mg" > /dev/null
+    ./build/tools/mgc-heapsnap --top 5 "$Out.snap" > /dev/null
+    ./build/tools/mgc-report "$Out.jsonl" > /dev/null
+    ./build/tools/mgc-report --leaks "$Out.jsonl" > /dev/null
+    ./build/tools/mgc-report --json "$Out.jsonl" | python3 -m json.tool \
+        > /dev/null
+    ./build/tools/mgc-prof "$Out.prof" > /dev/null
+    ./build/tools/mgc-prof --folded "$Out.prof" > /dev/null
+  done
   ./build/tools/mgc-heapsnap --diff "$Base.snap" "$Base.gen.snap" \
       > /dev/null
 done
