@@ -94,7 +94,6 @@ private:
 
   void layoutGlobals();
   int typeDescFor(const Type *Referent);
-  void bindProcStorage(const ProcDecl &P);
   void bindLocal(Symbol *Sym);
   void lowerFunctionBody(Function *Fn, const StmtList &Body,
                          const std::vector<std::unique_ptr<Symbol>> &Locals,

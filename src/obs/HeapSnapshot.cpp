@@ -19,11 +19,7 @@ using namespace mgc::obs;
 // Codec
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-const char SnapMagic[4] = {'M', 'G', 'H', 'S'};
-
-} // namespace
+static const char SnapMagic[4] = {'M', 'G', 'H', 'S'};
 
 void obs::encodeSnapshot(const HeapSnapshot &S, std::vector<uint8_t> &Out) {
   Out.insert(Out.end(), SnapMagic, SnapMagic + 4);

@@ -222,7 +222,6 @@ class Profiler {
 public:
   Profiler(const vm::Program &P, ProfilerConfig C);
 
-  bool armed() const { return Cfg.Enabled; }
   const ProfilerConfig &config() const { return Cfg; }
 
   //===--- VM hooks (hot; called under a Profiler-attached branch) --------===

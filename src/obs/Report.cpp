@@ -6,16 +6,131 @@
 
 #include "obs/Report.h"
 
-#include "support/Percentile.h"
-
 #include <algorithm>
+#include <charconv>
+#include <cinttypes>
+#include <cstdarg>
 #include <cstdio>
+#include <cstring>
 #include <istream>
 #include <optional>
 #include <span>
 
 using namespace mgc;
 using namespace mgc::obs;
+
+//===----------------------------------------------------------------------===//
+// Parsing
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+struct Cursor {
+  const std::string &S;
+  size_t I = 0;
+
+  bool done() const { return I >= S.size(); }
+  char peek() const { return S[I]; }
+  bool eat(char C) {
+    if (done() || S[I] != C)
+      return false;
+    ++I;
+    return true;
+  }
+};
+
+bool fail(std::string &Err, std::string Msg) {
+  Err = std::move(Msg);
+  return false;
+}
+
+bool parseString(Cursor &C, std::string &Out, std::string &Err) {
+  if (!C.eat('"'))
+    return fail(Err, "expected '\"'");
+  // The escapes support::appendJsonString writes, and \/.
+  static const char From[] = "\"\\/ntr", To[] = "\"\\/\n\t\r";
+  Out.clear();
+  while (!C.done() && C.peek() != '"') {
+    char Ch = C.S[C.I++];
+    if (Ch != '\\') {
+      Out += Ch;
+      continue;
+    }
+    if (C.done())
+      return fail(Err, "dangling escape");
+    char E = C.S[C.I++];
+    if (const void *P = std::memchr(From, E, sizeof(From) - 1)) {
+      Out += To[static_cast<const char *>(P) - From];
+      continue;
+    }
+    if (E != 'u')
+      return fail(Err, std::string("unknown escape '\\") + E + "'");
+    if (C.I + 4 > C.S.size())
+      return fail(Err, "truncated \\u escape");
+    unsigned V = 0;
+    const char *Hex = C.S.data() + C.I;
+    if (std::from_chars(Hex, Hex + 4, V, 16).ptr != Hex + 4)
+      return fail(Err, "bad \\u digit");
+    C.I += 4;
+    // The tracer only escapes control characters; anything else is kept
+    // as a replacement byte rather than attempting UTF-8 encoding.
+    Out += V < 0x80 ? static_cast<char>(V) : '?';
+  }
+  if (!C.eat('"'))
+    return fail(Err, "unterminated string");
+  return true;
+}
+
+bool parseInt(Cursor &C, int64_t &Out, std::string &Err) {
+  const char *First = C.S.data() + C.I;
+  auto [End, Ec] = std::from_chars(First, C.S.data() + C.S.size(), Out);
+  if (Ec == std::errc::invalid_argument)
+    return fail(Err, "expected integer");
+  if (Ec == std::errc::result_out_of_range)
+    return fail(Err, "integer out of range");
+  C.I += static_cast<size_t>(End - First);
+  return true;
+}
+
+} // namespace
+
+bool obs::parseTraceLine(const std::string &Line, TraceRecord &Rec,
+                         std::string &Err) {
+  Rec = TraceRecord();
+  Cursor C{Line};
+  if (!C.eat('{'))
+    return fail(Err, "expected '{'");
+  bool First = true;
+  while (!C.eat('}')) {
+    if (!First && !C.eat(','))
+      return fail(Err, "expected ',' between fields");
+    First = false;
+    std::string Key;
+    if (!parseString(C, Key, Err))
+      return false;
+    if (!C.eat(':'))
+      return fail(Err, "expected ':' after key");
+    if (!C.done() && C.peek() == '"') {
+      std::string V;
+      if (!parseString(C, V, Err))
+        return false;
+      if (Key == "type")
+        Rec.Type = V;
+      else
+        Rec.Strs[Key] = V;
+    } else {
+      int64_t V;
+      if (!parseInt(C, V, Err))
+        return false;
+      Rec.Ints[Key] = V;
+    }
+  }
+  if (!C.done())
+    return fail(Err, "trailing characters after '}'");
+  if (Rec.Type.empty())
+    return fail(Err, "record has no \"type\" field");
+  return true;
+}
 
 //===----------------------------------------------------------------------===//
 // Reading
@@ -29,9 +144,9 @@ struct Filer {
   TraceReport &R;
   std::string &Err;
 
-  bool fail(std::string Msg) {
-    Err = std::move(Msg);
-    return false;
+  template <typename T> bool add(std::vector<T> &To, T &V) {
+    To.push_back(std::move(V));
+    return true;
   }
 
   bool operator()(MetaRecord &M) {
@@ -39,54 +154,39 @@ struct Filer {
     return true;
   }
   bool operator()(SiteRecord &S) {
-    // Sites arrive as ids 0, 1, ...; the vector grows per record, never
-    // from the meta record's claim.
+    // The table grows per site record, never from meta's claimed count.
     if (S.Id >= R.Meta.Sites)
-      return fail("site id out of range");
+      return fail(Err, "site id out of range");
     if (S.Id != R.Sites.size())
-      return fail("site id out of order");
+      return fail(Err, "site id out of order");
     R.Sites.push_back({std::move(S), {}});
     return true;
   }
-  bool operator()(GcEvent &E) {
-    R.Events.push_back(E);
-    return true;
-  }
-  bool operator()(RequestRecord &Q) {
-    R.Requests.push_back(Q);
-    return true;
-  }
+  bool operator()(GcEvent &E) { return add(R.Events, E); }
+  bool operator()(RequestRecord &Q) { return add(R.Requests, Q); }
   bool operator()(SiteStatsRecord &S) {
     if (S.Id >= R.Sites.size())
-      return fail("site_stats id out of range");
+      return fail(Err, "site_stats id out of range");
     R.Sites[S.Id].Stats = S.Counters;
     return true;
   }
   bool operator()(SiteLiveRecord &L) {
     if (L.Id >= 0 && static_cast<uint64_t>(L.Id) >= R.Sites.size())
-      return fail("site_live id out of range");
-    R.LiveSites.push_back(L);
-    return true;
+      return fail(Err, "site_live id out of range");
+    return add(R.LiveSites, L);
   }
-  bool operator()(AgeRecord &A) {
-    R.AgeHist.push_back(A);
-    return true;
-  }
+  bool operator()(AgeRecord &A) { return add(R.AgeHist, A); }
   bool operator()(LeakRecord &L) {
     if (L.Flag.Site >= R.Sites.size())
-      return fail("leak site out of range");
-    R.Leaks.push_back(L);
-    return true;
+      return fail(Err, "leak site out of range");
+    return add(R.Leaks, L);
   }
   bool operator()(RunRecord &Run) {
     R.HasRun = true;
     R.Run = std::move(Run);
     return true;
   }
-  bool operator()(HotStack &H) {
-    R.HotStacks.push_back(std::move(H));
-    return true;
-  }
+  bool operator()(HotStack &H) { return add(R.HotStacks, H); }
 };
 
 } // namespace
@@ -105,15 +205,15 @@ bool obs::readTrace(std::istream &In, TraceReport &R, std::string &Err) {
       ++R.LinesRead;
       bool Known = false;
       forEachRecordType([&]<typename T>() {
-        if (Known || Rec.Type != TraceKeys<T>::Type)
+        if (Known || Rec.Type != T::Type)
           return;
         Known = true;
         T V;
         Ok = decodeRecord(Rec, V, Err) && File(V);
       });
       if (!Known)
-        Ok = File.fail("unknown record type \"" + Rec.Type + "\"");
-      if (Ok && Rec.Type == TraceKeys<MetaRecord>::Type)
+        Ok = fail(Err, "unknown record type \"" + Rec.Type + "\"");
+      if (Rec.Type == MetaRecord::Type)
         MetaLine = LineNo;
     }
     if (!Ok) {
@@ -136,105 +236,59 @@ bool obs::readTrace(std::istream &In, TraceReport &R, std::string &Err) {
 
 namespace {
 
-struct Pcts {
-  uint64_t P50 = 0, P95 = 0, Max = 0;
-};
-
-Pcts pcts(const std::vector<uint64_t> &V) {
-  return {support::percentile(V, 0.50), support::percentile(V, 0.95),
-          support::percentile(V, 1.0)};
-}
-
-/// The phases of a pause table, in pipeline order.
+/// The rows of a pause table: the total, then each phase in pipeline
+/// order.
 struct Phase {
   const char *Label; ///< Text view.
   const char *Key;   ///< JSON view.
-  bool MinorOnly;
-  uint64_t (*Nanos)(const GcEvent &);
+  uint64_t PhaseNanos::*Nanos; ///< Null for the total.
 };
 
 const Phase Phases[] = {
-    {"total", "total", false, [](const GcEvent &E) { return E.TotalNanos; }},
-    {"rendezvous", "rendezvous", false,
-     [](const GcEvent &E) { return E.Phases.Rendezvous; }},
-    {"stack-trace", "stack_trace", false,
-     [](const GcEvent &E) { return E.Phases.StackTrace; }},
-    {"underive", "underive", false,
-     [](const GcEvent &E) { return E.Phases.Underive; }},
-    {"copy", "copy", false, [](const GcEvent &E) { return E.Phases.Copy; }},
-    {"remset", "remset", true,
-     [](const GcEvent &E) { return E.Phases.RemsetRebuild; }},
-    {"rederive", "rederive", false,
-     [](const GcEvent &E) { return E.Phases.Rederive; }},
+    {"total", "total", nullptr},
+    {"rendezvous", "rendezvous", &PhaseNanos::Rendezvous},
+    {"stack-trace", "stack_trace", &PhaseNanos::StackTrace},
+    {"underive", "underive", &PhaseNanos::Underive},
+    {"copy", "copy", &PhaseNanos::Copy},
+    {"remset", "remset", &PhaseNanos::RemsetRebuild}, // Minor only.
+    {"rederive", "rederive", &PhaseNanos::Rederive},
 };
 
 struct PhaseRow {
   const Phase *Of;
-  Pcts P;
-  uint64_t Total = 0;
+  support::Percentiles P; ///< Over the kind's collections.
 };
 
-/// The pauses of one collection kind.
+/// The pauses of one collection kind; the total row counts them.
 struct PauseTable {
   bool Minor = false;
-  size_t Collections = 0;
   std::vector<PhaseRow> Rows;
 };
 
-struct Volume {
-  uint64_t ObjectsCopied = 0, BytesCopied = 0, BytesPromoted = 0;
-  uint64_t Frames = 0, CacheHits = 0, CacheMisses = 0;
-};
+using TopSites = std::vector<const TraceReport::Site *>;
 
-struct Requests {
-  size_t Count = 0;
-  Pcts Instrs;
-  uint64_t GcNanos = 0, Collections = 0;
-};
-
-struct SiteRow {
-  const TraceReport::Site *S;
-  std::string Label;
-};
-
-struct LiveRow {
-  const SiteLiveRecord *L;
-  std::string Label;
-};
-
-struct LeakRow {
-  const LeakRecord *L;
-  std::optional<std::string> Label; ///< None for a site past the table.
-};
-
-/// mgc-report's sections, built once per render.  Each view prints the
-/// sections it shows in its own format and nothing else.
+/// mgc-report's sections, built once per render; each view formats the
+/// ones it shows.
 struct ReportModel {
   std::vector<PauseTable> Pauses; ///< Minor, then full; kinds that ran.
-  std::optional<Volume> Vol;      ///< When any collection ran.
-  std::optional<Requests> Reqs;   ///< When any request completed.
+  /// The events' copy, promotion, frame and decode-cache counters summed;
+  /// when any collection ran.
+  std::optional<GcEvent> Vol;
+  /// Instructions per request, and the collection work attributed to
+  /// requests; when any request completed.
+  std::optional<support::Percentiles> ReqInstrs;
+  uint64_t ReqGcNanos = 0, ReqCollections = 0;
   std::span<const HotStack> Hot;  ///< The first TopN.
   /// The top sites by bytes allocated and by bytes surviving their first
-  /// collection: key desc, then id; at most TopN, none with a zero key.
-  /// None when no site allocated.
-  std::optional<std::vector<SiteRow>> ByBytes, BySurvived;
-  std::vector<LeakRow> Leaks;  ///< All, in trace order (slope desc).
-  std::vector<LiveRow> Live;   ///< Bytes desc, then id; the first TopN.
+  /// collection: key desc, then id; at most TopN and none with a zero
+  /// key.  None when no site allocated.
+  std::optional<TopSites> ByBytes, BySurvived;
+  std::vector<const SiteLiveRecord *> Live; ///< Bytes desc, id; first TopN.
   std::span<const AgeRecord> Ages;
 };
 
-std::string siteLabel(const SiteRecord &S) {
-  std::string L = S.Func;
-  L += ':';
-  L += std::to_string(S.Line);
-  if (S.Col)
-    L += ':' + std::to_string(S.Col);
-  return L;
-}
-
-std::vector<SiteRow> topSites(std::vector<const TraceReport::Site *> Active,
-                              size_t TopN,
-                              uint64_t (*Key)(const TraceReport::Site &)) {
+TopSites topSites(TopSites Active, size_t TopN,
+                  uint64_t (*Key)(const TraceReport::Site &)) {
   // Tie-break equal keys by site id so the table order (and with it the
   // rendered report) is identical across dispatch tiers, not at the
   // mercy of std::sort's instability.
@@ -245,68 +299,55 @@ std::vector<SiteRow> topSites(std::vector<const TraceReport::Site *> Active,
           return Key(*A) > Key(*B);
         return A->Info.Id < B->Info.Id;
       });
-  std::vector<SiteRow> Rows;
-  for (size_t I = 0; I != std::min(TopN, Active.size()); ++I) {
-    if (Key(*Active[I]) == 0)
-      break;
-    Rows.push_back({Active[I], siteLabel(Active[I]->Info)});
-  }
-  return Rows;
+  size_t N = 0;
+  while (N != std::min(TopN, Active.size()) && Key(*Active[N]) != 0)
+    ++N;
+  Active.resize(N);
+  return Active;
 }
 
 ReportModel buildModel(const TraceReport &R, size_t TopN) {
   ReportModel M;
   for (bool Minor : {true, false}) {
-    PauseTable T;
-    T.Minor = Minor;
-    for (const GcEvent &E : R.Events)
-      T.Collections += E.Minor == Minor;
-    if (T.Collections == 0)
-      continue;
+    PauseTable T{Minor, {}};
     for (const Phase &Ph : Phases) {
-      if (Ph.MinorOnly && !Minor)
+      if (Ph.Nanos == &PhaseNanos::RemsetRebuild && !Minor)
         continue;
       std::vector<uint64_t> V;
-      uint64_t Total = 0;
       for (const GcEvent &E : R.Events)
-        if (E.Minor == Minor) {
-          V.push_back(Ph.Nanos(E));
-          Total += V.back();
-        }
-      T.Rows.push_back({&Ph, pcts(V), Total});
+        if (E.Minor == Minor)
+          V.push_back(Ph.Nanos ? E.Phases.*Ph.Nanos : E.TotalNanos);
+      T.Rows.push_back({&Ph, support::percentiles(std::move(V))});
     }
-    M.Pauses.push_back(std::move(T));
+    if (T.Rows[0].P.Count)
+      M.Pauses.push_back(std::move(T));
   }
 
   if (!R.Events.empty()) {
-    Volume V;
+    GcEvent &V = M.Vol.emplace();
     for (const GcEvent &E : R.Events) {
-      V.Frames += E.FramesTraced;
+      V.FramesTraced += E.FramesTraced;
       V.CacheHits += E.CacheHits;
       V.CacheMisses += E.CacheMisses;
       V.BytesCopied += E.BytesCopied;
       V.BytesPromoted += E.BytesPromoted;
       V.ObjectsCopied += E.ObjectsCopied;
     }
-    M.Vol = V;
   }
 
   if (!R.Requests.empty()) {
-    Requests Q;
-    Q.Count = R.Requests.size();
     std::vector<uint64_t> Instrs;
-    for (const RequestRecord &Rq : R.Requests) {
-      Instrs.push_back(Rq.Instrs);
-      Q.GcNanos += Rq.GcNanos;
-      Q.Collections += Rq.Collections;
+    for (const RequestRecord &Q : R.Requests) {
+      Instrs.push_back(Q.Instrs);
+      M.ReqGcNanos += Q.GcNanos;
+      M.ReqCollections += Q.Collections;
     }
-    Q.Instrs = pcts(Instrs);
-    M.Reqs = Q;
+    M.ReqInstrs = support::percentiles(std::move(Instrs));
   }
 
   M.Hot = std::span(R.HotStacks).first(std::min(TopN, R.HotStacks.size()));
 
-  std::vector<const TraceReport::Site *> Active;
+  TopSites Active;
   for (const TraceReport::Site &S : R.Sites)
     if (S.Stats.Count)
       Active.push_back(&S);
@@ -319,92 +360,71 @@ ReportModel buildModel(const TraceReport &R, size_t TopN) {
     });
   }
 
-  for (const LeakRecord &L : R.Leaks) {
-    LeakRow Row{&L, std::nullopt};
-    if (L.Flag.Site < R.Sites.size())
-      Row.Label = siteLabel(R.Sites[L.Flag.Site].Info);
-    M.Leaks.push_back(std::move(Row));
-  }
-
-  std::vector<const SiteLiveRecord *> Live;
   for (const SiteLiveRecord &L : R.LiveSites)
-    Live.push_back(&L);
-  std::sort(Live.begin(), Live.end(),
+    M.Live.push_back(&L);
+  std::sort(M.Live.begin(), M.Live.end(),
             [](const SiteLiveRecord *A, const SiteLiveRecord *B) {
               if (A->Live.Bytes != B->Live.Bytes)
                 return A->Live.Bytes > B->Live.Bytes;
               return A->Id < B->Id;
             });
-  for (size_t I = 0; I != std::min(TopN, Live.size()); ++I)
-    M.Live.push_back(
-        {Live[I], Live[I]->Id < 0
-                      ? std::string("(no site)")
-                      : siteLabel(R.Sites[static_cast<size_t>(Live[I]->Id)]
-                                      .Info)});
+  M.Live.resize(std::min(TopN, M.Live.size()));
 
   M.Ages = R.AgeHist;
   return M;
+}
+
+std::string siteLabel(const SiteRecord &S) {
+  std::string L = S.Func + ':' + std::to_string(S.Line);
+  if (S.Col)
+    L += ':' + std::to_string(S.Col);
+  return L;
+}
+
+std::string liveLabel(const TraceReport &R, const SiteLiveRecord &L) {
+  return L.Id < 0 ? "(no site)"
+                  : siteLabel(R.Sites[static_cast<size_t>(L.Id)].Info);
+}
+
+/// The site record a leak names; null past the table.
+const SiteRecord *leakSite(const TraceReport &R, const LeakRecord &L) {
+  return L.Flag.Site < R.Sites.size() ? &R.Sites[L.Flag.Site].Info : nullptr;
 }
 
 //===----------------------------------------------------------------------===//
 // Text views
 //===----------------------------------------------------------------------===//
 
+[[gnu::format(printf, 2, 3)]] void appendf(std::string &Out, const char *Fmt,
+                                           ...) {
+  char Buf[256];
+  va_list Args;
+  va_start(Args, Fmt);
+  std::vsnprintf(Buf, sizeof(Buf), Fmt, Args);
+  va_end(Args);
+  Out += Buf;
+}
+
 std::string fmtNanos(uint64_t Ns) {
-  char Buf[64];
+  std::string S;
   if (Ns >= 1'000'000)
-    std::snprintf(Buf, sizeof(Buf), "%.2f ms",
-                  static_cast<double>(Ns) / 1e6);
+    appendf(S, "%.2f ms", static_cast<double>(Ns) / 1e6);
   else if (Ns >= 1'000)
-    std::snprintf(Buf, sizeof(Buf), "%.2f us",
-                  static_cast<double>(Ns) / 1e3);
+    appendf(S, "%.2f us", static_cast<double>(Ns) / 1e3);
   else
-    std::snprintf(Buf, sizeof(Buf), "%llu ns",
-                  static_cast<unsigned long long>(Ns));
-  return Buf;
+    appendf(S, "%" PRIu64 " ns", Ns);
+  return S;
 }
 
 std::string fmtBytes(uint64_t B) {
-  char Buf[64];
+  std::string S;
   if (B >= 1u << 20)
-    std::snprintf(Buf, sizeof(Buf), "%.2f MiB",
-                  static_cast<double>(B) / (1u << 20));
+    appendf(S, "%.2f MiB", static_cast<double>(B) / (1u << 20));
   else if (B >= 1u << 10)
-    std::snprintf(Buf, sizeof(Buf), "%.2f KiB",
-                  static_cast<double>(B) / (1u << 10));
+    appendf(S, "%.2f KiB", static_cast<double>(B) / (1u << 10));
   else
-    std::snprintf(Buf, sizeof(Buf), "%llu B",
-                  static_cast<unsigned long long>(B));
-  return Buf;
-}
-
-void formatLeaks(std::string &Out, const ReportModel &M, size_t TopN) {
-  if (M.Leaks.empty()) {
-    Out += "no suspected leak sites\n";
-    return;
-  }
-  char Buf[256];
-  // Records arrive pre-sorted by (slope desc, site asc) from the tracer.
-  Out += "-- suspected leak sites --\n";
-  std::snprintf(Buf, sizeof(Buf), "  %-28s %14s %12s %14s\n", "site",
-                "slope B/gc", "live", "first flagged");
-  Out += Buf;
-  size_t N = std::min(TopN, M.Leaks.size());
-  for (size_t I = 0; I != N; ++I) {
-    const LeakRow &Row = M.Leaks[I];
-    const Tracer::LeakFlag &F = Row.L->Flag;
-    std::string Label =
-        Row.Label.value_or("(site " + std::to_string(F.Site) + ")");
-    std::snprintf(Buf, sizeof(Buf), "  %-28s %+14lld %12s %11llu/gc\n",
-                  Label.c_str(), static_cast<long long>(F.SlopeBytes),
-                  fmtBytes(F.LiveBytes).c_str(),
-                  static_cast<unsigned long long>(F.FirstFlagged));
-    Out += Buf;
-  }
-  if (M.Leaks.size() > N) {
-    std::snprintf(Buf, sizeof(Buf), "  ... %zu more\n", M.Leaks.size() - N);
-    Out += Buf;
-  }
+    appendf(S, "%" PRIu64 " B", B);
+  return S;
 }
 
 } // namespace
@@ -412,149 +432,109 @@ void formatLeaks(std::string &Out, const ReportModel &M, size_t TopN) {
 std::string obs::renderReport(const TraceReport &R, size_t TopN) {
   ReportModel M = buildModel(R, TopN);
   std::string Out;
-  char Buf[256];
 
   Out += "=== mgc trace report: " + R.Meta.Program + " ===\n";
-  std::snprintf(Buf, sizeof(Buf),
-                "mode: %s   collections: %zu   sites: %zu   "
-                "site table: %llu bytes\n",
-                R.Meta.GenGc ? "generational" : "two-space", R.Events.size(),
-                R.Sites.size(),
-                static_cast<unsigned long long>(R.Meta.SiteTableBytes));
-  Out += Buf;
+  appendf(Out,
+          "mode: %s   collections: %zu   sites: %zu   site table: %" PRIu64
+          " bytes\n",
+          R.Meta.GenGc ? "generational" : "two-space", R.Events.size(),
+          R.Sites.size(), R.Meta.SiteTableBytes);
   if (R.HasRun && !R.Run.Ok)
     Out += "RUN FAILED: " + R.Run.Error.value_or("") + " (trace is partial)\n";
   // Ring overflow means the pause/volume sections below silently miss the
   // oldest collections — say so up front, not buried in the run record.
-  if (uint64_t Dropped = R.Run.Summary.EventsDropped) {
-    std::snprintf(Buf, sizeof(Buf),
-                  "WARNING: %llu gc events dropped from the ring buffer; "
-                  "pause/volume sections cover only the last %zu "
-                  "collections\n",
-                  static_cast<unsigned long long>(Dropped), R.Events.size());
-    Out += Buf;
-  }
-
+  if (uint64_t Dropped = R.Run.Summary.EventsDropped)
+    appendf(Out,
+            "WARNING: %" PRIu64 " gc events dropped from the ring buffer; "
+            "pause/volume sections cover only the last %zu collections\n",
+            Dropped, R.Events.size());
   // A run that never collected has no pause/volume/survival material: say
   // so instead of rendering a report of empty sections.
   if (R.Events.empty())
     Out += "no collections recorded\n";
 
   for (const PauseTable &T : M.Pauses) {
-    std::snprintf(Buf, sizeof(Buf), "\n-- %s pauses (%zu collections) --\n",
-                  T.Minor ? "minor" : "full", T.Collections);
-    Out += Buf;
-    for (const PhaseRow &Row : T.Rows) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "  %-12s p50 %12s   p95 %12s   max %12s   total %12s\n",
-                    Row.Of->Label, fmtNanos(Row.P.P50).c_str(),
-                    fmtNanos(Row.P.P95).c_str(), fmtNanos(Row.P.Max).c_str(),
-                    fmtNanos(Row.Total).c_str());
-      Out += Buf;
-    }
+    appendf(Out, "\n-- %s pauses (%" PRIu64 " collections) --\n",
+            T.Minor ? "minor" : "full", T.Rows[0].P.Count);
+    for (const PhaseRow &Row : T.Rows)
+      appendf(Out, "  %-12s p50 %12s   p95 %12s   max %12s   total %12s\n",
+              Row.Of->Label, fmtNanos(Row.P.P50).c_str(),
+              fmtNanos(Row.P.P95).c_str(), fmtNanos(Row.P.Max).c_str(),
+              fmtNanos(Row.P.Sum).c_str());
   }
 
   if (M.Vol) {
-    const Volume &V = *M.Vol;
+    const GcEvent &V = *M.Vol;
     Out += "\n-- volume --\n";
-    std::snprintf(Buf, sizeof(Buf),
-                  "  copied %llu objects / %s; promoted %s; "
-                  "%llu frames traced\n",
-                  static_cast<unsigned long long>(V.ObjectsCopied),
-                  fmtBytes(V.BytesCopied).c_str(),
-                  fmtBytes(V.BytesPromoted).c_str(),
-                  static_cast<unsigned long long>(V.Frames));
-    Out += Buf;
-    if (uint64_t Decodes = V.CacheHits + V.CacheMisses) {
-      std::snprintf(Buf, sizeof(Buf),
-                    "  decode cache: %llu hits / %llu misses (%.1f%% hit "
-                    "rate)\n",
-                    static_cast<unsigned long long>(V.CacheHits),
-                    static_cast<unsigned long long>(V.CacheMisses),
-                    100.0 * static_cast<double>(V.CacheHits) /
-                        static_cast<double>(Decodes));
-      Out += Buf;
-    }
+    appendf(Out,
+            "  copied %" PRIu64 " objects / %s; promoted %s; %" PRIu64
+            " frames traced\n",
+            V.ObjectsCopied, fmtBytes(V.BytesCopied).c_str(),
+            fmtBytes(V.BytesPromoted).c_str(), V.FramesTraced);
+    if (uint64_t Decodes = V.CacheHits + V.CacheMisses)
+      appendf(Out,
+              "  decode cache: %" PRIu64 " hits / %" PRIu64
+              " misses (%.1f%% hit rate)\n",
+              V.CacheHits, V.CacheMisses,
+              100.0 * static_cast<double>(V.CacheHits) /
+                  static_cast<double>(Decodes));
   }
 
   // Server-workload requests (programs that call ReqDone).
-  if (M.Reqs) {
-    const Requests &Q = *M.Reqs;
+  if (M.ReqInstrs) {
     Out += "\n-- requests --\n";
-    std::snprintf(Buf, sizeof(Buf),
-                  "  %zu requests; instrs/req p50 %llu   p95 %llu   max "
-                  "%llu\n",
-                  Q.Count, static_cast<unsigned long long>(Q.Instrs.P50),
-                  static_cast<unsigned long long>(Q.Instrs.P95),
-                  static_cast<unsigned long long>(Q.Instrs.Max));
-    Out += Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  gc attributed to requests: %s across %llu "
-                  "collections\n",
-                  fmtNanos(Q.GcNanos).c_str(),
-                  static_cast<unsigned long long>(Q.Collections));
-    Out += Buf;
+    appendf(Out,
+            "  %zu requests; instrs/req p50 %" PRIu64 "   p95 %" PRIu64
+            "   max %" PRIu64 "\n",
+            R.Requests.size(), M.ReqInstrs->P50, M.ReqInstrs->P95,
+            M.ReqInstrs->Max);
+    appendf(Out,
+            "  gc attributed to requests: %s across %" PRIu64
+            " collections\n",
+            fmtNanos(M.ReqGcNanos).c_str(), M.ReqCollections);
   }
 
   if (!R.HotStacks.empty()) {
     Out += "\n-- hot stacks (sampling profiler, by mutator weight) --\n";
-    std::snprintf(Buf, sizeof(Buf), "  %4s %12s %10s  %s\n", "rank",
-                  "weight", "samples", "stack");
-    Out += Buf;
+    appendf(Out, "  %4s %12s %10s  %s\n", "rank", "weight", "samples",
+            "stack");
     for (const HotStack &H : M.Hot) {
-      std::snprintf(Buf, sizeof(Buf), "  %4llu %12llu %10llu  ",
-                    static_cast<unsigned long long>(H.Rank),
-                    static_cast<unsigned long long>(H.Weight),
-                    static_cast<unsigned long long>(H.Samples));
-      Out += Buf;
-      Out += H.Stack;
-      Out += '\n';
+      appendf(Out, "  %4" PRIu64 " %12" PRIu64 " %10" PRIu64 "  ", H.Rank,
+              H.Weight, H.Samples);
+      Out += H.Stack + '\n';
     }
   }
 
-  auto SiteTable = [&](const char *Title,
-                       const std::optional<std::vector<SiteRow>> &Rows) {
-    if (!Rows)
+  auto Sites = [&](const char *Title, const std::optional<TopSites> &T) {
+    if (!T)
       return;
-    Out += "\n-- ";
-    Out += Title;
-    Out += " --\n";
-    std::snprintf(Buf, sizeof(Buf), "  %-28s %12s %12s %12s %9s\n", "site",
-                  "allocs", "bytes", "survived", "surv%");
-    Out += Buf;
-    for (const SiteRow &Row : *Rows) {
-      const SiteCounters &C = Row.S->Stats;
-      double SurvPct = C.Count ? 100.0 * static_cast<double>(C.Survived) /
-                                     static_cast<double>(C.Count)
-                               : 0.0;
-      std::snprintf(Buf, sizeof(Buf), "  %-28s %12llu %12s %12llu %8.1f%%\n",
-                    Row.Label.c_str(),
-                    static_cast<unsigned long long>(C.Count),
-                    fmtBytes(C.Bytes).c_str(),
-                    static_cast<unsigned long long>(C.Survived), SurvPct);
-      Out += Buf;
+    appendf(Out, "\n-- %s --\n", Title);
+    appendf(Out, "  %-28s %12s %12s %12s %9s\n", "site", "allocs", "bytes",
+            "survived", "surv%");
+    for (const TraceReport::Site *S : *T) {
+      const SiteCounters &C = S->Stats;
+      appendf(Out, "  %-28s %12" PRIu64 " %12s %12" PRIu64 " %8.1f%%\n",
+              siteLabel(S->Info).c_str(), C.Count, fmtBytes(C.Bytes).c_str(),
+              C.Survived,
+              C.Count ? 100.0 * static_cast<double>(C.Survived) /
+                            static_cast<double>(C.Count)
+                      : 0.0);
     }
   };
-  SiteTable("top sites by bytes allocated", M.ByBytes);
-  SiteTable("top sites by bytes surviving first collection", M.BySurvived);
+  Sites("top sites by bytes allocated", M.ByBytes);
+  Sites("top sites by bytes surviving first collection", M.BySurvived);
 
-  if (!M.Leaks.empty()) {
+  if (!R.Leaks.empty()) {
     Out += '\n';
-    formatLeaks(Out, M, TopN);
+    Out += renderLeaks(R, TopN);
   }
 
   if (!R.LiveSites.empty()) {
     Out += "\n-- live at finish by site --\n";
-    std::snprintf(Buf, sizeof(Buf), "  %-28s %12s %12s\n", "site", "objects",
-                  "bytes");
-    Out += Buf;
-    for (const LiveRow &Row : M.Live) {
-      std::snprintf(Buf, sizeof(Buf), "  %-28s %12llu %12s\n",
-                    Row.Label.c_str(),
-                    static_cast<unsigned long long>(Row.L->Live.Objects),
-                    fmtBytes(Row.L->Live.Bytes).c_str());
-      Out += Buf;
-    }
+    appendf(Out, "  %-28s %12s %12s\n", "site", "objects", "bytes");
+    for (const SiteLiveRecord *L : M.Live)
+      appendf(Out, "  %-28s %12" PRIu64 " %12s\n", liveLabel(R, *L).c_str(),
+              L->Live.Objects, fmtBytes(L->Live.Bytes).c_str());
   }
 
   // How many collections did the live objects survive?
@@ -564,23 +544,35 @@ std::string obs::renderReport(const TraceReport &R, size_t TopN) {
       MaxObjects = std::max(MaxObjects, A.Live.Objects);
     Out += "\n-- live object ages (collections survived) --\n";
     for (const AgeRecord &A : M.Ages) {
-      size_t Bar = static_cast<size_t>(
-          30.0 * static_cast<double>(A.Live.Objects) /
-          static_cast<double>(MaxObjects));
-      std::snprintf(Buf, sizeof(Buf), "  age %3u %10llu obj %12s  %s\n",
-                    A.Age, static_cast<unsigned long long>(A.Live.Objects),
-                    fmtBytes(A.Live.Bytes).c_str(),
-                    std::string(Bar, '#').c_str());
-      Out += Buf;
+      size_t Bar = static_cast<size_t>(30.0 *
+                                       static_cast<double>(A.Live.Objects) /
+                                       static_cast<double>(MaxObjects));
+      appendf(Out, "  age %3u %10" PRIu64 " obj %12s  %s\n", A.Age,
+              A.Live.Objects, fmtBytes(A.Live.Bytes).c_str(),
+              std::string(Bar, '#').c_str());
     }
   }
-
   return Out;
 }
 
 std::string obs::renderLeaks(const TraceReport &R, size_t TopN) {
-  std::string Out;
-  formatLeaks(Out, buildModel(R, TopN), TopN);
+  if (R.Leaks.empty())
+    return "no suspected leak sites\n";
+  // Records arrive pre-sorted by (slope desc, site asc) from the tracer.
+  std::string Out = "-- suspected leak sites --\n";
+  appendf(Out, "  %-28s %14s %12s %14s\n", "site", "slope B/gc", "live",
+          "first flagged");
+  size_t N = std::min(TopN, R.Leaks.size());
+  for (const LeakRecord &L : std::span(R.Leaks).first(N)) {
+    const SiteRecord *S = leakSite(R, L);
+    appendf(Out, "  %-28s %+14" PRId64 " %12s %11" PRIu64 "/gc\n",
+            (S ? siteLabel(*S) : "(site " + std::to_string(L.Flag.Site) + ")")
+                .c_str(),
+            L.Flag.SlopeBytes, fmtBytes(L.Flag.LiveBytes).c_str(),
+            L.Flag.FirstFlagged);
+  }
+  if (R.Leaks.size() > N)
+    appendf(Out, "  ... %zu more\n", R.Leaks.size() - N);
   return Out;
 }
 
@@ -589,10 +581,9 @@ std::string obs::renderLeaks(const TraceReport &R, size_t TopN) {
 //===----------------------------------------------------------------------===//
 
 std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
-  using support::JsonWriter;
   ReportModel M = buildModel(R, TopN);
   std::string Out;
-  JsonWriter J(Out);
+  support::JsonWriter J(Out);
   J.beginObject()
       .str("program", R.Meta.Program)
       .str("mode", R.Meta.GenGc ? "generational" : "two-space")
@@ -608,13 +599,13 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
 
   for (const PauseTable &T : M.Pauses) {
     J.beginObject(T.Minor ? "minor_pauses" : "full_pauses")
-        .uint("collections", T.Collections);
+        .uint("collections", T.Rows[0].P.Count);
     for (const PhaseRow &Row : T.Rows)
       J.beginObject(Row.Of->Key)
           .uint("p50_ns", Row.P.P50)
           .uint("p95_ns", Row.P.P95)
           .uint("max_ns", Row.P.Max)
-          .uint("total_ns", Row.Total)
+          .uint("total_ns", Row.P.Sum)
           .endObject();
     J.endObject();
   }
@@ -624,19 +615,19 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
         .uint("objects_copied", M.Vol->ObjectsCopied)
         .uint("bytes_copied", M.Vol->BytesCopied)
         .uint("bytes_promoted", M.Vol->BytesPromoted)
-        .uint("frames_traced", M.Vol->Frames)
+        .uint("frames_traced", M.Vol->FramesTraced)
         .uint("cache_hits", M.Vol->CacheHits)
         .uint("cache_misses", M.Vol->CacheMisses)
         .endObject();
 
-  if (M.Reqs)
+  if (M.ReqInstrs)
     J.beginObject("requests")
-        .uint("count", M.Reqs->Count)
-        .uint("instrs_p50", M.Reqs->Instrs.P50)
-        .uint("instrs_p95", M.Reqs->Instrs.P95)
-        .uint("instrs_max", M.Reqs->Instrs.Max)
-        .uint("gc_ns", M.Reqs->GcNanos)
-        .uint("gc_collections", M.Reqs->Collections)
+        .uint("count", R.Requests.size())
+        .uint("instrs_p50", M.ReqInstrs->P50)
+        .uint("instrs_p95", M.ReqInstrs->P95)
+        .uint("instrs_max", M.ReqInstrs->Max)
+        .uint("gc_ns", M.ReqGcNanos)
+        .uint("gc_collections", M.ReqCollections)
         .endObject();
 
   // The hot-stack and age objects carry their trace records' keys.
@@ -650,36 +641,34 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
     J.endArray();
   }
 
-  auto SiteTable = [&](const char *Key,
-                       const std::optional<std::vector<SiteRow>> &Rows) {
-    if (!Rows)
+  auto Sites = [&](const char *Key, const std::optional<TopSites> &T) {
+    if (!T)
       return;
     J.beginArray(Key);
-    for (const SiteRow &Row : *Rows)
+    for (const TraceReport::Site *S : *T)
       J.beginObject()
-          .uint("id", Row.S->Info.Id)
-          .str("site", Row.Label)
-          .uint("allocs", Row.S->Stats.Count)
-          .uint("bytes", Row.S->Stats.Bytes)
-          .uint("survived", Row.S->Stats.Survived)
-          .uint("survived_bytes", Row.S->Stats.SurvivedBytes)
+          .uint("id", S->Info.Id)
+          .str("site", siteLabel(S->Info))
+          .uint("allocs", S->Stats.Count)
+          .uint("bytes", S->Stats.Bytes)
+          .uint("survived", S->Stats.Survived)
+          .uint("survived_bytes", S->Stats.SurvivedBytes)
           .endObject();
     J.endArray();
   };
-  SiteTable("top_sites_by_bytes", M.ByBytes);
-  SiteTable("top_sites_by_survived_bytes", M.BySurvived);
+  Sites("top_sites_by_bytes", M.ByBytes);
+  Sites("top_sites_by_survived_bytes", M.BySurvived);
 
-  if (!M.Leaks.empty()) {
+  if (!R.Leaks.empty()) {
     J.beginArray("leaks");
-    for (const LeakRow &Row : M.Leaks) {
-      const Tracer::LeakFlag &F = Row.L->Flag;
-      J.beginObject().uint("site", F.Site);
-      if (Row.Label)
-        J.str("label", *Row.Label);
-      J.sint("slope_bytes", F.SlopeBytes)
-          .uint("live_bytes", F.LiveBytes)
-          .uint("first_flagged", F.FirstFlagged)
-          .uint("window", Row.L->Window)
+    for (const LeakRecord &L : R.Leaks) {
+      J.beginObject().uint("site", L.Flag.Site);
+      if (const SiteRecord *S = leakSite(R, L))
+        J.str("label", siteLabel(*S));
+      J.sint("slope_bytes", L.Flag.SlopeBytes)
+          .uint("live_bytes", L.Flag.LiveBytes)
+          .uint("first_flagged", L.Flag.FirstFlagged)
+          .uint("window", L.Window)
           .endObject();
     }
     J.endArray();
@@ -687,12 +676,12 @@ std::string obs::renderReportJson(const TraceReport &R, size_t TopN) {
 
   if (!R.LiveSites.empty()) {
     J.beginArray("live_by_site");
-    for (const LiveRow &Row : M.Live)
+    for (const SiteLiveRecord *L : M.Live)
       J.beginObject()
-          .sint("id", Row.L->Id)
-          .str("site", Row.Label)
-          .uint("objects", Row.L->Live.Objects)
-          .uint("bytes", Row.L->Live.Bytes)
+          .sint("id", L->Id)
+          .str("site", liveLabel(R, *L))
+          .uint("objects", L->Live.Objects)
+          .uint("bytes", L->Live.Bytes)
           .endObject();
     J.endArray();
   }

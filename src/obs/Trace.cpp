@@ -8,7 +8,6 @@
 
 #include "obs/Profile.h"
 #include "obs/TraceFormat.h"
-#include "support/Percentile.h"
 #include "support/Provenance.h"
 #include "vm/Heap.h"
 
@@ -63,17 +62,17 @@ void Tracer::enable(std::ostream *S) {
 }
 
 void Tracer::writeHeader() {
-  MetaRecord M;
-  M.Program = Config.ProgramName;
-  M.ToolVersion = support::ToolVersion;
-  M.BuildFlags = support::buildFlags();
-  M.Seed = Config.Seed;
-  if (!Config.Dispatch.empty())
-    M.Dispatch = Config.Dispatch;
-  M.GenGc = Config.GenGc;
-  M.Sites = Counters.size();
-  M.SiteTableBytes = Config.SiteTableBytes;
-  writeRecord(*Stream, M);
+  writeRecord(*Stream,
+              MetaRecord{.Program = Config.ProgramName,
+                         .ToolVersion = support::ToolVersion,
+                         .BuildFlags = support::buildFlags(),
+                         .Seed = Config.Seed,
+                         .Dispatch = Config.Dispatch.empty()
+                                         ? std::nullopt
+                                         : std::optional(Config.Dispatch),
+                         .GenGc = Config.GenGc,
+                         .Sites = Counters.size(),
+                         .SiteTableBytes = Config.SiteTableBytes});
   if (!Config.Sites)
     return;
   for (size_t I = 0; I != Config.Sites->Sites.size(); ++I) {
@@ -304,31 +303,13 @@ std::vector<GcEvent> Tracer::retainedEvents() const {
   return Out;
 }
 
-namespace {
-
-Tracer::Percentiles percentilesOf(const std::vector<uint64_t> &V) {
-  Tracer::Percentiles R;
-  R.Count = V.size();
-  R.P50 = support::percentile(V, 0.50);
-  R.P95 = support::percentile(V, 0.95);
-  R.P99 = support::percentile(V, 0.99);
-  R.Max = support::percentile(V, 1.0);
-  return R;
-}
-
-} // namespace
-
 Tracer::Percentiles Tracer::pausePercentiles(int Kind) const {
   std::vector<uint64_t> V;
   if (Kind == 0 || Kind == 1)
     V.insert(V.end(), PausesMinor.begin(), PausesMinor.end());
   if (Kind == 0 || Kind == 2)
     V.insert(V.end(), PausesFull.begin(), PausesFull.end());
-  return percentilesOf(V);
-}
-
-Tracer::Percentiles Tracer::requestPercentiles() const {
-  return percentilesOf(ReqInstrs);
+  return support::percentiles(std::move(V));
 }
 
 RunSummary Tracer::summary() const {
@@ -339,29 +320,17 @@ RunSummary Tracer::summary() const {
   S.PendingDropped = DroppedPending;
   S.UnattributedAllocs = UnattributedCount;
   S.UnattributedBytes = UnattributedBytes;
-  Percentiles All = pausePercentiles(0), Minor = pausePercentiles(1),
-              Full = pausePercentiles(2);
-  S.PauseP50 = All.P50;
-  S.PauseP95 = All.P95;
-  S.PauseMax = All.Max;
-  S.MinorPauseP50 = Minor.P50;
-  S.MinorPauseP95 = Minor.P95;
-  S.MinorPauseMax = Minor.Max;
-  S.FullPauseP50 = Full.P50;
-  S.FullPauseP95 = Full.P95;
-  S.FullPauseMax = Full.Max;
-  if (ReqCount) {
-    // Server workloads only: per-request service demand (virtual time, in
-    // instructions) and the GC work attributed to completed requests.
-    Percentiles Req = requestPercentiles();
-    S.Reqs = RunSummary::Requests{ReqCount,           DroppedRequests,
-                                  ReqGcNanosTotal,    ReqCollectionsTotal,
-                                  Req.P50,            Req.P99,
-                                  Req.Max};
-  }
+  S.All = pausePercentiles(0);
+  S.Minor = pausePercentiles(1);
+  S.Full = pausePercentiles(2);
+  // Server workloads only: per-request service demand (virtual time, in
+  // instructions) and the GC work attributed to completed requests.
+  if (ReqCount)
+    S.Reqs = RunSummary::Requests{ReqCount, DroppedRequests, ReqGcNanosTotal,
+                                  ReqCollectionsTotal,
+                                  support::percentiles(ReqInstrs)};
   if (!LeakAcc.empty())
-    S.Leaks =
-        RunSummary::Leak{LeakScans, LeakSampleCount, leakFlags().size()};
+    S.Leaks = RunSummary::Leak{LeakScans, LeakSampleCount, leakFlags().size()};
   return S;
 }
 
@@ -404,22 +373,19 @@ void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H,
     Run.Error = Error;
   writeRecord(*Stream, Run);
   if (Prof) {
-    // The profile's ten heaviest mutator stacks, by weight then stack id,
-    // so mgc-report shows them next to the gc events.
-    std::vector<const Profile::MutRow *> Hot;
-    for (const Profile::MutRow &Row : Prof->Mutator)
-      Hot.push_back(&Row);
-    std::stable_sort(Hot.begin(), Hot.end(),
-                     [](const Profile::MutRow *A, const Profile::MutRow *B) {
-                       if (A->Weight != B->Weight)
-                         return A->Weight > B->Weight;
-                       return A->StackId < B->StackId;
-                     });
-    Hot.resize(std::min<size_t>(Hot.size(), 10));
-    uint64_t Rank = 0;
-    for (const Profile::MutRow *Row : Hot)
-      writeRecord(*Stream, HotStack{++Rank, Row->Samples, Row->Weight,
-                                    foldedStack(*Prof, Row->StackId)});
+    // The profile's ten heaviest mutator stacks, by weight then stack id
+    // (one row per stack), so mgc-report shows them next to the gc events.
+    std::vector<Profile::MutRow> Hot = Prof->Mutator;
+    size_t N = std::min<size_t>(Hot.size(), 10);
+    std::partial_sort(Hot.begin(), Hot.begin() + N, Hot.end(),
+                      [](const Profile::MutRow &A, const Profile::MutRow &B) {
+                        if (A.Weight != B.Weight)
+                          return A.Weight > B.Weight;
+                        return A.StackId < B.StackId;
+                      });
+    for (size_t I = 0; I != N; ++I)
+      writeRecord(*Stream, HotStack{I + 1, Hot[I].Samples, Hot[I].Weight,
+                                    foldedStack(*Prof, Hot[I].StackId)});
   }
   Stream->flush();
 }

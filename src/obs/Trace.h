@@ -24,8 +24,9 @@
 ///  - Collections are rare relative to allocations, so event commit (ring
 ///    store + optional JSONL stream write) may format text.
 ///
-/// The JSONL records the tracer streams, and the keys of each, are defined
-/// once in obs/TraceFormat.h, which obs/Report.h reads them back through.
+/// The JSONL records the tracer streams are defined once in
+/// obs/TraceFormat.h; the structs below that records share carry their
+/// key lists (see there) next to their members.
 ///
 /// Event lifecycle: the VM begins an event after the rendezvous completes
 /// (so committed events correspond 1:1 with VMStats::Collections), the
@@ -40,6 +41,7 @@
 
 #include "gcmaps/SiteTable.h"
 #include "support/Json.h"
+#include "support/Percentile.h"
 
 #include <cstdint>
 #include <iosfwd>
@@ -71,6 +73,7 @@ struct PhaseNanos {
 
 /// One collection, as recorded in the ring / JSONL stream.
 struct GcEvent {
+  static constexpr const char *Type = "gc";
   uint64_t Seq = 0;   ///< 1-based; equals VMStats::Collections at commit.
   bool Minor = false; ///< Minor (nursery-only) vs full collection.
   /// Allocation site whose NEW triggered this collection (NoSite for
@@ -91,6 +94,30 @@ struct GcEvent {
   uint64_t RendezvousSteps = 0;
   uint64_t CacheHits = 0;   ///< Decoded-point cache hits this collection.
   uint64_t CacheMisses = 0; ///< Decoded-point cache misses this collection.
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.num("seq", V.Seq);
+    F.name("kind", V.Minor, "minor", "full");
+    F.site("trigger_site", V.TriggerSite);
+    F.num("rendezvous_ns", V.Phases.Rendezvous);
+    F.num("stack_trace_ns", V.Phases.StackTrace);
+    F.num("underive_ns", V.Phases.Underive);
+    F.num("copy_ns", V.Phases.Copy);
+    F.num("remset_ns", V.Phases.RemsetRebuild);
+    F.num("rederive_ns", V.Phases.Rederive);
+    F.num("total_ns", V.TotalNanos);
+    F.num("heap_before", V.HeapBeforeBytes);
+    F.num("heap_after", V.HeapAfterBytes);
+    F.num("frames", V.FramesTraced);
+    F.num("roots", V.RootsTraced);
+    F.num("objects_copied", V.ObjectsCopied);
+    F.num("bytes_copied", V.BytesCopied);
+    F.num("objects_promoted", V.ObjectsPromoted);
+    F.num("bytes_promoted", V.BytesPromoted);
+    F.num("derived_adjusted", V.DerivedAdjusted);
+    F.num("rendezvous_steps", V.RendezvousSteps);
+    F.num("cache_hits", V.CacheHits);
+    F.num("cache_misses", V.CacheMisses);
+  }
 };
 
 /// Cumulative counters for one allocation site.
@@ -99,6 +126,12 @@ struct SiteCounters {
   uint64_t Bytes = 0;         ///< Bytes allocated (header included).
   uint64_t Survived = 0;      ///< Allocations that survived their first gc.
   uint64_t SurvivedBytes = 0;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.num("count", V.Count);
+    F.num("bytes", V.Bytes);
+    F.num("survived", V.Survived);
+    F.num("survived_bytes", V.SurvivedBytes);
+  }
 };
 
 /// One (objects, bytes) aggregate of the heap's per-object attribution —
@@ -110,6 +143,10 @@ struct SiteCounters {
 struct LiveAgg {
   uint64_t Objects = 0;
   uint64_t Bytes = 0;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.num("objects", V.Objects);
+    F.num("bytes", V.Bytes);
+  }
 };
 
 /// Online growth-detector configuration (leak triage).  When enabled the
@@ -290,20 +327,13 @@ public:
   }
   std::vector<GcEvent> retainedEvents() const;
 
-  struct Percentiles {
-    uint64_t P50 = 0, P95 = 0, P99 = 0, Max = 0;
-    uint64_t Count = 0;
-  };
+  using Percentiles = support::Percentiles;
   /// Pause percentiles over every committed event (not just the retained
   /// ring).  Kind: 0 = all, 1 = minor only, 2 = full only.
   Percentiles pausePercentiles(int Kind = 0) const;
 
-  //===--- Request aggregation (server workloads) --------------------------===
-
-  /// Service-demand percentiles (instructions) over the retained samples.
-  Percentiles requestPercentiles() const;
-
-  /// Writes the aggregate counters (the run record's RunSummary) as
+  /// Writes the aggregate counters (the run record's RunSummary, with the
+  /// request service-demand percentiles over the retained samples) as
   /// members of the object \p J has open, for --stats-json.
   void writeSummaryJson(support::JsonWriter &J) const;
 
@@ -319,6 +349,12 @@ public:
     int64_t SlopeBytes = 0;
     uint64_t LiveBytes = 0;     ///< Live bytes at the newest sample.
     uint64_t FirstFlagged = 0;  ///< VMStats::Collections at the first flag.
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num("site", V.Site);
+      F.num("slope_bytes", V.SlopeBytes);
+      F.num("live_bytes", V.LiveBytes);
+      F.num("first_flagged", V.FirstFlagged);
+    }
   };
   /// Currently flagged sites, sorted by (slope desc, site id asc): the
   /// inputs are per-site integer sums accumulated as objects are copied,

@@ -5,29 +5,25 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The one definition of the JSONL trace format (`mgc --trace`).  A trace
-/// is one flat JSON object per line, {"type":T,...}, of ten record types.
-/// Each type is a struct the writer fills and the reader returns, and one
-/// TraceKeys<T> specialization lists its keys once, in stream order.  The
-/// Tracer writes every record through that list (writeRecord), readTrace
-/// reads every record back through it (decodeRecord), and the round-trip
-/// test walks it (forEachRecordType), so adding a field is one line here.
+/// The one definition of the JSONL trace (`mgc --trace`): one flat JSON
+/// object per line, {"type":T,...}, of the ten record types in
+/// TraceRecordTypes.  Each is a struct the tracer fills and readTrace
+/// returns, with its Type name and one `keys(IO &F, Rec &V)` function that
+/// lists its keys once, in stream order; GcEvent, SiteCounters, LiveAgg
+/// and Tracer::LeakFlag (obs/Trace.h) carry theirs the same way.  The
+/// tracer writes every record through that list (writeRecord), readTrace
+/// reads every line back through it (decodeRecord), and the round-trip
+/// test walks it, so a new field is one line.
 ///
-/// A key list is a function `list(IO &F, Rec &V)` over one IO, which is
-/// the writer (KeyWriter), the reader (KeyReader) or a test walk.  Per
-/// member it calls one of
-///
-///   F.num(Key, X)            an integer, signed or unsigned
+/// Per member a list calls one of these on its IO:
+///   F.num(Key, X)            an integer, or a bool as 0/1
 ///   F.str(Key, X)            a string; an empty std::optional is left out
-///   F.flag(Key, X)           a bool, written as 0 or 1
-///   F.name(Key, X, Yes, No)  a bool, written as the string Yes or No
-///   F.site(Key, X)           a site id, NoSite written as -1
-///   F.group(X)               a std::optional<T> whose keys TraceKeys<T>
-///                            lists; left out when empty
-///   listKeys(F, X)           the keys TraceKeys<T> lists for member X
-///
-/// The reader leaves a member whose key is missing at its default, and
-/// rejects a number that does not fit its member's type.
+///   F.name(Key, X, Yes, No)  a bool as the string Yes or No
+///   F.site(Key, X)           a site id, NoSite as -1
+///   F.group(X)               a std::optional struct; left out when empty
+/// and listKeys(F, X) for a member struct's own list.  The reader leaves
+/// a member whose key is missing at its default, and rejects a number
+/// that does not fit its member.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,16 +34,21 @@
 #include "support/Json.h"
 
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 namespace mgc {
 namespace obs {
+
+/// \p V's keys, whether or not \p V is const.
+template <typename IO, typename T> void listKeys(IO &F, T &V) {
+  std::remove_const_t<T>::keys(F, V);
+}
 
 //===----------------------------------------------------------------------===//
 // Record types
@@ -55,136 +56,32 @@ namespace obs {
 
 /// First line: the run's provenance and the site-table size.
 struct MetaRecord {
-  std::string Program;
-  std::string ToolVersion;
-  std::string BuildFlags;
+  static constexpr const char *Type = "meta";
+  std::string Program, ToolVersion, BuildFlags;
   uint64_t Seed = 0;
   std::optional<std::string> Dispatch; ///< Left out when unreported.
   bool GenGc = false;
   uint64_t Sites = 0; ///< The number of site records that follow.
   uint64_t SiteTableBytes = 0;
-};
-
-/// One allocation site, right after meta; ids run 0, 1, ... in order.
-struct SiteRecord {
-  uint64_t Id = 0;
-  std::string Func;
-  uint32_t Line = 0;
-  uint32_t Col = 0;
-  uint32_t Desc = 0;
-};
-
-/// One completed request (a ReqDone marker): its service demand in
-/// instructions and the collection work attributed to it.
-struct RequestRecord {
-  uint64_t Seq = 0;
-  uint64_t Instrs = 0;
-  uint64_t GcNanos = 0;
-  uint64_t Collections = 0;
-};
-
-/// A site's cumulative counters, at finish (sites that allocated).
-struct SiteStatsRecord {
-  uint64_t Id = 0;
-  SiteCounters Counters;
-};
-
-/// Objects still live at finish, per site; Id -1 pools the objects with
-/// no site.
-struct SiteLiveRecord {
-  int64_t Id = -1;
-  LiveAgg Live;
-};
-
-/// Objects still live at finish, per evacuation-count age.
-struct AgeRecord {
-  uint32_t Age = 0;
-  LiveAgg Live;
-};
-
-/// One site the leak detector flags at finish, in (slope desc, site asc)
-/// order.
-struct LeakRecord {
-  Tracer::LeakFlag Flag;
-  uint32_t Window = 0; ///< The detector's window, in full collections.
-};
-
-/// Tracer::pausePercentiles and requestPercentiles, and the counters behind
-/// them: the members of the run record and of --stats-json.
-struct RunSummary {
-  uint64_t Events = 0;
-  uint64_t EventsRetained = 0;
-  uint64_t EventsDropped = 0; ///< Dropped from the ring, not the stream.
-  uint64_t PendingDropped = 0;
-  uint64_t UnattributedAllocs = 0;
-  uint64_t UnattributedBytes = 0;
-  uint64_t PauseP50 = 0, PauseP95 = 0, PauseMax = 0;
-  uint64_t MinorPauseP50 = 0, MinorPauseP95 = 0, MinorPauseMax = 0;
-  uint64_t FullPauseP50 = 0, FullPauseP95 = 0, FullPauseMax = 0;
-  /// Present when the run completed a request.
-  struct Requests {
-    uint64_t Count = 0;
-    uint64_t Dropped = 0;
-    uint64_t GcNanos = 0;
-    uint64_t Collections = 0;
-    uint64_t InstrP50 = 0, InstrP99 = 0, InstrMax = 0;
-  };
-  std::optional<Requests> Reqs;
-  /// Present when the leak detector ran.
-  struct Leak {
-    uint64_t Scans = 0;
-    uint64_t Samples = 0;
-    uint64_t SitesFlagged = 0;
-  };
-  std::optional<Leak> Leaks;
-};
-
-/// The run's outcome and summary, after the finish-time records.
-struct RunRecord {
-  bool Ok = false;
-  std::optional<std::string> Error; ///< Written when the run failed.
-  RunSummary Summary;
-};
-
-/// One of the sampling profiler's ten heaviest mutator stacks, after the
-/// run record (runs with --profile): by weight, then stack id.
-struct HotStack {
-  uint64_t Rank = 0;
-  uint64_t Samples = 0;
-  uint64_t Weight = 0; ///< Instructions attributed to this stack.
-  std::string Stack;   ///< Semicolon-folded, root first.
-};
-
-//===----------------------------------------------------------------------===//
-// Key lists
-//===----------------------------------------------------------------------===//
-
-/// Specialized per record type (with its Type name) and per group of keys
-/// several records share.
-template <typename T> struct TraceKeys;
-
-/// The keys of \p V, whose type may be const.
-template <typename IO, typename T> void listKeys(IO &F, T &V) {
-  TraceKeys<std::remove_const_t<T>>::list(F, V);
-}
-
-template <> struct TraceKeys<MetaRecord> {
-  static constexpr const char *Type = "meta";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.str("program", V.Program);
     F.str("tool_version", V.ToolVersion);
     F.str("build_flags", V.BuildFlags);
     F.num("seed", V.Seed);
     F.str("dispatch", V.Dispatch);
-    F.flag("gen_gc", V.GenGc);
+    F.num("gen_gc", V.GenGc);
     F.num("sites", V.Sites);
     F.num("site_table_bytes", V.SiteTableBytes);
   }
 };
 
-template <> struct TraceKeys<SiteRecord> {
+/// One allocation site, after meta; ids run 0, 1, ... in order.
+struct SiteRecord {
   static constexpr const char *Type = "site";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  uint64_t Id = 0;
+  std::string Func;
+  uint32_t Line = 0, Col = 0, Desc = 0;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("id", V.Id);
     F.str("func", V.Func);
     F.num("line", V.Line);
@@ -193,37 +90,12 @@ template <> struct TraceKeys<SiteRecord> {
   }
 };
 
-template <> struct TraceKeys<GcEvent> {
-  static constexpr const char *Type = "gc";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
-    F.num("seq", V.Seq);
-    F.name("kind", V.Minor, "minor", "full");
-    F.site("trigger_site", V.TriggerSite);
-    F.num("rendezvous_ns", V.Phases.Rendezvous);
-    F.num("stack_trace_ns", V.Phases.StackTrace);
-    F.num("underive_ns", V.Phases.Underive);
-    F.num("copy_ns", V.Phases.Copy);
-    F.num("remset_ns", V.Phases.RemsetRebuild);
-    F.num("rederive_ns", V.Phases.Rederive);
-    F.num("total_ns", V.TotalNanos);
-    F.num("heap_before", V.HeapBeforeBytes);
-    F.num("heap_after", V.HeapAfterBytes);
-    F.num("frames", V.FramesTraced);
-    F.num("roots", V.RootsTraced);
-    F.num("objects_copied", V.ObjectsCopied);
-    F.num("bytes_copied", V.BytesCopied);
-    F.num("objects_promoted", V.ObjectsPromoted);
-    F.num("bytes_promoted", V.BytesPromoted);
-    F.num("derived_adjusted", V.DerivedAdjusted);
-    F.num("rendezvous_steps", V.RendezvousSteps);
-    F.num("cache_hits", V.CacheHits);
-    F.num("cache_misses", V.CacheMisses);
-  }
-};
-
-template <> struct TraceKeys<RequestRecord> {
+/// One completed request (a ReqDone marker): its service demand in
+/// instructions and the collection work attributed to it.
+struct RequestRecord {
   static constexpr const char *Type = "req";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  uint64_t Seq = 0, Instrs = 0, GcNanos = 0, Collections = 0;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("seq", V.Seq);
     F.num("instrs", V.Instrs);
     F.num("gc_ns", V.GcNanos);
@@ -231,118 +103,122 @@ template <> struct TraceKeys<RequestRecord> {
   }
 };
 
-template <> struct TraceKeys<SiteCounters> {
-  template <typename IO, typename T> static void list(IO &F, T &V) {
-    F.num("count", V.Count);
-    F.num("bytes", V.Bytes);
-    F.num("survived", V.Survived);
-    F.num("survived_bytes", V.SurvivedBytes);
-  }
-};
-
-template <> struct TraceKeys<SiteStatsRecord> {
+/// A site's counters at finish (sites that allocated).
+struct SiteStatsRecord {
   static constexpr const char *Type = "site_stats";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  uint64_t Id = 0;
+  SiteCounters Counters;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("id", V.Id);
     listKeys(F, V.Counters);
   }
 };
 
-template <> struct TraceKeys<LiveAgg> {
-  template <typename IO, typename T> static void list(IO &F, T &V) {
-    F.num("objects", V.Objects);
-    F.num("bytes", V.Bytes);
-  }
-};
-
-template <> struct TraceKeys<SiteLiveRecord> {
+/// Objects live at finish, per site; Id -1 pools those with no site.
+struct SiteLiveRecord {
   static constexpr const char *Type = "site_live";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  int64_t Id = -1;
+  LiveAgg Live;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("id", V.Id);
     listKeys(F, V.Live);
   }
 };
 
-template <> struct TraceKeys<AgeRecord> {
+/// Objects live at finish, per evacuation-count age.
+struct AgeRecord {
   static constexpr const char *Type = "age_hist";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  uint32_t Age = 0;
+  LiveAgg Live;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("age", V.Age);
     listKeys(F, V.Live);
   }
 };
 
-/// Also the objects of --stats-json's "leak_flags" array.
-template <> struct TraceKeys<Tracer::LeakFlag> {
-  template <typename IO, typename T> static void list(IO &F, T &V) {
-    F.num("site", V.Site);
-    F.num("slope_bytes", V.SlopeBytes);
-    F.num("live_bytes", V.LiveBytes);
-    F.num("first_flagged", V.FirstFlagged);
-  }
-};
-
-template <> struct TraceKeys<LeakRecord> {
+/// A site the leak detector flags at finish, in (slope desc, site asc)
+/// order.
+struct LeakRecord {
   static constexpr const char *Type = "leak";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  Tracer::LeakFlag Flag;
+  uint32_t Window = 0; ///< The detector's window, in full collections.
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     listKeys(F, V.Flag);
     F.num("window", V.Window);
   }
 };
 
-template <> struct TraceKeys<RunSummary::Requests> {
-  template <typename IO, typename T> static void list(IO &F, T &V) {
-    F.num("requests", V.Count);
-    F.num("requests_dropped", V.Dropped);
-    F.num("req_gc_ns", V.GcNanos);
-    F.num("req_collections", V.Collections);
-    F.num("req_instr_p50", V.InstrP50);
-    F.num("req_instr_p99", V.InstrP99);
-    F.num("req_instr_max", V.InstrMax);
-  }
-};
-
-template <> struct TraceKeys<RunSummary::Leak> {
-  template <typename IO, typename T> static void list(IO &F, T &V) {
-    F.num("leak_scans", V.Scans);
-    F.num("leak_samples", V.Samples);
-    F.num("leak_sites_flagged", V.SitesFlagged);
-  }
-};
-
-template <> struct TraceKeys<RunSummary> {
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+/// The tracer's aggregates: the run record's counters, and --stats-json's.
+struct RunSummary {
+  uint64_t Events = 0, EventsRetained = 0, EventsDropped = 0;
+  uint64_t PendingDropped = 0, UnattributedAllocs = 0, UnattributedBytes = 0;
+  /// Pauses of every, minor and full collection (P99 is not written).
+  Tracer::Percentiles All, Minor, Full;
+  struct Requests {
+    uint64_t Count = 0, Dropped = 0, GcNanos = 0, Collections = 0;
+    Tracer::Percentiles Instrs; ///< Service demand (P95 is not written).
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num("requests", V.Count);
+      F.num("requests_dropped", V.Dropped);
+      F.num("req_gc_ns", V.GcNanos);
+      F.num("req_collections", V.Collections);
+      F.num("req_instr_p50", V.Instrs.P50);
+      F.num("req_instr_p99", V.Instrs.P99);
+      F.num("req_instr_max", V.Instrs.Max);
+    }
+  };
+  std::optional<Requests> Reqs; ///< When the run completed a request.
+  struct Leak {
+    uint64_t Scans = 0, Samples = 0, SitesFlagged = 0;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num("leak_scans", V.Scans);
+      F.num("leak_samples", V.Samples);
+      F.num("leak_sites_flagged", V.SitesFlagged);
+    }
+  };
+  std::optional<Leak> Leaks; ///< When the leak detector ran.
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("events", V.Events);
     F.num("events_retained", V.EventsRetained);
     F.num("events_dropped_from_ring", V.EventsDropped);
     F.num("pending_dropped", V.PendingDropped);
     F.num("unattributed_allocs", V.UnattributedAllocs);
     F.num("unattributed_bytes", V.UnattributedBytes);
-    F.num("pause_p50_ns", V.PauseP50);
-    F.num("pause_p95_ns", V.PauseP95);
-    F.num("pause_max_ns", V.PauseMax);
-    F.num("minor_pause_p50_ns", V.MinorPauseP50);
-    F.num("minor_pause_p95_ns", V.MinorPauseP95);
-    F.num("minor_pause_max_ns", V.MinorPauseMax);
-    F.num("full_pause_p50_ns", V.FullPauseP50);
-    F.num("full_pause_p95_ns", V.FullPauseP95);
-    F.num("full_pause_max_ns", V.FullPauseMax);
+    F.num("pause_p50_ns", V.All.P50);
+    F.num("pause_p95_ns", V.All.P95);
+    F.num("pause_max_ns", V.All.Max);
+    F.num("minor_pause_p50_ns", V.Minor.P50);
+    F.num("minor_pause_p95_ns", V.Minor.P95);
+    F.num("minor_pause_max_ns", V.Minor.Max);
+    F.num("full_pause_p50_ns", V.Full.P50);
+    F.num("full_pause_p95_ns", V.Full.P95);
+    F.num("full_pause_max_ns", V.Full.Max);
     F.group(V.Reqs);
     F.group(V.Leaks);
   }
 };
 
-template <> struct TraceKeys<RunRecord> {
+/// The run's outcome and summary, after the other finish-time records.
+struct RunRecord {
   static constexpr const char *Type = "run";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  bool Ok = false;
+  std::optional<std::string> Error; ///< Written when the run failed.
+  RunSummary Summary;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.name("exit", V.Ok, "ok", "error");
     F.str("error", V.Error);
     listKeys(F, V.Summary);
   }
 };
 
-template <> struct TraceKeys<HotStack> {
+/// One of the profile's ten heaviest mutator stacks, by weight then stack
+/// id, after the run record (runs with --profile).
+struct HotStack {
   static constexpr const char *Type = "prof_stack";
-  template <typename IO, typename T> static void list(IO &F, T &V) {
+  uint64_t Rank = 0, Samples = 0;
+  uint64_t Weight = 0; ///< Instructions attributed to this stack.
+  std::string Stack;   ///< Semicolon-folded, root first.
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
     F.num("rank", V.Rank);
     F.num("samples", V.Samples);
     F.num("weight", V.Weight);
@@ -356,7 +232,7 @@ using TraceRecordTypes =
                SiteStatsRecord, SiteLiveRecord, AgeRecord, LeakRecord,
                RunRecord, HotStack>;
 
-/// Calls \p Fn.template operator()<T>() for each record type T.
+/// Calls \p F.template operator()<T>() for each record type T.
 template <typename Fn> void forEachRecordType(Fn &&F) {
   [&]<typename... Ts>(std::tuple<Ts...> *) {
     (F.template operator()<Ts>(), ...);
@@ -367,14 +243,12 @@ template <typename Fn> void forEachRecordType(Fn &&F) {
 // Writing
 //===----------------------------------------------------------------------===//
 
-/// The IO that writes each key as a member of the object a JsonWriter has
-/// open.
+/// Writes each key as a member of the object a JsonWriter has open.
 class KeyWriter {
 public:
   explicit KeyWriter(support::JsonWriter &J) : J(J) {}
 
   template <typename T> void num(const char *Key, T V) {
-    static_assert(std::is_integral_v<T> && !std::is_same_v<T, bool>);
     if constexpr (std::is_signed_v<T>)
       J.sint(Key, V);
     else
@@ -385,7 +259,6 @@ public:
     if (V)
       J.str(Key, *V);
   }
-  void flag(const char *Key, bool V) { J.uint(Key, V ? 1 : 0); }
   void name(const char *Key, bool V, const char *Yes, const char *No) {
     J.str(Key, V ? Yes : No);
   }
@@ -407,11 +280,11 @@ template <typename T> void writeKeys(support::JsonWriter &J, const T &V) {
   listKeys(W, V);
 }
 
-/// Streams \p V as one trace line, {"type":...,...}.
+/// Streams \p V as one trace line.
 template <typename T> void writeRecord(std::ostream &OS, const T &V) {
   std::string L;
   support::JsonWriter J(L);
-  J.beginObject().str("type", TraceKeys<T>::Type);
+  J.beginObject().str("type", T::Type);
   writeKeys(J, V);
   J.endObject();
   L += '\n';
@@ -434,38 +307,35 @@ struct TraceRecord {
 bool parseTraceLine(const std::string &Line, TraceRecord &Rec,
                     std::string &Err);
 
-/// The IO that reads each key back out of a parsed line.
+/// Reads each key back out of a parsed line.
 class KeyReader {
 public:
   explicit KeyReader(const TraceRecord &Rec) : Rec(Rec) {}
 
   template <typename T> void num(const char *Key, T &V) {
-    if (const int64_t *X = intAt(Key))
-      store(Key, *X, V);
-  }
-  void str(const char *Key, std::string &V) {
-    if (const std::string *S = strAt(Key))
-      V = *S;
-  }
-  void str(const char *Key, std::optional<std::string> &V) {
-    if (const std::string *S = strAt(Key))
-      V = *S;
-  }
-  void flag(const char *Key, bool &V) {
-    if (const int64_t *X = intAt(Key))
+    const int64_t *X = find(Rec.Ints, Key);
+    if (!X)
+      return;
+    if constexpr (std::is_same_v<T, bool>)
       V = *X != 0;
+    else if (std::in_range<T>(*X))
+      V = static_cast<T>(*X);
+    else if (Error.empty())
+      Error = std::string("\"") + Key + "\" out of range";
+  }
+  template <typename T> void str(const char *Key, T &V) {
+    if (const std::string *S = find(Rec.Strs, Key))
+      V = *S;
   }
   void name(const char *Key, bool &V, const char *Yes, const char *) {
-    if (const std::string *S = strAt(Key))
+    if (const std::string *S = find(Rec.Strs, Key))
       V = *S == Yes;
   }
   void site(const char *Key, uint32_t &V) {
-    if (const int64_t *X = intAt(Key)) {
-      if (*X < 0)
-        V = NoSite;
-      else
-        store(Key, *X, V);
-    }
+    if (const int64_t *X = find(Rec.Ints, Key); X && *X < 0)
+      V = NoSite;
+    else
+      num(Key, V);
   }
   template <typename T> void group(std::optional<T> &V) {
     size_t Before = Found;
@@ -475,51 +345,30 @@ public:
       V = std::move(G);
   }
 
-  /// The first value that did not fit its member; empty when none.
-  std::string Error;
+  std::string Error; ///< The first number that did not fit; empty if none.
 
 private:
-  template <typename T> void store(const char *Key, int64_t X, T &V) {
-    bool Fits;
-    if constexpr (std::is_signed_v<T>)
-      Fits = X >= int64_t(std::numeric_limits<T>::min()) &&
-             X <= int64_t(std::numeric_limits<T>::max());
-    else
-      Fits = X >= 0 && uint64_t(X) <= std::numeric_limits<T>::max();
-    if (Fits)
-      V = static_cast<T>(X);
-    else if (Error.empty())
-      Error = std::string("\"") + Key + "\" out of range";
-  }
-  const int64_t *intAt(const char *Key) {
-    auto It = Rec.Ints.find(Key);
-    if (It == Rec.Ints.end())
-      return nullptr;
-    ++Found;
-    return &It->second;
-  }
-  const std::string *strAt(const char *Key) {
-    auto It = Rec.Strs.find(Key);
-    if (It == Rec.Strs.end())
+  template <typename M>
+  const typename M::mapped_type *find(const M &Map, const char *Key) {
+    auto It = Map.find(Key);
+    if (It == Map.end())
       return nullptr;
     ++Found;
     return &It->second;
   }
 
   const TraceRecord &Rec;
-  size_t Found = 0; ///< Keys present so far (a group is present if any is).
+  size_t Found = 0; ///< Keys present so far: a group is present if any is.
 };
 
 /// Reads \p V's keys out of \p Rec.  Returns false and sets \p Err when a
-/// value does not fit its member.
+/// number does not fit its member.
 template <typename T>
 bool decodeRecord(const TraceRecord &Rec, T &V, std::string &Err) {
   KeyReader R(Rec);
   listKeys(R, V);
-  if (R.Error.empty())
-    return true;
   Err = R.Error;
-  return false;
+  return Err.empty();
 }
 
 } // namespace obs

@@ -799,7 +799,9 @@ struct FillKeys {
   bool Flag;
 
   template <typename T> void num(const char *, T &V) {
-    if constexpr (std::is_signed_v<T>)
+    if constexpr (std::is_same_v<T, bool>)
+      V = Flag;
+    else if constexpr (std::is_signed_v<T>)
       V = -static_cast<T>(Next++);
     else
       V = static_cast<T>(Next++);
@@ -810,7 +812,6 @@ struct FillKeys {
   void str(const char *Key, std::optional<std::string> &V) {
     str(Key, V.emplace());
   }
-  void flag(const char *, bool &V) { V = Flag; }
   void name(const char *, bool &V, const char *, const char *) { V = Flag; }
   void site(const char *, uint32_t &V) {
     V = Flag ? static_cast<uint32_t>(Next++) : obs::NoSite;
@@ -834,7 +835,6 @@ struct ShowKeys {
   void str(const char *Key, const std::optional<std::string> &V) {
     add(Key, V ? "\"" + *V + "\"" : "(none)");
   }
-  void flag(const char *Key, bool V) { add(Key, V ? "1" : "0"); }
   void name(const char *Key, bool V, const char *Yes, const char *No) {
     add(Key, V ? Yes : No);
   }
@@ -854,7 +854,7 @@ TEST(ObsTraceFormat, EveryKeyOfEveryRecordRoundTrips) {
   obs::forEachRecordType([&]<typename T>() {
     ++Types;
     for (bool Flag : {true, false}) {
-      SCOPED_TRACE(std::string(obs::TraceKeys<T>::Type) +
+      SCOPED_TRACE(std::string(T::Type) +
                    (Flag ? " (true)" : " (false)"));
       T V;
       FillKeys Fill{1000 * Types, Flag};
@@ -869,7 +869,7 @@ TEST(ObsTraceFormat, EveryKeyOfEveryRecordRoundTrips) {
       obs::TraceRecord Rec;
       std::string Err;
       ASSERT_TRUE(obs::parseTraceLine(Line, Rec, Err)) << Err;
-      EXPECT_EQ(Rec.Type, obs::TraceKeys<T>::Type);
+      EXPECT_EQ(Rec.Type, T::Type);
       T Back;
       ASSERT_TRUE(obs::decodeRecord(Rec, Back, Err)) << Err;
 
