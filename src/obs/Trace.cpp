@@ -57,11 +57,8 @@ void Tracer::recordRequest(uint64_t Seq, uint64_t Instrs, uint64_t GcNanos,
 void Tracer::enable(std::ostream *S) {
   Enabled = true;
   Stream = S;
-  if (Stream)
-    writeHeader();
-}
-
-void Tracer::writeHeader() {
+  if (!Stream)
+    return;
   writeRecord(*Stream,
               MetaRecord{.Program = Config.ProgramName,
                          .ToolVersion = support::ToolVersion,

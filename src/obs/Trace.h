@@ -396,7 +396,6 @@ public:
   void writeLiveJson(support::JsonWriter &J, const vm::Heap &H) const;
 
 private:
-  void writeHeader();
   RunSummary summary() const;
 
   TracerConfig Config;

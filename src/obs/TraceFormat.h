@@ -243,10 +243,9 @@ template <typename Fn> void forEachRecordType(Fn &&F) {
 // Writing
 //===----------------------------------------------------------------------===//
 
-/// Writes each key as a member of the object a JsonWriter has open.
-class KeyWriter {
-public:
-  explicit KeyWriter(support::JsonWriter &J) : J(J) {}
+/// Writes each key as a member of the object \c J has open.
+struct KeyWriter {
+  support::JsonWriter &J;
 
   template <typename T> void num(const char *Key, T V) {
     if constexpr (std::is_signed_v<T>)
@@ -269,14 +268,11 @@ public:
     if (V)
       listKeys(*this, *V);
   }
-
-private:
-  support::JsonWriter &J;
 };
 
 /// Writes \p V's keys as members of the object \p J has open.
 template <typename T> void writeKeys(support::JsonWriter &J, const T &V) {
-  KeyWriter W(J);
+  KeyWriter W{J};
   listKeys(W, V);
 }
 
