@@ -885,16 +885,21 @@ TEST(ObsTraceFormat, EveryKeyOfEveryRecordRoundTrips) {
 }
 
 TEST(ObsTraceFormat, NumberThatDoesNotFitItsMemberIsAParseError) {
-  for (const char *Line :
-       {R"({"type":"site","id":-1})", R"({"type":"site","line":4294967296})",
-        R"({"type":"gc","trigger_site":4294967296})",
-        R"({"type":"age_hist","age":-2})"}) {
+  const std::string Header = R"({"type":"meta","sites":1})"
+                             "\n"
+                             R"({"type":"site","id":0,"func":"f"})"
+                             "\n";
+  for (const auto &[Line, Key] :
+       {std::pair{R"({"type":"site_stats","id":0,"count":-1})", "count"},
+        {R"({"type":"gc","trigger_site":4294967296})", "trigger_site"},
+        {R"({"type":"age_hist","age":-2})", "age"},
+        {R"({"type":"leak","site":0,"window":4294967296})", "window"}}) {
     SCOPED_TRACE(Line);
-    std::istringstream In(Line);
+    std::istringstream In(Header + Line + "\n");
     obs::TraceReport Report;
     std::string Err;
     EXPECT_FALSE(obs::readTrace(In, Report, Err));
-    EXPECT_NE(Err.find("out of range"), std::string::npos) << Err;
+    EXPECT_EQ(Err, std::string("line 3: \"") + Key + "\" out of range");
   }
 }
 

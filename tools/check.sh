@@ -161,14 +161,15 @@ done
 # (signed overflow, bad shifts, misaligned loads) fatal.  The reducer
 # self-test FuzzSelfTest.InjectedDeltaBitBugCaughtAndReduced is excluded:
 # its reduction loop takes about eight minutes under ASan.  The tools are
-# built too: the CliNumericArg ctest cases run them.  The sanitizer build
-# tree is separate so the main build stays instrumentation-free.
+# built too: the CliNumericArg, CliReport and ObsHotStacks ctest cases run
+# them.  The sanitizer build tree is separate so the main build stays
+# instrumentation-free.
 if [ "$SKIP_TESTS" -eq 0 ]; then
   cmake -B build-asan -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g"
   cmake --build build-asan --target mgc_tests mgc_fuzz_tests mgc mgc-heapsnap \
-    mgc-fuzz -j "$(nproc)"
+    mgc-report mgc-fuzz -j "$(nproc)"
   (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
       -E '^FuzzSelfTest\.InjectedDeltaBitBugCaughtAndReduced$')
 fi
