@@ -12,9 +12,11 @@
 /// benchmark programs and the frozen corpus, JSONL round-tripping through
 /// obs::readTrace with zero parse errors, traces written by older
 /// versions still loading, the error-path flush (a failed run must
-/// still produce a complete, parseable trace), and the reader's
-/// strictness (every prefix and a flipped bit in any byte of a real trace
-/// either fail with a diagnostic or render).
+/// still produce a complete, parseable trace), the reader's strictness
+/// (every prefix and a flipped bit in any byte of a real trace either fail
+/// with a diagnostic or render; a hostile site count or a number that does
+/// not fit its member is a diagnostic), and every key of every record type
+/// round-tripping through obs/TraceFormat.h's key lists.
 ///
 /// Every suite name starts with "Obs" — tests/CMakeLists.txt gives them
 /// the `obs` ctest label.
