@@ -395,6 +395,7 @@ const SiteRecord *leakSite(const TraceReport &R, const LeakRecord &L) {
 // Text views
 //===----------------------------------------------------------------------===//
 
+/// Appends printf-formatted text to \p Out; text past 255 bytes is cut.
 [[gnu::format(printf, 2, 3)]] void appendf(std::string &Out, const char *Fmt,
                                            ...) {
   char Buf[256];
