@@ -19,7 +19,11 @@
 /// in another order or drops a field fails here even when its counters
 /// agree.  The profile digest covers the profiler's table walk of every
 /// sampled stack: frames, live slots and registers, derived values,
-/// unmapped frames and walk errors.
+/// unmapped frames and walk errors.  An enabled tracer with no stream
+/// rides every run too; the last field digests its first-collection
+/// survival counts: each site's count, bytes, survived and survived bytes,
+/// then the run summary's unattributed allocations and bytes and its
+/// dropped survival records.
 ///
 /// A change that alters collector output on purpose replaces the rows the
 /// failure message prints and says so in its change notes.
@@ -32,6 +36,8 @@
 #include "gc/Collector.h"
 #include "gc/Snapshot.h"
 #include "obs/Profile.h"
+#include "obs/Trace.h"
+#include "obs/TraceFormat.h"
 
 #include <gtest/gtest.h>
 
@@ -52,6 +58,22 @@ const char *modeName(Mode Md) {
   return Md == Mode::Gen      ? "gen"
          : Md == Mode::Stress ? "stress"
                               : "two-space";
+}
+
+/// The tracer's run summary, read back through the run record's keys.
+obs::RunSummary runSummary(const obs::Tracer &T) {
+  std::string Line;
+  support::JsonWriter J(Line);
+  J.beginObject().str("type", obs::RunRecord::Type);
+  T.writeSummaryJson(J);
+  J.endObject();
+  obs::TraceRecord Rec;
+  obs::RunSummary Sum;
+  std::string Err;
+  EXPECT_TRUE(obs::parseTraceLine(Line, Rec, Err) &&
+              obs::decodeRecord(Rec, Sum, Err))
+      << Err;
+  return Sum;
 }
 
 /// Runs \p S in mode \p Md and returns its row.  The snapshot's
@@ -79,6 +101,12 @@ std::string runRow(const test::NamedSource &S, Mode Md) {
   PC.IntervalInstrs = 256;
   obs::Profiler Prof(*C.Prog, PC);
   M.Profiler = &Prof;
+  obs::TracerConfig TC;
+  TC.Sites = &C.Prog->SiteTab;
+  TC.GenGc = GenGc;
+  obs::Tracer Tracer(std::move(TC));
+  Tracer.enable(nullptr);
+  M.Tracer = &Tracer;
   test::Fnv64 Snaps;
   obs::HeapSnapshot Snap;
   std::vector<uint8_t> Blob;
@@ -102,13 +130,21 @@ std::string runRow(const test::NamedSource &S, Mode Md) {
   obs::encodeProfileBody(Prof.buildProfile(), Blob);
   test::Fnv64 ProfBody;
   ProfBody.bytes(Blob.data(), Blob.size());
+  test::Fnv64 Survival;
+  for (const obs::SiteCounters &SC : Tracer.siteCounters())
+    for (uint64_t V : {SC.Count, SC.Bytes, SC.Survived, SC.SurvivedBytes})
+      Survival.u64(V);
+  obs::RunSummary Sum = runSummary(Tracer);
+  for (uint64_t V :
+       {Sum.UnattributedAllocs, Sum.UnattributedBytes, Sum.PendingDropped})
+    Survival.u64(V);
   const vm::VMStats &St = M.Stats;
   std::ostringstream Row;
   Row << S.Name << '\t' << modeName(Md) << '\t'
       << St.Collections << '\t' << St.MinorCollections << '\t'
       << St.ObjectsCopied << '\t' << St.BytesCopied << '\t'
       << St.RootsTraced << '\t' << St.DerivedAdjusted << '\t' << Snaps.hex()
-      << '\t' << ProfBody.hex();
+      << '\t' << ProfBody.hex() << '\t' << Survival.hex();
   return Row.str();
 }
 
