@@ -95,14 +95,8 @@ FuzzSummary fuzz::runFuzz(const FuzzOptions &Opts) {
 
     GProgram Reduced = P;
     ReduceStats RS;
-    if (Opts.Reduce) {
-      auto StillFails = [](const GProgram &Q) {
-        OracleResult R = checkSource(Q.render(), Q.HasSpin,
-                                     /*FailFast=*/true);
-        return R.Diverged && !R.RefFailed;
-      };
-      Reduced = reduceProgram(P, StillFails, Opts.MaxReduceTries, &RS);
-    }
+    if (Opts.Reduce)
+      Reduced = reduceDivergence(P, Res, Opts.MaxReduceTries, &RS);
     std::string ReducedSource = Reduced.render();
     std::string ReducedPath = Opts.OutDir + "/" + Tag + ".reduced.mg";
     writeFile(ReducedPath, ReducedSource);

@@ -493,9 +493,12 @@ std::string statsBrief(const RunOutcome &O) {
 } // namespace
 
 OracleResult fuzz::checkSource(const std::string &Source, bool HasSpin,
-                               bool FailFast) {
+                               uint64_t RefBudget) {
   OracleResult Res;
   std::vector<RunSpec> Specs = buildMatrix(HasSpin);
+  const bool FailFast = RefBudget != 0;
+  if (FailFast)
+    Specs[0].VO.InstrBudget = RefBudget; // The reference cell comes first.
 
   // Deduplicate compiler configurations.
   std::vector<driver::CompilerOptions> COs;
@@ -575,6 +578,7 @@ OracleResult fuzz::checkSource(const std::string &Source, bool HasSpin,
         Res.Report = RR.str();
         return Res;
       }
+      Res.RefInstrs = O.Instrs;
       if (O.ConservativeViolation) {
         R << "  [" << Specs[I].Name << "] conservative trace reached "
           << O.ConservativeReached << " objects < precise live "

@@ -125,14 +125,18 @@ struct OracleResult {
   bool RefFailed = false;
   std::string Report; ///< Deterministic description (empty when clean).
   std::vector<std::string> FailingConfigs;
+  /// Instructions the reference run retired; 0 when it failed.
+  uint64_t RefInstrs = 0;
 };
 
 /// Compiles (via driver::compileBatch) and runs \p Source through the
-/// matrix, comparing every cell against the reference run.  With
-/// \p FailFast the reducer's inner loop compiles configurations lazily
-/// and returns at the first divergence (the report covers only what ran).
+/// matrix, comparing every cell against the reference run.  A nonzero
+/// \p RefBudget marks the reducer's inner loop: the reference run stops
+/// after that many instructions, configurations compile lazily, and the
+/// check returns at the first divergence (the report covers only what
+/// ran).
 OracleResult checkSource(const std::string &Source, bool HasSpin,
-                         bool FailFast = false);
+                         uint64_t RefBudget = 0);
 
 } // namespace fuzz
 } // namespace mgc

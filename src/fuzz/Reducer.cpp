@@ -6,6 +6,7 @@
 
 #include "fuzz/Reducer.h"
 
+#include <algorithm>
 #include <cctype>
 
 using namespace mgc;
@@ -316,4 +317,14 @@ GProgram fuzz::reduceProgram(const GProgram &P, const FailPredicate &StillFails,
     }
   }
   return Current;
+}
+
+GProgram fuzz::reduceDivergence(const GProgram &P, const OracleResult &Found,
+                                unsigned MaxTries, ReduceStats *Stats) {
+  const uint64_t RefBudget = 10 * std::max<uint64_t>(Found.RefInstrs, 1);
+  auto StillFails = [RefBudget](const GProgram &Q) {
+    OracleResult R = checkSource(Q.render(), Q.HasSpin, RefBudget);
+    return R.Diverged && !R.RefFailed;
+  };
+  return reduceProgram(P, StillFails, MaxTries, Stats);
 }

@@ -27,6 +27,7 @@
 #define MGC_FUZZ_REDUCER_H
 
 #include "fuzz/Generator.h"
+#include "fuzz/Oracle.h"
 
 #include <functional>
 
@@ -46,6 +47,14 @@ struct ReduceStats {
 GProgram reduceProgram(const GProgram &P, const FailPredicate &StillFails,
                        unsigned MaxTries = 600,
                        ReduceStats *Stats = nullptr);
+
+/// Reduces \p P, on which the oracle found \p Found (a divergence with a
+/// clean reference run), while the divergence keeps reproducing.  A
+/// candidate's reference run may retire ten times the instructions of
+/// \p P's: one that no longer terminates is rejected at that cost, not
+/// at the matrix's own budget.
+GProgram reduceDivergence(const GProgram &P, const OracleResult &Found,
+                          unsigned MaxTries, ReduceStats *Stats = nullptr);
 
 } // namespace fuzz
 } // namespace mgc

@@ -173,12 +173,8 @@ TEST(FuzzSelfTest, InjectedDeltaBitBugCaughtAndReduced) {
 
   GProgram Reduced = P;
   if (Broken.Diverged) {
-    auto StillFails = [](const GProgram &Q) {
-      OracleResult R = checkSource(Q.render(), Q.HasSpin, /*FailFast=*/true);
-      return R.Diverged && !R.RefFailed;
-    };
     ReduceStats RS;
-    Reduced = reduceProgram(P, StillFails, 1500, &RS);
+    Reduced = reduceDivergence(P, Broken, 1500, &RS);
     std::string Repro = Reduced.render();
     unsigned Lines = 0;
     for (char C : Repro)
