@@ -6,6 +6,8 @@
 
 #include "frontend/Lower.h"
 
+#include "support/IntOps.h"
+
 #include <cassert>
 #include <map>
 
@@ -548,8 +550,10 @@ Place Lowerer::lowerPlace(const Expr &E) {
 
     Operand Idx = lowerExpr(*IE.Index);
     if (Idx.isImm()) {
-      // Constant index: fold into the displacement.
-      BaseDisp += (Idx.Imm - Lo) * Stride;
+      // Constant index: fold into the displacement.  Sema keeps it within
+      // a fixed array's bounds; an open array's may be any INTEGER.
+      BaseDisp = support::wrapAdd(
+          BaseDisp, support::wrapMul(support::wrapSub(Idx.Imm, Lo), Stride));
       return Place::indirect(BaseAddr, BaseDisp);
     }
     // addr = base + (i - lo) * stride   (the "obvious method" of §2; the

@@ -8,6 +8,7 @@
 
 #include "support/IntOps.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace mgc;
@@ -97,6 +98,9 @@ private:
 
   std::unique_ptr<TypeExpr> parseTypeExpr();
   const Type *resolveTypeExpr(const TypeExpr &TE, bool UnderRef);
+  /// Resolves record \p TE's fields into \p Fields; false, diagnosed,
+  /// on an error or when the fields take more than MaxTypeWords.
+  bool resolveFields(const TypeExpr &TE, std::vector<RecordField> &Fields);
   const Type *resolveNamed(const std::string &Name, SourceLoc Loc,
                            bool UnderRef);
   /// Parses a type and resolves it immediately (contexts outside a TYPE
@@ -246,13 +250,8 @@ void Parser::parseTypeSection() {
     if (TE->K == TypeExpr::Kind::Record) {
       Type *Shell = IncompleteTypes[Name];
       std::vector<RecordField> Fields;
-      for (auto &[FieldNames, FieldTE] : TE->Fields) {
-        const Type *FT = resolveTypeExpr(*FieldTE, /*UnderRef=*/false);
-        if (!FT)
-          return;
-        for (const std::string &FN : FieldNames)
-          Fields.push_back({FN, FT, 0});
-      }
+      if (!resolveFields(*TE, Fields))
+        return;
       Module->Types.completeRecord(Shell, std::move(Fields));
       IncompleteTypes.erase(Name);
     } else if (TE->K == TypeExpr::Kind::Ref) {
@@ -455,7 +454,21 @@ const Type *Parser::resolveTypeExpr(const TypeExpr &TE, bool UnderRef) {
       return nullptr;
     }
     const Type *Elem = resolveTypeExpr(*TE.Elem, /*UnderRef=*/false);
-    return Elem ? Types.getArray(TE.Lo, TE.Hi, Elem) : nullptr;
+    if (!Elem)
+      return nullptr;
+    // Hi - Lo + 1 wraps to 0 for the full INTEGER range.
+    uint64_t Length = static_cast<uint64_t>(TE.Hi) -
+                      static_cast<uint64_t>(TE.Lo) + 1;
+    if (Length == 0 ||
+        Length > MaxTypeWords / std::max(Elem->sizeInWords(), 1u)) {
+      Diags.error(TE.Loc, "array type [" + std::to_string(TE.Lo) + ".." +
+                              std::to_string(TE.Hi) +
+                              "] is too large: a type may take at most " +
+                              std::to_string(MaxTypeWords) + " words");
+      Failed = true;
+      return nullptr;
+    }
+    return Types.getArray(TE.Lo, TE.Hi, Elem);
   }
   case TypeExpr::Kind::OpenArray: {
     if (!UnderRef) {
@@ -468,17 +481,31 @@ const Type *Parser::resolveTypeExpr(const TypeExpr &TE, bool UnderRef) {
   }
   case TypeExpr::Kind::Record: {
     std::vector<RecordField> Fields;
-    for (const auto &[Names, FieldTE] : TE.Fields) {
-      const Type *FT = resolveTypeExpr(*FieldTE, /*UnderRef=*/false);
-      if (!FT)
-        return nullptr;
-      for (const std::string &FN : Names)
-        Fields.push_back({FN, FT, 0});
-    }
-    return Types.getRecord(std::move(Fields));
+    return resolveFields(TE, Fields) ? Types.getRecord(std::move(Fields))
+                                     : nullptr;
   }
   }
   return nullptr;
+}
+
+bool Parser::resolveFields(const TypeExpr &TE,
+                           std::vector<RecordField> &Fields) {
+  uint64_t Words = 0;
+  for (const auto &[Names, FieldTE] : TE.Fields) {
+    const Type *FT = resolveTypeExpr(*FieldTE, /*UnderRef=*/false);
+    if (!FT)
+      return false;
+    for (const std::string &FN : Names) {
+      Fields.push_back({FN, FT, 0});
+      Words += FT->sizeInWords();
+    }
+  }
+  if (Words <= MaxTypeWords)
+    return true;
+  Diags.error(TE.Loc, "record type is too large: a type may take at most " +
+                          std::to_string(MaxTypeWords) + " words");
+  Failed = true;
+  return false;
 }
 
 const Type *Parser::parseAndResolveType() {

@@ -6,13 +6,40 @@
 
 #include "frontend/Sema.h"
 
+#include "support/IntOps.h"
+
 #include <cassert>
 #include <map>
+#include <optional>
 #include <vector>
 
 using namespace mgc;
 
 namespace {
+
+/// The value of \p E when it is a compile-time constant: an INTEGER
+/// literal, a CONST name, or either one negated.
+std::optional<int64_t> constantValue(const Expr &E) {
+  switch (E.ExprKind) {
+  case Expr::Kind::IntLit:
+    return static_cast<const IntLitExpr &>(E).Value;
+  case Expr::Kind::Name: {
+    const Symbol *Sym = static_cast<const NameExpr &>(E).Sym;
+    if (Sym && Sym->SymKind == Symbol::Kind::Constant)
+      return Sym->ConstValue;
+    return std::nullopt;
+  }
+  case Expr::Kind::Unary: {
+    auto &U = static_cast<const UnaryExpr &>(E);
+    std::optional<int64_t> V;
+    if (U.Op == UnOp::Neg && (V = constantValue(*U.Sub)))
+      return support::wrapNeg(*V);
+    return std::nullopt;
+  }
+  default:
+    return std::nullopt;
+  }
+}
 
 class Sema {
 public:
@@ -433,6 +460,16 @@ const Type *Sema::checkExpr(Expr &E) {
     }
     if (!BT->isArray() && !BT->isOpenArray()) {
       error(E.Loc, "indexing a non-array of type " + BT->str());
+      return nullptr;
+    }
+    // Lower folds a constant subscript into the displacement, so one
+    // outside a fixed array's bounds would address a neighbouring word.
+    std::optional<int64_t> C = constantValue(*I.Index);
+    if (BT->isArray() && C && (*C < BT->lo() || *C > BT->hi())) {
+      error(I.Index->Loc, "array index " + std::to_string(*C) +
+                              " is outside the bounds [" +
+                              std::to_string(BT->lo()) + ".." +
+                              std::to_string(BT->hi()) + "]");
       return nullptr;
     }
     E.Ty = BT->elem();

@@ -25,6 +25,10 @@ namespace mgc {
 
 class Type;
 
+/// The largest size of a type, in words: a byte offset within a frame, a
+/// record or an array must fit the gc tables' packed 32-bit words.
+constexpr uint64_t MaxTypeWords = uint64_t(1) << 28;
+
 /// A named field of a record type.
 struct RecordField {
   std::string Name;

@@ -231,6 +231,38 @@ BEGIN END M.)");
                      "integer overflow in constant expression");
 }
 
+TEST(Parser, OversizedTypesRejected) {
+  // Sizes are counted in 32-bit words, and a type's elements are walked
+  // one by one: an array of 2^63 integers used to hang the compiler.
+  expectParseError(R"(
+MODULE M;
+TYPE F = REF ARRAY [1..9223372036854775807] OF INTEGER;
+BEGIN END M.)",
+                   "3:14: error: array type [1..9223372036854775807] is too "
+                   "large: a type may take at most 268435456 words");
+  // The whole INTEGER range, whose length wraps to 0.
+  expectParseError(R"(
+MODULE M;
+VAR a: ARRAY [-9223372036854775807 - 1..9223372036854775807] OF BOOLEAN;
+BEGIN END M.)",
+                   "is too large");
+  expectParseError(R"(
+MODULE M;
+TYPE P = RECORD a, b: INTEGER END;
+VAR a: ARRAY [1..134217729] OF P;
+BEGIN END M.)",
+                   "array type [1..134217729] is too large");
+  expectParseError(R"(
+MODULE M;
+TYPE R = REF RECORD a, b: ARRAY [1..134217728] OF INTEGER; c: INTEGER END;
+BEGIN END M.)",
+                   "record type is too large");
+  parseOk(R"(
+MODULE M;
+TYPE R = REF RECORD a, b: ARRAY [1..134217728] OF INTEGER END;
+BEGIN END M.)");
+}
+
 TEST(Parser, MultiIndexSugar) {
   // a[i, j] parses as a[i][j].
   checkOk(R"(
@@ -349,6 +381,62 @@ MODULE M;
 VAR a, b: ARRAY [0..3] OF INTEGER;
 BEGIN a := b END M.)",
                   "scalar");
+}
+
+// A constant subscript is folded into the displacement, so one outside a
+// fixed array's bounds would write the neighbouring word: b, or the
+// object header the collector reads as a forwarding pointer.
+TEST(Sema, ConstantSubscriptPastFixedArrayEndRejected) {
+  expectSemaError(R"(
+MODULE M;
+VAR a: ARRAY [0..2] OF INTEGER; b: INTEGER;
+BEGIN a[3] := 42; PutInt(b) END M.)",
+                  "4:9: error: array index 3 is outside the bounds [0..2]");
+}
+
+TEST(Sema, NegatedConstantSubscriptRejected) {
+  expectSemaError(R"(
+MODULE M;
+CONST One = 1;
+VAR b: INTEGER; a: ARRAY [0..2] OF INTEGER;
+BEGIN a[-1] := 41; a[-One] := 41; PutInt(b) END M.)",
+                  "5:9: error: array index -1 is outside the bounds [0..2]\n"
+                  "5:22: error: array index -1 is outside the bounds [0..2]");
+}
+
+TEST(Sema, ConstantSubscriptOfRefArrayRejected) {
+  expectSemaError(R"(
+MODULE M;
+CONST Four = 4;
+TYPE F = REF ARRAY [1..3] OF INTEGER;
+VAR f: F;
+BEGIN f := NEW(F); f[0] := 7; f[Four] := 8; GcCollect(); PutInt(f[1])
+END M.)",
+                  "6:22: error: array index 0 is outside the bounds [1..3]\n"
+                  "6:33: error: array index 4 is outside the bounds [1..3]");
+}
+
+TEST(Sema, LargestIntegerSubscriptRejected) {
+  expectSemaError(R"(
+MODULE M;
+VAR a: ARRAY [0..2] OF INTEGER; b: INTEGER;
+BEGIN a[9223372036854775807] := 42; PutInt(b) END M.)",
+                  "error: array index 9223372036854775807 is outside the "
+                  "bounds [0..2]");
+}
+
+TEST(Sema, ConstantSubscriptsWithinBoundsAccepted) {
+  // The bounds themselves, a CONST, and an open array, whose length is
+  // not known until run time.
+  checkOk(R"(
+MODULE M;
+CONST Lo = -2; Hi = 2;
+TYPE O = REF ARRAY OF INTEGER;
+VAR a: ARRAY [-2..2] OF INTEGER; o: O;
+BEGIN
+  a[-2] := 1; a[2] := 2; a[Lo] := 3; a[-Lo] := 4; a[Hi] := 5;
+  o := NEW(O, 4); o[9223372036854775807] := 6; o[-3] := 7
+END M.)");
 }
 
 //===----------------------------------------------------------------------===//
