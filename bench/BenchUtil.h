@@ -83,8 +83,9 @@ struct Workload {
   size_t NurseryBytes; ///< Each nursery half in generational mode.
 };
 
-/// The generational-collector workloads (bench/gengc): heaps a few times
-/// the live set, so both minor and full collections are frequent.
+/// The generational-collector workloads of bench/obs_overhead's rows and
+/// of the GenGC mode tests: heaps a few times the live set, so both minor
+/// and full collections are frequent.
 inline const std::vector<Workload> &gengcWorkloads() {
   static const std::vector<Workload> W = {
       {"destroy", destroySource(3, 6, 60), nullptr, 48u << 10, 4u << 10},

@@ -16,10 +16,21 @@
 /// As an ablation this harness also times a Boehm-style conservative scan
 /// of the same stacks (every word a potential pointer) at each collection.
 ///
+/// Last come the decode microcosts behind those figures, the table-size
+/// vs decode-time trade of §5.1: byte packing, the pc -> gc-point lookup,
+/// first and last gc-point decodes (reference, indexed, cached), every
+/// gc-point of destroy, the map-index build, and a whole collection on
+/// destroy's final heap.  Each is process CPU time per operation, the
+/// minimum over interleaved rounds, written to BENCH_decode.json.
+///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 #include "Programs.h"
+
+#include "gcmaps/MapIndex.h"
+
+#include <functional>
 
 using namespace mgc;
 using namespace mgc::bench;
@@ -82,6 +93,193 @@ void printRow(const Row &R) {
   std::printf("%-22s %6llu %10.1f %10.1f %7.1f%% %8.1f %9.3f\n", R.Label,
               static_cast<unsigned long long>(S.Collections), TraceUs, GcUs,
               Fraction, Frames, PerFrameUs);
+}
+
+//===----------------------------------------------------------------------===//
+// Decode microcosts
+//===----------------------------------------------------------------------===//
+
+constexpr int MicroRounds = 7;
+/// Each timed batch runs the operation at least this long.
+constexpr uint64_t MicroBatchNanos = 500'000;
+
+/// Keeps \p V in a register or memory the compiler must assume is read and
+/// written, so neither the operation producing it nor its inputs can be
+/// hoisted out of the timing loop or deleted.
+template <typename T> inline void keep(T &V) {
+  asm volatile("" : "+r,m"(V) : : "memory");
+}
+
+/// One microcost row: Batch(N) runs the operation N times.
+struct Micro {
+  std::string Name;
+  std::function<void(uint64_t)> Batch;
+  uint64_t Iters = 1;
+  uint64_t BestNanos = UINT64_MAX;
+  double nsPerOp() const {
+    return static_cast<double>(BestNanos) / static_cast<double>(Iters);
+  }
+};
+
+template <typename Op> std::function<void(uint64_t)> repeat(Op O) {
+  return [O](uint64_t N) mutable {
+    for (uint64_t I = 0; I != N; ++I)
+      O();
+  };
+}
+
+/// A §6 program compiled at -O2, with its busiest function (the most
+/// gc-points) and that function's map index.
+struct Tables {
+  const char *Name;
+  std::unique_ptr<vm::Program> Prog;
+  unsigned Func = 0;
+  const gcmaps::EncodedFuncMaps *Maps = nullptr;
+  const gcmaps::FuncMapIndex *Index = nullptr;
+
+  Tables(const char *Name, const char *Source) : Name(Name) {
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    Prog = compileOrDie(Name, Source, CO);
+    for (unsigned F = 0; F != Prog->Maps.size(); ++F)
+      if (!Maps || Prog->Maps[F].RetPCs.size() > Maps->RetPCs.size()) {
+        Func = F;
+        Maps = &Prog->Maps[F];
+        Index = &Prog->MapIndexes[F];
+      }
+  }
+};
+
+/// Runs destroy to completion in a VM left alive for collectNow().
+std::unique_ptr<vm::VM> finalHeap(const vm::Program &Prog, bool Indexed) {
+  vm::VMOptions VO;
+  VO.HeapBytes = 1u << 20;
+  VO.StackWords = 1u << 20;
+  VO.UseMapIndex = Indexed;
+  auto M = std::make_unique<vm::VM>(Prog, VO);
+  gc::installPreciseCollector(*M);
+  if (!M->run()) {
+    std::fprintf(stderr, "destroy: run failed: %s\n", M->Error.c_str());
+    std::exit(1);
+  }
+  return M;
+}
+
+/// Times every row: after a warm-up batch, each row's batch size is doubled
+/// until one batch takes MicroBatchNanos; then each of MicroRounds rounds
+/// times one batch of every row in turn, and the row keeps its fastest.
+void timeMicro(std::vector<Micro> &Rows) {
+  for (Micro &R : Rows)
+    for (R.Batch(2);;) {
+      uint64_t T0 = cpuNanos();
+      R.Batch(R.Iters);
+      if (cpuNanos() - T0 >= MicroBatchNanos)
+        break;
+      R.Iters *= 2;
+    }
+  for (int Round = 0; Round != MicroRounds; ++Round)
+    for (Micro &R : Rows) {
+      uint64_t T0 = cpuNanos();
+      R.Batch(R.Iters);
+      R.BestNanos = std::min(R.BestNanos, cpuNanos() - T0);
+    }
+}
+
+std::vector<Micro> decodeMicros(Tables &Destroy, Tables &TypeReg,
+                                std::vector<std::unique_ptr<vm::VM>> &VMs) {
+  std::vector<Micro> Rows;
+  auto Add = [&](std::string Name, std::function<void(uint64_t)> B) {
+    Rows.push_back({std::move(Name), std::move(B)});
+  };
+
+  for (int32_t V : {5, 300, 100000, -100000}) {
+    std::string Arg = "(" + std::to_string(V) + ")";
+    Add("pack_word" + Arg, repeat([V, Out = std::vector<uint8_t>()]() mutable {
+          int32_t W = V;
+          keep(W);
+          Out.clear();
+          appendPacked(Out, W);
+          keep(Out);
+        }));
+    std::vector<uint8_t> Bytes;
+    appendPacked(Bytes, V);
+    Add("unpack_word" + Arg, repeat([Bytes] {
+          size_t Pos = 0;
+          int32_t W = readPacked(Bytes.data(), Bytes.size(), Pos);
+          keep(W);
+        }));
+  }
+
+  const gcmaps::EncodedFuncMaps &DM = *Destroy.Maps;
+  uint32_t MidPC = DM.RetPCs[DM.RetPCs.size() / 2];
+  Add("find_gc_point/destroy", repeat([&DM, MidPC] {
+        uint32_t PC = MidPC;
+        keep(PC);
+        int Ord = gcmaps::findGcPoint(DM, PC);
+        keep(Ord);
+      }));
+
+  // The first gc-point has no identical-to-previous chain to walk; the
+  // last one walks the whole chain.
+  for (Tables *T : {&Destroy, &TypeReg})
+    for (bool Last : {false, true}) {
+      const gcmaps::EncodedFuncMaps &Maps = *T->Maps;
+      const gcmaps::FuncMapIndex &Index = *T->Index;
+      unsigned Ord = Last ? static_cast<unsigned>(Maps.RetPCs.size()) - 1 : 0;
+      std::string Name = std::string(Last ? "decode_last/" : "decode_first/") +
+                         T->Name + "/";
+      Add(Name + "reference", repeat([&Maps, Ord] {
+            gcmaps::GcPointInfo Info = gcmaps::decodeGcPoint(Maps, Ord);
+            keep(Info.RegMask);
+          }));
+      Add(Name + "indexed",
+          repeat([&Maps, &Index, Ord, Info = gcmaps::GcPointInfo()]() mutable {
+            gcmaps::decodeGcPointIndexed(Maps, Index, Ord, Info);
+            keep(Info.RegMask);
+          }));
+      auto Cache = std::make_shared<gcmaps::DecodedPointCache>();
+      gcmaps::decodeGcPointIndexed(Maps, Index, Ord,
+                                   Cache->insert(T->Func, Ord));
+      Add(Name + "cached", repeat([Cache, Func = T->Func, Ord] {
+            const gcmaps::GcPointInfo *Info = Cache->lookup(Func, Ord);
+            keep(Info);
+          }));
+    }
+
+  const vm::Program &DP = *Destroy.Prog;
+  Add("decode_all/destroy/reference", repeat([&DP] {
+        size_t Total = 0;
+        for (const gcmaps::EncodedFuncMaps &Maps : DP.Maps)
+          for (unsigned K = 0; K != Maps.RetPCs.size(); ++K)
+            Total += gcmaps::decodeGcPoint(Maps, K).LiveSlots.size();
+        keep(Total);
+      }));
+  Add("decode_all/destroy/indexed",
+      repeat([&DP, Info = gcmaps::GcPointInfo()]() mutable {
+        size_t Total = 0;
+        for (size_t F = 0; F != DP.Maps.size(); ++F)
+          for (unsigned K = 0; K != DP.Maps[F].RetPCs.size(); ++K) {
+            gcmaps::decodeGcPointIndexed(DP.Maps[F], DP.MapIndexes[F], K,
+                                         Info);
+            Total += Info.LiveSlots.size();
+          }
+        keep(Total);
+      }));
+  Add("build_map_index/destroy", repeat([&DP] {
+        size_t Points = 0;
+        for (const gcmaps::EncodedFuncMaps &Maps : DP.Maps)
+          Points += gcmaps::buildFuncMapIndex(Maps).Points.size();
+        keep(Points);
+      }));
+
+  for (bool Indexed : {false, true}) {
+    VMs.push_back(finalHeap(DP, Indexed));
+    vm::VM &M = *VMs.back();
+    Add(std::string("full_collection/destroy/") +
+            (Indexed ? "indexed" : "reference"),
+        repeat([&M] { M.collectNow(); }));
+  }
+  return Rows;
 }
 
 } // namespace
@@ -195,5 +393,29 @@ int main() {
               "precise walk touches only\ntable-described locations but "
               "pays table decoding. The paper's claim is that the\nprecise "
               "cost is a small fraction of total gc time.)\n");
-  return 0;
+
+  Tables Destroy("destroy", programs::DestroySource);
+  Tables TypeReg("typereg", programs::TypeRegSource);
+  std::vector<std::unique_ptr<vm::VM>> VMs;
+  std::vector<Micro> Micros = decodeMicros(Destroy, TypeReg, VMs);
+  timeMicro(Micros);
+  std::printf("\nDecode microcosts (CPU time per operation, min of %d "
+              "interleaved rounds)\n",
+              MicroRounds);
+  std::printf("%-34s %12s %12s\n", "operation", "ns/op", "iters");
+  printRule(60);
+  BenchFile File;
+  File.J.uint("rounds", MicroRounds).beginArray("microcosts");
+  for (const Micro &R : Micros) {
+    std::printf("%-34s %12.1f %12llu\n", R.Name.c_str(), R.nsPerOp(),
+                static_cast<unsigned long long>(R.Iters));
+    File.J.beginObject()
+        .str("name", R.Name)
+        .uint("iters", R.Iters)
+        .fixed("ns_per_op", R.nsPerOp(), 2)
+        .endObject();
+  }
+  printRule(60);
+  File.J.endArray();
+  return File.write("BENCH_decode.json") ? 0 : 1;
 }

@@ -12,6 +12,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
 #include "CheckedInPrograms.h"
 #include "Programs.h"
 #include "TestUtil.h"
@@ -860,8 +861,9 @@ END M.)";
 TEST(GenGC, StressedRootCountsMatchDefaultMode) {
   // With a heap large enough that only stress-mode collections happen,
   // both modes collect at exactly the same gc-points and gather the same
-  // table-driven root set: the counts must agree exactly.
-  const std::string Src = R"(
+  // table-driven root set: the counts must agree exactly.  A small list
+  // program, then takl's deep recursion over lists.
+  const programs::NamedProgram Inputs[] = {{"list", R"(
 MODULE M;
 TYPE R = REF RECORD v: INTEGER; next: R END;
 VAR h, c: R; s: INTEGER;
@@ -873,25 +875,55 @@ BEGIN
   s := 0;
   WHILE h # NIL DO s := s + h^.v; h := h^.next END;
   PutInt(s); PutLn();
-END M.)";
-  driver::CompilerOptions CO;
-  CO.OptLevel = 2;
-  vm::VMOptions VO;
-  VO.HeapBytes = 1u << 20;
-  VO.GcStress = true;
-  RunResult Ref = compileAndRun(Src, CO, crossChecked(VO));
-  ASSERT_TRUE(Ref.Ok) << Ref.Error;
-  EXPECT_EQ(Ref.Out, "820\n");
+END M.)", "820\n"},
+      {"takl", programs::TaklSource, programs::TaklExpected}};
+  for (const programs::NamedProgram &In : Inputs) {
+    SCOPED_TRACE(In.Name);
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    vm::VMOptions VO;
+    VO.HeapBytes = 1u << 20;
+    VO.GcStress = true;
+    RunResult Ref = compileAndRun(In.Source, CO, crossChecked(VO));
+    ASSERT_TRUE(Ref.Ok) << Ref.Error;
+    EXPECT_EQ(Ref.Out, In.Expected);
 
-  vm::VMOptions GenVO = genVMOptions(1u << 20, 0);
-  GenVO.GcStress = true;
-  RunResult Gen = compileAndRun(Src, genCompilerOptions(), crossChecked(GenVO));
-  ASSERT_TRUE(Gen.Ok) << Gen.Error;
-  EXPECT_EQ(Gen.Out, Ref.Out);
-  EXPECT_EQ(Gen.Stats.Collections, Ref.Stats.Collections);
-  EXPECT_EQ(Gen.Stats.RootsTraced, Ref.Stats.RootsTraced);
-  EXPECT_EQ(Gen.Stats.DerivedAdjusted, Ref.Stats.DerivedAdjusted);
-  EXPECT_EQ(Gen.Stats.FramesTraced, Ref.Stats.FramesTraced);
+    vm::VMOptions GenVO = genVMOptions(1u << 20, 0);
+    GenVO.GcStress = true;
+    RunResult Gen =
+        compileAndRun(In.Source, genCompilerOptions(), crossChecked(GenVO));
+    ASSERT_TRUE(Gen.Ok) << Gen.Error;
+    EXPECT_EQ(Gen.Out, Ref.Out);
+    EXPECT_EQ(Gen.Stats.Collections, Ref.Stats.Collections);
+    EXPECT_EQ(Gen.Stats.RootsTraced, Ref.Stats.RootsTraced);
+    EXPECT_EQ(Gen.Stats.DerivedAdjusted, Ref.Stats.DerivedAdjusted);
+    EXPECT_EQ(Gen.Stats.FramesTraced, Ref.Stats.FramesTraced);
+  }
+}
+
+TEST(GenGC, ObsWorkloadsPrintTheSameInBothModes) {
+  // bench/obs_overhead's workloads, in heaps a few times their live sets:
+  // generational mode (minor and full collections, every decode and
+  // minor collection cross-checked) prints what two-space mode prints.
+  for (const bench::Workload &W : bench::gengcWorkloads()) {
+    SCOPED_TRACE(W.Name);
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    vm::VMOptions VO;
+    VO.HeapBytes = W.HeapBytes;
+    RunResult Full = compileAndRun(W.Source, CO, crossChecked(VO));
+    ASSERT_TRUE(Full.Ok) << Full.Error;
+    if (W.Expected) {
+      EXPECT_EQ(Full.Out, W.Expected);
+    }
+
+    RunResult Gen = compileAndRun(
+        W.Source, genCompilerOptions(),
+        crossChecked(genVMOptions(W.HeapBytes, W.NurseryBytes)));
+    ASSERT_TRUE(Gen.Ok) << Gen.Error;
+    EXPECT_EQ(Gen.Out, Full.Out);
+    EXPECT_GT(Gen.Stats.MinorCollections, 0u);
+  }
 }
 
 TEST(GenGC, AmbiguousDerivationBasesStraddleNurseryAndOldSpace) {

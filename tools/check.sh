@@ -5,8 +5,8 @@
 #
 # Steps, in order (any failure exits non-zero):
 #   verify        configure, build, ctest; ctest again with MGC_TEST_GEN_GC=1
-#   micro_decode  decode microbenchmarks -> BENCH_decode.json
-#   gengc         two-space vs generational pauses -> BENCH_gengc.json
+#   sec63_tracing §6.3 stack tracing, indexed == reference cross-check,
+#                 decode microcosts -> BENCH_decode.json
 #   obs_overhead  tracer/snapshot/leak/profiler gates -> BENCH_{trace,
 #                 snapshot,leak,prof}.json
 #   snapshots     mgc-heapsnap on the §6 snapshots and the corpus, both modes;
@@ -47,25 +47,12 @@ if [ "$SKIP_TESTS" -eq 0 ]; then
   (cd build && MGC_TEST_GEN_GC=1 ctest --output-on-failure -j)
 fi
 
-# --- Decode perf trajectory ---------------------------------------------
-# Short min_time: this is a trajectory marker, not a publication run.
-# (Older google-benchmark releases reject the "0.05x" repetition syntax,
-# so pass plain seconds.)
-MIN_TIME="${BENCH_MIN_TIME:-0.05}"
-./build/bench/micro_decode \
-  --benchmark_filter='BM_Decode|BM_BuildMapIndex|BM_FullCollection' \
-  --benchmark_min_time="$MIN_TIME" \
-  --benchmark_out="$ROOT/BENCH_decode.json" \
-  --benchmark_out_format=json \
-  --benchmark_format=console
-
-# --- Generational pause trajectory --------------------------------------
-# verifyModes() inside the binary runs every workload in both modes with
-# cross-checks on and exits non-zero on divergence, failing this script.
-./build/bench/gengc \
-  --benchmark_out="$ROOT/BENCH_gengc.json" \
-  --benchmark_out_format=json \
-  --benchmark_format=console
+# --- §6.3 stack tracing and decode microcosts ----------------------------
+# Times stack tracing per collection with the reference and the indexed
+# decoder, exits non-zero when their roots, derived values or frames
+# differ or when the cross-checked runs disagree, and records the decode
+# microcosts (min of interleaved rounds, CPU time) in BENCH_decode.json.
+(cd "$ROOT" && ./build/bench/sec63_tracing)
 
 # --- Observability gates + snapshot capture/analysis sweep --------------
 # obs_overhead times the tracer, snapshot capture, leak detector and
@@ -158,9 +145,7 @@ done
 
 # --- AddressSanitizer + UndefinedBehaviorSanitizer sweep -----------------
 # The whole suite again with heap-overflow, use-after-free, and UB checks
-# (signed overflow, bad shifts, misaligned loads) fatal.  The reducer
-# self-test FuzzSelfTest.InjectedDeltaBitBugCaughtAndReduced is excluded:
-# its reduction loop takes about eight minutes under ASan.  The tools are
+# (signed overflow, bad shifts, misaligned loads) fatal.  The tools are
 # built too: the CliNumericArg, CliReport and ObsHotStacks ctest cases run
 # them.  The sanitizer build tree is separate so the main build stays
 # instrumentation-free.
@@ -170,8 +155,7 @@ if [ "$SKIP_TESTS" -eq 0 ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=undefined -O1 -g"
   cmake --build build-asan --target mgc_tests mgc_fuzz_tests mgc mgc-heapsnap \
     mgc-report mgc-fuzz -j "$(nproc)"
-  (cd build-asan && ctest --output-on-failure -j "$(nproc)" \
-      -E '^FuzzSelfTest\.InjectedDeltaBitBugCaughtAndReduced$')
+  (cd build-asan && ctest --output-on-failure -j "$(nproc)")
 fi
 
 # --- Differential fuzz budget --------------------------------------------
@@ -184,10 +168,10 @@ FUZZ_COUNT="${FUZZ_COUNT:-200}"
 
 # --- BENCH_*.json provenance schema check ---------------------------------
 # Every benchmark artifact must be valid JSON and self-describe the build
-# that produced it: hand-built emitters carry a top-level "provenance"
-# object (support/Provenance.h), google-benchmark emitters carry the same
-# fields via AddCustomContext in "context".  A PR that breaks an emitter's
-# JSON or drops the provenance header fails here, not in a later analysis.
+# that produced it: each opens with the top-level "provenance" object that
+# bench::BenchFile and mgc-fuzz write (support/Provenance.h).  A change that
+# breaks an emitter's JSON or drops the provenance header fails here, not
+# in a later analysis.
 python3 - "$ROOT"/BENCH_*.json <<'PYEOF'
 import json, sys
 bad = 0
@@ -199,7 +183,7 @@ for path in sys.argv[1:]:
         print(f"schema-check: {path}: invalid JSON: {e}")
         bad = 1
         continue
-    prov = doc.get("provenance") or doc.get("context") or {}
+    prov = doc.get("provenance") or {}
     missing = [k for k in ("tool_version", "build_flags") if not prov.get(k)]
     if missing:
         print(f"schema-check: {path}: provenance missing {missing}")
@@ -209,10 +193,10 @@ if bad:
 print(f"schema-check: {len(sys.argv) - 1} BENCH files ok")
 PYEOF
 
-echo "check.sh: tier-1 ok (default + gen-gc); obs gates ok (trace," \
-     "snapshot, leak, prof); dispatch gate ok; pauses recorded;" \
-     "server gate ok; ASan+UBSan suite ok;" \
+echo "check.sh: tier-1 ok (default + gen-gc); §6.3 indexed == reference;" \
+     "obs gates ok (trace, snapshot, leak, prof); dispatch gate ok;" \
+     "pauses recorded; server gate ok; ASan+UBSan suite ok;" \
      "fuzz ok ($FUZZ_COUNT programs); benchmarks written to" \
-     "BENCH_decode.json, BENCH_gengc.json, BENCH_trace.json," \
-     "BENCH_snapshot.json, BENCH_dispatch.json, BENCH_pause.json," \
-     "BENCH_server.json, BENCH_leak.json, BENCH_prof.json, BENCH_fuzz.json"
+     "BENCH_decode.json, BENCH_trace.json, BENCH_snapshot.json," \
+     "BENCH_dispatch.json, BENCH_pause.json, BENCH_server.json," \
+     "BENCH_leak.json, BENCH_prof.json, BENCH_fuzz.json"
