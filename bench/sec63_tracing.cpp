@@ -237,11 +237,12 @@ std::vector<Micro> decodeMicros(Tables &Destroy, Tables &TypeReg,
             gcmaps::decodeGcPointIndexed(Maps, Index, Ord, Info);
             keep(Info.RegMask);
           }));
-      auto Cache = std::make_shared<gcmaps::DecodedPointCache>();
+      gcmaps::DecodedPointCache Cache;
       gcmaps::decodeGcPointIndexed(Maps, Index, Ord,
-                                   Cache->insert(T->Func, Ord));
-      Add(Name + "cached", repeat([Cache, Func = T->Func, Ord] {
-            const gcmaps::GcPointInfo *Info = Cache->lookup(Func, Ord);
+                                   Cache.insert(T->Func, Ord));
+      Add(Name + "cached",
+          repeat([Cache = std::move(Cache), Func = T->Func, Ord]() mutable {
+            const gcmaps::GcPointInfo *Info = Cache.lookup(Func, Ord);
             keep(Info);
           }));
     }

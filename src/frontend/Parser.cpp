@@ -456,7 +456,8 @@ const Type *Parser::resolveTypeExpr(const TypeExpr &TE, bool UnderRef) {
     const Type *Elem = resolveTypeExpr(*TE.Elem, /*UnderRef=*/false);
     if (!Elem)
       return nullptr;
-    // Hi - Lo + 1 wraps to 0 for the full INTEGER range.
+    // Hi - Lo + 1 wraps to 0 for the full INTEGER range.  An element of
+    // no words counts as one, so walking the elements stays bounded too.
     uint64_t Length = static_cast<uint64_t>(TE.Hi) -
                       static_cast<uint64_t>(TE.Lo) + 1;
     if (Length == 0 ||

@@ -31,10 +31,10 @@ std::optional<int64_t> constantValue(const Expr &E) {
   }
   case Expr::Kind::Unary: {
     auto &U = static_cast<const UnaryExpr &>(E);
-    std::optional<int64_t> V;
-    if (U.Op == UnOp::Neg && (V = constantValue(*U.Sub)))
-      return support::wrapNeg(*V);
-    return std::nullopt;
+    if (U.Op != UnOp::Neg)
+      return std::nullopt;
+    std::optional<int64_t> V = constantValue(*U.Sub);
+    return V ? std::optional<int64_t>(support::wrapNeg(*V)) : std::nullopt;
   }
   default:
     return std::nullopt;
