@@ -72,7 +72,8 @@ std::vector<Span> tokenSpans(const std::string &Src) {
       ++S.End;
       continue;
     }
-    while (S.End != Next && !std::isspace(static_cast<unsigned char>(Src[S.End])) &&
+    while (S.End != Next &&
+           !std::isspace(static_cast<unsigned char>(Src[S.End])) &&
            Src.compare(S.End, 2, "(*") != 0)
       ++S.End;
   }
