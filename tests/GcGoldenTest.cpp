@@ -22,8 +22,7 @@
 /// unmapped frames and walk errors.  An enabled tracer with no stream
 /// rides every run too; the last field digests its first-collection
 /// survival counts: each site's count, bytes, survived and survived bytes,
-/// then the run summary's unattributed allocations and bytes and its
-/// dropped survival records.
+/// then the run summary's unattributed allocations and bytes.
 ///
 /// A change that alters collector output on purpose replaces the rows the
 /// failure message prints and says so in its change notes.
@@ -135,8 +134,7 @@ std::string runRow(const test::NamedSource &S, Mode Md) {
     for (uint64_t V : {SC.Count, SC.Bytes, SC.Survived, SC.SurvivedBytes})
       Survival.u64(V);
   obs::RunSummary Sum = runSummary(Tracer);
-  for (uint64_t V :
-       {Sum.UnattributedAllocs, Sum.UnattributedBytes, Sum.PendingDropped})
+  for (uint64_t V : {Sum.UnattributedAllocs, Sum.UnattributedBytes})
     Survival.u64(V);
   const vm::VMStats &St = M.Stats;
   std::ostringstream Row;
