@@ -52,10 +52,17 @@ void Type::collectPointerOffsets(unsigned Base,
     Out.push_back(Base);
     return;
   case Kind::Array: {
+    // The first element's offsets, repeated for the others; an element
+    // without pointers leaves nothing to repeat, however long the array.
+    if (length() < 1)
+      return;
+    size_t First = Out.size();
+    Elem->collectPointerOffsets(Base, Out);
+    size_t Last = Out.size();
     unsigned Stride = Elem->sizeInWords();
-    for (int64_t I = 0; I != length(); ++I)
-      Elem->collectPointerOffsets(Base + static_cast<unsigned>(I) * Stride,
-                                  Out);
+    for (int64_t I = 1; First != Last && I != length(); ++I)
+      for (size_t K = First; K != Last; ++K)
+        Out.push_back(Out[K] + static_cast<unsigned>(I) * Stride);
     return;
   }
   case Kind::Record:

@@ -27,12 +27,6 @@ namespace {
 /// Decoded-point cache lines (power of two).
 constexpr unsigned DecodeCacheLines = 64;
 
-// The tracer resolves first-collection survival by reading the forwarding
-// tag out of from-space headers (obs::Tracer::sweepSurvivors hardcodes
-// bit 0 to stay below the vm layer); pin the correspondence here.
-static_assert(Heap::ForwardBit == 1,
-              "obs survival sweep assumes the forwarding tag is bit 0");
-
 /// One resolved derived-value entry: the target word and its base words
 /// with signs (bases were required live, so they have resolved homes too).
 struct DerivedEntry {
@@ -75,6 +69,9 @@ private:
   /// The in-flight observability event (null when tracing is off); set at
   /// the top of collect() so traceMinor can time the remset rebuild.
   obs::GcEvent *CurEv = nullptr;
+  /// The enabled tracer's per-site slabs for this collection (all null
+  /// without one); set at the top of collect().
+  SiteTally Tally;
   /// The root set: table-described slots in walk order, then globals.
   std::vector<Word *> TidyRoots;
   /// Persistent derived-entry arena (entries beyond DerivedUsed keep their
@@ -126,28 +123,18 @@ void PreciseCollector::traceFull(VM &M) {
   Heap &H = M.TheHeap;
   H.beginCollection();
 
-  // In-copy leak sampling: the kernel visits every evacuated object
-  // exactly once, so per-site live bytes accumulate there for free instead
-  // of a separate O(live) heap walk at sample time (which would cost a
-  // significant fraction of the pause itself on GC-bound workloads —
-  // bench/obs_overhead gates the detector at <= 3% mutator cost).
-  uint64_t *LeakAcc = M.Tracer ? M.Tracer->leakAccumulator() : nullptr;
-  size_t LeakSites = LeakAcc ? M.Tracer->leakSiteCount() : 0;
-
   // --- Trace: forward every tidy root, then Cheney-scan the copied
-  // objects through the heap's scan plans.
+  // objects through the heap's scan plans.  The kernel visits every
+  // evacuated object exactly once, so the tracer's per-site live bytes
+  // (the leak sample) and first-collection survival accumulate there for
+  // free instead of in a separate heap walk.
   M.Stats.RootsTraced += TidyRoots.size();
   M.Stats.ObjectsCopied +=
-      H.evacuate(TidyRoots.data(), TidyRoots.size(), LeakAcc, LeakSites);
+      H.evacuate(TidyRoots.data(), TidyRoots.size(), Tally);
   M.Stats.BytesCopied += H.toAlloc() - H.scanStart();
 
   if (M.Opts.CrossCheck)
     crosscheckAfterFull(M);
-
-  // Survival + attribution sweep: from-space headers (and nursery headers
-  // in generational mode) remain readable until the swap below.
-  if (M.Tracer)
-    M.Tracer->sweepSurvivors();
   H.endCollection();
 }
 
@@ -155,21 +142,18 @@ void PreciseCollector::traceMinor(VM &M) {
   Heap &H = M.TheHeap;
   assert(H.minorHeadroomOk() &&
          "minor collection started without promotion headroom");
-  H.beginMinorCollection();
-
-  // The remembered set rebuilt for the next cycle: surviving old→young
-  // edges plus any created by promotion during this collection.
-  std::unordered_set<Word> NewRem;
+  // Minor collections never sample leaks: they do not reclaim old space.
+  H.beginMinorCollection(SiteTally{nullptr, Tally.FirstCopies, Tally.Sites});
 
   // Forwards a field's target out of the nursery if it is young.  Fields
-  // of *old-space* objects that end up pointing at a survivor are
-  // old→young edges and must enter the new remembered set.
+  // of promoted objects that end up pointing at a survivor are new
+  // old→young edges and must enter the remembered set.
   auto FwdField = [&](Word &Field,
                       bool InOldObject) __attribute__((always_inline)) {
     if (H.inNursery(Field))
       Field = H.forwardYoung(Field);
     if (InOldObject && H.inNurseryTo(Field))
-      NewRem.insert(reinterpret_cast<Word>(&Field));
+      H.remember(reinterpret_cast<Word>(&Field));
   };
 
   // --- Roots: the same table-driven tidy roots as a full collection...
@@ -186,7 +170,7 @@ void PreciseCollector::traceMinor(VM &M) {
   }
   // ...plus every remembered old-space slot that still holds a young
   // pointer (the barrier records slots eagerly; stores since may have
-  // overwritten them).
+  // overwritten them), in the order the barriers recorded them.
   for (Word Slot : H.remSet()) {
     Word &Field = *reinterpret_cast<Word *>(Slot);
     if (H.inNursery(Field))
@@ -227,29 +211,19 @@ void PreciseCollector::traceMinor(VM &M) {
   if (M.Opts.CrossCheck)
     crosscheckAfterMinor(M);
 
-  // Remembered-set rebuild (timed as its own phase): surviving entries of
-  // the old set — slots still holding a young pointer once their target
-  // moved to the survivor half — join the edges recorded during the scan.
+  // Remembered-set rebuild (timed as its own phase): entries whose slot
+  // still holds a young pointer once its target moved to the survivor
+  // half stay, in order, the edges promotion appended among them.
   using Clock = std::chrono::steady_clock;
   Clock::time_point RemT0;
   if (CurEv)
     RemT0 = Clock::now();
-  for (Word Slot : H.remSet()) {
-    Word V = *reinterpret_cast<const Word *>(Slot);
-    if (H.inNurseryTo(V))
-      NewRem.insert(Slot);
-  }
-  H.remSet().swap(NewRem);
+  H.rebuildRemSet();
   if (CurEv)
     CurEv->Phases.RemsetRebuild = static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                              RemT0)
             .count());
-
-  // Survival + attribution sweep: evacuated nursery-half headers remain
-  // readable until the swap below.
-  if (M.Tracer)
-    M.Tracer->sweepSurvivors();
   H.endMinorCollection();
 }
 
@@ -326,6 +300,10 @@ void PreciseCollector::collect(VM &M) {
   // timing skeleton (T0 → walk → T1 → underive → copy → rederive → T2), so
   // the phase nanos sum exactly to the collector span.
   CurEv = M.Tracer ? M.Tracer->current() : nullptr;
+  Tally = M.Tracer ? SiteTally{M.Tracer->leakAccumulator(),
+                               M.Tracer->firstCopyAccumulator(),
+                               M.Tracer->siteCount()}
+                   : SiteTally();
 
   bool Minor = M.TheHeap.generational() && M.RequestedGc == GcKind::Minor;
 

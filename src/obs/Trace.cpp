@@ -21,9 +21,10 @@ using namespace mgc::obs;
 using support::JsonWriter;
 
 Tracer::Tracer(TracerConfig C) : Config(std::move(C)) {
-  if (Config.Sites)
+  if (Config.Sites) {
     Counters.resize(Config.Sites->Sites.size());
-  Pending.reserve(TracePendingCapacity);
+    FirstCopies.assign(2 * Counters.size(), 0);
+  }
   Ring.resize(std::max<size_t>(Config.RingCapacity, 1));
   PausesMinor.reserve(1024);
   PausesFull.reserve(1024);
@@ -92,31 +93,13 @@ GcEvent &Tracer::beginEvent(uint64_t Seq, bool Minor, uint32_t TriggerSite) {
   return Cur;
 }
 
-namespace {
-
-/// Bit 0 of the (still-readable) from-space header is the forwarding tag:
-/// set iff the object was evacuated, i.e. survived — and then the rest of
-/// the word is its new address.  Returns 0 for objects that died.
-uint64_t forwardedTo(uint64_t Addr) {
-  uint64_t Hd = *reinterpret_cast<const uint64_t *>(Addr);
-  return (Hd & 1) ? (Hd & ~uint64_t(1)) : 0;
-}
-
-} // namespace
-
-void Tracer::sweepSurvivors() {
-  if (Enabled) {
-    for (const PendingAlloc &P : Pending) {
-      if (forwardedTo(P.Addr) != 0) {
-        if (P.Site < Counters.size()) {
-          ++Counters[P.Site].Survived;
-          Counters[P.Site].SurvivedBytes += P.Bytes;
-        }
-      }
-    }
+std::vector<SiteCounters> Tracer::siteCounters() const {
+  std::vector<SiteCounters> Out = Counters;
+  for (size_t I = 0; I != Out.size(); ++I) {
+    Out[I].Survived = FirstCopies[2 * I];
+    Out[I].SurvivedBytes = FirstCopies[2 * I + 1];
   }
-  // Every pending allocation has now experienced its first collection.
-  Pending.clear();
+  return Out;
 }
 
 namespace {
@@ -314,7 +297,6 @@ RunSummary Tracer::summary() const {
   S.Events = TotalEvents;
   S.EventsRetained = std::min<uint64_t>(TotalEvents, Ring.size());
   S.EventsDropped = eventsDropped();
-  S.PendingDropped = DroppedPending;
   S.UnattributedAllocs = UnattributedCount;
   S.UnattributedBytes = UnattributedBytes;
   S.All = pausePercentiles(0);
@@ -338,9 +320,10 @@ void Tracer::finish(bool Ok, const std::string &Error, const vm::Heap *H,
   if (Finished || !Stream)
     return;
   Finished = true;
-  for (size_t I = 0; I != Counters.size(); ++I)
-    if (Counters[I].Count != 0)
-      writeRecord(*Stream, SiteStatsRecord{I, Counters[I]});
+  std::vector<SiteCounters> Sites = siteCounters();
+  for (size_t I = 0; I != Sites.size(); ++I)
+    if (Sites[I].Count != 0)
+      writeRecord(*Stream, SiteStatsRecord{I, Sites[I]});
   if (H) {
     // End-of-run view of the header-borne attribution: what is still live
     // (per site, and per collection-count age), from a final heap walk.

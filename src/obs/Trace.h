@@ -16,11 +16,11 @@
 ///    bench/obs_overhead.cpp enforces <1% attached-disabled, <3% enabled
 ///    on the gengc workloads).
 ///  - The enabled allocation hot path allocates nothing: site counters are
-///    a flat preallocated vector indexed by site id, and first-collection
-///    survival tracking appends to a preallocated vector of (address,
-///    site, bytes) records — bump allocation makes addresses unique
-///    between collections, so no hashing is needed.  On overflow records
-///    are dropped and counted, never silently.
+///    a flat preallocated vector indexed by site id.  First-collection
+///    survival costs the mutator nothing: the collector's copy loops add
+///    each object copied at age 0 to a per-site slab the tracer lends
+///    (firstCopyAccumulator), so a pause pays per survivor, not per
+///    allocation.
 ///  - Collections are rare relative to allocations, so event commit (ring
 ///    store + optional JSONL stream write) may format text.
 ///
@@ -30,9 +30,8 @@
 ///
 /// Event lifecycle: the VM begins an event after the rendezvous completes
 /// (so committed events correspond 1:1 with VMStats::Collections), the
-/// collector fills in the per-phase breakdown and sweeps survivors before
-/// the heap swaps spaces, and the VM commits the event with before/after
-/// stat deltas once the collector returns.
+/// collector fills in the per-phase breakdown, and the VM commits the
+/// event with before/after stat deltas once the collector returns.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -168,9 +167,6 @@ struct LeakConfig {
   uint64_t MinBytes = 4096;
 };
 
-/// Capacity of the first-collection survival buffer: allocations between
-/// consecutive collections beyond this are dropped (and counted).
-constexpr size_t TracePendingCapacity = 1u << 15;
 /// Capacity of the per-request service-demand sample buffer (ReqDone
 /// markers); samples beyond it are dropped (and counted), the running
 /// aggregates keep counting.
@@ -226,15 +222,11 @@ public:
 
   //===--- Mutator hot path ------------------------------------------------===
 
-  /// Records one allocation.  \p Movable is false for allocations the next
-  /// collection will not move (direct-to-old in generational mode); those
-  /// never enter the first-collection survival sweep.
-  void recordAlloc(uint32_t Site, uint64_t Addr, uint64_t Bytes,
-                   bool Movable) {
+  /// Records one allocation.
+  void recordAlloc(uint32_t Site, uint64_t Bytes) {
     if (!Enabled)
       return;
-    bool Counted = Site < Counters.size();
-    if (Counted) {
+    if (Site < Counters.size()) {
       ++Counters[Site].Count;
       Counters[Site].Bytes += Bytes;
     } else {
@@ -243,12 +235,6 @@ public:
       // via the NoSite id carried in the object header.
       ++UnattributedCount;
       UnattributedBytes += Bytes;
-    }
-    if (Counted && Movable) {
-      if (Pending.size() < TracePendingCapacity)
-        Pending.push_back({Addr, Site, Bytes});
-      else
-        ++DroppedPending;
     }
   }
 
@@ -270,15 +256,6 @@ public:
   /// The in-flight event, or null when none (tracer disabled, or no
   /// collection running).  The collector writes phase timings through this.
   GcEvent *current() { return CurActive ? &Cur : nullptr; }
-
-  /// Resolves first-collection survival: called by the collector after the
-  /// evacuation completes but *before* the heap swaps spaces, while
-  /// from-space headers are still readable.  An object survived iff its
-  /// header carries the forwarding tag (bit 0 — vm/Heap.h's ForwardBit;
-  /// Collector.cpp static_asserts the correspondence).  Per-object
-  /// site/age attribution needs no sweep at all: it rides in the header
-  /// through the copy itself.
-  void sweepSurvivors();
 
   /// Commits the in-flight event: ring store, pause bookkeeping, and JSONL
   /// stream write.
@@ -303,14 +280,24 @@ public:
   uint64_t *leakAccumulator() {
     return Enabled && !LeakAcc.empty() ? LeakAcc.data() : nullptr;
   }
-  /// Slots in the leakAccumulator slab; site ids at or past this bound are
-  /// unattributed and must not be added.
-  size_t leakSiteCount() const { return LeakAcc.size(); }
+  /// Per-site slab for first-collection survival: every collection's copy
+  /// loops add each object they copy at age 0 — surviving its first
+  /// collection — to slots [2 * site] (objects) and [2 * site + 1]
+  /// (bytes).  Objects allocated directly in old space in generational
+  /// mode never count.  Null unless the tracer is enabled with a site
+  /// table; siteCounters() reports the sums as survived/survived_bytes.
+  uint64_t *firstCopyAccumulator() {
+    return Enabled && !FirstCopies.empty() ? FirstCopies.data() : nullptr;
+  }
+  /// Sites in the program's table; the accumulators' site ids at or past
+  /// this bound are unattributed and must not be added.
+  size_t siteCount() const { return Counters.size(); }
 
   //===--- Results ---------------------------------------------------------===
 
   const TracerConfig &config() const { return Config; }
-  const std::vector<SiteCounters> &siteCounters() const { return Counters; }
+  /// Per-site counters, survival included.
+  std::vector<SiteCounters> siteCounters() const;
   uint64_t unattributedCount() const { return UnattributedCount; }
 
   /// Committed events, oldest first (at most RingCapacity retained; the
@@ -403,17 +390,12 @@ private:
   std::ostream *Stream = nullptr;
   bool Finished = false;
 
-  std::vector<SiteCounters> Counters; ///< Indexed by site id.
+  /// Indexed by site id; Survived and SurvivedBytes live in FirstCopies
+  /// until siteCounters() folds them in.
+  std::vector<SiteCounters> Counters;
+  std::vector<uint64_t> FirstCopies; ///< See firstCopyAccumulator().
   uint64_t UnattributedCount = 0;
   uint64_t UnattributedBytes = 0;
-
-  struct PendingAlloc {
-    uint64_t Addr;
-    uint32_t Site;
-    uint64_t Bytes;
-  };
-  std::vector<PendingAlloc> Pending; ///< Preallocated; cleared each sweep.
-  uint64_t DroppedPending = 0;
 
   GcEvent Cur;
   bool CurActive = false;

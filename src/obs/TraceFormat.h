@@ -151,7 +151,7 @@ struct LeakRecord {
 /// The tracer's aggregates: the run record's counters, and --stats-json's.
 struct RunSummary {
   uint64_t Events = 0, EventsRetained = 0, EventsDropped = 0;
-  uint64_t PendingDropped = 0, UnattributedAllocs = 0, UnattributedBytes = 0;
+  uint64_t UnattributedAllocs = 0, UnattributedBytes = 0;
   /// Pauses of every, minor and full collection (P99 is not written).
   Tracer::Percentiles All, Minor, Full;
   struct Requests {
@@ -181,7 +181,6 @@ struct RunSummary {
     F.num("events", V.Events);
     F.num("events_retained", V.EventsRetained);
     F.num("events_dropped_from_ring", V.EventsDropped);
-    F.num("pending_dropped", V.PendingDropped);
     F.num("unattributed_allocs", V.UnattributedAllocs);
     F.num("unattributed_bytes", V.UnattributedBytes);
     F.num("pause_p50_ns", V.All.P50);

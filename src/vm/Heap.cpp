@@ -8,6 +8,11 @@
 
 #include <cassert>
 #include <cstring>
+#include <mutex>
+#include <string>
+#include <utility>
+
+#include <sys/mman.h>
 
 using namespace mgc;
 using namespace mgc::vm;
@@ -34,6 +39,53 @@ size_t addChecked(size_t A, size_t B) {
   if (__builtin_add_overflow(A, B, &R))
     return Heap::BadAlloc;
   return R;
+}
+
+/// \p Bytes rounded up to whole pages, or SIZE_MAX on overflow.
+size_t pageRound(size_t Bytes) {
+  constexpr size_t Page = 4096;
+  size_t R = addChecked(Bytes, Page - 1);
+  return R == Heap::BadAlloc ? R : R & ~(Page - 1);
+}
+
+/// The mapping of the last heap destroyed, kept for the next heap it fits:
+/// the next heap then reuses pages already faulted in, instead of taking
+/// first-touch faults inside its first pauses.
+std::mutex SpareLock;
+uint8_t *SpareMapping = nullptr;
+size_t SpareBytes = 0;
+
+/// A mapping of at least \p Bytes: the spare when it fits, else a fresh
+/// one; null when it cannot be reserved.  \p Bytes is set to the size
+/// taken.  MAP_NORESERVE: the spaces are sized to their caps, and only the
+/// pages a run touches are ever backed.
+uint8_t *takeMapping(size_t &Bytes, bool &Reused) {
+  {
+    std::lock_guard<std::mutex> G(SpareLock);
+    if (SpareMapping && SpareBytes >= Bytes) {
+      Reused = true;
+      Bytes = SpareBytes;
+      return std::exchange(SpareMapping, nullptr);
+    }
+  }
+  Reused = false;
+  void *P = mmap(nullptr, Bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  return P == MAP_FAILED ? nullptr : static_cast<uint8_t *>(P);
+}
+
+/// Keeps the larger of \p Base and the spare as the spare and unmaps the
+/// other.
+void returnMapping(uint8_t *Base, size_t Bytes) {
+  {
+    std::lock_guard<std::mutex> G(SpareLock);
+    if (!SpareMapping || Bytes > SpareBytes) {
+      std::swap(Base, SpareMapping);
+      std::swap(Bytes, SpareBytes);
+    }
+  }
+  if (Base)
+    munmap(Base, Bytes);
 }
 } // namespace
 
@@ -87,13 +139,6 @@ Heap::Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
     Policy.MaxBytes = SpaceBytes;
   }
   ToSpaceBytes = SpaceBytes;
-  FromSpace.reset(new uint8_t[SpaceBytes]);
-  ToSpace.reset(new uint8_t[ToSpaceBytes]);
-  FromBase = reinterpret_cast<Word>(FromSpace.get());
-  ToBase = reinterpret_cast<Word>(ToSpace.get());
-  AllocPtr = FromBase;
-  ToAlloc = ToBase;
-  OldLimit = FromBase + SpaceBytes;
   if (Gen) {
     // Each nursery half defaults to an eighth of a semispace, and is
     // clamped so old space keeps room to absorb a full nursery of
@@ -106,15 +151,45 @@ Heap::Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
     if (Half > SpaceBytes / 2)
       Half = (SpaceBytes / 2) & ~size_t(7);
     NurFromHalfBytes = NurToHalfBytes = NurFloorBytes = Half;
-    NurFromBuf.reset(new uint8_t[NurFromHalfBytes]);
-    NurToBuf.reset(new uint8_t[NurToHalfBytes]);
-    NurFromBase = reinterpret_cast<Word>(NurFromBuf.get());
-    NurToBase = reinterpret_cast<Word>(NurToBuf.get());
+  }
+
+  // The mapping's layout, each range page-aligned: two semispaces at the
+  // growth cap, two nursery halves at the auto-sizing cap, then one
+  // remembered-set bit per word of a capped semispace.
+  size_t Semi = pageRound(Policy.MaxBytes);
+  size_t Half = 0, Bits = 0;
+  if (Gen) {
+    Half = pageRound(Policy.NurseryAuto ? nurseryAutoCapBytes(Policy.MaxBytes)
+                                        : NurFloorBytes);
+    Bits = pageRound(Policy.MaxBytes / 64 + sizeof(uint64_t));
+  }
+  size_t Bytes = addChecked(
+      addChecked(mulChecked(Semi, 2), mulChecked(Half, 2)), Bits);
+  bool Reused;
+  Mapping = takeMapping(Bytes, Reused);
+  if (!Mapping)
+    throw HeapReserveError("cannot reserve " + std::to_string(Bytes) +
+                           " bytes for the heap");
+  MappingBytes = Bytes;
+  FromBase = reinterpret_cast<Word>(Mapping);
+  ToBase = FromBase + Semi;
+  AllocPtr = FromBase;
+  ToAlloc = ToBase;
+  OldLimit = FromBase + SpaceBytes;
+  if (Gen) {
+    NurFromBase = ToBase + Semi;
+    NurToBase = NurFromBase + Half;
     NurAlloc = NurFromBase;
     NurToAlloc = NurToBase;
     OldLimit = FromBase + SpaceBytes - NurFromHalfBytes;
+    RemBits = reinterpret_cast<uint64_t *>(NurToBase + Half);
+    // A reused mapping may hold an earlier heap's words where the bits go.
+    if (Reused)
+      std::memset(RemBits, 0, Bits);
   }
 }
+
+Heap::~Heap() { returnMapping(Mapping, MappingBytes); }
 
 size_t Heap::allocationBytes(unsigned DescIdx, int64_t Length) const {
   assert(DescIdx < Plans.size());
@@ -172,12 +247,21 @@ Word Heap::allocateOld(unsigned DescIdx, int64_t Length, uint32_t Site) {
 }
 
 uint64_t Heap::evacuate(Word *const *Roots, size_t NumRoots,
-                        uint64_t *SiteBytes, size_t NumSites) {
+                        const SiteTally &Tally) {
   // The spaces, the bump pointer and the object count live in locals, so
   // the loops below keep them in registers.
   const Word FromLo = FromBase, NurLo = NurFromBase, ToLo = ToBase;
   const size_t FromBytes = SpaceBytes, ToBytes = ToSpaceBytes;
   const size_t NurBytes = Gen ? NurFromHalfBytes : 0;
+  // The space whose age-0 objects are surviving their first collection:
+  // in generational mode the nursery.  An age-0 object in old from-space
+  // was allocated there directly, never entered the young generation, and
+  // does not count.
+  const Word YoungLo = Gen ? NurLo : FromLo;
+  const size_t YoungBytes = Gen ? NurBytes : FromBytes;
+  uint64_t *const FirstCopies = Tally.FirstCopies;
+  uint64_t *const LiveBytes = Tally.LiveBytes;
+  const size_t NumSites = Tally.Sites;
   const ScanPlan *const PlanTab = Plans.data();
   const uint32_t *const OffTab = PlanOffsets.data();
   const size_t NumPlans = Plans.size();
@@ -204,6 +288,11 @@ uint64_t Heap::evacuate(Word *const *Roots, size_t NumRoots,
            "to-space overflow during collection");
     Word *Dst = reinterpret_cast<Word *>(Alloc);
     Alloc += Words * sizeof(Word);
+    if (FirstCopies && headerAge(H) == 0 && Obj - YoungLo < YoungBytes &&
+        headerSite(H) < NumSites) {
+      FirstCopies[2 * headerSite(H)] += 1;
+      FirstCopies[2 * headerSite(H) + 1] += Words * sizeof(Word);
+    }
     // The header (site, descriptor, age) rides the copy; the age bump is
     // the whole of attribution maintenance.  Ages are monotonic across the
     // object's lifetime — the promotion policy only ever consults nursery
@@ -241,8 +330,8 @@ uint64_t Heap::evacuate(Word *const *Roots, size_t NumRoots,
     Word *P = reinterpret_cast<Word *>(Scan);
     Word H = P[0];
     size_t Words = walkFields(PlanTab[headerDesc(H)], OffTab, P, ForwardField);
-    if (SiteBytes && headerSite(H) < NumSites)
-      SiteBytes[headerSite(H)] += Words * sizeof(Word);
+    if (LiveBytes && headerSite(H) < NumSites)
+      LiveBytes[headerSite(H)] += Words * sizeof(Word);
     Scan += Words * sizeof(Word);
   }
   ToAlloc = Alloc;
@@ -266,33 +355,27 @@ void Heap::beginCollection() {
     ++HeapGrowths;
   }
   GrowRequested = false;
-  if (Target != ToSpaceBytes) {
-    ToSpace.reset(new uint8_t[Target]);
-    ToBase = reinterpret_cast<Word>(ToSpace.get());
-    ToSpaceBytes = Target;
-  }
+  ToSpaceBytes = Target; // Both semispaces are mapped at the cap.
   ToAlloc = ToBase;
 }
 
 void Heap::endCollection() {
-  std::swap(FromBase, ToBase);
-  std::swap(FromSpace, ToSpace);
-  std::swap(SpaceBytes, ToSpaceBytes);
-  AllocPtr = ToAlloc;
-  if (ToSpaceBytes != SpaceBytes) {
-    // The pair stays symmetric: the idle semispace must be able to absorb
-    // a full copy of the (now larger) from-space at the next collection.
-    ToSpace.reset(new uint8_t[SpaceBytes]);
-    ToBase = reinterpret_cast<Word>(ToSpace.get());
-    ToSpaceBytes = SpaceBytes;
+  if (Gen) {
+    // Everything is old now.  The bits index from-space, so they are
+    // cleared before the swap.
+    for (Word Slot : RemSet)
+      forget(Slot);
+    RemSet.clear();
+    NurAlloc = NurFromBase; // The nursery was fully evacuated.
   }
+  std::swap(FromBase, ToBase);
+  // The pair stays symmetric: the idle semispace must be able to absorb a
+  // full copy of the (possibly grown) from-space at the next collection.
+  SpaceBytes = ToSpaceBytes;
+  AllocPtr = ToAlloc;
   ToAlloc = ToBase;
   OldLimit = Gen ? FromBase + SpaceBytes - nurseryReserveBytes()
                  : FromBase + SpaceBytes;
-  if (Gen) {
-    NurAlloc = NurFromBase; // The nursery was fully evacuated.
-    RemSet.clear();         // Everything is old now.
-  }
 }
 
 Word Heap::forwardYoung(Word Obj) {
@@ -302,6 +385,11 @@ Word Heap::forwardYoung(Word Obj) {
     return H & ~ForwardBit;
   size_t Bytes = objectWords(Obj) * sizeof(Word);
   unsigned Age = headerAge(H) + 1;
+  uint32_t Site = headerSite(H);
+  if (Age == 1 && MinorTally.FirstCopies && Site < MinorTally.Sites) {
+    MinorTally.FirstCopies[2 * Site] += 1;
+    MinorTally.FirstCopies[2 * Site + 1] += Bytes;
+  }
   Word New;
   if (Age >= PromoteAge) {
     New = AllocPtr;
@@ -326,9 +414,20 @@ Word Heap::forwardYoung(Word Obj) {
   return New;
 }
 
+void Heap::rebuildRemSet() {
+  size_t Kept = 0;
+  for (Word Slot : RemSet) {
+    if (inNurseryTo(*reinterpret_cast<const Word *>(Slot)))
+      RemSet[Kept++] = Slot;
+    else
+      forget(Slot);
+  }
+  RemSet.resize(Kept);
+}
+
 void Heap::endMinorCollection() {
+  MinorTally = SiteTally();
   std::swap(NurFromBase, NurToBase);
-  std::swap(NurFromBuf, NurToBuf);
   std::swap(NurFromHalfBytes, NurToHalfBytes);
   NurAlloc = NurToAlloc;
   NurToAlloc = NurToBase;
@@ -359,10 +458,7 @@ void Heap::resizeIdleNurseryHalf() {
     Target = Cap;
   if (Target == NurToHalfBytes)
     return;
-  NurToBuf.reset(new uint8_t[Target]);
-  NurToBase = reinterpret_cast<Word>(NurToBuf.get());
-  NurToAlloc = NurToBase;
-  NurToHalfBytes = Target;
+  NurToHalfBytes = Target; // Both halves are mapped at the cap.
   ++NurseryResizes;
   // The old-space reserve follows the larger half; AllocPtr may already
   // sit past a shrunken OldLimit, which bumpAllocate tolerates (the next

@@ -39,9 +39,17 @@
 ///    objects into the other nursery half, promoting them into old space
 ///    once they have survived PromoteAge copies; a remembered set of
 ///    old-space slots that may hold young pointers (maintained by the
-///    compiler-emitted write barriers) supplies the extra roots.  Full
-///    collections fall back to the Cheney copy over nursery + old space
-///    and clear the remembered set.
+///    compiler-emitted write barriers) supplies the extra roots.  The set
+///    is a vector of slot addresses in barrier order, deduplicated by one
+///    bit per old-space word.  Full collections fall back to the Cheney
+///    copy over nursery + old space and clear the remembered set.
+///
+/// Every space lives in one anonymous page mapping per heap, reserved at
+/// construction: both semispaces at the growth cap, both nursery halves at
+/// the auto-sizing cap, and the remembered-set bits.  Growth and nursery
+/// resizing move limits inside it, never memory.  A destroyed heap leaves
+/// its mapping in a one-slot spare that the next heap it fits takes over,
+/// so a process that runs heap after heap faults its pages in once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +61,7 @@
 #include <cassert>
 #include <cstdint>
 #include <limits>
-#include <memory>
-#include <unordered_set>
+#include <stdexcept>
 #include <vector>
 
 namespace mgc {
@@ -96,6 +103,24 @@ struct HeapPolicy {
   /// Generational mode: resize the nursery from minor-collection survivor
   /// volume, between the configured size (floor) and a quarter semispace.
   bool NurseryAuto = false;
+};
+
+/// Thrown by the Heap constructor when its page mapping cannot be
+/// reserved; what() reads "cannot reserve N bytes for the heap".
+struct HeapReserveError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// Per-site slabs a collection's copy loops add to (an enabled tracer lends
+/// them).  Null slabs are skipped; site ids at or past Sites are
+/// unattributed and never added.
+struct SiteTally {
+  /// Full collections: every copied object's bytes (the leak sample).
+  uint64_t *LiveBytes = nullptr;
+  /// Objects copied for the first time, i.e. surviving their first
+  /// collection: [2 * site] counts them, [2 * site + 1] their bytes.
+  uint64_t *FirstCopies = nullptr;
+  size_t Sites = 0;
 };
 
 class Heap {
@@ -148,9 +173,13 @@ public:
   /// default proportional to the semispace size.  Ignored unless
   /// \p Generational.  Under \p P.NurseryAuto the resolved value becomes
   /// the auto-sizing floor.
+  /// Throws HeapReserveError when the page mapping cannot be reserved.
   Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
        bool Generational = false, size_t NurseryBytes = 0,
        HeapPolicy P = HeapPolicy());
+  ~Heap();
+  Heap(const Heap &) = delete;
+  Heap &operator=(const Heap &) = delete;
 
   bool generational() const { return Gen; }
   const HeapPolicy &policy() const { return Policy; }
@@ -288,11 +317,28 @@ public:
     Word V = *reinterpret_cast<const Word *>(SlotAddr);
     if (!inNursery(V))
       return false;
-    return RemSet.insert(SlotAddr).second;
+    return remember(SlotAddr);
+  }
+  /// Appends old-space slot \p SlotAddr to the remembered set unless its
+  /// bit says it is there already; returns whether it was appended.  A
+  /// minor collection also records promoted objects' young fields here.
+  bool remember(Word SlotAddr) {
+    assert(SlotAddr % sizeof(Word) == 0 && "unaligned remembered slot");
+    size_t W = (SlotAddr - FromBase) / sizeof(Word);
+    uint64_t Bit = uint64_t(1) << (W % 64);
+    if (RemBits[W / 64] & Bit)
+      return false;
+    RemBits[W / 64] |= Bit;
+    RemSet.push_back(SlotAddr);
+    return true;
   }
 
-  std::unordered_set<Word> &remSet() { return RemSet; }
-  const std::unordered_set<Word> &remSet() const { return RemSet; }
+  /// The remembered slots, in the order they were first recorded.
+  const std::vector<Word> &remSet() const { return RemSet; }
+  /// Ends a minor collection's remembered-set work, before the nursery
+  /// halves swap: keeps the entries whose slot now points into the
+  /// survivor half, in order, and drops the rest.
+  void rebuildRemSet();
 
   uint64_t ObjectsPromoted = 0;
   uint64_t BytesPromoted = 0;
@@ -311,11 +357,13 @@ public:
   /// then Cheney-scans to-space until it holds every reachable object, in
   /// the order roots, then breadth first, fixed fields before elements.
   /// In generational mode the sources are old from-space and the nursery;
-  /// everything lands in old to-space.  When \p SiteBytes is non-null,
-  /// each copied object's bytes are added to SiteBytes[site] for sites
-  /// below \p NumSites.  Returns the number of objects copied.
-  uint64_t evacuate(Word *const *Roots, size_t NumRoots, uint64_t *SiteBytes,
-                    size_t NumSites);
+  /// everything lands in old to-space.  Each copied object's bytes go to
+  /// \p Tally's LiveBytes, and an object copied at age 0, surviving its
+  /// first collection, goes to FirstCopies, except in generational mode an
+  /// old-space one: it was allocated there directly and never counts.
+  /// Returns the number of objects copied.
+  uint64_t evacuate(Word *const *Roots, size_t NumRoots,
+                    const SiteTally &Tally);
   /// The used range of to-space after evacuate().
   Word scanStart() const { return ToBase; }
   Word toAlloc() const { return ToAlloc; }
@@ -326,10 +374,12 @@ public:
   //===--- Minor-collection interface (generational mode) ------------------===
 
   /// Begins a minor collection: resets the survivor half's bump pointer
-  /// and records where promoted objects will start in old space.
-  void beginMinorCollection() {
+  /// and records where promoted objects will start in old space.  Objects
+  /// copied at age 0 are added to \p Tally's FirstCopies.
+  void beginMinorCollection(const SiteTally &Tally) {
     NurToAlloc = NurToBase;
     MinorOldScanStart = AllocPtr;
+    MinorTally = Tally;
   }
   /// Copies nursery object \p Obj into the survivor half — or into old
   /// space once it has survived PromoteAge minor collections — and leaves
@@ -423,6 +473,12 @@ private:
   Word bumpAllocate(Word &Bump, Word Limit, unsigned DescIdx, int64_t Length,
                     uint32_t Site);
 
+  /// Clears \p Slot's remembered-set bit.
+  void forget(Word Slot) {
+    size_t W = (Slot - FromBase) / sizeof(Word);
+    RemBits[W / 64] &= ~(uint64_t(1) << (W % 64));
+  }
+
   /// Auto-sizing controller: retargets the (empty) idle nursery half from
   /// the survivor volume of the minor collection that just ended.
   void resizeIdleNurseryHalf();
@@ -436,10 +492,9 @@ private:
   size_t NurFromHalfBytes = 0; ///< Active nursery half size.
   size_t NurToHalfBytes = 0;   ///< Survivor nursery half size.
   size_t NurFloorBytes = 0;    ///< Auto-sizing floor (resolved ctor size).
-  /// The semispace buffers, swapped with the bases at endCollection so the
-  /// growth path can reallocate exactly the idle one.
-  std::unique_ptr<uint8_t[]> FromSpace, ToSpace;
-  std::unique_ptr<uint8_t[]> NurFromBuf, NurToBuf;
+  /// The page mapping that holds every space, and its size.
+  uint8_t *Mapping = nullptr;
+  size_t MappingBytes = 0;
   Word FromBase, ToBase;
   Word AllocPtr; ///< Bump pointer in old from-space.
   Word ToAlloc;  ///< Bump pointer in old to-space during collection.
@@ -451,10 +506,15 @@ private:
   Word NurAlloc = 0;   ///< Bump pointer in the active nursery half.
   Word NurToAlloc = 0; ///< Bump pointer in the survivor half (minor gc).
   Word MinorOldScanStart = 0;
-  /// Old-space slot addresses that may hold nursery pointers.  Slots are
-  /// stable between full collections (old objects only move then), which
-  /// is what makes raw addresses a sound representation.
-  std::unordered_set<Word> RemSet;
+  SiteTally MinorTally; ///< The running minor collection's tally.
+  /// Old-space slot addresses that may hold nursery pointers, each once, in
+  /// the order first recorded.  Slots are stable between full collections
+  /// (old objects only move then), which is what makes raw addresses a
+  /// sound representation.  The vector keeps its capacity across
+  /// collections.
+  std::vector<Word> RemSet;
+  /// One bit per from-space word: set iff the word's address is in RemSet.
+  uint64_t *RemBits = nullptr;
   /// Indexed by descriptor; the offsets of every plan in one array.
   std::vector<ScanPlan> Plans;
   std::vector<uint32_t> PlanOffsets;

@@ -23,6 +23,9 @@
 #include <cassert>
 #include <chrono>
 #include <cinttypes>
+#include <new>
+
+#include <sys/mman.h>
 
 using namespace mgc;
 using namespace mgc::vm;
@@ -38,14 +41,27 @@ VM::VM(const Program &Prog, VMOptions Opts)
   spawnThread(Prog.MainFunc);
 }
 
+void StackUnmap::operator()(Word *Stack) const {
+  munmap(Stack, Words * sizeof(Word));
+}
+
 void VM::spawnThread(unsigned FuncIdx) {
   assert(FuncIdx < Prog.Funcs.size());
   const CompiledFunction &F = Prog.Funcs[FuncIdx];
   assert(F.NumParams == 0 && "threads run parameterless procedures");
   auto T = std::make_unique<ThreadContext>();
   T->StackWords = Opts.StackWords;
-  T->Stack.reset(new Word[T->StackWords]);
-  for (size_t I = 0; I != T->StackWords; ++I)
+  void *P = mmap(nullptr, T->StackWords * sizeof(Word), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (P == MAP_FAILED)
+    throw std::bad_alloc();
+  T->Stack = std::unique_ptr<Word[], StackUnmap>(static_cast<Word *>(P),
+                                                 StackUnmap{T->StackWords});
+  // Only the root frame is poisoned here: Call poisons every frame it
+  // pushes, and nothing reads above the top frame (the walkers follow the
+  // frame chain; the conservative scan stops at FP + FrameWords).
+  size_t Root = CtlWords + F.FrameWords;
+  for (size_t I = 0; I != Root && I != T->StackWords; ++I)
     T->Stack[I] = FramePoison;
   // Pseudo control area for the root frame.
   T->Stack[0] = 0;             // saved AP
@@ -132,12 +148,9 @@ Word VM::allocate(unsigned DescIdx, int64_t Length, uint32_t RetPC) {
     }
   }
 
-  // Observability: one predicted branch when no tracer is attached.  The
-  // next collection will move any nursery/from-space object, so survival
-  // tracking is sound everywhere except direct-to-old allocations (which a
-  // minor collection leaves in place).
+  // Observability: one predicted branch when no tracer is attached.
   if (Tracer)
-    Tracer->recordAlloc(CurAllocSite, Obj, Bytes, /*Movable=*/!Old);
+    Tracer->recordAlloc(CurAllocSite, Bytes);
   return Obj;
 }
 

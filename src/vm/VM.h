@@ -118,9 +118,16 @@ struct VMStats {
   uint64_t Requests = 0;
 };
 
+/// Unmaps a thread stack of \c Words words (VM::spawnThread maps each
+/// stack on its own pages, so only the pages its frames reach are backed).
+struct StackUnmap {
+  size_t Words = 0;
+  void operator()(Word *Stack) const;
+};
+
 /// One thread of execution.
 struct ThreadContext {
-  std::unique_ptr<Word[]> Stack;
+  std::unique_ptr<Word[], StackUnmap> Stack;
   size_t StackWords = 0;
   Word R[NumRegs] = {};
   uint32_t PC = 0;

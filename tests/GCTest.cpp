@@ -697,6 +697,35 @@ END M.)"});
   EXPECT_TRUE(SawGeneral) << "no descriptor exercised the general array walk";
 }
 
+TEST(GC, PointerFreeFixedArrayDescriptorHasNoOffsets) {
+  // A fixed array of 2^28 integers, the largest type there is: its
+  // descriptor lists no pointer offsets, and building that empty list does
+  // not walk the elements.  A fixed array of records with a pointer lists
+  // one offset per element.
+  driver::CompileResult C = driver::compile(R"(
+MODULE M;
+TYPE F = REF ARRAY [1..268435456] OF INTEGER;
+     R = REF RECORD v: INTEGER END;
+     P = REF ARRAY [1..3] OF RECORD a: INTEGER; r: R END;
+VAR f: F; p: P;
+BEGIN
+  f := NEW(F); p := NEW(P);
+END M.)");
+  ASSERT_TRUE(C.Prog) << C.Diags.str();
+  bool SawF = false, SawP = false;
+  for (const ir::TypeDesc &D : C.Prog->TypeDescs) {
+    if (D.SizeWords == 268435456u) {
+      SawF = true;
+      EXPECT_TRUE(D.PtrOffsets.empty());
+    } else if (D.SizeWords == 6u) {
+      SawP = true;
+      EXPECT_EQ(D.PtrOffsets, (std::vector<unsigned>{1, 3, 5}));
+    }
+  }
+  EXPECT_TRUE(SawF);
+  EXPECT_TRUE(SawP);
+}
+
 TEST(GC, FullCollectionCrossCheckPassesOnSec6Programs) {
   // --gc-crosscheck walks to-space after every full collection; the §6
   // programs in bench/pause's 64 KiB heap must pass it.
@@ -778,6 +807,58 @@ END M.)";
   RunResult Ref = compileAndRun(Src, CO, crossChecked(VO));
   ASSERT_TRUE(Ref.Ok) << Ref.Error;
   EXPECT_EQ(Ref.Out, Gen.Out);
+}
+
+TEST(GenGC, RememberedSetCountsAreExact) {
+  // The remembered set is a set of slots: a barrier records a slot only
+  // when it is not already in the set, and a minor collection drops the
+  // slots that no longer hold a young pointer.  Nodes are 24 bytes, so each
+  // 200-node loop fills the 4 KiB nursery once: one minor collection per
+  // phase.
+  //  - Phase 1: a[0] gets y 50 times (1 record) and a[1..20] get y (20
+  //    records); a[11..20] are then overwritten with NIL.  The first minor
+  //    starts with 21 entries and keeps a[0..10], whose y survives.
+  //  - Phase 2: a[11..20] get y again (10 records, their entries were
+  //    dropped), a[5] gets it again (none, still in the set), a[21..30]
+  //    get it too (10 records).  The second minor starts with 31 entries:
+  //    the peak.  It promotes y, so every entry goes, but p (promoted) now
+  //    points at its young next node, a new entry no barrier recorded.
+  //  - Phase 3: a[0] gets a new node (1 record); the third minor starts
+  //    with 2 entries.
+  const std::string Src = R"(
+MODULE RemCount;
+TYPE Node = REF RECORD v: INTEGER; next: Node END;
+     Vec = REF ARRAY OF Node;
+VAR a: Vec; y, p, t: Node;
+BEGIN
+  a := NEW(Vec, 1000);
+  y := NEW(Node); y^.v := 1;
+  p := NEW(Node);
+  FOR i := 1 TO 50 DO a[0] := y END;
+  FOR i := 1 TO 20 DO a[i] := y END;
+  FOR i := 11 TO 20 DO a[i] := NIL END;
+  FOR i := 1 TO 200 DO t := NEW(Node) END;
+  FOR i := 11 TO 20 DO a[i] := y END;
+  a[5] := y;
+  FOR i := 21 TO 30 DO a[i] := y END;
+  p^.next := NEW(Node); p^.next^.v := 2;
+  FOR i := 1 TO 200 DO t := NEW(Node) END;
+  a[0] := NEW(Node); a[0]^.v := 3;
+  FOR i := 1 TO 200 DO t := NEW(Node) END;
+  PutInt(a[0]^.v + p^.next^.v + a[30]^.v); PutLn();
+END RemCount.)";
+  for (vm::DispatchTier Tier :
+       {vm::DispatchTier::Threaded, vm::DispatchTier::Switch}) {
+    vm::VMOptions VO = crossChecked(genVMOptions(64u << 10, 4u << 10));
+    VO.Dispatch = Tier;
+    RunResult R = compileAndRun(Src, genCompilerOptions(), VO);
+    ASSERT_TRUE(R.Ok) << R.Error;
+    EXPECT_EQ(R.Out, "6\n");
+    EXPECT_EQ(R.Stats.Collections, 3u);
+    EXPECT_EQ(R.Stats.MinorCollections, 3u);
+    EXPECT_EQ(R.Stats.RemSetRecords, 1u + 20u + 10u + 10u + 1u);
+    EXPECT_EQ(R.Stats.RemSetPeak, 31u);
+  }
 }
 
 TEST(GenGC, CollectionMidForLoopWithLiveDerived_BothModes) {

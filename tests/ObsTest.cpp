@@ -504,6 +504,36 @@ END Survive.
 // Deterministic site-table ordering
 //===----------------------------------------------------------------------===//
 
+
+TEST(ObsSurvival, DirectToOldAllocationNeverSurvivesItsFirstCollection) {
+  // In generational mode the 32,016-byte array is too large for the 4 KiB
+  // nursery and is allocated straight into old space, so it never enters
+  // the young generation.  The full collection copies it at age 0, as it
+  // copies the nursery's Small, but only Small counts as a first-collection
+  // survivor.
+  const char *Source = R"(MODULE OldDirect;
+TYPE Big = REF ARRAY OF INTEGER; Small = REF RECORD v: INTEGER END;
+VAR b: Big; s: Small;
+BEGIN
+  b := NEW(Big, 4000); s := NEW(Small); GcCollect();
+  b[1] := 7; PutInt(b[1] + s^.v); PutLn();
+END OldDirect.
+)";
+  TracedRun R = runTraced(Source, /*Opt=*/2, /*Gen=*/true,
+                          /*HeapBytes=*/256u << 10, /*NurseryBytes=*/4u << 10);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.Out, "7\n");
+  EXPECT_EQ(R.Stats.Collections, 1u);
+  EXPECT_EQ(R.Stats.MinorCollections, 0u);
+  ASSERT_EQ(R.Counters.size(), 2u);
+  EXPECT_EQ(R.Counters[0].Count, 1u);
+  EXPECT_EQ(R.Counters[0].Bytes, 32016u);
+  EXPECT_EQ(R.Counters[0].Survived, 0u);
+  EXPECT_EQ(R.Counters[0].SurvivedBytes, 0u);
+  EXPECT_EQ(R.Counters[1].Count, 1u);
+  EXPECT_EQ(R.Counters[1].Survived, 1u);
+  EXPECT_EQ(R.Counters[1].SurvivedBytes, 16u);
+}
 TEST(ObsReportOrdering, TiedSitesRenderInIdOrder) {
   // Sites with identical byte totals must render in site-id order — the
   // report's tables stable-sort with an id tiebreak, so the output is a

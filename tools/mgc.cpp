@@ -319,7 +319,14 @@ int main(int argc, char **argv) {
   if (!Run)
     return 0;
 
-  vm::VM Machine(Prog, VO);
+  std::unique_ptr<vm::VM> MachineOwner;
+  try {
+    MachineOwner = std::make_unique<vm::VM>(Prog, VO);
+  } catch (const vm::HeapReserveError &E) {
+    std::fprintf(stderr, "mgc: %s\n", E.what());
+    return 1;
+  }
+  vm::VM &Machine = *MachineOwner;
   gc::installPreciseCollector(Machine);
 
   std::ofstream TraceOut;
