@@ -7,11 +7,15 @@
 /// \file
 /// Records stop-the-world pause times (p50/p99/max) and the minimum
 /// mutator utilization (MMU) curve of the serial collector for the §6
-/// benchmark programs, a high-thread-count spin mix, and destroy scaled to
-/// a ~3.2 MB live set in a 4 MiB semispace (the regime where the copy is
-/// the whole pause).  Every row also records the objects and bytes copied
-/// and the copy phase's nanoseconds per object copied by full
-/// collections.  Pauses are the
+/// benchmark programs, a high-thread-count spin mix, destroy scaled to a
+/// ~3.2 MB live set in a 4 MiB semispace (the regime where the copy is the
+/// whole pause), and destroy run generational with barriers, an
+/// auto-sized 16 KiB nursery and the leak detector, as perfbench's
+/// server_open runs its program (the minor-collection regime: old→young
+/// stores, remembered-set roots, first-collection survival counting).
+/// Every row also records the objects and bytes copied and the copy
+/// phase's nanoseconds per object copied by full collections.  Pauses are
+/// the
 /// tracer's per-event TotalNanos (rendezvous + collector span); pause
 /// *intervals* for the MMU computation are reconstructed from the VM's
 /// PostGcHook, which fires at the end of every pause.
@@ -72,6 +76,9 @@ struct Workload {
   std::string Expected; ///< The program's output.
   std::unique_ptr<vm::Program> Prog;
   size_t HeapBytes = 1u << 20;
+  /// Generational, with an auto-sized nursery and a leak-detecting tracer
+  /// that counts per-site survival (the program has write barriers).
+  bool Gen = false;
   unsigned SpawnFunc = 0;  ///< Function each extra thread runs (spin mix).
   unsigned SpawnCount = 0; ///< Extra threads to spawn.
 };
@@ -85,6 +92,7 @@ struct PauseRun {
   std::vector<PauseInterval> Intervals;
   uint64_t RunSpanNanos = 0;
   uint64_t ObjectsCopied = 0, BytesCopied = 0;
+  uint64_t MinorCollections = 0;
   /// Copy-phase nanoseconds and objects copied, full collections only.
   uint64_t FullCopyNanos = 0, FullObjectsCopied = 0;
 };
@@ -94,6 +102,11 @@ PauseRun runOnce(const Workload &W) {
   vm::VMOptions VO;
   VO.HeapBytes = W.HeapBytes;
   VO.StackWords = 1u << 20;
+  if (W.Gen) {
+    VO.GenGc = true;
+    VO.NurseryAuto = true;
+    VO.NurseryBytes = 16u << 10;
+  }
   vm::VM M(*W.Prog, VO);
   gc::installPreciseCollector(M);
   for (unsigned I = 0; I != W.SpawnCount; ++I)
@@ -101,6 +114,11 @@ PauseRun runOnce(const Workload &W) {
 
   obs::TracerConfig TC;
   TC.ProgramName = W.Name;
+  if (W.Gen) {
+    TC.Sites = &W.Prog->SiteTab;
+    TC.GenGc = true;
+    TC.Leak.Enabled = true;
+  }
   obs::Tracer Tr(TC);
   Tr.enable(nullptr);
   M.Tracer = &Tr;
@@ -131,6 +149,7 @@ PauseRun runOnce(const Workload &W) {
           .count());
   R.ObjectsCopied = M.Stats.ObjectsCopied;
   R.BytesCopied = M.Stats.BytesCopied;
+  R.MinorCollections = M.Stats.MinorCollections;
   if (!Ok || M.Out != W.Expected) {
     std::fprintf(stderr, "pause: FAIL: %s: %s\n", W.Name.c_str(),
                  Ok ? ("wrong output: " + M.Out).c_str() : M.Error.c_str());
@@ -227,13 +246,29 @@ int main() {
     W.HeapBytes = 4u << 20;
     Work.push_back(std::move(W));
   }
+  {
+    // destroy's subtree replacements store young nodes into old ones, so
+    // its minor collections have remembered-set roots to forward.  40,000
+    // replacements give ~270 minor collections and one full one.
+    driver::CompilerOptions CO;
+    CO.OptLevel = 2;
+    CO.WriteBarriers = true;
+    std::string Src = bench::destroySource(3, 6, 40000);
+    Workload W;
+    W.Name = "destroy-minor";
+    W.Expected = bench::destroyExpected(3, 6, 40000);
+    W.Prog = bench::compileOrDie("destroy-minor", Src.c_str(), CO);
+    W.HeapBytes = 4u << 20;
+    W.Gen = true;
+    Work.push_back(std::move(W));
+  }
 
   // --- Timing: best (min max-pause) profile per workload over interleaved
   // rounds; MMU from the same best round.
   struct Cell {
     uint64_t P50 = 0, P99 = 0, Max = UINT64_MAX;
     double Mmu[3] = {0, 0, 0};
-    uint64_t Collections = 0;
+    uint64_t Collections = 0, MinorCollections = 0;
     uint64_t ObjectsCopied = 0, BytesCopied = 0;
     double CopyNsPerObject = 0;
   };
@@ -248,6 +283,7 @@ int main() {
         C.P50 = support::percentile(R.Pauses, 0.50);
         C.P99 = support::percentile(R.Pauses, 0.99);
         C.Collections = R.Pauses.size();
+        C.MinorCollections = R.MinorCollections;
         C.ObjectsCopied = R.ObjectsCopied;
         C.BytesCopied = R.BytesCopied;
         C.CopyNsPerObject =
@@ -267,6 +303,7 @@ int main() {
     File.J.beginObject()
         .str("name", Work[I].Name)
         .uint("collections", C.Collections)
+        .uint("minor_collections", C.MinorCollections)
         .uint("pause_p50_ns", C.P50)
         .uint("pause_p99_ns", C.P99)
         .uint("pause_max_ns", C.Max)
@@ -277,10 +314,12 @@ int main() {
         .uint("bytes_copied", C.BytesCopied)
         .fixed("copy_ns_per_object", C.CopyNsPerObject, 2)
         .endObject();
-    std::printf("pause[%s]: %llu collections, p50 %.1f us, p99 %.1f us, "
-                "max %.1f us, MMU(5ms) %.3f, copy %.2f ns/object\n",
+    std::printf("pause[%s]: %llu collections (%llu minor), p50 %.1f us, "
+                "p99 %.1f us, max %.1f us, MMU(5ms) %.3f, copy %.2f "
+                "ns/object\n",
                 Work[I].Name.c_str(),
                 static_cast<unsigned long long>(C.Collections),
+                static_cast<unsigned long long>(C.MinorCollections),
                 static_cast<double>(C.P50) / 1e3,
                 static_cast<double>(C.P99) / 1e3,
                 static_cast<double>(C.Max) / 1e3, C.Mmu[1],
