@@ -10,6 +10,29 @@ using namespace mgc;
 using namespace mgc::analysis;
 using namespace mgc::ir;
 
+void ExtraUses::erase(std::span<const char> Dead) {
+  if (VRegs.empty())
+    return;
+  // Compacts in place: every write lands at or before the row being read.
+  uint32_t Rows = 0, Regs = 0;
+  size_t B = 0;
+  for (size_t I = 0; I != Dead.size(); ++I) {
+    for (; B != BlockBase.size() && BlockBase[B] == I; ++B)
+      BlockBase[B] = Rows;
+    if (Dead[I])
+      continue;
+    uint32_t From = Begin[I], To = Begin[I + 1];
+    Begin[Rows++] = Regs;
+    for (uint32_t K = From; K != To; ++K)
+      VRegs[Regs++] = VRegs[K];
+  }
+  for (; B != BlockBase.size(); ++B)
+    BlockBase[B] = Rows;
+  Begin[Rows] = Regs;
+  Begin.resize(Rows + 1);
+  VRegs.resize(Regs);
+}
+
 Liveness::Liveness(const Function &F, const ExtraUses *Extra)
     : F(F), Extra(Extra) {
   size_t NumBlocks = F.Blocks.size();
@@ -50,9 +73,8 @@ void Liveness::transfer(unsigned Block, unsigned Index,
   if (I.Dst != NoVReg)
     Live.reset(static_cast<size_t>(I.Dst));
   I.forEachUse([&](VReg R) { Live.set(static_cast<size_t>(R)); });
-  if (Extra)
-    for (VReg R : Extra->at(Block, Index))
-      Live.set(static_cast<size_t>(R));
+  for (VReg R : extraUses(Block, Index))
+    Live.set(static_cast<size_t>(R));
 }
 
 DynBitset Liveness::liveBefore(unsigned Block, unsigned Index) const {

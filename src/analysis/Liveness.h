@@ -46,6 +46,11 @@ struct ExtraUses {
     size_t I = BlockBase[Block] + Index;
     return {VRegs.data() + Begin[I], VRegs.data() + Begin[I + 1]};
   }
+
+  /// Drops the rows of the flat instructions marked in \p Dead (one flag
+  /// per instruction, in this table's numbering), in step with deleting
+  /// those instructions from the function.
+  void erase(std::span<const char> Dead);
 };
 
 class Liveness {
@@ -63,19 +68,22 @@ public:
   /// callee).
   DynBitset liveBefore(unsigned Block, unsigned Index) const;
 
+  /// The extra uses of instruction (Block, Index).
+  std::span<const ir::VReg> extraUses(unsigned Block, unsigned Index) const {
+    return Extra ? Extra->at(Block, Index) : std::span<const ir::VReg>();
+  }
+
   /// Updates \p Live across instruction (Block, Index), backward.
   void transfer(unsigned Block, unsigned Index, DynBitset &Live) const;
 
-  /// Visits instructions of \p Block backwards; \p Visit(Index, LiveAfter,
-  /// LiveBefore) sees the live sets around each instruction.
+  /// Visits instructions of \p Block backwards; \p Visit(Index, LiveBefore)
+  /// sees the live set before each instruction.
   template <typename Fn> void visitBlock(unsigned Block, Fn &&Visit) const {
     const ir::BasicBlock &BB = *F.Blocks[Block];
     DynBitset Live = LiveOut[Block];
-    DynBitset After = Live;
     for (size_t I = BB.Instrs.size(); I-- > 0;) {
-      After = Live;
       transfer(Block, static_cast<unsigned>(I), Live);
-      Visit(static_cast<unsigned>(I), After, Live);
+      Visit(static_cast<unsigned>(I), Live);
     }
   }
 

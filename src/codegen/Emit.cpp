@@ -25,7 +25,8 @@ class Emitter {
 public:
   Emitter(Function &F, const gcsafety::GcSafetyInfo &Safety,
           const EmitOptions &Opts)
-      : F(F), Safety(Safety), Opts(Opts) {}
+      : F(F), Safety(Safety), Opts(Opts), DA(F),
+        Extra(DA.computeExtraUses()), LV(F, &Extra) {}
 
   EmitResult run();
 
@@ -97,9 +98,11 @@ private:
   /// Pending CISC fold: vreg -> memory operand replacing it.
   std::map<VReg, MOperand> PendingFold;
 
-  std::unique_ptr<analysis::DerivationAnalysis> DA;
+  /// One derivation and liveness solve serves register allocation and the
+  /// gc-point tables: allocation only appends spill slots.
+  analysis::DerivationAnalysis DA;
   analysis::ExtraUses Extra;
-  std::unique_ptr<analysis::Liveness> LV;
+  analysis::Liveness LV;
   /// While a block is emitted: the derivation state before the current
   /// instruction, and the live sets before its remaining gc-points (the
   /// next one last).
@@ -110,7 +113,7 @@ private:
 };
 
 EmitResult Emitter::run() {
-  Assignment Asg = allocateRegisters(F);
+  Assignment Asg = allocateRegisters(F, LV);
 
   // Frame layout: [save area][slots][outgoing args].
   unsigned NumSaved = static_cast<unsigned>(Asg.UsedRegs.size());
@@ -146,12 +149,6 @@ EmitResult Emitter::run() {
     for (const Instr &I : BB->Instrs)
       I.forEachUse([&](VReg R) { ++UseCount[static_cast<size_t>(R)]; });
 
-  if (Opts.GcSafe) {
-    DA = std::make_unique<analysis::DerivationAnalysis>(F);
-    Extra = DA->computeExtraUses();
-    LV = std::make_unique<analysis::Liveness>(F, &Extra);
-  }
-
   // Prologue: zero-initialize pointer words of lowering-created slots so
   // their always-live ground entries are valid from entry.
   for (size_t S = 0; S != F.Slots.size(); ++S) {
@@ -178,15 +175,14 @@ EmitResult Emitter::run() {
     }
     // One backward walk collects the block's gc-point live sets; the
     // derivation state is carried forward as the block is emitted.
-    LV->visitBlock(BB->Id, [&](unsigned Index, const DynBitset &,
-                               const DynBitset &Before) {
+    LV.visitBlock(BB->Id, [&](unsigned Index, const DynBitset &Before) {
       if (BB->Instrs[Index].isGcPoint())
         GcLive.push_back(Before);
     });
-    DA->blockInIds(BB->Id, CurState);
+    DA.blockInIds(BB->Id, CurState);
     for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       emitInstr(*BB, I);
-      DA->transfer(BB->Instrs[I], CurState);
+      DA.transfer(BB->Instrs[I], CurState);
     }
     assert(GcLive.empty() && "gc-point without a table entry");
   }
@@ -258,10 +254,10 @@ void Emitter::recordGcPoint(const BasicBlock &BB, unsigned Index,
 
   std::vector<gcmaps::DerivationRecord> Derivs;
   auto AddDerived = [&](VReg R, Location Target) {
-    auto Id = CurState[static_cast<size_t>(DA->slotOf(R))];
+    auto Id = CurState[static_cast<size_t>(DA.slotOf(R))];
     assert(Id != analysis::DerivationAnalysis::Absent &&
            "live derived value with unknown state");
-    const analysis::DerivState &S = DA->state(Id);
+    const analysis::DerivState &S = DA.state(Id);
     gcmaps::DerivationRecord Rec;
     Rec.Target = Target;
     if (S.K == analysis::DerivState::Kind::Single) {

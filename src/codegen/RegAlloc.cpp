@@ -6,9 +6,6 @@
 
 #include "codegen/RegAlloc.h"
 
-#include "analysis/Derivations.h"
-#include "analysis/Liveness.h"
-
 #include <algorithm>
 #include <cassert>
 
@@ -25,7 +22,8 @@ struct Interval {
 };
 } // namespace
 
-Assignment codegen::allocateRegisters(Function &F) {
+Assignment codegen::allocateRegisters(Function &F,
+                                      const analysis::Liveness &LV) {
   Assignment Out;
   Out.LocOf.assign(F.VRegs.size(), Location());
 
@@ -37,10 +35,6 @@ Assignment codegen::allocateRegisters(Function &F) {
 
   // Linear positions: blocks in id order, two positions per instruction so
   // def-after-use at the same instruction orders correctly.
-  analysis::DerivationAnalysis DA(F);
-  auto Extra = DA.computeExtraUses();
-  analysis::Liveness LV(F, &Extra);
-
   std::vector<Interval> Intervals(F.VRegs.size());
   for (size_t R = 0; R != F.VRegs.size(); ++R)
     Intervals[R].R = static_cast<VReg>(R);
@@ -68,18 +62,19 @@ Assignment codegen::allocateRegisters(Function &F) {
       Touch(static_cast<VReg>(R),
             Base + 2 * static_cast<int>(BB->Instrs.size()) + 1);
     });
-    // Walk instructions, extending intervals at uses/defs and at every
-    // point a vreg is live (loop liveness makes ranges conservative).
-    LV.visitBlock(BB->Id, [&](unsigned Index, const DynBitset &After,
-                              const DynBitset &Before) {
+    // Inside the block a vreg is live from a definition (or the block
+    // entry) to a use, extra uses included (or the block exit), so
+    // touching those ends extends its interval as touching every point
+    // where it is live would.
+    for (unsigned Index = 0; Index != BB->Instrs.size(); ++Index) {
       int P = Base + 2 * static_cast<int>(Index);
-      Before.forEach([&](size_t R) { Touch(static_cast<VReg>(R), P); });
-      After.forEach([&](size_t R) { Touch(static_cast<VReg>(R), P + 1); });
       const Instr &I = BB->Instrs[Index];
       if (I.Dst != NoVReg)
         Touch(I.Dst, P + 1);
       I.forEachUse([&](VReg R) { Touch(R, P); });
-    });
+      for (VReg R : LV.extraUses(BB->Id, Index))
+        Touch(R, P);
+    }
   }
 
   // Linear scan.

@@ -9,15 +9,16 @@
 /// machine register, a frame (spill) slot, or — for parameters — its
 /// AP-relative argument slot.  Because the target accepts memory operands,
 /// spilled vregs are simply addressed in place; no reload code is needed.
-/// Liveness here includes the dead-base extension so that base values
-/// remain allocatable (and locatable by the collector) wherever a value
-/// derived from them lives.
+/// The liveness it reads includes the dead-base extension so that base
+/// values remain allocatable (and locatable by the collector) wherever a
+/// value derived from them lives.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef MGC_CODEGEN_REGALLOC_H
 #define MGC_CODEGEN_REGALLOC_H
 
+#include "analysis/Liveness.h"
 #include "codegen/Machine.h"
 #include "ir/IR.h"
 
@@ -34,8 +35,9 @@ struct Assignment {
   std::vector<uint8_t> UsedRegs;
 };
 
-/// Allocates registers for \p F.  Appends spill slots to F.Slots.
-Assignment allocateRegisters(ir::Function &F);
+/// Allocates registers for \p F from \p LV, its liveness with the dead-base
+/// extra uses.  Appends spill slots to F.Slots, which leaves \p LV valid.
+Assignment allocateRegisters(ir::Function &F, const analysis::Liveness &LV);
 
 } // namespace codegen
 } // namespace mgc

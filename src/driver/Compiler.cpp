@@ -24,40 +24,104 @@ using namespace mgc::ir;
 
 namespace {
 
-void runCleanupRound(Function &F) {
+/// Calls the optimizer passes on one function, skipping each call that
+/// cannot change anything: a pass whose last call reported no change is
+/// not called again until some pass has changed the function since, as it
+/// would report no change again.  That rests on every pass leaving the
+/// function untouched when it reports no change
+/// (Opt.PassesReportingNoChangeLeaveTheFunctionUntouched).  A call that
+/// reports no change but moved blocks, vregs or slots anyway
+/// (simplifyCFG's unreachable-block sweep renumbers blocks) still counts
+/// as a change of the function, without feeding the caller's round loop.
+class PassRunner {
+public:
+  using Pass = bool (*)(Function &);
+
+  explicit PassRunner(Function &F) : F(F) {}
+
+  bool run(Pass P) {
+    uint64_t &CleanAt = cleanAt(P);
+    if (CleanAt == Version)
+      return false;
+    Layout.assign(F.Blocks.size(), nullptr);
+    for (size_t B = 0; B != F.Blocks.size(); ++B)
+      Layout[B] = F.Blocks[B].get();
+    size_t VRegs = F.VRegs.size(), Slots = F.Slots.size();
+    if (P(F)) {
+      ++Version;
+      return true;
+    }
+    if (VRegs != F.VRegs.size() || Slots != F.Slots.size() ||
+        !std::equal(Layout.begin(), Layout.end(), F.Blocks.begin(),
+                    F.Blocks.end(),
+                    [](const BasicBlock *A, const auto &B) {
+                      return A == B.get();
+                    }))
+      ++Version;
+    else
+      CleanAt = Version;
+    return false;
+  }
+
+private:
+  uint64_t &cleanAt(Pass P) {
+    for (unsigned I = 0; I != NumPasses; ++I)
+      if (Passes[I] == P)
+        return CleanAt[I];
+    assert(NumPasses != MaxPasses && "more passes than PassRunner holds");
+    Passes[NumPasses] = P;
+    return CleanAt[NumPasses++];
+  }
+
+  static constexpr unsigned MaxPasses = 12;
+  Function &F;
+  /// Bumped by every change of the function; starts above every CleanAt.
+  uint64_t Version = 1;
+  /// Per pass: the version at which it last reported no change, 0 if
+  /// none.
+  Pass Passes[MaxPasses] = {};
+  uint64_t CleanAt[MaxPasses] = {};
+  unsigned NumPasses = 0;
+  std::vector<const BasicBlock *> Layout;
+};
+
+void runCleanupRound(PassRunner &R) {
   bool Changed = true;
   unsigned Rounds = 0;
   while (Changed && Rounds++ < 8) {
     Changed = false;
-    Changed |= opt::simplifyCFG(F);
-    Changed |= opt::foldConstants(F);
-    Changed |= opt::propagateCopiesLocal(F);
-    Changed |= opt::cseLocal(F);
-    Changed |= opt::eliminateDeadCode(F);
+    Changed |= R.run(opt::simplifyCFG);
+    Changed |= R.run(opt::foldConstants);
+    Changed |= R.run(opt::propagateCopiesLocal);
+    Changed |= R.run(opt::cseLocal);
+    Changed |= R.run(opt::eliminateDeadCode);
   }
 }
 
 void optimizeFunction(Function &F, const CompilerOptions &Options) {
-  runCleanupRound(F);
+  PassRunner R(F);
+  runCleanupRound(R);
 
   // The derived-value factories (§2's optimizations).
   bool Changed = true;
   unsigned Rounds = 0;
   while (Changed && Rounds++ < 8) {
     Changed = false;
-    Changed |= opt::rewriteVirtualOrigins(F);
-    Changed |= opt::hoistLoopInvariants(F);
+    Changed |= R.run(opt::rewriteVirtualOrigins);
+    Changed |= R.run(opt::hoistLoopInvariants);
     if (Options.Mode == Disambiguation::PathSplitting) {
-      Changed |= opt::unswitchLoops(F);
+      Changed |= R.run(opt::unswitchLoops);
     } else {
-      Changed |= opt::mergeDiamondTails(F);
-      Changed |= opt::hoistInvariantDiamonds(F);
+      Changed |= R.run(opt::mergeDiamondTails);
+      Changed |= R.run(opt::hoistInvariantDiamonds);
     }
-    Changed |= opt::reduceStrength(F);
+    Changed |= R.run(opt::reduceStrength);
     if (Changed)
-      runCleanupRound(F);
+      runCleanupRound(R);
   }
-  runCleanupRound(F);
+  // Calls no pass when the last cleanup loop reached its fixed point and
+  // nothing has changed the function since.
+  runCleanupRound(R);
 }
 
 } // namespace

@@ -78,12 +78,21 @@ bool Instr::replaceUses(VReg From, VReg To) {
   return Changed;
 }
 
-std::vector<std::vector<unsigned>> Function::predecessors() const {
-  std::vector<std::vector<unsigned>> Preds(Blocks.size());
-  for (const auto &BB : Blocks)
-    BB->forEachSuccessor(
-        [&](unsigned Succ) { Preds[Succ].push_back(BB->Id); });
-  return Preds;
+void Predecessors::recompute(const Function &F) {
+  // Count each block's predecessors and sum the counts, so Begin[B] is
+  // where B's list ends; then fill every list from its end, walking the
+  // blocks backwards, which leaves Begin[B] where it starts.  A block is
+  // a predecessor of each successor once, so each list ascends.
+  size_t N = F.Blocks.size();
+  Begin.assign(N + 1, 0);
+  for (const auto &BB : F.Blocks)
+    BB->forEachSuccessor([&](unsigned Succ) { ++Begin[Succ]; });
+  for (size_t B = 0; B != N; ++B)
+    Begin[B + 1] += Begin[B];
+  Ids.resize(Begin[N]);
+  for (size_t B = N; B-- > 0;)
+    F.Blocks[B]->forEachSuccessor(
+        [&](unsigned Succ) { Ids[--Begin[Succ]] = F.Blocks[B]->Id; });
 }
 
 std::vector<unsigned> Function::reversePostOrder() const {

@@ -38,6 +38,7 @@
 #include <cassert>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -359,6 +360,28 @@ struct SlotInfo {
   bool IsSpill = false;
 };
 
+class Function;
+
+/// Every block's predecessor list in one table: block B's predecessors are
+/// Ids[Begin[B], Begin[B + 1]), in ascending block order, one entry per
+/// distinct successor edge (BasicBlock::forEachSuccessor).
+class Predecessors {
+public:
+  Predecessors() = default;
+  explicit Predecessors(const Function &F) { recompute(F); }
+
+  /// Rebuilds the table for \p F, reusing its storage.
+  void recompute(const Function &F);
+
+  std::span<const unsigned> operator[](unsigned Block) const {
+    return {Ids.data() + Begin[Block], Ids.data() + Begin[Block + 1]};
+  }
+
+private:
+  std::vector<unsigned> Begin;
+  std::vector<unsigned> Ids;
+};
+
 /// Information about one function parameter.
 struct ParamInfo {
   std::string Name;
@@ -407,7 +430,7 @@ public:
   }
 
   /// Computes predecessor lists (indexed by block id).
-  std::vector<std::vector<unsigned>> predecessors() const;
+  Predecessors predecessors() const { return Predecessors(*this); }
 
   /// Blocks in reverse post-order from the entry.
   std::vector<unsigned> reversePostOrder() const;

@@ -46,8 +46,7 @@ struct Diamond {
 };
 
 std::optional<Diamond> matchDiamond(const Function &F,
-                                    const std::vector<std::vector<unsigned>> &Preds,
-                                    unsigned D) {
+                                    const Predecessors &Preds, unsigned D) {
   const BasicBlock &BB = *F.Blocks[D];
   if (!BB.hasTerminator() || BB.terminator().Op != Opcode::Branch)
     return std::nullopt;

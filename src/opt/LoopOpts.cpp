@@ -8,6 +8,7 @@
 
 #include "analysis/Loops.h"
 
+#include <algorithm>
 #include <map>
 #include <vector>
 
@@ -109,6 +110,12 @@ bool opt::hoistLoopInvariants(Function &F) {
 bool opt::rewriteVirtualOrigins(Function &F) {
   bool Changed = false;
   for (auto &BB : F.Blocks) {
+    // Only a DeriveAdd with a register offset is rewritten.
+    if (std::none_of(BB->Instrs.begin(), BB->Instrs.end(),
+                     [](const Instr &I) {
+                       return I.Op == Opcode::DeriveAdd && I.B.isReg();
+                     }))
+      continue;
     // Single-def-in-block map for pattern matching.
     std::map<VReg, int> DefIdx;
     std::map<VReg, unsigned> DefCount;

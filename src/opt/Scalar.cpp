@@ -10,9 +10,8 @@
 #include "analysis/Liveness.h"
 #include "support/IntOps.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <set>
 
 using namespace mgc;
 using namespace mgc::ir;
@@ -149,27 +148,33 @@ bool substitutionAllowed(const Instr &I, const Operand &NewVal, bool IsA) {
 
 bool opt::propagateCopiesLocal(Function &F) {
   bool Changed = false;
+  // Env[R] is R's known value in the current block (None: unknown); Keys
+  // lists the vregs that have one.  Both are reused from block to block.
+  std::vector<Operand> Env(F.VRegs.size());
+  std::vector<VReg> Keys;
   for (auto &BB : F.Blocks) {
-    std::map<VReg, Operand> Env;
+    for (VReg R : Keys)
+      Env[static_cast<size_t>(R)] = Operand();
+    Keys.clear();
     auto Invalidate = [&](VReg R) {
-      Env.erase(R);
-      for (auto It = Env.begin(); It != Env.end();) {
-        if (It->second.isReg() && It->second.R == R)
-          It = Env.erase(It);
-        else
-          ++It;
-      }
+      std::erase_if(Keys, [&](VReg K) {
+        Operand &V = Env[static_cast<size_t>(K)];
+        if (K != R && !(V.isReg() && V.R == R))
+          return false;
+        V = Operand();
+        return true;
+      });
     };
     for (Instr &I : BB->Instrs) {
       auto Subst = [&](Operand &O, bool IsA) {
         if (!O.isReg())
           return;
-        auto It = Env.find(O.R);
-        if (It == Env.end())
+        const Operand &V = Env[static_cast<size_t>(O.R)];
+        if (V.isNone())
           return;
-        if (substitutionAllowed(I, It->second, IsA))
-          if (!(It->second == O)) {
-            O = It->second;
+        if (substitutionAllowed(I, V, IsA))
+          if (!(V == O)) {
+            O = V;
             Changed = true;
           }
       };
@@ -181,8 +186,10 @@ bool opt::propagateCopiesLocal(Function &F) {
       if (I.Dst != NoVReg)
         Invalidate(I.Dst);
       if (I.Op == Opcode::Mov && I.Dst != NoVReg &&
-          !(I.A.isReg() && I.A.R == I.Dst))
-        Env[I.Dst] = I.A;
+          !(I.A.isReg() && I.A.R == I.Dst)) {
+        Env[static_cast<size_t>(I.Dst)] = I.A;
+        Keys.push_back(I.Dst);
+      }
     }
   }
   return Changed;
@@ -199,42 +206,40 @@ struct ExprKey {
   int64_t Disp;
   int Index;
 
-  bool operator<(const ExprKey &O) const {
-    auto Tup = [](const ExprKey &K) {
-      return std::tuple(static_cast<int>(K.Op), static_cast<int>(K.A.K),
-                        K.A.R, K.A.Imm, static_cast<int>(K.B.K), K.B.R,
-                        K.B.Imm, K.Disp, K.Index);
-    };
-    return Tup(*this) < Tup(O);
+  bool operator==(const ExprKey &O) const {
+    return Op == O.Op && A == O.A && B == O.B && Disp == O.Disp &&
+           Index == O.Index;
   }
 };
 } // namespace
 
 bool opt::cseLocal(Function &F) {
   bool Changed = false;
+  // The block's available expressions and the vreg holding each, reused
+  // from block to block.
+  std::vector<std::pair<ExprKey, VReg>> Table;
   for (auto &BB : F.Blocks) {
-    std::map<ExprKey, VReg> Table;
+    Table.clear();
     for (Instr &I : BB->Instrs) {
       if (I.Dst != NoVReg) {
         // Drop expressions that used the redefined register (as operand or
         // result).
-        for (auto It = Table.begin(); It != Table.end();) {
-          const ExprKey &K = It->first;
-          bool Uses = (K.A.isReg() && K.A.R == I.Dst) ||
-                      (K.B.isReg() && K.B.R == I.Dst) ||
-                      It->second == I.Dst;
-          It = Uses ? Table.erase(It) : ++It;
-        }
+        std::erase_if(Table, [&](const std::pair<ExprKey, VReg> &E) {
+          const ExprKey &K = E.first;
+          return (K.A.isReg() && K.A.R == I.Dst) ||
+                 (K.B.isReg() && K.B.R == I.Dst) || E.second == I.Dst;
+        });
       }
       if (!I.isPure() || I.Dst == NoVReg || I.Op == Opcode::Mov)
         continue;
       ExprKey Key{I.Op, I.A, I.B, I.Disp, I.Index};
-      auto It = Table.find(Key);
+      auto It = std::find_if(Table.begin(), Table.end(),
+                             [&](const auto &E) { return E.first == Key; });
       if (It != Table.end()) {
         I = Instr::mov(I.Dst, Operand::reg(It->second));
         Changed = true;
       } else {
-        Table[Key] = I.Dst;
+        Table.emplace_back(Key, I.Dst);
       }
     }
   }
@@ -249,9 +254,11 @@ bool opt::simplifyCFG(Function &F) {
   bool Changed = false;
 
   // Jump threading: a target block containing only `jump X` is bypassed.
+  std::vector<unsigned> Seen;
   auto UltimateTarget = [&](unsigned T) {
-    std::set<unsigned> Seen;
-    while (Seen.insert(T).second) {
+    Seen.clear();
+    while (std::find(Seen.begin(), Seen.end(), T) == Seen.end()) {
+      Seen.push_back(T);
       const BasicBlock &BB = *F.Blocks[T];
       if (BB.Instrs.size() == 1 && BB.Instrs[0].Op == Opcode::Jump)
         T = BB.Instrs[0].Target0;
@@ -286,7 +293,7 @@ bool opt::simplifyCFG(Function &F) {
   }
 
   // Merge B -> S when B jumps to S and S has exactly one predecessor.
-  auto Preds = F.predecessors();
+  Predecessors Preds(F);
   for (auto &BB : F.Blocks) {
     while (BB->hasTerminator() && BB->terminator().Op == Opcode::Jump) {
       unsigned S = BB->terminator().Target0;
@@ -301,7 +308,7 @@ bool opt::simplifyCFG(Function &F) {
       Succ.Instrs.clear();
       Succ.Instrs.push_back(Instr::trap(TrapKind::MissingReturn));
       // Predecessor info for the moved successor edges now belongs to BB.
-      Preds = F.predecessors();
+      Preds.recompute(F);
       Changed = true;
     }
   }
@@ -320,44 +327,53 @@ bool opt::eliminateDeadCode(Function &F) {
   // block goes in one sweep; only a sweep that deleted something solves
   // again.  Deleting a dead instruction never makes another instruction
   // live, so the result is the unique fixpoint, the same as deleting the
-  // dead instructions of one solve at a time.
+  // dead instructions of one solve at a time.  Nor does it change the
+  // derivation state any surviving use sees (DESIGN §3, fact (1)), so the
+  // derivations and extra uses are computed once: a deletion only drops
+  // the deleted instructions' rows, and only liveness is solved again.
+  analysis::ExtraUses Extra =
+      analysis::DerivationAnalysis(F).computeExtraUses();
   bool Changed = false;
   DynBitset Live;
-  std::vector<char> Dead;
-  for (bool Again = true; Again;) {
-    Again = false;
-    analysis::DerivationAnalysis DA(F);
-    analysis::ExtraUses Extra = DA.computeExtraUses();
+  std::vector<char> Dead; // One flag per instruction, in Extra's numbering.
+  for (;;) {
     analysis::Liveness LV(F, &Extra);
+    Dead.clear();
+    bool Any = false;
     for (auto &BB : F.Blocks) {
-      std::vector<Instr> &Instrs = BB->Instrs;
+      const std::vector<Instr> &Instrs = BB->Instrs;
+      size_t Base = Dead.size();
+      Dead.resize(Base + Instrs.size(), 0);
       Live = LV.liveOut(BB->Id);
-      Dead.assign(Instrs.size(), 0);
-      bool Any = false;
       for (size_t I = Instrs.size(); I-- > 0;) {
         const Instr &Ins = Instrs[I];
         bool SelfMove =
             Ins.Op == Opcode::Mov && Ins.A.isReg() && Ins.A.R == Ins.Dst;
         if (SelfMove || (Ins.Dst != NoVReg && Ins.isPure() &&
                          !Live.test(static_cast<size_t>(Ins.Dst)))) {
-          Dead[I] = 1;
+          Dead[Base + I] = 1;
           Any = true;
           continue;
         }
         LV.transfer(BB->Id, static_cast<unsigned>(I), Live);
       }
-      if (!Any)
-        continue;
+    }
+    if (!Any)
+      return Changed;
+    Changed = true;
+    size_t Flat = 0;
+    for (auto &BB : F.Blocks) {
+      std::vector<Instr> &Instrs = BB->Instrs;
       size_t Kept = 0;
       for (size_t I = 0; I != Instrs.size(); ++I)
-        if (!Dead[I]) {
+        if (!Dead[Flat + I]) {
           if (Kept != I)
             Instrs[Kept] = std::move(Instrs[I]);
           ++Kept;
         }
+      Flat += Instrs.size();
       Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
-      Again = Changed = true;
     }
+    Extra.erase(Dead);
   }
-  return Changed;
 }

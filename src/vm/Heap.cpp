@@ -6,6 +6,7 @@
 
 #include "vm/Heap.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <mutex>
@@ -155,21 +156,30 @@ Heap::Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
 
   // The mapping's layout, each range page-aligned: two semispaces at the
   // growth cap, two nursery halves at the auto-sizing cap, then one
-  // remembered-set bit per word of a capped semispace.
-  size_t Semi = pageRound(Policy.MaxBytes);
-  size_t Half = 0, Bits = 0;
-  if (Gen) {
-    Half = pageRound(Policy.NurseryAuto ? nurseryAutoCapBytes(Policy.MaxBytes)
-                                        : NurFloorBytes);
-    Bits = pageRound(Policy.MaxBytes / 64 + sizeof(uint64_t));
+  // remembered-set bit per word of a capped semispace.  A cap the address
+  // space cannot hold is halved, never below the initial semispace, until
+  // the mapping fits; growth past the reduced cap is then out of memory.
+  size_t Semi = 0, Half = 0, Bits = 0, Bytes = 0;
+  bool Reused = false;
+  for (;;) {
+    Semi = pageRound(Policy.MaxBytes);
+    Half = Bits = 0;
+    if (Gen) {
+      Half = pageRound(Policy.NurseryAuto
+                           ? nurseryAutoCapBytes(Policy.MaxBytes)
+                           : NurFloorBytes);
+      Bits = pageRound(Policy.MaxBytes / 64 + sizeof(uint64_t));
+    }
+    Bytes = addChecked(addChecked(mulChecked(Semi, 2), mulChecked(Half, 2)),
+                       Bits);
+    Mapping = takeMapping(Bytes, Reused);
+    if (Mapping)
+      break;
+    if (Policy.MaxBytes == SpaceBytes)
+      throw HeapReserveError("cannot reserve " + std::to_string(Bytes) +
+                             " bytes for the heap");
+    Policy.MaxBytes = std::max(SpaceBytes, (Policy.MaxBytes / 2) & ~size_t(7));
   }
-  size_t Bytes = addChecked(
-      addChecked(mulChecked(Semi, 2), mulChecked(Half, 2)), Bits);
-  bool Reused;
-  Mapping = takeMapping(Bytes, Reused);
-  if (!Mapping)
-    throw HeapReserveError("cannot reserve " + std::to_string(Bytes) +
-                           " bytes for the heap");
   MappingBytes = Bytes;
   FromBase = reinterpret_cast<Word>(Mapping);
   ToBase = FromBase + Semi;

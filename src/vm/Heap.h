@@ -98,7 +98,9 @@ struct HeapPolicy {
   /// doubles it (growth-only; capped by MaxBytes).  0 = fixed-size heap.
   unsigned GrowthPct = 0;
   /// Semispace growth cap.  0 = 8x the initial size when GrowthPct is
-  /// set; ignored (pinned to the initial size) otherwise.
+  /// set; ignored (pinned to the initial size) otherwise.  A cap whose
+  /// mapping cannot be reserved is halved, never below the initial size,
+  /// until it can.
   size_t MaxBytes = 0;
   /// Generational mode: resize the nursery from minor-collection survivor
   /// volume, between the configured size (floor) and a quarter semispace.
@@ -173,7 +175,8 @@ public:
   /// default proportional to the semispace size.  Ignored unless
   /// \p Generational.  Under \p P.NurseryAuto the resolved value becomes
   /// the auto-sizing floor.
-  /// Throws HeapReserveError when the page mapping cannot be reserved.
+  /// Throws HeapReserveError when the page mapping cannot be reserved
+  /// even with the growth cap at the initial semispace size.
   Heap(size_t SemispaceBytes, const std::vector<ir::TypeDesc> &Descs,
        bool Generational = false, size_t NurseryBytes = 0,
        HeapPolicy P = HeapPolicy());

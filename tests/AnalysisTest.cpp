@@ -287,6 +287,145 @@ TEST(DeadCode, ChainAcrossTwoBlocksGoesInOneCall) {
 }
 
 //===----------------------------------------------------------------------===//
+// DynBitset across its inline/heap boundary, flat predecessor lists
+//===----------------------------------------------------------------------===//
+
+/// A set of \p Size bits holding every multiple of \p Stride.
+DynBitset multiplesOf(size_t Size, size_t Stride) {
+  DynBitset S(Size);
+  for (size_t I = 0; I < Size; I += Stride)
+    S.set(I);
+  return S;
+}
+
+std::vector<size_t> bitsOf(const DynBitset &S) {
+  std::vector<size_t> Bits;
+  S.forEach([&](size_t I) { Bits.push_back(I); });
+  return Bits;
+}
+
+/// The largest set kept inline and the smallest one on the heap.
+constexpr size_t InlineBits = DynBitset::InlineWords * 64;
+static_assert(InlineBits == 256);
+
+TEST(DynBitset, CopyMoveAndAssignAcrossTheInlineBoundary) {
+  for (size_t Size : {InlineBits, InlineBits + 1}) {
+    SCOPED_TRACE(Size);
+    DynBitset A = multiplesOf(Size, 3);
+    A.set(Size - 1);
+    std::vector<size_t> Want = bitsOf(A);
+    EXPECT_EQ(A.onHeap(), Size > InlineBits);
+
+    DynBitset Copy(A);
+    EXPECT_TRUE(Copy == A);
+    Copy.reset(0);
+    EXPECT_TRUE(A.test(0)) << "a copy shares no words with its source";
+    EXPECT_FALSE(Copy == A);
+
+    DynBitset Moved(std::move(Copy));
+    EXPECT_EQ(Moved.size(), Size);
+    EXPECT_FALSE(Moved.test(0));
+    EXPECT_TRUE(Moved.test(Size - 1));
+    Moved.set(0);
+    EXPECT_EQ(bitsOf(Moved), Want);
+  }
+
+  const DynBitset Inline = multiplesOf(InlineBits, 5);
+  const DynBitset Heap = multiplesOf(InlineBits + 1, 7);
+  // Copy assignment, both ways and onto a set that already holds words.
+  DynBitset X = Inline;
+  X = Heap;
+  EXPECT_TRUE(X == Heap);
+  EXPECT_TRUE(X.onHeap());
+  X = Inline;
+  EXPECT_TRUE(X == Inline);
+  EXPECT_EQ(X.size(), InlineBits);
+  X = X;
+  EXPECT_TRUE(X == Inline);
+  // Move assignment, both ways.
+  DynBitset H = Heap, I = Inline;
+  X = std::move(H);
+  EXPECT_TRUE(X == Heap);
+  X = std::move(I);
+  EXPECT_TRUE(X == Inline);
+  DynBitset Y = Inline;
+  DynBitset H2 = Heap;
+  Y = std::move(H2);
+  EXPECT_TRUE(Y == Heap);
+  EXPECT_EQ(bitsOf(Y), bitsOf(Heap));
+  // Sets of different sizes differ even when no bit is set.
+  EXPECT_FALSE(DynBitset(InlineBits) == DynBitset(InlineBits + 1));
+}
+
+TEST(DynBitset, SetOperationsAcrossTheInlineBoundary) {
+  for (size_t Size : {InlineBits, InlineBits + 1}) {
+    SCOPED_TRACE(Size);
+    DynBitset Twos = multiplesOf(Size, 2), Threes = multiplesOf(Size, 3);
+    Twos.set(Size - 1);
+    std::vector<size_t> Union, Diff;
+    for (size_t I = 0; I != Size; ++I) {
+      if (Twos.test(I) || Threes.test(I))
+        Union.push_back(I);
+      if (Twos.test(I) && !Threes.test(I))
+        Diff.push_back(I);
+    }
+
+    DynBitset U = Twos;
+    EXPECT_TRUE(U.unionWith(Threes));
+    EXPECT_FALSE(U.unionWith(Threes));
+    EXPECT_EQ(bitsOf(U), Union);
+    EXPECT_EQ(U.count(), Union.size());
+
+    DynBitset D(Size);
+    EXPECT_TRUE(D.unionWithDifference(Twos, Threes));
+    EXPECT_FALSE(D.unionWithDifference(Twos, Threes));
+    EXPECT_EQ(bitsOf(D), Diff);
+    EXPECT_EQ(D.count(), Diff.size());
+
+    DynBitset Last(Size);
+    Last.set(Size - 1);
+    EXPECT_EQ(bitsOf(Last), std::vector<size_t>{Size - 1});
+    EXPECT_FALSE(Last == DynBitset(Size));
+    Last.clear();
+    EXPECT_TRUE(Last == DynBitset(Size));
+    EXPECT_EQ(Last.count(), 0u);
+  }
+}
+
+TEST(IR, PredecessorsKeepOrderAndMultiplicity) {
+  // bb0: branch c, bb3, bb1    bb1: jump bb3    bb2: ret (unreachable)
+  // bb3: branch c, bb4, bb4    bb4: ret
+  // A branch names a successor once even when both its targets are that
+  // block, and each list ascends by block.
+  auto F = std::make_unique<Function>();
+  VReg C = F->newVReg(PtrKind::NonPtr, "c");
+  for (int B = 0; B != 5; ++B)
+    F->newBlock();
+  F->Blocks[0]->Instrs.push_back(Instr::branch(C, 3, 1));
+  F->Blocks[1]->Instrs.push_back(Instr::jump(3));
+  F->Blocks[2]->Instrs.push_back(Instr::ret(Operand()));
+  F->Blocks[3]->Instrs.push_back(Instr::branch(C, 4, 4));
+  F->Blocks[4]->Instrs.push_back(Instr::ret(Operand()));
+  auto List = [](const auto &Preds, unsigned B) {
+    return std::vector<unsigned>(Preds[B].begin(), Preds[B].end());
+  };
+  auto Preds = F->predecessors();
+  EXPECT_EQ(List(Preds, 0), std::vector<unsigned>{});
+  EXPECT_EQ(List(Preds, 1), std::vector<unsigned>{0});
+  EXPECT_EQ(List(Preds, 2), std::vector<unsigned>{});
+  EXPECT_EQ(List(Preds, 3), (std::vector<unsigned>{0, 1}));
+  EXPECT_EQ(List(Preds, 4), std::vector<unsigned>{3});
+
+  // Rebuilt after an edit, the lists follow the new edges.
+  F->Blocks[2]->Instrs.back() = Instr::jump(4);
+  F->Blocks[1]->Instrs.back() = Instr::branch(C, 2, 4);
+  Preds = F->predecessors();
+  EXPECT_EQ(List(Preds, 2), std::vector<unsigned>{1});
+  EXPECT_EQ(List(Preds, 3), std::vector<unsigned>{0});
+  EXPECT_EQ(List(Preds, 4), (std::vector<unsigned>{1, 2, 3}));
+}
+
+//===----------------------------------------------------------------------===//
 // Loop detection on lowered code
 //===----------------------------------------------------------------------===//
 

@@ -4,11 +4,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "CheckedInPrograms.h"
 #include "TestUtil.h"
 
 #include "frontend/Lower.h"
 #include "frontend/Parser.h"
 #include "frontend/Sema.h"
+#include "fuzz/Generator.h"
 #include "ir/Printer.h"
 #include "ir/Verifier.h"
 #include "analysis/Loops.h"
@@ -436,5 +438,96 @@ BEGIN
   t := Pick(TRUE, a, b) * 1000 + Pick(FALSE, a, b);
   PutInt(t); PutLn();
 END M.)"));
+
+//===----------------------------------------------------------------------===//
+// The pass schedule
+//===----------------------------------------------------------------------===//
+
+using Pass = bool (*)(Function &);
+
+/// driver::compile's optimizer rounds for one function, calling every pass
+/// through \p Call: the schedule without skipped calls.
+template <typename CallFn>
+void runEveryPass(driver::Disambiguation Mode, CallFn &&Call) {
+  auto Cleanup = [&] {
+    bool Changed = true;
+    unsigned Rounds = 0;
+    while (Changed && Rounds++ < 8) {
+      Changed = false;
+      Changed |= Call(opt::simplifyCFG);
+      Changed |= Call(opt::foldConstants);
+      Changed |= Call(opt::propagateCopiesLocal);
+      Changed |= Call(opt::cseLocal);
+      Changed |= Call(opt::eliminateDeadCode);
+    }
+  };
+  Cleanup();
+  bool Changed = true;
+  unsigned Rounds = 0;
+  while (Changed && Rounds++ < 8) {
+    Changed = false;
+    Changed |= Call(opt::rewriteVirtualOrigins);
+    Changed |= Call(opt::hoistLoopInvariants);
+    if (Mode == driver::Disambiguation::PathSplitting) {
+      Changed |= Call(opt::unswitchLoops);
+    } else {
+      Changed |= Call(opt::mergeDiamondTails);
+      Changed |= Call(opt::hoistInvariantDiamonds);
+    }
+    Changed |= Call(opt::reduceStrength);
+    if (Changed)
+      Cleanup();
+  }
+  Cleanup();
+}
+
+TEST(Opt, PassesReportingNoChangeLeaveTheFunctionUntouched) {
+  // driver::compile skips a pass that reported no change until another
+  // pass changes the function.  That is exact only if a pass that returns
+  // false leaves the function as it found it; and then driver::compile's
+  // optimized IR is that of calling every pass.
+  std::vector<NamedSource> Sources = checkedInPrograms();
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    Sources.push_back({"seed " + std::to_string(Seed),
+                       fuzz::generateProgram(Seed).render()});
+  unsigned Calls = 0, Unchanged = 0;
+  for (const NamedSource &S : Sources)
+    for (driver::Disambiguation Mode : {driver::Disambiguation::PathVariables,
+                                        driver::Disambiguation::PathSplitting}) {
+      SCOPED_TRACE(S.Name + (Mode == driver::Disambiguation::PathSplitting
+                                 ? " (path splitting)"
+                                 : " (path variables)"));
+      std::unique_ptr<IRModule> M = lower(S.Source);
+      ASSERT_TRUE(M);
+      for (auto &F : M->Functions) {
+        // The text before the next call, kept while calls change nothing.
+        std::string Text = toString(*F);
+        runEveryPass(Mode, [&](Pass P) {
+          size_t VRegs = F->VRegs.size(), Slots = F->Slots.size(),
+                 Blocks = F->Blocks.size();
+          ++Calls;
+          if (P(*F)) {
+            Text = toString(*F);
+            return true;
+          }
+          ++Unchanged;
+          std::string After = toString(*F);
+          EXPECT_EQ(After, Text) << F->Name;
+          EXPECT_EQ(F->VRegs.size(), VRegs) << F->Name;
+          EXPECT_EQ(F->Slots.size(), Slots) << F->Name;
+          EXPECT_EQ(F->Blocks.size(), Blocks) << F->Name;
+          Text = std::move(After);
+          return false;
+        });
+      }
+      driver::CompilerOptions CO;
+      CO.Mode = Mode;
+      CO.GcTables = false; // No path variables: the IR is the optimizer's.
+      driver::CompileResult C = driver::compile(S.Source, CO);
+      ASSERT_TRUE(C.IR) << C.Diags.str();
+      EXPECT_EQ(toString(*C.IR), toString(*M));
+    }
+  EXPECT_GT(Unchanged, Calls / 2) << "most calls change nothing";
+}
 
 } // namespace
