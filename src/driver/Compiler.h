@@ -45,6 +45,7 @@ struct CompilerOptions {
   /// under VMOptions::GenGc; harmless (no-op barriers) otherwise.
   bool WriteBarriers = false;
   Disambiguation Mode = Disambiguation::PathVariables;
+  bool operator==(const CompilerOptions &) const = default;
 };
 
 struct CompileResult {

@@ -11,9 +11,9 @@
 #include "obs/HeapSnapshot.h"
 #include "obs/Profile.h"
 #include "obs/Trace.h"
+#include "support/ByteCodec.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <sstream>
 #include <string>
 
@@ -287,121 +287,6 @@ RunOutcome executeInProcess(const vm::Program &Prog, const RunSpec &Spec) {
   return O;
 }
 
-const char *statusWord(RunOutcome::Status St) {
-  switch (St) {
-  case RunOutcome::Ok:
-    return "ok";
-  case RunOutcome::RuntimeError:
-    return "rterr";
-  case RunOutcome::CompileError:
-    return "cerr";
-  case RunOutcome::Crashed:
-    return "crash";
-  }
-  return "crash";
-}
-
-std::string serialize(const RunOutcome &O) {
-  std::ostringstream P;
-  P << "S " << statusWord(O.St) << "\n";
-  P << "O " << O.Out.size() << "\n" << O.Out << "\n";
-  P << "E " << O.Error.size() << "\n" << O.Error << "\n";
-  P << "T " << O.Collections << " " << O.MinorCollections << " "
-    << O.RootsTraced << " " << O.DerivedAdjusted << " " << O.FramesTraced
-    << " " << O.WriteBarriersRun << " " << O.BytesCopied << " "
-    << O.ObjectsCopied << " " << O.Instrs << "\n";
-  P << "C " << (O.ConservativeViolation ? 1 : 0) << " "
-    << O.ConservativeReached << " " << O.PreciseLive << "\n";
-  P << "N " << (O.SnapViolation ? 1 : 0) << " " << O.SnapNodes << " "
-    << O.SnapBytes << "\n";
-  P << "M " << (O.MidViolation ? 1 : 0) << " " << O.MidRequests << " "
-    << O.MidNodes << " " << O.MidBytes << " " << O.MidOutLen << "\n";
-  P << "Z " << O.MidError.size() << "\n" << O.MidError << "\n";
-  P << "Y " << O.SnapError.size() << "\n" << O.SnapError << "\n";
-  P << "L " << O.LeakSummary.size() << "\n" << O.LeakSummary << "\n";
-  P << "P " << O.ProfSummary.size() << "\n" << O.ProfSummary << "\n";
-  P << "D\n";
-  return P.str();
-}
-
-bool parsePayload(const std::string &Buf, RunOutcome &O) {
-  size_t Pos = 0;
-  auto Line = [&](std::string &L) {
-    size_t E = Buf.find('\n', Pos);
-    if (E == std::string::npos)
-      return false;
-    L = Buf.substr(Pos, E - Pos);
-    Pos = E + 1;
-    return true;
-  };
-  auto Sized = [&](char Tag, std::string &Dst) {
-    std::string L;
-    if (!Line(L) || L.size() < 2 || L[0] != Tag || L[1] != ' ')
-      return false;
-    size_t N = std::strtoull(L.c_str() + 2, nullptr, 10);
-    if (Pos + N + 1 > Buf.size())
-      return false;
-    Dst = Buf.substr(Pos, N);
-    Pos += N + 1; // payload + '\n'
-    return true;
-  };
-  std::string L;
-  if (!Line(L) || L.rfind("S ", 0) != 0)
-    return false;
-  std::string W = L.substr(2);
-  if (W == "ok")
-    O.St = RunOutcome::Ok;
-  else if (W == "rterr")
-    O.St = RunOutcome::RuntimeError;
-  else if (W == "cerr")
-    O.St = RunOutcome::CompileError;
-  else
-    return false;
-  if (!Sized('O', O.Out) || !Sized('E', O.Error))
-    return false;
-  if (!Line(L) || L.rfind("T ", 0) != 0)
-    return false;
-  {
-    std::istringstream In(L.substr(2));
-    if (!(In >> O.Collections >> O.MinorCollections >> O.RootsTraced >>
-          O.DerivedAdjusted >> O.FramesTraced >> O.WriteBarriersRun >>
-          O.BytesCopied >> O.ObjectsCopied >> O.Instrs))
-      return false;
-  }
-  if (!Line(L) || L.rfind("C ", 0) != 0)
-    return false;
-  {
-    int Viol = 0;
-    std::istringstream In(L.substr(2));
-    if (!(In >> Viol >> O.ConservativeReached >> O.PreciseLive))
-      return false;
-    O.ConservativeViolation = Viol != 0;
-  }
-  if (!Line(L) || L.rfind("N ", 0) != 0)
-    return false;
-  {
-    int Viol = 0;
-    std::istringstream In(L.substr(2));
-    if (!(In >> Viol >> O.SnapNodes >> O.SnapBytes))
-      return false;
-    O.SnapViolation = Viol != 0;
-  }
-  if (!Line(L) || L.rfind("M ", 0) != 0)
-    return false;
-  {
-    int Viol = 0;
-    std::istringstream In(L.substr(2));
-    if (!(In >> Viol >> O.MidRequests >> O.MidNodes >> O.MidBytes >>
-          O.MidOutLen))
-      return false;
-    O.MidViolation = Viol != 0;
-  }
-  if (!Sized('Z', O.MidError) || !Sized('Y', O.SnapError) ||
-      !Sized('L', O.LeakSummary) || !Sized('P', O.ProfSummary))
-    return false;
-  return Line(L) && L == "D";
-}
-
 } // namespace
 
 RunOutcome fuzz::runSandboxed(const vm::Program &Prog, const RunSpec &Spec) {
@@ -435,8 +320,8 @@ RunOutcome fuzz::runSandboxed(const vm::Program &Prog, const RunSpec &Spec) {
     // Backstop for hangs the instruction budget somehow misses (the
     // budget itself is the deterministic limit; this is belt-and-braces).
     alarm(120);
-    RunOutcome C = executeInProcess(Prog, Spec);
-    std::string P = serialize(C);
+    std::vector<uint8_t> P;
+    encodeFields(executeInProcess(Prog, Spec), P);
     size_t Off = 0;
     while (Off < P.size()) {
       ssize_t W = write(Fd[1], P.data() + Off, P.size() - Off);
@@ -447,15 +332,17 @@ RunOutcome fuzz::runSandboxed(const vm::Program &Prog, const RunSpec &Spec) {
     _exit(0);
   }
   close(Fd[1]);
-  std::string Buf;
-  char Tmp[4096];
+  std::vector<uint8_t> Buf;
+  uint8_t Tmp[4096];
   ssize_t N;
   while ((N = read(Fd[0], Tmp, sizeof Tmp)) > 0)
-    Buf.append(Tmp, static_cast<size_t>(N));
+    Buf.insert(Buf.end(), Tmp, Tmp + N);
   close(Fd[0]);
   int WStatus = 0;
   waitpid(Pid, &WStatus, 0);
-  if (parsePayload(Buf, O))
+  // A payload cut short (the child died mid-write) or overlong is a crash.
+  std::string Err;
+  if (decodeFields(Buf, O, Err))
     return O;
   O = RunOutcome();
   O.St = RunOutcome::Crashed;
@@ -500,18 +387,14 @@ OracleResult fuzz::checkSource(const std::string &Source, bool HasSpin,
   if (FailFast)
     Specs[0].VO.InstrBudget = RefBudget; // The reference cell comes first.
 
-  // Deduplicate compiler configurations.
+  // Deduplicate compiler configurations: cells share a compile only when
+  // every option matches.
   std::vector<driver::CompilerOptions> COs;
   std::vector<size_t> SpecCO(Specs.size());
-  auto Key = [](const driver::CompilerOptions &C) {
-    return (C.OptLevel << 3) | (C.WriteBarriers ? 4 : 0) |
-           (C.Mode == driver::Disambiguation::PathSplitting ? 2 : 0) |
-           (C.ThreadedPolls ? 1 : 0);
-  };
   for (size_t I = 0; I != Specs.size(); ++I) {
     size_t Found = COs.size();
     for (size_t J = 0; J != COs.size(); ++J)
-      if (Key(COs[J]) == Key(Specs[I].CO))
+      if (COs[J] == Specs[I].CO)
         Found = J;
     if (Found == COs.size())
       COs.push_back(Specs[I].CO);

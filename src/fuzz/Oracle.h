@@ -70,9 +70,10 @@ struct RunSpec {
 /// spin thread to every cell.
 std::vector<RunSpec> buildMatrix(bool HasSpin);
 
-/// Result of one sandboxed execution.
+/// Result of one sandboxed execution.  The forked child sends it to the
+/// parent through its field list (keys, support/ByteCodec.h).
 struct RunOutcome {
-  enum Status { Ok, RuntimeError, CompileError, Crashed };
+  enum Status : uint8_t { Ok, RuntimeError, CompileError, Crashed };
   Status St = Crashed;
   int Signal = 0;      ///< Crashed: the fatal signal.
   std::string Out;     ///< Program output.
@@ -113,6 +114,22 @@ struct RunOutcome {
   /// twins must reproduce the digest bit-identically; cells with different
   /// heaps or optimization levels legitimately differ.
   std::string ProfSummary;
+
+  bool operator==(const RunOutcome &) const = default;
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.num(V.St);
+    F.check(V.St <= Crashed, "status out of range");
+    F.num(V.Signal);
+    F.str(V.Out, V.Error);
+    F.num(V.Collections, V.MinorCollections, V.RootsTraced, V.DerivedAdjusted,
+          V.FramesTraced, V.WriteBarriersRun, V.BytesCopied, V.ObjectsCopied,
+          V.Instrs);
+    F.num(V.ConservativeViolation, V.ConservativeReached, V.PreciseLive);
+    F.num(V.SnapViolation, V.SnapNodes, V.SnapBytes);
+    F.str(V.SnapError);
+    F.num(V.MidViolation, V.MidRequests, V.MidNodes, V.MidBytes, V.MidOutLen);
+    F.str(V.MidError, V.LeakSummary, V.ProfSummary);
+  }
 };
 
 /// Runs \p Prog under \p Spec in a forked child and collects the outcome.

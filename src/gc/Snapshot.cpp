@@ -136,9 +136,7 @@ bool gc::captureHeapSnapshot(VM &M, obs::HeapSnapshot &Out, bool WalkStacks,
   Out.TypeNames.reserve(M.Prog.TypeDescs.size());
   for (const ir::TypeDesc &D : M.Prog.TypeDescs)
     Out.TypeNames.push_back(D.Name);
-  Out.Sites.reserve(M.Prog.SiteTab.Sites.size());
-  for (const gcmaps::AllocSite &St : M.Prog.SiteTab.Sites)
-    Out.Sites.push_back({St.Func, St.Line, St.Col, St.Desc});
+  Out.Sites = M.Prog.SiteTab.Sites;
 
   std::vector<RootVal> Roots;
   if (!collectRoots(M, WalkStacks, Roots, Err))

@@ -48,6 +48,11 @@ struct AllocSite {
     return std::tie(Func, Line, Col, Desc) <
            std::tie(O.Func, O.Line, O.Col, O.Desc);
   }
+  /// The four fields in heap-snapshot and profile files
+  /// (support/ByteCodec.h).
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.num(V.Func, V.Line, V.Col, V.Desc);
+  }
 };
 
 /// Charges the allocation instruction at global instruction index \p PC to

@@ -19,177 +19,16 @@ using namespace mgc::obs;
 // Codec
 //===----------------------------------------------------------------------===//
 
-static const char SnapMagic[4] = {'M', 'G', 'H', 'S'};
+static const ByteFileKind SnapFile = {{'M', 'G', 'H', 'S'}, SnapshotVersion,
+                                      "snapshot", "heap snapshot"};
 
 void obs::encodeSnapshot(const HeapSnapshot &S, std::vector<uint8_t> &Out) {
-  Out.insert(Out.end(), SnapMagic, SnapMagic + 4);
-  appendPackedU32(Out, SnapshotVersion);
-  appendPackedStr(Out, S.Program);
-  appendPackedStr(Out, S.ToolVersion);
-  appendPackedStr(Out, S.BuildFlags);
-  appendPackedU64(Out, S.Seed);
-  Out.push_back(static_cast<uint8_t>((S.GenGc ? 1 : 0) |
-                                     (S.StacksWalked ? 2 : 0)));
-  appendPackedU64(Out, S.Collections);
-
-  appendPackedU32(Out, static_cast<uint32_t>(S.FuncNames.size()));
-  for (const std::string &F : S.FuncNames)
-    appendPackedStr(Out, F);
-  appendPackedU32(Out, static_cast<uint32_t>(S.TypeNames.size()));
-  for (const std::string &T : S.TypeNames)
-    appendPackedStr(Out, T);
-  appendPackedU32(Out, static_cast<uint32_t>(S.Sites.size()));
-  for (const HeapSnapshot::Site &St : S.Sites) {
-    appendPackedU32(Out, St.Func);
-    appendPackedU32(Out, St.Line);
-    appendPackedU32(Out, St.Col);
-    appendPackedU32(Out, St.Desc);
-  }
-
-  appendPackedU32(Out, static_cast<uint32_t>(S.Nodes.size()));
-  for (const HeapSnapshot::Node &N : S.Nodes) {
-    Out.push_back(N.Gen);
-    appendPackedU64(Out, N.OffsetWords);
-    appendPackedU32(Out, N.Desc);
-    appendPackedU32(Out, N.Site); // NoSite packs as -1: a single byte.
-    appendPackedU32(Out, N.Age);
-    appendPackedU32(Out, N.ShallowBytes);
-    appendPackedU32(Out, N.NumEdges);
-    for (uint32_t E = 0; E != N.NumEdges; ++E) {
-      appendPackedU32(Out, S.Edges[N.FirstEdge + E].Slot);
-      appendPackedU32(Out, S.Edges[N.FirstEdge + E].Target);
-    }
-  }
-
-  appendPackedU32(Out, static_cast<uint32_t>(S.Roots.size()));
-  for (const HeapSnapshot::Root &R : S.Roots) {
-    Out.push_back(static_cast<uint8_t>(R.Kind));
-    appendPackedU32(Out, R.Thread);
-    appendPackedU32(Out, R.Frame);
-    appendPackedU32(Out, R.Func); // NoFunc packs as -1.
-    appendPacked(Out, R.Index);
-    appendPackedU32(Out, R.Node);
-  }
+  encodeFile(SnapFile, S, Out);
 }
 
 bool obs::decodeSnapshot(const std::vector<uint8_t> &Blob, HeapSnapshot &S,
                          std::string &Err) {
-  S.clear();
-  auto Bad = [&](const char *Msg) {
-    Err = std::string("snapshot decode: ") + Msg;
-    S.clear();
-    return false;
-  };
-
-  SafeReader R(Blob);
-  for (char M : SnapMagic)
-    if (R.byte() != static_cast<uint8_t>(M))
-      return Bad("bad magic (not a heap snapshot)");
-  uint32_t Version = R.u32();
-  if (R.failed())
-    return Bad("truncated header");
-  if (Version != SnapshotVersion)
-    return Bad("unsupported snapshot version");
-
-  S.Program = R.str();
-  S.ToolVersion = R.str();
-  S.BuildFlags = R.str();
-  S.Seed = R.u64();
-  uint8_t Flags = R.byte();
-  S.GenGc = (Flags & 1) != 0;
-  S.StacksWalked = (Flags & 2) != 0;
-  S.Collections = R.u64();
-
-  uint32_t NFuncs = R.u32();
-  if (!R.countOk(NFuncs))
-    return Bad("bad function-name count");
-  S.FuncNames.reserve(NFuncs);
-  for (uint32_t I = 0; I != NFuncs; ++I)
-    S.FuncNames.push_back(R.str());
-  uint32_t NTypes = R.u32();
-  if (!R.countOk(NTypes))
-    return Bad("bad type-name count");
-  S.TypeNames.reserve(NTypes);
-  for (uint32_t I = 0; I != NTypes; ++I)
-    S.TypeNames.push_back(R.str());
-  uint32_t NSites = R.u32();
-  if (!R.countOk(NSites))
-    return Bad("bad site count");
-  S.Sites.reserve(NSites);
-  for (uint32_t I = 0; I != NSites; ++I) {
-    HeapSnapshot::Site St;
-    St.Func = R.u32();
-    St.Line = R.u32();
-    St.Col = R.u32();
-    St.Desc = R.u32();
-    S.Sites.push_back(St);
-  }
-
-  uint32_t NNodes = R.u32();
-  if (!R.countOk(NNodes))
-    return Bad("bad node count");
-  S.Nodes.reserve(NNodes);
-  for (uint32_t I = 0; I != NNodes; ++I) {
-    HeapSnapshot::Node N;
-    N.Gen = R.byte();
-    N.OffsetWords = R.u64();
-    N.Desc = R.u32();
-    N.Site = R.u32();
-    N.Age = R.u32();
-    N.ShallowBytes = R.u32();
-    N.NumEdges = R.u32();
-    N.FirstEdge = static_cast<uint32_t>(S.Edges.size());
-    if (!R.countOk(N.NumEdges))
-      return Bad("bad edge count");
-    for (uint32_t E = 0; E != N.NumEdges; ++E) {
-      HeapSnapshot::Edge Ed;
-      Ed.Slot = R.u32();
-      Ed.Target = R.u32();
-      S.Edges.push_back(Ed);
-    }
-    if (R.failed())
-      return Bad("truncated node table");
-    if (N.Gen > 1)
-      return Bad("node generation out of range");
-    if (N.Desc >= NTypes)
-      return Bad("node type descriptor out of range");
-    if (N.Site != NoSite && N.Site >= NSites)
-      return Bad("node site out of range");
-    S.Nodes.push_back(N);
-  }
-  for (const HeapSnapshot::Edge &E : S.Edges)
-    if (E.Target >= NNodes)
-      return Bad("edge target out of range");
-
-  uint32_t NRoots = R.u32();
-  if (!R.countOk(NRoots))
-    return Bad("bad root count");
-  S.Roots.reserve(NRoots);
-  for (uint32_t I = 0; I != NRoots; ++I) {
-    HeapSnapshot::Root Rt;
-    uint8_t Kind = R.byte();
-    if (Kind > static_cast<uint8_t>(HeapSnapshot::RootKind::Derived))
-      return Bad("root kind out of range");
-    Rt.Kind = static_cast<HeapSnapshot::RootKind>(Kind);
-    Rt.Thread = R.u32();
-    Rt.Frame = R.u32();
-    Rt.Func = R.u32();
-    Rt.Index = R.word();
-    Rt.Node = R.u32();
-    if (R.failed())
-      return Bad("truncated root table");
-    if (Rt.Node >= NNodes)
-      return Bad("root node out of range");
-    if (Rt.Func != NoFunc && Rt.Func >= NFuncs)
-      return Bad("root function out of range");
-    S.Roots.push_back(Rt);
-  }
-
-  if (R.failed())
-    return Bad("truncated snapshot");
-  if (R.remaining() != 0)
-    return Bad("trailing bytes after snapshot");
-  return true;
+  return decodeFile(SnapFile, Blob, S, Err);
 }
 
 bool obs::writeSnapshotFile(const std::string &Path, const HeapSnapshot &S,
@@ -486,7 +325,7 @@ void renderGroupTable(std::string &O, const char *Title,
 std::string obs::siteLabel(const HeapSnapshot &S, uint32_t Site) {
   if (Site >= S.Sites.size())
     return "(no site)";
-  const HeapSnapshot::Site &St = S.Sites[Site];
+  const gcmaps::AllocSite &St = S.Sites[Site];
   std::string L = funcName(S, St.Func) + ":" + std::to_string(St.Line) + ":" +
                   std::to_string(St.Col) + " (" + typeName(S, St.Desc) + ")";
   return L;

@@ -18,9 +18,9 @@
 /// base) and node ids are breadth-first discovery order over the sorted
 /// root list, so two runs of a deterministic program produce bit-identical
 /// snapshots.  The on-disk format reuses the gc-tables varint codec
-/// (support/ByteCodec.h — Figure 3 of the paper); decoding is strict:
-/// truncation, trailing bytes, or out-of-range indices are errors, never
-/// best-effort results.
+/// (support/ByteCodec.h — Figure 3 of the paper) through one list of the
+/// fields (HeapSnapshot::keys); decoding is strict: truncation, trailing
+/// bytes, or out-of-range indices are errors, never best-effort results.
 ///
 /// Analyses (consumed by tools/mgc-heapsnap): immediate dominators over the
 /// object graph from a virtual super-root (iterative Cooper-Harvey-Kennedy
@@ -75,14 +75,8 @@ struct HeapSnapshot {
   std::vector<std::string> FuncNames;
   std::vector<std::string> TypeNames; ///< Indexed by Node::Desc.
 
-  struct Site {
-    uint32_t Func = 0;
-    uint32_t Line = 0;
-    uint32_t Col = 0;
-    uint32_t Desc = 0;
-    bool operator==(const Site &) const = default;
-  };
-  std::vector<Site> Sites; ///< Indexed by Node::Site (NoSite excepted).
+  /// Indexed by Node::Site (NoSite excepted).
+  std::vector<gcmaps::AllocSite> Sites;
 
   //===--- The graph -------------------------------------------------------===
 
@@ -96,6 +90,10 @@ struct HeapSnapshot {
     uint32_t NumEdges = 0;      ///< Outgoing (non-NIL) pointer fields.
     uint8_t Gen = 0;            ///< 0 = old/two-space, 1 = nursery.
     bool operator==(const Node &) const = default;
+    /// The edges follow, through HeapSnapshot::keys.
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.Gen, V.OffsetWords, V.Desc, V.Site, V.Age, V.ShallowBytes);
+    }
   };
 
   /// One non-NIL pointer field.  Slot is the payload word index within the
@@ -105,6 +103,9 @@ struct HeapSnapshot {
     uint32_t Slot = 0;
     uint32_t Target = 0; ///< Node id.
     bool operator==(const Edge &) const = default;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.Slot, V.Target);
+    }
   };
 
   enum class RootKind : uint8_t {
@@ -123,6 +124,11 @@ struct HeapSnapshot {
     int32_t Index = 0;
     uint32_t Node = 0;       ///< The rooted node.
     bool operator==(const Root &) const = default;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.Kind);
+      F.check(V.Kind <= RootKind::Derived, "root kind out of range");
+      F.num(V.Thread, V.Frame, V.Func, V.Index, V.Node);
+    }
   };
 
   std::vector<Node> Nodes; ///< Id = index; BFS discovery order from Roots.
@@ -138,18 +144,47 @@ struct HeapSnapshot {
 
   void clear() { *this = HeapSnapshot(); }
   bool operator==(const HeapSnapshot &) const = default;
+
+  /// The file's fields after its opening (support/ByteCodec.h).  Each
+  /// node's edges follow it inline; the reader gathers them into Edges.
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.str(V.Program, V.ToolVersion, V.BuildFlags);
+    F.num(V.Seed);
+    F.bits(V.GenGc, V.StacksWalked);
+    F.num(V.Collections);
+    F.vec("function-name", V.FuncNames);
+    F.vec("type-name", V.TypeNames);
+    F.vec("site", V.Sites);
+    F.vec("node", V.Nodes, [&](auto &N) {
+      F.vec("edge", V.Edges, N.FirstEdge, N.NumEdges);
+      F.truncated("node table");
+      F.check(N.Gen <= 1, "node generation out of range");
+      F.check(N.Desc < V.TypeNames.size(),
+              "node type descriptor out of range");
+      F.check(N.Site == NoSite || N.Site < V.Sites.size(),
+              "node site out of range");
+    });
+    for (const Edge &E : V.Edges)
+      F.check(E.Target < V.Nodes.size(), "edge target out of range");
+    F.vec("root", V.Roots, [&](auto &R) {
+      F.truncated("root table");
+      F.check(R.Node < V.Nodes.size(), "root node out of range");
+      F.check(R.Func == NoFunc || R.Func < V.FuncNames.size(),
+              "root function out of range");
+    });
+  }
 };
 
 //===----------------------------------------------------------------------===//
 // Codec
 //===----------------------------------------------------------------------===//
 
-/// Appends the encoded snapshot to \p Out (magic + version + varint body).
+/// Appends the encoded snapshot to \p Out (magic + version + the fields of
+/// HeapSnapshot::keys).
 void encodeSnapshot(const HeapSnapshot &S, std::vector<uint8_t> &Out);
 
 /// Strict decode: returns false and sets \p Err on any malformation
-/// (bad magic/version, truncation, trailing bytes, index out of range,
-/// inconsistent edge grouping).
+/// (bad magic/version, truncation, trailing bytes, index out of range).
 bool decodeSnapshot(const std::vector<uint8_t> &Blob, HeapSnapshot &S,
                     std::string &Err);
 

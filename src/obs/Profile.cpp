@@ -187,9 +187,7 @@ Profile Profiler::buildProfile() const {
   P.FuncNames.reserve(Prog.Funcs.size());
   for (const vm::CompiledFunction &F : Prog.Funcs)
     P.FuncNames.push_back(F.Name);
-  P.Sites.reserve(Prog.SiteTab.Sites.size());
-  for (const gcmaps::AllocSite &S : Prog.SiteTab.Sites)
-    P.Sites.push_back({S.Func, S.Line, S.Col, S.Desc});
+  P.Sites = Prog.SiteTab.Sites;
 
   // Expand every interned stack (each was interned by a sample or an
   // allocation, so none is unused).  Frames innermost-first, truncated to
@@ -232,226 +230,21 @@ Profile Profiler::buildProfile() const {
 // Codec
 //===----------------------------------------------------------------------===//
 
-namespace {
-const char ProfMagic[4] = {'M', 'G', 'P', 'F'};
-} // namespace
+static const ByteFileKind ProfFile = {{'M', 'G', 'P', 'F'}, ProfileVersion,
+                                      "profile", "profile"};
 
 void obs::encodeProfileBody(const Profile &P, std::vector<uint8_t> &Out) {
-  appendPackedStr(Out, P.Program);
-  Out.push_back(P.RunOk ? 1 : 0);
-  appendPackedStr(Out, P.RunError);
-  appendPackedU64(Out, P.IntervalInstrs);
-  appendPackedU64(Out, P.TotalInstrs);
-  appendPackedU64(Out, P.Samples);
-  appendPackedU64(Out, P.SampleWeight);
-  appendPackedU64(Out, P.Allocs);
-  appendPackedU64(Out, P.AllocBytes);
-  appendPackedU64(Out, P.FramesSampled);
-  appendPackedU64(Out, P.LiveSlotsSampled);
-  appendPackedU64(Out, P.LiveRegsSampled);
-  appendPackedU64(Out, P.DerivedSampled);
-  appendPackedU64(Out, P.FramesUnmapped);
-  appendPackedU64(Out, P.WalkErrors);
-  appendPackedU64(Out, P.NodesDropped);
-  appendPackedU64(Out, P.StacksDropped);
-  appendPackedU64(Out, P.RequestsDropped);
-
-  appendPackedU32(Out, static_cast<uint32_t>(P.FuncNames.size()));
-  for (const std::string &F : P.FuncNames)
-    appendPackedStr(Out, F);
-  appendPackedU32(Out, static_cast<uint32_t>(P.Sites.size()));
-  for (const Profile::Site &S : P.Sites) {
-    appendPackedU32(Out, S.Func);
-    appendPackedU32(Out, S.Line);
-    appendPackedU32(Out, S.Col);
-    appendPackedU32(Out, S.Desc);
-  }
-  appendPackedU32(Out, static_cast<uint32_t>(P.Frames.size()));
-  for (const Profile::Frame &F : P.Frames) {
-    appendPackedU32(Out, F.RetPC);
-    appendPackedU32(Out, F.Func);
-  }
-  appendPackedU32(Out, static_cast<uint32_t>(P.Stacks.size()));
-  for (const Profile::Stack &S : P.Stacks) {
-    appendPackedU32(Out, S.FirstFrame);
-    appendPackedU32(Out, S.NumFrames);
-  }
-  appendPackedU32(Out, static_cast<uint32_t>(P.Mutator.size()));
-  for (const Profile::MutRow &R : P.Mutator) {
-    appendPackedU32(Out, R.StackId);
-    appendPackedU64(Out, R.Samples);
-    appendPackedU64(Out, R.Weight);
-  }
-  appendPackedU32(Out, static_cast<uint32_t>(P.Alloc.size()));
-  for (const Profile::AllocRow &R : P.Alloc) {
-    appendPackedU32(Out, R.StackId);
-    appendPackedU32(Out, R.Site);
-    appendPackedU64(Out, R.Count);
-    appendPackedU64(Out, R.Bytes);
-  }
-  appendPackedU32(Out, static_cast<uint32_t>(P.Requests.size()));
-  for (const Profile::Request &R : P.Requests) {
-    appendPackedU64(Out, R.Seq);
-    appendPackedU64(Out, R.Samples);
-    appendPackedU64(Out, R.Weight);
-    appendPackedU64(Out, R.Allocs);
-    appendPackedU64(Out, R.AllocBytes);
-  }
+  ByteWriter W{Out};
+  Profile::body(W, P);
 }
 
 void obs::encodeProfile(const Profile &P, std::vector<uint8_t> &Out) {
-  Out.insert(Out.end(), ProfMagic, ProfMagic + 4);
-  appendPackedU32(Out, ProfileVersion);
-  appendPackedStr(Out, P.ToolVersion);
-  appendPackedStr(Out, P.BuildFlags);
-  appendPackedU64(Out, P.Seed);
-  encodeProfileBody(P, Out);
+  encodeFile(ProfFile, P, Out);
 }
 
 bool obs::decodeProfile(const std::vector<uint8_t> &Blob, Profile &P,
                         std::string &Err) {
-  P.clear();
-  auto Bad = [&](const char *Msg) {
-    Err = std::string("profile decode: ") + Msg;
-    P.clear();
-    return false;
-  };
-
-  SafeReader R(Blob);
-  for (char M : ProfMagic)
-    if (R.byte() != static_cast<uint8_t>(M))
-      return Bad("bad magic (not a profile)");
-  uint32_t Version = R.u32();
-  if (R.failed())
-    return Bad("truncated header");
-  if (Version != ProfileVersion)
-    return Bad("unsupported profile version");
-
-  P.ToolVersion = R.str();
-  P.BuildFlags = R.str();
-  P.Seed = R.u64();
-
-  P.Program = R.str();
-  P.RunOk = R.byte() != 0;
-  P.RunError = R.str();
-  P.IntervalInstrs = R.u64();
-  P.TotalInstrs = R.u64();
-  P.Samples = R.u64();
-  P.SampleWeight = R.u64();
-  P.Allocs = R.u64();
-  P.AllocBytes = R.u64();
-  P.FramesSampled = R.u64();
-  P.LiveSlotsSampled = R.u64();
-  P.LiveRegsSampled = R.u64();
-  P.DerivedSampled = R.u64();
-  P.FramesUnmapped = R.u64();
-  P.WalkErrors = R.u64();
-  P.NodesDropped = R.u64();
-  P.StacksDropped = R.u64();
-  P.RequestsDropped = R.u64();
-  if (R.failed())
-    return Bad("truncated counters");
-
-  uint32_t NFuncs = R.u32();
-  if (!R.countOk(NFuncs))
-    return Bad("bad function-name count");
-  P.FuncNames.reserve(NFuncs);
-  for (uint32_t I = 0; I != NFuncs; ++I)
-    P.FuncNames.push_back(R.str());
-  uint32_t NSites = R.u32();
-  if (!R.countOk(NSites))
-    return Bad("bad site count");
-  P.Sites.reserve(NSites);
-  for (uint32_t I = 0; I != NSites; ++I) {
-    Profile::Site S;
-    S.Func = R.u32();
-    S.Line = R.u32();
-    S.Col = R.u32();
-    S.Desc = R.u32();
-    if (S.Func >= NFuncs && !R.failed())
-      return Bad("site function out of range");
-    P.Sites.push_back(S);
-  }
-
-  uint32_t NFrames = R.u32();
-  if (!R.countOk(NFrames))
-    return Bad("bad frame count");
-  P.Frames.reserve(NFrames);
-  for (uint32_t I = 0; I != NFrames; ++I) {
-    Profile::Frame F;
-    F.RetPC = R.u32();
-    F.Func = R.u32();
-    if (F.Func >= NFuncs && !R.failed())
-      return Bad("frame function out of range");
-    P.Frames.push_back(F);
-  }
-
-  uint32_t NStacks = R.u32();
-  if (!R.countOk(NStacks))
-    return Bad("bad stack count");
-  P.Stacks.reserve(NStacks);
-  for (uint32_t I = 0; I != NStacks; ++I) {
-    Profile::Stack S;
-    S.FirstFrame = R.u32();
-    S.NumFrames = R.u32();
-    if (!R.failed() && static_cast<uint64_t>(S.FirstFrame) + S.NumFrames >
-                           static_cast<uint64_t>(NFrames))
-      return Bad("stack frame range out of range");
-    P.Stacks.push_back(S);
-  }
-  if (R.failed())
-    return Bad("truncated stack table");
-
-  uint32_t NMut = R.u32();
-  if (!R.countOk(NMut))
-    return Bad("bad mutator row count");
-  P.Mutator.reserve(NMut);
-  for (uint32_t I = 0; I != NMut; ++I) {
-    Profile::MutRow Row;
-    Row.StackId = R.u32();
-    Row.Samples = R.u64();
-    Row.Weight = R.u64();
-    if (Row.StackId >= NStacks && !R.failed())
-      return Bad("mutator stack id out of range");
-    P.Mutator.push_back(Row);
-  }
-  uint32_t NAlloc = R.u32();
-  if (!R.countOk(NAlloc))
-    return Bad("bad allocation row count");
-  P.Alloc.reserve(NAlloc);
-  for (uint32_t I = 0; I != NAlloc; ++I) {
-    Profile::AllocRow Row;
-    Row.StackId = R.u32();
-    Row.Site = R.u32();
-    Row.Count = R.u64();
-    Row.Bytes = R.u64();
-    if (!R.failed()) {
-      if (Row.StackId >= NStacks)
-        return Bad("allocation stack id out of range");
-      if (Row.Site != vm::NoAllocSite && Row.Site >= NSites)
-        return Bad("allocation site out of range");
-    }
-    P.Alloc.push_back(Row);
-  }
-  uint32_t NReq = R.u32();
-  if (!R.countOk(NReq))
-    return Bad("bad request count");
-  P.Requests.reserve(NReq);
-  for (uint32_t I = 0; I != NReq; ++I) {
-    Profile::Request Q;
-    Q.Seq = R.u64();
-    Q.Samples = R.u64();
-    Q.Weight = R.u64();
-    Q.Allocs = R.u64();
-    Q.AllocBytes = R.u64();
-    P.Requests.push_back(Q);
-  }
-
-  if (R.failed())
-    return Bad("truncated profile");
-  if (R.remaining() != 0)
-    return Bad("trailing bytes after profile");
-  return true;
+  return decodeFile(ProfFile, Blob, P, Err);
 }
 
 bool obs::writeProfileFile(const std::string &Path, const Profile &P,
@@ -484,7 +277,7 @@ std::string siteLabel(const Profile &P, uint32_t Site) {
     return "(no site)";
   if (Site >= P.Sites.size())
     return "site#" + std::to_string(Site);
-  const Profile::Site &S = P.Sites[Site];
+  const gcmaps::AllocSite &S = P.Sites[Site];
   std::string L = funcName(P, S.Func);
   L += ':';
   L += std::to_string(S.Line);

@@ -44,9 +44,10 @@
 ///    full stack.  Both key by interned stack id; ReqDone() markers close
 ///    per-request rows for the server-workload harness.
 ///
-/// The dump uses the Figure-3 varint codec with a strict bounds-checked
-/// decoder (HeapSnapshot.cpp's discipline); tools/mgc-prof renders top-N
-/// self/cumulative tables, folded flamegraph lines, and diffs.
+/// The dump uses the Figure-3 varint codec through one list of the fields
+/// (Profile::keys), read back as strictly as a heap snapshot
+/// (support/ByteCodec.h); tools/mgc-prof renders top-N self/cumulative
+/// tables, folded flamegraph lines, and diffs.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -100,7 +101,7 @@ struct Profile {
   std::string BuildFlags;
   uint64_t Seed = 0;
 
-  // Body: everything below is covered by encodeProfileBody.
+  // Body: everything below is covered by encodeProfileBody (Profile::body).
   std::string Program;
   bool RunOk = true;
   std::string RunError;
@@ -123,10 +124,7 @@ struct Profile {
 
   std::vector<std::string> FuncNames;
 
-  struct Site {
-    uint32_t Func = 0, Line = 0, Col = 0, Desc = 0;
-  };
-  std::vector<Site> Sites;
+  std::vector<gcmaps::AllocSite> Sites;
 
   /// Frame arena; stacks index [FirstFrame, FirstFrame+NumFrames), frames
   /// innermost-first.  RetPC is the gc-map table pc (gc-point + 1); Func
@@ -134,12 +132,18 @@ struct Profile {
   struct Frame {
     uint32_t RetPC = 0;
     uint32_t Func = 0;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.RetPC, V.Func);
+    }
   };
   std::vector<Frame> Frames;
 
   struct Stack {
     uint32_t FirstFrame = 0;
     uint32_t NumFrames = 0;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.FirstFrame, V.NumFrames);
+    }
   };
   std::vector<Stack> Stacks;
 
@@ -147,6 +151,9 @@ struct Profile {
     uint32_t StackId = 0;
     uint64_t Samples = 0;
     uint64_t Weight = 0; ///< Instruction deltas (virtual time).
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.StackId, V.Samples, V.Weight);
+    }
   };
   std::vector<MutRow> Mutator; ///< Ascending StackId.
 
@@ -155,6 +162,9 @@ struct Profile {
     uint32_t Site = 0; ///< vm::NoAllocSite when unattributed.
     uint64_t Count = 0;
     uint64_t Bytes = 0;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.StackId, V.Site, V.Count, V.Bytes);
+    }
   };
   std::vector<AllocRow> Alloc; ///< Ascending StackId.
 
@@ -164,21 +174,62 @@ struct Profile {
     uint64_t Weight = 0;
     uint64_t Allocs = 0;
     uint64_t AllocBytes = 0;
+    template <typename IO, typename T> static void keys(IO &F, T &V) {
+      F.num(V.Seq, V.Samples, V.Weight, V.Allocs, V.AllocBytes);
+    }
   };
   std::vector<Request> Requests; ///< Completion order.
 
-  void clear() { *this = Profile(); }
+  /// The file's fields after its opening (support/ByteCodec.h): the
+  /// provenance header, then the body.
+  template <typename IO, typename T> static void keys(IO &F, T &V) {
+    F.str(V.ToolVersion, V.BuildFlags);
+    F.num(V.Seed);
+    body(F, V);
+  }
+  template <typename IO, typename T> static void body(IO &F, T &V) {
+    F.str(V.Program);
+    F.num(V.RunOk);
+    F.str(V.RunError);
+    F.num(V.IntervalInstrs, V.TotalInstrs, V.Samples, V.SampleWeight, V.Allocs,
+          V.AllocBytes, V.FramesSampled, V.LiveSlotsSampled, V.LiveRegsSampled,
+          V.DerivedSampled, V.FramesUnmapped, V.WalkErrors, V.NodesDropped,
+          V.StacksDropped, V.RequestsDropped);
+    F.truncated("counters");
+    F.vec("function-name", V.FuncNames);
+    F.vec("site", V.Sites, [&](auto &S) {
+      F.check(S.Func < V.FuncNames.size(), "site function out of range");
+    });
+    F.vec("frame", V.Frames, [&](auto &Fr) {
+      F.check(Fr.Func < V.FuncNames.size(), "frame function out of range");
+    });
+    F.vec("stack", V.Stacks, [&](auto &S) {
+      F.check(uint64_t(S.FirstFrame) + S.NumFrames <= V.Frames.size(),
+              "stack frame range out of range");
+    });
+    F.truncated("stack table");
+    F.vec("mutator row", V.Mutator, [&](auto &R) {
+      F.check(R.StackId < V.Stacks.size(), "mutator stack id out of range");
+    });
+    F.vec("allocation row", V.Alloc, [&](auto &R) {
+      F.check(R.StackId < V.Stacks.size(),
+              "allocation stack id out of range");
+      F.check(R.Site == vm::NoAllocSite || R.Site < V.Sites.size(),
+              "allocation site out of range");
+    });
+    F.vec("request", V.Requests);
+  }
 };
 
 //===----------------------------------------------------------------------===//
 // Codec (Figure-3 varints; strict decoder)
 //===----------------------------------------------------------------------===//
 
-/// Encodes only the body — the byte-identity contract across tiers /
-/// decode modes is over exactly these bytes.
+/// Encodes only the body (Profile::body) — the byte-identity contract
+/// across tiers / decode modes is over exactly these bytes.
 void encodeProfileBody(const Profile &P, std::vector<uint8_t> &Out);
 
-/// Magic + version + provenance header + body.
+/// Magic + version + provenance header + body (Profile::keys).
 void encodeProfile(const Profile &P, std::vector<uint8_t> &Out);
 
 /// Strict decode: wrong magic/version, truncation, out-of-range indices,

@@ -21,7 +21,8 @@
 ///   F.name(Key, X, Yes, No)  a bool as the string Yes or No
 ///   F.site(Key, X)           a site id, NoSite as -1
 ///   F.group(X)               a std::optional struct; left out when empty
-/// and listKeys(F, X) for a member struct's own list.  The reader leaves
+/// and listKeys(F, X) (support/ByteCodec.h, whose binary records share the
+/// protocol) for a member struct's own list.  The reader leaves
 /// a member whose key is missing at its default, and rejects a number
 /// that does not fit its member.
 ///
@@ -31,6 +32,7 @@
 #define MGC_OBS_TRACEFORMAT_H
 
 #include "obs/Trace.h"
+#include "support/ByteCodec.h"
 #include "support/Json.h"
 
 #include <cstdint>
@@ -45,10 +47,7 @@
 namespace mgc {
 namespace obs {
 
-/// \p V's keys, whether or not \p V is const.
-template <typename IO, typename T> void listKeys(IO &F, T &V) {
-  std::remove_const_t<T>::keys(F, V);
-}
+using mgc::listKeys;
 
 //===----------------------------------------------------------------------===//
 // Record types

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace mgc {
@@ -105,12 +106,14 @@ bool readByteFile(const std::string &Path, std::vector<uint8_t> &Bytes,
 /// Bounds-checked varint reader: readPacked asserts on truncation, but a
 /// decoder facing untrusted files must fail cleanly instead.  Once any
 /// read fails, every subsequent read reports failure and returns zero.
+/// ByteReader (below) reads field lists through it.
 class SafeReader {
 public:
   explicit SafeReader(const std::vector<uint8_t> &B) : B(B) {}
 
   bool failed() const { return Fail; }
-  size_t position() const { return Pos; }
+  /// Fails every later read, as a truncation would.
+  void stop() { Fail = true; }
   size_t remaining() const { return Fail ? 0 : B.size() - Pos; }
 
   uint8_t byte() {
@@ -177,6 +180,234 @@ private:
   size_t Pos = 0;
   bool Fail = false;
 };
+
+//===----------------------------------------------------------------------===//
+// Field lists (binary records)
+//===----------------------------------------------------------------------===//
+//
+// A binary record (a heap snapshot, a profile, the fuzz oracle's run
+// outcome) lists its fields once, in byte order, in a
+// `template <typename IO, typename T> static void keys(IO &F, T &V)` member,
+// the protocol of the JSONL trace records (obs/TraceFormat.h).  ByteWriter
+// writes every record through that list and ByteReader reads it back, so a
+// new field is one line.  Per member a list calls one of these on its IO:
+//   F.num(X...)   integers; the member type picks the encoding: a uint64_t
+//                 is two packed 32-bit halves, low half first; a 32-bit
+//                 integer is one packed word (0xFFFFFFFF, a NoSite or NoFunc
+//                 marker, packs as -1 in one byte); a bool, uint8_t or
+//                 one-byte enum is one raw byte
+//   F.str(X...)   strings: a packed length, then the bytes
+//   F.bits(B...)  bools packed into one raw byte, the first in bit 0
+//   F.vec(Name, V [, Then])  a packed count, then each element's own list
+//                 (or str for a string), each followed by Then(element)
+//   F.vec(Name, V, First, Count [, Then])  the same for the slice
+//                 [First, First + Count) of V; the reader appends the
+//                 elements to V and sets First and Count
+// and two the writer ignores:
+//   F.check(Ok, Msg)     the reader rejects the record with Msg unless Ok
+//   F.truncated(What)    the reader rejects it with "truncated What" if the
+//                        bytes have run out
+// The reader skips a check once the bytes have run out, so truncation is
+// reported by the next truncated() call or count ("bad Name count").
+
+/// \p V's list, whether or not \p V is const.
+template <typename IO, typename T> void listKeys(IO &F, T &V) {
+  std::remove_const_t<T>::keys(F, V);
+}
+
+/// The default Then of vec: nothing to do after an element.
+struct NoThen {
+  template <typename T> void operator()(T &) const {}
+};
+
+/// Appends a field list's bytes to Out.
+struct ByteWriter {
+  std::vector<uint8_t> &Out;
+
+  template <typename... T> void num(const T &...V) { (one(V), ...); }
+  template <typename... T> void str(const T &...V) {
+    (appendPackedStr(Out, V), ...);
+  }
+  template <typename... B> void bits(const B &...V) {
+    unsigned Bit = 0, Byte = 0;
+    ((Byte |= (V ? 1u : 0u) << Bit++), ...);
+    Out.push_back(static_cast<uint8_t>(Byte));
+  }
+  template <typename T, typename Fn = NoThen>
+  void vec(const char *Name, const std::vector<T> &V, Fn Then = {}) {
+    vec(Name, V, 0, static_cast<uint32_t>(V.size()), Then);
+  }
+  template <typename T, typename Fn = NoThen>
+  void vec(const char *, const std::vector<T> &V, uint32_t First,
+           uint32_t Count, Fn Then = {}) {
+    appendPackedU32(Out, Count);
+    for (uint32_t I = First; I != First + Count; ++I) {
+      if constexpr (std::is_same_v<T, std::string>)
+        str(V[I]);
+      else
+        listKeys(*this, V[I]);
+      Then(V[I]);
+    }
+  }
+  void check(bool, const char *) {}
+  void truncated(const char *) {}
+
+private:
+  template <typename T> void one(T V) {
+    if constexpr (sizeof(T) == 1)
+      Out.push_back(static_cast<uint8_t>(V));
+    else if constexpr (sizeof(T) == 4)
+      appendPacked(Out, static_cast<int32_t>(V));
+    else
+      appendPackedU64(Out, static_cast<uint64_t>(V));
+  }
+};
+
+/// A binary artifact file's opening, a 4-byte magic then the packed format
+/// version, and the nouns its decode diagnostics use: Noun in "snapshot
+/// decode: ..." and "truncated snapshot", Title in "bad magic (not a heap
+/// snapshot)".
+struct ByteFileKind {
+  char Magic[4];
+  uint32_t Version;
+  const char *Noun;
+  const char *Title;
+};
+
+/// Reads a field list back, strictly: the first failed check, a count
+/// larger than the bytes left, truncation or trailing bytes fail the record
+/// with one message (Error), and every later read fails as if the bytes had
+/// run out.
+class ByteReader {
+public:
+  explicit ByteReader(const std::vector<uint8_t> &B) : R(B) {}
+
+  template <typename... T> void num(T &...V) { (one(V), ...); }
+  template <typename... T> void str(T &...V) { ((V = R.str()), ...); }
+  template <typename... B> void bits(B &...V) {
+    unsigned Bit = 0, Byte = R.byte();
+    ((V = (Byte >> Bit++ & 1) != 0), ...);
+  }
+  template <typename T, typename Fn = NoThen>
+  void vec(const char *Name, std::vector<T> &V, Fn Then = {}) {
+    uint32_t First, Count;
+    vec(Name, V, First, Count, Then);
+  }
+  template <typename T, typename Fn = NoThen>
+  void vec(const char *Name, std::vector<T> &V, uint32_t &First,
+           uint32_t &Count, Fn Then = {}) {
+    First = static_cast<uint32_t>(V.size());
+    Count = R.u32();
+    // An element is at least one byte: a larger count is hostile.
+    if (!R.countOk(Count))
+      return fail(std::string("bad ") + Name + " count");
+    if (First == 0) // A later slice grows V geometrically instead.
+      V.reserve(Count);
+    for (uint32_t I = 0; I != Count && !R.failed(); ++I) {
+      T &E = V.emplace_back();
+      if constexpr (std::is_same_v<T, std::string>)
+        str(E);
+      else
+        listKeys(*this, E);
+      Then(E);
+    }
+  }
+  void check(bool Ok, const char *Msg) {
+    if (!Ok && !R.failed())
+      fail(Msg);
+  }
+  void truncated(const char *What) {
+    if (R.failed())
+      fail(std::string("truncated ") + What);
+  }
+
+  /// Checks \p K's magic and version.
+  bool opens(const ByteFileKind &K) {
+    for (char M : K.Magic)
+      if (R.byte() != static_cast<uint8_t>(M)) {
+        fail(std::string("bad magic (not a ") + K.Title + ")");
+        return false;
+      }
+    uint32_t Version = R.u32();
+    if (R.failed())
+      fail("truncated header");
+    else if (Version != K.Version)
+      fail(std::string("unsupported ") + K.Noun + " version");
+    return Error.empty();
+  }
+
+  /// Reads \p V's list, which must end where the bytes do; \p Noun names
+  /// the record in the truncation and trailing-bytes messages.
+  template <typename T> bool readAll(T &V, const char *Noun) {
+    listKeys(*this, V);
+    truncated(Noun);
+    if (R.remaining() != 0)
+      fail(std::string("trailing bytes after ") + Noun);
+    return Error.empty();
+  }
+
+  std::string Error; ///< The record's first failure; empty if none.
+
+private:
+  template <typename T> void one(T &V) {
+    if constexpr (std::is_same_v<T, bool>)
+      V = R.byte() != 0;
+    else if constexpr (sizeof(T) == 1)
+      V = static_cast<T>(R.byte());
+    else if constexpr (sizeof(T) == 4)
+      V = static_cast<T>(R.word());
+    else
+      V = static_cast<T>(R.u64());
+  }
+  void fail(const std::string &Msg) {
+    if (Error.empty())
+      Error = Msg;
+    R.stop();
+  }
+
+  SafeReader R;
+};
+
+/// Appends \p V's list to \p Out.
+template <typename T> void encodeFields(const T &V, std::vector<uint8_t> &Out) {
+  ByteWriter W{Out};
+  listKeys(W, V);
+}
+
+/// Reads \p V from exactly the bytes \p B.  On failure resets \p V and
+/// sets \p Err.
+template <typename T>
+bool decodeFields(const std::vector<uint8_t> &B, T &V, std::string &Err) {
+  V = T();
+  ByteReader R(B);
+  if (R.readAll(V, "record"))
+    return true;
+  V = T();
+  Err = R.Error;
+  return false;
+}
+
+/// Appends \p K's opening, then \p V's list, to \p Out.
+template <typename T>
+void encodeFile(const ByteFileKind &K, const T &V, std::vector<uint8_t> &Out) {
+  Out.insert(Out.end(), K.Magic, K.Magic + 4);
+  appendPackedU32(Out, K.Version);
+  encodeFields(V, Out);
+}
+
+/// Reads a file of kind \p K into \p V.  On failure resets \p V and sets
+/// \p Err to "Noun decode: " and the reason.
+template <typename T>
+bool decodeFile(const ByteFileKind &K, const std::vector<uint8_t> &B, T &V,
+                std::string &Err) {
+  V = T();
+  ByteReader R(B);
+  if (R.opens(K) && R.readAll(V, K.Noun))
+    return true;
+  V = T();
+  Err = std::string(K.Noun) + " decode: " + R.Error;
+  return false;
+}
 
 /// Sequential reader over a byte-packed table blob.
 class PackedReader {

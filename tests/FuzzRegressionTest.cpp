@@ -19,6 +19,7 @@
 #include "fuzz/Generator.h"
 #include "fuzz/Oracle.h"
 #include "fuzz/Reducer.h"
+#include "support/ByteCodec.h"
 
 #include <gtest/gtest.h>
 
@@ -73,6 +74,79 @@ TEST(FuzzOracle, MidRunSnapshotCapturesServerLoop) {
   EXPECT_GE(O.MidRequests, 3u);
   EXPECT_GT(O.MidNodes, 0u);
   EXPECT_GT(O.MidBytes, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// The child-to-parent payload
+//===----------------------------------------------------------------------===//
+
+// Every field set to a distinct non-default value: strings holding newlines
+// and NUL bytes, counters with both 32-bit halves set.
+RunOutcome fullOutcome(RunOutcome::Status St) {
+  using namespace std::string_literals;
+  uint64_t N = 0;
+  auto Next = [&N] { return N += 0x100000001ull; };
+  RunOutcome O;
+  O.St = St;
+  O.Signal = 11;
+  O.Out = "line 1\nline 2\0tail\n"s;
+  O.Error = "\0error\n"s;
+  O.Collections = Next();
+  O.MinorCollections = Next();
+  O.RootsTraced = Next();
+  O.DerivedAdjusted = Next();
+  O.FramesTraced = Next();
+  O.WriteBarriersRun = Next();
+  O.BytesCopied = Next();
+  O.ObjectsCopied = Next();
+  O.Instrs = Next();
+  O.ConservativeViolation = true;
+  O.ConservativeReached = Next();
+  O.PreciseLive = Next();
+  O.SnapViolation = true;
+  O.SnapNodes = Next();
+  O.SnapBytes = Next();
+  O.SnapError = "snap\0\n"s;
+  O.MidViolation = true;
+  O.MidRequests = Next();
+  O.MidNodes = Next();
+  O.MidBytes = Next();
+  O.MidOutLen = Next();
+  O.MidError = "mid\n\0"s;
+  O.LeakSummary = "3:64:128:2;\n"s;
+  O.ProfSummary = "1:2:3:4:5:0:\0ff"s;
+  return O;
+}
+
+TEST(FuzzOracle, OutcomePayloadRoundTrips) {
+  for (RunOutcome::Status St : {RunOutcome::Ok, RunOutcome::RuntimeError,
+                                RunOutcome::CompileError,
+                                RunOutcome::Crashed}) {
+    SCOPED_TRACE(static_cast<int>(St));
+    RunOutcome O = fullOutcome(St);
+    std::vector<uint8_t> Payload;
+    encodeFields(O, Payload);
+    RunOutcome Back;
+    std::string Err;
+    ASSERT_TRUE(decodeFields(Payload, Back, Err)) << Err;
+    EXPECT_TRUE(Back == O);
+  }
+}
+
+// The parent reports a payload that does not decode exactly as a crash, so
+// a child killed mid-write, or one that wrote too much, is a crash.
+TEST(FuzzOracle, OutcomePayloadRejectsPrefixesAndTrailingBytes) {
+  std::vector<uint8_t> Payload;
+  encodeFields(fullOutcome(RunOutcome::RuntimeError), Payload);
+  RunOutcome Back;
+  std::string Err;
+  for (size_t Len = 0; Len != Payload.size(); ++Len) {
+    std::vector<uint8_t> Prefix(Payload.begin(), Payload.begin() + Len);
+    EXPECT_FALSE(decodeFields(Prefix, Back, Err)) << "prefix " << Len;
+  }
+  Payload.push_back(0);
+  EXPECT_FALSE(decodeFields(Payload, Back, Err));
+  EXPECT_EQ(Err, "trailing bytes after record");
 }
 
 //===----------------------------------------------------------------------===//

@@ -490,6 +490,22 @@ TEST(Opt, PassesReportingNoChangeLeaveTheFunctionUntouched) {
   for (uint64_t Seed = 1; Seed <= 100; ++Seed)
     Sources.push_back({"seed " + std::to_string(Seed),
                        fuzz::generateProgram(Seed).render()});
+  // A BOOLEAN local assigned TRUE and tested in the same block: copy
+  // propagation puts the immediate into the branch, and the next
+  // foldConstants call has only that branch to fold.
+  Sources.push_back({"constant branch", R"(MODULE ConstBranch;
+VAR x: INTEGER;
+PROCEDURE P(n: INTEGER): INTEGER;
+VAR b: BOOLEAN;
+BEGIN
+  b := TRUE;
+  IF b THEN n := n + 1 END;
+  RETURN n
+END P;
+BEGIN
+  x := P(3);
+  PutInt(x)
+END ConstBranch.)"});
   unsigned Calls = 0, Unchanged = 0;
   for (const NamedSource &S : Sources)
     for (driver::Disambiguation Mode : {driver::Disambiguation::PathVariables,
