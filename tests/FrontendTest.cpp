@@ -43,6 +43,25 @@ TEST(Lexer, KeywordsAndIdentifiers) {
   EXPECT_EQ(Toks[4].Kind, TokKind::Ident);
   EXPECT_EQ(Toks[5].Kind, TokKind::KwWhile);
   EXPECT_FALSE(D.hasErrors());
+
+  // Only an exact, all-uppercase spelling is a keyword: a keyword with
+  // letters, digits or underscores after it, a prefix of one and a
+  // mixed-case spelling are identifiers.  The longest keyword runs
+  // straight into a comment, and a keyword ends the input.
+  Toks = lexAll("ENDX BEGINS IFF PROC END_1 DO2 Begin eND PROCEDURE(* c *)END",
+                D);
+  ASSERT_EQ(Toks.size(), 11u);
+  const char *Idents[] = {"ENDX", "BEGINS", "IFF",   "PROC",
+                          "END_1", "DO2",   "Begin", "eND"};
+  for (size_t I = 0; I != 8; ++I) {
+    EXPECT_EQ(Toks[I].Kind, TokKind::Ident) << Idents[I];
+    EXPECT_EQ(Toks[I].Text, Idents[I]);
+  }
+  EXPECT_EQ(Toks[8].Kind, TokKind::KwProcedure);
+  EXPECT_EQ(Toks[9].Kind, TokKind::KwEnd);
+  EXPECT_EQ(Toks[9].Loc.Col, 58u);
+  EXPECT_EQ(Toks[10].Kind, TokKind::Eof);
+  EXPECT_FALSE(D.hasErrors());
 }
 
 TEST(Lexer, CompositeOperators) {
@@ -108,6 +127,19 @@ TEST(Lexer, TracksLineNumbers) {
   EXPECT_EQ(Toks[1].Loc.Line, 2u);
   EXPECT_EQ(Toks[2].Loc.Line, 3u);
   EXPECT_EQ(Toks[2].Loc.Col, 3u);
+
+  // A tab and a carriage return take one column each; the line feed of
+  // "\r\n" starts the next line at column 1.
+  Toks = lexAll("a\tb\r\nc  \t d", D);
+  ASSERT_EQ(Toks.size(), 5u);
+  EXPECT_EQ(Toks[1].Loc.Line, 1u);
+  EXPECT_EQ(Toks[1].Loc.Col, 3u);
+  EXPECT_EQ(Toks[2].Loc.Line, 2u);
+  EXPECT_EQ(Toks[2].Loc.Col, 1u);
+  EXPECT_EQ(Toks[3].Loc.Line, 2u);
+  EXPECT_EQ(Toks[3].Loc.Col, 6u);
+  EXPECT_EQ(Toks[4].Loc.Line, 2u);
+  EXPECT_EQ(Toks[4].Loc.Col, 7u);
 }
 
 //===----------------------------------------------------------------------===//
