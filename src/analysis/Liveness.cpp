@@ -33,19 +33,20 @@ void ExtraUses::erase(std::span<const char> Dead) {
   VRegs.resize(Regs);
 }
 
-Liveness::Liveness(const Function &F, const ExtraUses *Extra)
-    : F(F), Extra(Extra) {
-  size_t NumBlocks = F.Blocks.size();
-  size_t NumVRegs = F.VRegs.size();
-  LiveIn.assign(NumBlocks, DynBitset(NumVRegs));
-  LiveOut.assign(NumBlocks, DynBitset(NumVRegs));
+void Liveness::compute(const Function &Func, const ExtraUses *ExtraTable) {
+  F = &Func;
+  Extra = ExtraTable;
+  size_t NumBlocks = Func.Blocks.size();
+  DynBitset Empty(Func.VRegs.size());
+  LiveIn.assign(NumBlocks, Empty);
+  LiveOut.assign(NumBlocks, Empty);
 
   // Block summaries: LiveIn = Gen ∪ (LiveOut − Kill), where Gen holds the
   // upward-exposed uses and Kill every definition.  LiveIn starts at Gen
   // and only grows.
-  std::vector<DynBitset> Kill(NumBlocks, DynBitset(NumVRegs));
+  Kill.assign(NumBlocks, Empty);
   for (size_t B = 0; B != NumBlocks; ++B) {
-    const BasicBlock &BB = *F.Blocks[B];
+    const BasicBlock &BB = *Func.Blocks[B];
     for (size_t I = BB.Instrs.size(); I-- > 0;) {
       transfer(static_cast<unsigned>(B), static_cast<unsigned>(I), LiveIn[B]);
       if (BB.Instrs[I].Dst != NoVReg)
@@ -60,7 +61,7 @@ Liveness::Liveness(const Function &F, const ExtraUses *Extra)
     Changed = false;
     for (size_t B = NumBlocks; B-- > 0;) {
       DynBitset &Out = LiveOut[B];
-      F.Blocks[B]->forEachSuccessor(
+      Func.Blocks[B]->forEachSuccessor(
           [&](unsigned Succ) { Changed |= Out.unionWith(LiveIn[Succ]); });
       Changed |= LiveIn[B].unionWithDifference(Out, Kill[B]);
     }
@@ -69,7 +70,7 @@ Liveness::Liveness(const Function &F, const ExtraUses *Extra)
 
 void Liveness::transfer(unsigned Block, unsigned Index,
                         DynBitset &Live) const {
-  const Instr &I = F.Blocks[Block]->Instrs[Index];
+  const Instr &I = F->Blocks[Block]->Instrs[Index];
   if (I.Dst != NoVReg)
     Live.reset(static_cast<size_t>(I.Dst));
   I.forEachUse([&](VReg R) { Live.set(static_cast<size_t>(R)); });
@@ -78,7 +79,7 @@ void Liveness::transfer(unsigned Block, unsigned Index,
 }
 
 DynBitset Liveness::liveBefore(unsigned Block, unsigned Index) const {
-  const BasicBlock &BB = *F.Blocks[Block];
+  const BasicBlock &BB = *F->Blocks[Block];
   DynBitset Live = LiveOut[Block];
   for (size_t I = BB.Instrs.size(); I-- > Index;)
     transfer(Block, static_cast<unsigned>(I), Live);

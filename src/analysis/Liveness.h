@@ -55,8 +55,16 @@ struct ExtraUses {
 
 class Liveness {
 public:
+  /// An empty solve, for compute() to fill.
+  Liveness() = default;
   /// Computes liveness for \p F.  \p Extra may be null.
-  Liveness(const ir::Function &F, const ExtraUses *Extra = nullptr);
+  Liveness(const ir::Function &F, const ExtraUses *Extra = nullptr) {
+    compute(F, Extra);
+  }
+
+  /// Solves again for \p F, reusing this object's storage.  \p F and
+  /// \p Extra (which may be null) must outlive the queries.
+  void compute(const ir::Function &F, const ExtraUses *Extra = nullptr);
 
   const DynBitset &liveIn(unsigned Block) const { return LiveIn[Block]; }
   const DynBitset &liveOut(unsigned Block) const { return LiveOut[Block]; }
@@ -79,7 +87,7 @@ public:
   /// Visits instructions of \p Block backwards; \p Visit(Index, LiveBefore)
   /// sees the live set before each instruction.
   template <typename Fn> void visitBlock(unsigned Block, Fn &&Visit) const {
-    const ir::BasicBlock &BB = *F.Blocks[Block];
+    const ir::BasicBlock &BB = *F->Blocks[Block];
     DynBitset Live = LiveOut[Block];
     for (size_t I = BB.Instrs.size(); I-- > 0;) {
       transfer(Block, static_cast<unsigned>(I), Live);
@@ -88,9 +96,10 @@ public:
   }
 
 private:
-  const ir::Function &F;
-  const ExtraUses *Extra;
-  std::vector<DynBitset> LiveIn, LiveOut;
+  const ir::Function *F = nullptr;
+  const ExtraUses *Extra = nullptr;
+  /// Kill is every block's definitions, kept only for its storage.
+  std::vector<DynBitset> LiveIn, LiveOut, Kill;
 };
 
 } // namespace analysis

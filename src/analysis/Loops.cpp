@@ -13,15 +13,16 @@ using namespace mgc;
 using namespace mgc::analysis;
 using namespace mgc::ir;
 
-LoopInfo::LoopInfo(const Function &F) {
+void LoopInfo::recompute(const Function &F) {
   size_t NumBlocks = F.Blocks.size();
+  NumLoops = 0;
 
   // DFS to find back edges: an edge B -> H where H is on the current DFS
   // stack.  The front end generates reducible control flow, so each such H
   // heads a natural loop.
-  std::vector<uint8_t> State(NumBlocks, 0); // 0 unseen, 1 on stack, 2 done
-  std::vector<std::pair<unsigned, size_t>> Stack;
-  std::vector<std::pair<unsigned, unsigned>> BackEdges; // (latch, header)
+  State.assign(NumBlocks, 0); // 0 unseen, 1 on stack, 2 done
+  Stack.clear();
+  BackEdges.clear(); // (latch, header)
   if (NumBlocks != 0) {
     Stack.emplace_back(0, 0);
     State[0] = 1;
@@ -43,19 +44,25 @@ LoopInfo::LoopInfo(const Function &F) {
     State[Id] = 2;
     Stack.pop_back();
   }
+  if (BackEdges.empty())
+    return;
 
   // Group back edges by header; compute each loop's body with the standard
   // backward reachability from the latches.
-  auto Preds = F.predecessors();
+  Preds.recompute(F);
   std::sort(BackEdges.begin(), BackEdges.end(),
             [](auto &A, auto &B) { return A.second < B.second; });
   for (size_t I = 0; I != BackEdges.size();) {
     unsigned Header = BackEdges[I].second;
-    Loop L;
+    if (NumLoops == Loops.size())
+      Loops.emplace_back();
+    Loop &L = Loops[NumLoops++];
     L.Header = Header;
+    L.Latches.clear();
     L.Blocks = DynBitset(NumBlocks);
     L.Blocks.set(Header);
-    std::vector<unsigned> Work;
+    L.Parent = -1;
+    Work.clear();
     while (I != BackEdges.size() && BackEdges[I].second == Header) {
       unsigned Latch = BackEdges[I].first;
       L.Latches.push_back(Latch);
@@ -74,14 +81,13 @@ LoopInfo::LoopInfo(const Function &F) {
           Work.push_back(P);
         }
     }
-    Loops.push_back(std::move(L));
   }
 
   // Nesting: loop A is inside loop B if B contains A's header and A != B.
   // The innermost parent is the smallest containing loop.
-  for (size_t A = 0; A != Loops.size(); ++A) {
+  for (size_t A = 0; A != NumLoops; ++A) {
     size_t BestSize = NumBlocks + 1;
-    for (size_t B = 0; B != Loops.size(); ++B) {
+    for (size_t B = 0; B != NumLoops; ++B) {
       if (A == B || !Loops[B].contains(Loops[A].Header))
         continue;
       if (Loops[B].Blocks.count() >= Loops[A].Blocks.count() &&
@@ -93,7 +99,8 @@ LoopInfo::LoopInfo(const Function &F) {
       }
     }
   }
-  for (Loop &L : Loops) {
+  for (size_t A = 0; A != NumLoops; ++A) {
+    Loop &L = Loops[A];
     unsigned Depth = 1;
     int P = L.Parent;
     while (P >= 0) {

@@ -18,6 +18,8 @@
 #include "ir/IR.h"
 #include "support/DynBitset.h"
 
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace mgc {
@@ -35,12 +37,25 @@ struct Loop {
 
 class LoopInfo {
 public:
-  explicit LoopInfo(const ir::Function &F);
+  /// No loops, for recompute() to fill.
+  LoopInfo() = default;
+  explicit LoopInfo(const ir::Function &F) { recompute(F); }
 
-  const std::vector<Loop> &loops() const { return Loops; }
+  /// Finds the loops of \p F again, reusing this object's storage.
+  void recompute(const ir::Function &F);
+
+  std::span<const Loop> loops() const { return {Loops.data(), NumLoops}; }
 
 private:
+  /// The first NumLoops entries are the loops; any after them only keep
+  /// their storage for later calls, as do the search's vectors below.
   std::vector<Loop> Loops;
+  size_t NumLoops = 0;
+  std::vector<uint8_t> State;
+  std::vector<std::pair<unsigned, size_t>> Stack;
+  std::vector<std::pair<unsigned, unsigned>> BackEdges;
+  std::vector<unsigned> Work;
+  ir::Predecessors Preds;
 };
 
 /// Ensures the loop has a preheader: a block that is the unique non-loop

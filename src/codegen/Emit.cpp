@@ -145,9 +145,15 @@ EmitResult Emitter::run() {
 
   // Use counts for the CISC fold.
   UseCount.assign(F.VRegs.size(), 0);
-  for (const auto &BB : F.Blocks)
+  size_t NumInstrs = 0;
+  for (const auto &BB : F.Blocks) {
+    NumInstrs += BB->Instrs.size();
     for (const Instr &I : BB->Instrs)
       I.forEachUse([&](VReg R) { ++UseCount[static_cast<size_t>(R)]; });
+  }
+  // Most IR instructions become one machine instruction; a quarter more
+  // covers the moves and spill code of nearly every function.
+  Code.reserve(NumInstrs + NumInstrs / 4 + 8);
 
   // Prologue: zero-initialize pointer words of lowering-created slots so
   // their always-live ground entries are valid from entry.

@@ -7,6 +7,7 @@
 #include "codegen/RegAlloc.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
 using namespace mgc;
@@ -79,6 +80,7 @@ Assignment codegen::allocateRegisters(Function &F,
 
   // Linear scan.
   std::vector<Interval> Sorted;
+  Sorted.reserve(Intervals.size());
   for (const Interval &IV : Intervals)
     if (IV.Start >= 0 && static_cast<unsigned>(IV.R) >= F.numParams())
       Sorted.push_back(IV);
@@ -87,9 +89,9 @@ Assignment codegen::allocateRegisters(Function &F,
     return A.Start < B.Start || (A.Start == B.Start && A.R < B.R);
   });
 
-  std::vector<Interval> Active; // Sorted by End.
-  std::vector<bool> RegBusy(NumAllocatableRegs, false);
-  std::vector<bool> RegEverUsed(NumAllocatableRegs, false);
+  std::vector<Interval> Active; // Sorted by End; one per busy register.
+  Active.reserve(NumAllocatableRegs);
+  std::array<bool, NumAllocatableRegs> RegBusy{}, RegEverUsed{};
 
   auto SpillToSlot = [&](VReg R) {
     SlotInfo SI;
@@ -150,6 +152,8 @@ Assignment codegen::allocateRegisters(Function &F,
     }
   }
 
+  Out.UsedRegs.reserve(static_cast<size_t>(
+      std::count(RegEverUsed.begin(), RegEverUsed.end(), true)));
   for (unsigned R = 0; R != NumAllocatableRegs; ++R)
     if (RegEverUsed[R])
       Out.UsedRegs.push_back(static_cast<uint8_t>(R));

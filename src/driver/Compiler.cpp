@@ -33,11 +33,12 @@ namespace {
 /// reports no change but moved blocks, vregs or slots anyway
 /// (simplifyCFG's unreachable-block sweep renumbers blocks) still counts
 /// as a change of the function, without feeding the caller's round loop.
+/// Every call gets the one opt::Scratch of the compile.
 class PassRunner {
 public:
-  using Pass = bool (*)(Function &);
+  using Pass = bool (*)(Function &, opt::Scratch &);
 
-  explicit PassRunner(Function &F) : F(F) {}
+  PassRunner(Function &F, opt::Scratch &S) : F(F), S(S) {}
 
   bool run(Pass P) {
     uint64_t &CleanAt = cleanAt(P);
@@ -47,7 +48,7 @@ public:
     for (size_t B = 0; B != F.Blocks.size(); ++B)
       Layout[B] = F.Blocks[B].get();
     size_t VRegs = F.VRegs.size(), Slots = F.Slots.size();
-    if (P(F)) {
+    if (P(F, S)) {
       ++Version;
       return true;
     }
@@ -75,6 +76,7 @@ private:
 
   static constexpr unsigned MaxPasses = 12;
   Function &F;
+  opt::Scratch &S;
   /// Bumped by every change of the function; starts above every CleanAt.
   uint64_t Version = 1;
   /// Per pass: the version at which it last reported no change, 0 if
@@ -98,8 +100,9 @@ void runCleanupRound(PassRunner &R) {
   }
 }
 
-void optimizeFunction(Function &F, const CompilerOptions &Options) {
-  PassRunner R(F);
+void optimizeFunction(Function &F, const CompilerOptions &Options,
+                      opt::Scratch &S) {
+  PassRunner R(F, S);
   runCleanupRound(R);
 
   // The derived-value factories (§2's optimizations).
@@ -138,9 +141,11 @@ CompileResult driver::compile(const std::string &Source,
 
   std::unique_ptr<IRModule> M = lowerModule(*AST);
 
-  if (Options.OptLevel >= 2)
+  if (Options.OptLevel >= 2) {
+    opt::Scratch S;
     for (auto &F : M->Functions)
-      optimizeFunction(*F, Options);
+      optimizeFunction(*F, Options, S);
+  }
 
   unsigned GcPointsElided = 0;
   if (Options.InterprocGcPoints)

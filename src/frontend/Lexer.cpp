@@ -8,8 +8,8 @@
 
 #include "support/IntOps.h"
 
-#include <cctype>
-#include <unordered_map>
+#include <algorithm>
+#include <string_view>
 
 using namespace mgc;
 
@@ -80,29 +80,48 @@ const char *mgc::tokKindName(TokKind K) {
 }
 
 namespace {
-const std::unordered_map<std::string, TokKind> &keywordTable() {
-  static const std::unordered_map<std::string, TokKind> Table = {
-      {"MODULE", TokKind::KwModule},   {"BEGIN", TokKind::KwBegin},
-      {"END", TokKind::KwEnd},         {"VAR", TokKind::KwVar},
-      {"TYPE", TokKind::KwType},       {"CONST", TokKind::KwConst},
-      {"PROCEDURE", TokKind::KwProcedure},
-      {"IF", TokKind::KwIf},           {"THEN", TokKind::KwThen},
-      {"ELSIF", TokKind::KwElsif},     {"ELSE", TokKind::KwElse},
-      {"WHILE", TokKind::KwWhile},     {"DO", TokKind::KwDo},
-      {"REPEAT", TokKind::KwRepeat},   {"UNTIL", TokKind::KwUntil},
-      {"FOR", TokKind::KwFor},         {"TO", TokKind::KwTo},
-      {"BY", TokKind::KwBy},           {"RETURN", TokKind::KwReturn},
-      {"WITH", TokKind::KwWith},       {"NIL", TokKind::KwNil},
-      {"TRUE", TokKind::KwTrue},       {"FALSE", TokKind::KwFalse},
-      {"DIV", TokKind::KwDiv},         {"MOD", TokKind::KwMod},
-      {"AND", TokKind::KwAnd},         {"OR", TokKind::KwOr},
-      {"NOT", TokKind::KwNot},         {"ARRAY", TokKind::KwArray},
-      {"OF", TokKind::KwOf},           {"RECORD", TokKind::KwRecord},
-      {"REF", TokKind::KwRef},         {"INTEGER", TokKind::KwInteger},
-      {"BOOLEAN", TokKind::KwBoolean}, {"EXIT", TokKind::KwExit},
-      {"LOOP", TokKind::KwLoop},
-  };
-  return Table;
+// The ASCII classes of the "C" locale's isupper, isalpha and isdigit.
+bool isUpper(char C) { return C >= 'A' && C <= 'Z'; }
+bool isLetter(char C) { return isUpper(C) || (C >= 'a' && C <= 'z'); }
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isWordChar(char C) { return isLetter(C) || isDigit(C) || C == '_'; }
+
+struct Keyword {
+  std::string_view Spelling;
+  TokKind Kind;
+};
+
+constexpr Keyword Keywords[] = {
+    {"MODULE", TokKind::KwModule},   {"BEGIN", TokKind::KwBegin},
+    {"END", TokKind::KwEnd},         {"VAR", TokKind::KwVar},
+    {"TYPE", TokKind::KwType},       {"CONST", TokKind::KwConst},
+    {"PROCEDURE", TokKind::KwProcedure},
+    {"IF", TokKind::KwIf},           {"THEN", TokKind::KwThen},
+    {"ELSIF", TokKind::KwElsif},     {"ELSE", TokKind::KwElse},
+    {"WHILE", TokKind::KwWhile},     {"DO", TokKind::KwDo},
+    {"REPEAT", TokKind::KwRepeat},   {"UNTIL", TokKind::KwUntil},
+    {"FOR", TokKind::KwFor},         {"TO", TokKind::KwTo},
+    {"BY", TokKind::KwBy},           {"RETURN", TokKind::KwReturn},
+    {"WITH", TokKind::KwWith},       {"NIL", TokKind::KwNil},
+    {"TRUE", TokKind::KwTrue},       {"FALSE", TokKind::KwFalse},
+    {"DIV", TokKind::KwDiv},         {"MOD", TokKind::KwMod},
+    {"AND", TokKind::KwAnd},         {"OR", TokKind::KwOr},
+    {"NOT", TokKind::KwNot},         {"ARRAY", TokKind::KwArray},
+    {"OF", TokKind::KwOf},           {"RECORD", TokKind::KwRecord},
+    {"REF", TokKind::KwRef},         {"INTEGER", TokKind::KwInteger},
+    {"BOOLEAN", TokKind::KwBoolean}, {"EXIT", TokKind::KwExit},
+    {"LOOP", TokKind::KwLoop},
+};
+
+/// The keyword spelled \p Word, or Ident.  Keywords are case sensitive and
+/// all uppercase, so a word with any other character is an identifier.
+TokKind classifyWord(std::string_view Word) {
+  if (!std::all_of(Word.begin(), Word.end(), isUpper))
+    return TokKind::Ident;
+  for (const Keyword &K : Keywords)
+    if (K.Spelling == Word)
+      return K.Kind;
+  return TokKind::Ident;
 }
 } // namespace
 
@@ -123,11 +142,19 @@ void Lexer::advance() {
 
 void Lexer::skipTrivia() {
   while (true) {
-    char C = peek();
-    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      advance();
-      continue;
+    // A run of whitespace in one loop; only a line feed is not one column.
+    for (; Pos < Src.size(); ++Pos) {
+      char C = Src[Pos];
+      if (C == '\n') {
+        ++Line;
+        Col = 1;
+      } else if (C == ' ' || C == '\t' || C == '\r') {
+        ++Col;
+      } else {
+        break;
+      }
     }
+    char C = peek();
     if (C == '(' && peekAt(1) == '*') {
       SourceLoc Start = here();
       advance();
@@ -166,26 +193,23 @@ Token Lexer::next() {
     return T;
   }
 
-  if (std::isalpha(static_cast<unsigned char>(C))) {
-    std::string Word;
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_') {
-      Word.push_back(peek());
-      advance();
-    }
-    auto It = keywordTable().find(Word);
-    if (It != keywordTable().end()) {
-      T.Kind = It->second;
-    } else {
-      T.Kind = TokKind::Ident;
-      T.Text = std::move(Word);
-    }
+  if (isLetter(C)) {
+    // A word is one source range: no character of it is a line feed.
+    size_t Start = Pos;
+    while (Pos < Src.size() && isWordChar(Src[Pos]))
+      ++Pos;
+    Col += static_cast<unsigned>(Pos - Start);
+    std::string_view Word(Src.data() + Start, Pos - Start);
+    T.Kind = classifyWord(Word);
+    if (T.Kind == TokKind::Ident)
+      T.Text.assign(Word);
     return T;
   }
 
-  if (std::isdigit(static_cast<unsigned char>(C))) {
+  if (isDigit(C)) {
     int64_t Value = 0;
     bool Overflow = false;
-    while (std::isdigit(static_cast<unsigned char>(peek()))) {
+    while (isDigit(peek())) {
       if (!Overflow && !support::appendDecimalDigit(Value, peek() - '0')) {
         Diags.error(T.Loc, "integer literal exceeds 9223372036854775807");
         Overflow = true;

@@ -67,7 +67,7 @@ private:
 
   std::string expectIdent() {
     if (at(TokKind::Ident)) {
-      std::string Name = Tok.Text;
+      std::string Name = std::move(Tok.Text);
       consume();
       return Name;
     }

@@ -28,17 +28,6 @@ using namespace mgc::analysis;
 
 namespace {
 
-std::vector<unsigned> countDefs(const Function &F) {
-  std::vector<unsigned> Defs(F.VRegs.size(), 0);
-  for (unsigned I = 0; I != F.numParams(); ++I)
-    ++Defs[I];
-  for (const auto &BB : F.Blocks)
-    for (const Instr &I : BB->Instrs)
-      if (I.Dst != NoVReg)
-        ++Defs[static_cast<size_t>(I.Dst)];
-  return Defs;
-}
-
 /// A diamond: D branches to distinct arms A1/A2 (single blocks whose only
 /// predecessor is D), both of which jump to the same join J.
 struct Diamond {
@@ -86,9 +75,11 @@ PtrKind unifyKinds(const Function &F, const Operand &O1, const Operand &O2) {
 // Cross-jumping (tail merging)
 //===----------------------------------------------------------------------===//
 
-bool opt::mergeDiamondTails(Function &F) {
-  auto Preds = F.predecessors();
-  std::vector<unsigned> Defs = countDefs(F);
+bool opt::mergeDiamondTails(Function &F, Scratch &S) {
+  const Predecessors &Preds = S.Preds;
+  S.Preds.recompute(F);
+  S.countDefs(F);
+  const std::vector<unsigned> &Defs = S.Defs;
 
   for (auto &DBB : F.Blocks) {
     auto DOpt = matchDiamond(F, Preds, DBB->Id);
@@ -243,10 +234,12 @@ bool opt::mergeDiamondTails(Function &F) {
 // Invariant diamond hoisting
 //===----------------------------------------------------------------------===//
 
-bool opt::hoistInvariantDiamonds(Function &F) {
-  LoopInfo LI(F);
-  for (const Loop &L : LI.loops()) {
-    auto Preds = F.predecessors();
+bool opt::hoistInvariantDiamonds(Function &F, Scratch &S) {
+  S.Loops.recompute(F);
+  const Predecessors &Preds = S.Preds;
+  if (!S.Loops.loops().empty())
+    S.Preds.recompute(F);
+  for (const Loop &L : S.Loops.loops()) {
     std::optional<Diamond> Found;
     L.Blocks.forEach([&](size_t B) {
       if (Found)
@@ -335,9 +328,9 @@ bool opt::hoistInvariantDiamonds(Function &F) {
 // Loop unswitching (path splitting, Figure 2)
 //===----------------------------------------------------------------------===//
 
-bool opt::unswitchLoops(Function &F) {
-  LoopInfo LI(F);
-  for (const Loop &L : LI.loops()) {
+bool opt::unswitchLoops(Function &F, Scratch &S) {
+  S.Loops.recompute(F);
+  for (const Loop &L : S.Loops.loops()) {
     DynBitset LoopDefs(F.VRegs.size());
     L.Blocks.forEach([&](size_t B) {
       for (const Instr &I : F.Blocks[B]->Instrs)

@@ -9,17 +9,14 @@
 #include "analysis/Loops.h"
 
 #include <algorithm>
-#include <map>
 #include <vector>
 
 using namespace mgc;
 using namespace mgc::ir;
 using namespace mgc::analysis;
 
-namespace {
-/// Number of defining instructions per vreg across the whole function.
-std::vector<unsigned> countDefs(const Function &F) {
-  std::vector<unsigned> Defs(F.VRegs.size(), 0);
+void opt::Scratch::countDefs(const Function &F) {
+  Defs.assign(F.VRegs.size(), 0);
   // Parameters are defined on entry.
   for (unsigned I = 0; I != F.numParams(); ++I)
     ++Defs[I];
@@ -27,8 +24,9 @@ std::vector<unsigned> countDefs(const Function &F) {
     for (const Instr &I : BB->Instrs)
       if (I.Dst != NoVReg)
         ++Defs[static_cast<size_t>(I.Dst)];
-  return Defs;
 }
+
+namespace {
 
 /// Vregs with at least one definition inside the loop.
 DynBitset defsInLoop(const Function &F, const Loop &L) {
@@ -50,16 +48,19 @@ bool operandInvariant(const Operand &O, const DynBitset &LoopDefs) {
 // Loop-invariant code motion
 //===----------------------------------------------------------------------===//
 
-bool opt::hoistLoopInvariants(Function &F) {
+bool opt::hoistLoopInvariants(Function &F, Scratch &S) {
   bool Changed = false;
   // Recompute loop info after each change to keep things simple; loops are
   // few and functions small.
   bool Restart = true;
   while (Restart) {
     Restart = false;
-    LoopInfo LI(F);
-    std::vector<unsigned> Defs = countDefs(F);
-    for (const Loop &L : LI.loops()) {
+    S.Loops.recompute(F);
+    if (S.Loops.loops().empty())
+      break;
+    S.countDefs(F);
+    const std::vector<unsigned> &Defs = S.Defs;
+    for (const Loop &L : S.Loops.loops()) {
       DynBitset LoopDefs = defsInLoop(F, L);
       // Collect hoistable instructions: pure, single-def dst, invariant
       // operands.  Hoisting is speculative (pure ops cannot trap), matching
@@ -107,25 +108,24 @@ bool opt::hoistLoopInvariants(Function &F) {
 // Virtual array origin
 //===----------------------------------------------------------------------===//
 
-bool opt::rewriteVirtualOrigins(Function &F) {
+namespace {
+/// The index of the only definition of \p R in \p BB, or -1 when \p BB
+/// defines it never or more than once.
+int singleDefIndex(const BasicBlock &BB, VReg R) {
+  int Index = -1;
+  for (size_t I = 0; I != BB.Instrs.size(); ++I)
+    if (BB.Instrs[I].Dst == R) {
+      if (Index >= 0)
+        return -1;
+      Index = static_cast<int>(I);
+    }
+  return Index;
+}
+} // namespace
+
+bool opt::rewriteVirtualOrigins(Function &F, Scratch &) {
   bool Changed = false;
   for (auto &BB : F.Blocks) {
-    // Only a DeriveAdd with a register offset is rewritten.
-    if (std::none_of(BB->Instrs.begin(), BB->Instrs.end(),
-                     [](const Instr &I) {
-                       return I.Op == Opcode::DeriveAdd && I.B.isReg();
-                     }))
-      continue;
-    // Single-def-in-block map for pattern matching.
-    std::map<VReg, int> DefIdx;
-    std::map<VReg, unsigned> DefCount;
-    for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
-      VReg D = BB->Instrs[I].Dst;
-      if (D != NoVReg) {
-        DefIdx[D] = static_cast<int>(I);
-        ++DefCount[D];
-      }
-    }
     for (unsigned I = 0; I != BB->Instrs.size(); ++I) {
       Instr &DA = BB->Instrs[I];
       // Pattern: a = DeriveAdd base, off
@@ -135,20 +135,16 @@ bool opt::rewriteVirtualOrigins(Function &F) {
       //          a  = DeriveAdd vb, off2
       if (DA.Op != Opcode::DeriveAdd || !DA.B.isReg())
         continue;
-      VReg Off = DA.B.R;
-      auto OffIt = DefIdx.find(Off);
-      if (OffIt == DefIdx.end() || DefCount[Off] != 1 ||
-          OffIt->second >= static_cast<int>(I))
+      int OffIdx = singleDefIndex(*BB, DA.B.R);
+      if (OffIdx < 0 || OffIdx >= static_cast<int>(I))
         continue;
-      Instr &MulI = BB->Instrs[OffIt->second];
+      Instr &MulI = BB->Instrs[OffIdx];
       if (MulI.Op != Opcode::Mul || !MulI.A.isReg() || !MulI.B.isImm())
         continue;
-      VReg Rel = MulI.A.R;
-      auto RelIt = DefIdx.find(Rel);
-      if (RelIt == DefIdx.end() || DefCount[Rel] != 1 ||
-          RelIt->second >= OffIt->second)
+      int RelIdx = singleDefIndex(*BB, MulI.A.R);
+      if (RelIdx < 0 || RelIdx >= OffIdx)
         continue;
-      Instr &SubI = BB->Instrs[RelIt->second];
+      Instr &SubI = BB->Instrs[RelIdx];
       if (SubI.Op != Opcode::Sub || !SubI.A.isReg() || !SubI.B.isImm() ||
           SubI.B.Imm == 0)
         continue;
@@ -168,16 +164,6 @@ bool opt::rewriteVirtualOrigins(Function &F) {
       // Insert the two new instructions just before the DeriveAdd.
       BB->Instrs.insert(BB->Instrs.begin() + I, {VBI, Mul2});
       Changed = true;
-      // Indices moved; rebuild the def maps for this block.
-      DefIdx.clear();
-      DefCount.clear();
-      for (unsigned K = 0; K != BB->Instrs.size(); ++K) {
-        VReg D = BB->Instrs[K].Dst;
-        if (D != NoVReg) {
-          DefIdx[D] = static_cast<int>(K);
-          ++DefCount[D];
-        }
-      }
       I += 2; // Skip past the rewritten DeriveAdd.
     }
   }
@@ -188,12 +174,15 @@ bool opt::rewriteVirtualOrigins(Function &F) {
 // Strength reduction
 //===----------------------------------------------------------------------===//
 
-bool opt::reduceStrength(Function &F) {
+bool opt::reduceStrength(Function &F, Scratch &S) {
   bool Changed = false;
-  LoopInfo LI(F);
-  std::vector<unsigned> Defs = countDefs(F);
+  S.Loops.recompute(F);
+  if (S.Loops.loops().empty())
+    return false;
+  S.countDefs(F);
+  const std::vector<unsigned> &Defs = S.Defs;
 
-  for (const Loop &L : LI.loops()) {
+  for (const Loop &L : S.Loops.loops()) {
     DynBitset LoopDefs = defsInLoop(F, L);
 
     // Find basic induction variables: i with exactly two defs, the one

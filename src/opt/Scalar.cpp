@@ -96,7 +96,7 @@ bool foldAlgebraic(Instr &I) {
 }
 } // namespace
 
-bool opt::foldConstants(Function &F) {
+bool opt::foldConstants(Function &F, Scratch &) {
   bool Changed = false;
   for (auto &BB : F.Blocks) {
     for (Instr &I : BB->Instrs) {
@@ -146,12 +146,14 @@ bool substitutionAllowed(const Instr &I, const Operand &NewVal, bool IsA) {
 }
 } // namespace
 
-bool opt::propagateCopiesLocal(Function &F) {
+bool opt::propagateCopiesLocal(Function &F, Scratch &S) {
   bool Changed = false;
   // Env[R] is R's known value in the current block (None: unknown); Keys
   // lists the vregs that have one.  Both are reused from block to block.
-  std::vector<Operand> Env(F.VRegs.size());
-  std::vector<VReg> Keys;
+  std::vector<Operand> &Env = S.Env;
+  std::vector<VReg> &Keys = S.Keys;
+  Env.assign(F.VRegs.size(), Operand());
+  Keys.clear();
   for (auto &BB : F.Blocks) {
     for (VReg R : Keys)
       Env[static_cast<size_t>(R)] = Operand();
@@ -199,47 +201,35 @@ bool opt::propagateCopiesLocal(Function &F) {
 // Local CSE
 //===----------------------------------------------------------------------===//
 
-namespace {
-struct ExprKey {
-  Opcode Op;
-  Operand A, B;
-  int64_t Disp;
-  int Index;
-
-  bool operator==(const ExprKey &O) const {
-    return Op == O.Op && A == O.A && B == O.B && Disp == O.Disp &&
-           Index == O.Index;
-  }
-};
-} // namespace
-
-bool opt::cseLocal(Function &F) {
+bool opt::cseLocal(Function &F, Scratch &S) {
   bool Changed = false;
   // The block's available expressions and the vreg holding each, reused
   // from block to block.
-  std::vector<std::pair<ExprKey, VReg>> Table;
+  std::vector<AvailableExpr> &Table = S.Exprs;
   for (auto &BB : F.Blocks) {
     Table.clear();
     for (Instr &I : BB->Instrs) {
       if (I.Dst != NoVReg) {
         // Drop expressions that used the redefined register (as operand or
         // result).
-        std::erase_if(Table, [&](const std::pair<ExprKey, VReg> &E) {
-          const ExprKey &K = E.first;
-          return (K.A.isReg() && K.A.R == I.Dst) ||
-                 (K.B.isReg() && K.B.R == I.Dst) || E.second == I.Dst;
+        std::erase_if(Table, [&](const AvailableExpr &E) {
+          return (E.A.isReg() && E.A.R == I.Dst) ||
+                 (E.B.isReg() && E.B.R == I.Dst) || E.Holder == I.Dst;
         });
       }
       if (!I.isPure() || I.Dst == NoVReg || I.Op == Opcode::Mov)
         continue;
-      ExprKey Key{I.Op, I.A, I.B, I.Disp, I.Index};
       auto It = std::find_if(Table.begin(), Table.end(),
-                             [&](const auto &E) { return E.first == Key; });
+                             [&](const AvailableExpr &E) {
+                               return E.Op == I.Op && E.A == I.A &&
+                                      E.B == I.B && E.Disp == I.Disp &&
+                                      E.Index == I.Index;
+                             });
       if (It != Table.end()) {
-        I = Instr::mov(I.Dst, Operand::reg(It->second));
+        I = Instr::mov(I.Dst, Operand::reg(It->Holder));
         Changed = true;
       } else {
-        Table.emplace_back(Key, I.Dst);
+        Table.push_back({I.Op, I.A, I.B, I.Disp, I.Index, I.Dst});
       }
     }
   }
@@ -250,11 +240,11 @@ bool opt::cseLocal(Function &F) {
 // CFG simplification
 //===----------------------------------------------------------------------===//
 
-bool opt::simplifyCFG(Function &F) {
+bool opt::simplifyCFG(Function &F, Scratch &S) {
   bool Changed = false;
 
   // Jump threading: a target block containing only `jump X` is bypassed.
-  std::vector<unsigned> Seen;
+  std::vector<unsigned> &Seen = S.Seen;
   auto UltimateTarget = [&](unsigned T) {
     Seen.clear();
     while (std::find(Seen.begin(), Seen.end(), T) == Seen.end()) {
@@ -292,14 +282,16 @@ bool opt::simplifyCFG(Function &F) {
     }
   }
 
-  // Merge B -> S when B jumps to S and S has exactly one predecessor.
-  Predecessors Preds(F);
+  // Merge a block with the target of its jump when the target has no
+  // other predecessor.
+  Predecessors &Preds = S.Preds;
+  Preds.recompute(F);
   for (auto &BB : F.Blocks) {
     while (BB->hasTerminator() && BB->terminator().Op == Opcode::Jump) {
-      unsigned S = BB->terminator().Target0;
-      if (S == BB->Id || S == 0 || Preds[S].size() != 1)
+      unsigned Target = BB->terminator().Target0;
+      if (Target == BB->Id || Target == 0 || Preds[Target].size() != 1)
         break;
-      BasicBlock &Succ = *F.Blocks[S];
+      BasicBlock &Succ = *F.Blocks[Target];
       if (&Succ == BB.get())
         break;
       BB->Instrs.pop_back();
@@ -321,42 +313,75 @@ bool opt::simplifyCFG(Function &F) {
 // Dead code elimination
 //===----------------------------------------------------------------------===//
 
-bool opt::eliminateDeadCode(Function &F) {
+bool opt::eliminateDeadCode(Function &F, Scratch &S) {
   // One backward sweep per block deletes dead pure definitions and
   // self-moves as it meets them, so a chain of dead definitions inside a
   // block goes in one sweep; only a sweep that deleted something solves
   // again.  Deleting a dead instruction never makes another instruction
   // live, so the result is the unique fixpoint, the same as deleting the
-  // dead instructions of one solve at a time.  Nor does it change the
-  // derivation state any surviving use sees (DESIGN §3, fact (1)), so the
-  // derivations and extra uses are computed once: a deletion only drops
-  // the deleted instructions' rows, and only liveness is solved again.
-  analysis::ExtraUses Extra =
-      analysis::DerivationAnalysis(F).computeExtraUses();
+  // dead instructions of one solve at a time.
+  //
+  // The sweeps start on plain liveness.  The dead-base rule (§4) only adds
+  // uses of the vregs a derivation can name as a base, and liveness is
+  // solved per vreg, so every other vreg is live at the same points with
+  // or without the extra uses; a dead vreg is dead on plain liveness too.
+  // While no definition the sweep would delete is of a possible base,
+  // both sweeps delete the same instructions.  When one is, the call
+  // derives once, on the IR the earlier sweeps left, and sweeps with the
+  // extra uses from then on: deleting dead instructions does not change
+  // the derivation state any surviving use sees (DESIGN §3, fact (1)), so
+  // a deletion only drops the deleted instructions' rows, and only
+  // liveness is solved again.
+  std::vector<char> &MayBeBase = S.MayBeBase;
+  MayBeBase.assign(F.VRegs.size(), 0);
+  auto Mark = [&](const Operand &O) {
+    if (O.isReg() && F.kindOf(O.R) != PtrKind::NonPtr &&
+        F.kindOf(O.R) != PtrKind::Derived)
+      MayBeBase[static_cast<size_t>(O.R)] = 1;
+  };
+  for (const auto &BB : F.Blocks)
+    for (const Instr &I : BB->Instrs)
+      if (I.Dst != NoVReg && F.kindOf(I.Dst) == PtrKind::Derived) {
+        Mark(I.A);
+        if (I.Op == Opcode::DeriveDiff)
+          Mark(I.B);
+      }
+
+  const analysis::ExtraUses *Extra = nullptr; // &S.Extra once derived.
   bool Changed = false;
-  DynBitset Live;
-  std::vector<char> Dead; // One flag per instruction, in Extra's numbering.
+  DynBitset &Live = S.LiveSet;
+  std::vector<char> &Dead = S.Dead; // One flag per instruction, flat.
   for (;;) {
-    analysis::Liveness LV(F, &Extra);
+    S.Live.compute(F, Extra);
     Dead.clear();
-    bool Any = false;
-    for (auto &BB : F.Blocks) {
-      const std::vector<Instr> &Instrs = BB->Instrs;
+    bool Any = false, BaseDies = false;
+    for (size_t B = 0; B != F.Blocks.size() && !BaseDies; ++B) {
+      const std::vector<Instr> &Instrs = F.Blocks[B]->Instrs;
       size_t Base = Dead.size();
       Dead.resize(Base + Instrs.size(), 0);
-      Live = LV.liveOut(BB->Id);
+      Live = S.Live.liveOut(static_cast<unsigned>(B));
       for (size_t I = Instrs.size(); I-- > 0;) {
         const Instr &Ins = Instrs[I];
         bool SelfMove =
             Ins.Op == Opcode::Mov && Ins.A.isReg() && Ins.A.R == Ins.Dst;
         if (SelfMove || (Ins.Dst != NoVReg && Ins.isPure() &&
                          !Live.test(static_cast<size_t>(Ins.Dst)))) {
+          if (!SelfMove && !Extra && MayBeBase[static_cast<size_t>(Ins.Dst)]) {
+            BaseDies = true;
+            break;
+          }
           Dead[Base + I] = 1;
           Any = true;
           continue;
         }
-        LV.transfer(BB->Id, static_cast<unsigned>(I), Live);
+        S.Live.transfer(static_cast<unsigned>(B), static_cast<unsigned>(I),
+                        Live);
       }
+    }
+    if (BaseDies) {
+      S.Extra = analysis::DerivationAnalysis(F).computeExtraUses();
+      Extra = &S.Extra;
+      continue;
     }
     if (!Any)
       return Changed;
@@ -374,6 +399,7 @@ bool opt::eliminateDeadCode(Function &F) {
       Flat += Instrs.size();
       Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
     }
-    Extra.erase(Dead);
+    if (Extra)
+      S.Extra.erase(Dead);
   }
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "CheckedInPrograms.h"
+#include "ReferenceSolvers.h"
 #include "TestUtil.h"
 
 #include "frontend/Lower.h"
@@ -184,6 +185,48 @@ END M.)");
   opt::eliminateDeadCode(*F);
   EXPECT_EQ(countOpcode(*F, Opcode::CallRt), 1u);
   EXPECT_EQ(countOpcode(*F, Opcode::Add), 0u) << toString(*F);
+}
+
+TEST(Opt, DeadCodeKeepsABaseOnlyTheDeadBaseRuleUses) {
+  // bb0: branch c, bb1, bb2
+  // bb1: b = mov p; d = deriveadd b, 8; jump bb3
+  // bb2: b = mov q; d = deriveadd e, 8; jump bb3
+  // bb3: gcpoll; v = load [d+0]; ret v
+  // Nothing reads bb2's b, so it is dead on plain liveness.  But at bb3, d
+  // is Ambiguous{b, e}: the use of d there uses b too, so b must stay
+  // live, and with it bb2's definition.
+  auto F = std::make_unique<Function>();
+  for (const char *P : {"p", "q", "c", "e"}) {
+    PtrKind K = std::string(P) == "c" ? PtrKind::NonPtr : PtrKind::Tidy;
+    F->Params.push_back({P, K, false});
+    F->newVReg(K, P, true);
+  }
+  VReg B = F->newVReg(PtrKind::Tidy, "b", true);
+  VReg D = F->newVReg(PtrKind::Derived, "d");
+  VReg V = F->newVReg(PtrKind::NonPtr, "v");
+  BasicBlock *BB0 = F->newBlock();
+  BasicBlock *BB1 = F->newBlock();
+  BasicBlock *BB2 = F->newBlock();
+  BasicBlock *BB3 = F->newBlock();
+  BB0->Instrs.push_back(Instr::branch(2, BB1->Id, BB2->Id));
+  BB1->Instrs.push_back(Instr::mov(B, Operand::reg(0)));
+  BB1->Instrs.push_back(
+      Instr::bin(Opcode::DeriveAdd, D, Operand::reg(B), Operand::imm(8)));
+  BB1->Instrs.push_back(Instr::jump(BB3->Id));
+  BB2->Instrs.push_back(Instr::mov(B, Operand::reg(1)));
+  BB2->Instrs.push_back(
+      Instr::bin(Opcode::DeriveAdd, D, Operand::reg(3), Operand::imm(8)));
+  BB2->Instrs.push_back(Instr::jump(BB3->Id));
+  Instr Poll;
+  Poll.Op = Opcode::GcPoll;
+  BB3->Instrs.push_back(Poll);
+  BB3->Instrs.push_back(Instr::load(V, D, 0));
+  BB3->Instrs.push_back(Instr::ret(Operand::reg(V)));
+
+  std::string Before = toString(*F);
+  EXPECT_FALSE(opt::eliminateDeadCode(*F)) << toString(*F);
+  EXPECT_EQ(toString(*F), Before);
+  EXPECT_EQ(countOpcode(*F, Opcode::Mov), 2u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -544,6 +587,54 @@ END ConstBranch.)"});
       EXPECT_EQ(toString(*C.IR), toString(*M));
     }
   EXPECT_GT(Unchanged, Calls / 2) << "most calls change nothing";
+}
+
+/// A copy of \p F that shares nothing with it.
+std::unique_ptr<Function> cloneFunction(const Function &F) {
+  auto C = std::make_unique<Function>();
+  C->Name = F.Name;
+  C->Index = F.Index;
+  C->Params = F.Params;
+  C->HasRet = F.HasRet;
+  C->VRegs = F.VRegs;
+  C->Slots = F.Slots;
+  for (const auto &BB : F.Blocks)
+    C->Blocks.push_back(std::make_unique<BasicBlock>(*BB));
+  return C;
+}
+
+TEST(Opt, DeadCodeMatchesTheAlwaysDerivingReference) {
+  // eliminateDeadCode derives only when a sweep on plain liveness would
+  // delete a definition of a possible base; the reference derives on
+  // every call.  At every DCE call of the optimizer's rounds both must
+  // report the same change and leave the same IR.
+  std::vector<NamedSource> Sources = checkedInPrograms();
+  for (uint64_t Seed = 1; Seed <= 100; ++Seed)
+    Sources.push_back({"seed " + std::to_string(Seed),
+                       fuzz::generateProgram(Seed).render()});
+  unsigned Calls = 0;
+  for (const NamedSource &S : Sources)
+    for (driver::Disambiguation Mode : {driver::Disambiguation::PathVariables,
+                                        driver::Disambiguation::PathSplitting}) {
+      SCOPED_TRACE(S.Name + (Mode == driver::Disambiguation::PathSplitting
+                                 ? " (path splitting)"
+                                 : " (path variables)"));
+      std::unique_ptr<IRModule> M = lower(S.Source);
+      ASSERT_TRUE(M);
+      for (auto &F : M->Functions)
+        runEveryPass(Mode, [&](Pass P) {
+          if (P != static_cast<Pass>(opt::eliminateDeadCode))
+            return P(*F);
+          std::unique_ptr<Function> Ref = cloneFunction(*F);
+          bool RefChanged = ref::eliminateDeadCode(*Ref);
+          bool Changed = opt::eliminateDeadCode(*F);
+          ++Calls;
+          EXPECT_EQ(Changed, RefChanged) << F->Name;
+          EXPECT_EQ(toString(*F), toString(*Ref)) << F->Name;
+          return Changed;
+        });
+    }
+  EXPECT_GT(Calls, 1000u);
 }
 
 } // namespace

@@ -12,7 +12,9 @@
 /// std::map of full DerivStates per block and joins them structurally; the
 /// liveness solver applies every instruction's transfer in every round and
 /// looks extra uses up in a std::map keyed by (block, index).  Both iterate
-/// in the same order as the production solvers.
+/// in the same order as the production solvers.  The reference dead-code
+/// eliminator derives on every call, where opt::eliminateDeadCode derives
+/// only when a base could die.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -264,6 +266,56 @@ struct Liveness {
     }
   }
 };
+
+/// Dead-code elimination with the dead-base rule applied on every call:
+/// derive once, then sweep every block backward, deleting dead pure
+/// definitions and self-moves, until a sweep deletes nothing; a deletion
+/// drops its rows from the extra uses and solves liveness again.
+inline bool eliminateDeadCode(ir::Function &F) {
+  analysis::ExtraUses Extra =
+      analysis::DerivationAnalysis(F).computeExtraUses();
+  bool Changed = false;
+  for (;;) {
+    analysis::Liveness LV(F, &Extra);
+    std::vector<char> Dead; // One flag per instruction, in Extra's numbering.
+    bool Any = false;
+    for (auto &BB : F.Blocks) {
+      const std::vector<ir::Instr> &Instrs = BB->Instrs;
+      size_t Base = Dead.size();
+      Dead.resize(Base + Instrs.size(), 0);
+      DynBitset Live = LV.liveOut(BB->Id);
+      for (size_t I = Instrs.size(); I-- > 0;) {
+        const ir::Instr &Ins = Instrs[I];
+        bool SelfMove = Ins.Op == ir::Opcode::Mov && Ins.A.isReg() &&
+                        Ins.A.R == Ins.Dst;
+        if (SelfMove || (Ins.Dst != ir::NoVReg && Ins.isPure() &&
+                         !Live.test(static_cast<size_t>(Ins.Dst)))) {
+          Dead[Base + I] = 1;
+          Any = true;
+          continue;
+        }
+        LV.transfer(BB->Id, static_cast<unsigned>(I), Live);
+      }
+    }
+    if (!Any)
+      return Changed;
+    Changed = true;
+    size_t Flat = 0;
+    for (auto &BB : F.Blocks) {
+      std::vector<ir::Instr> &Instrs = BB->Instrs;
+      size_t Kept = 0;
+      for (size_t I = 0; I != Instrs.size(); ++I)
+        if (!Dead[Flat + I]) {
+          if (Kept != I)
+            Instrs[Kept] = std::move(Instrs[I]);
+          ++Kept;
+        }
+      Flat += Instrs.size();
+      Instrs.erase(Instrs.begin() + static_cast<long>(Kept), Instrs.end());
+    }
+    Extra.erase(Dead);
+  }
+}
 
 } // namespace ref
 } // namespace test
