@@ -653,6 +653,81 @@ TEST(SnapCodec, StrictOnMutation) {
   }
 }
 
+/// A snapshot in which every member holds a distinct value other than its
+/// default: nursery nodes evacuated through collections, both flag bits,
+/// one root of each kind (the stack kinds in a function), and edges on
+/// several nodes.
+obs::HeapSnapshot everyFieldSnapshot() {
+  using Snap = obs::HeapSnapshot;
+  Snap S;
+  S.Program = "Every";
+  S.ToolVersion = "tool-1";
+  S.BuildFlags = "flags-2";
+  S.Seed = 0x123456789abcull;
+  S.GenGc = true;
+  S.StacksWalked = true;
+  S.Collections = 0x200000003ull;
+  S.FuncNames = {"Main", "Walk"};
+  S.TypeNames = {"T0", "T1", "T2"};
+  S.Sites = {{1, 17, 9, 2}, {0, 23, 5, 1}};
+  // OffsetWords, Desc, Site, Age, ShallowBytes, FirstEdge, NumEdges, Gen.
+  S.Nodes = {{41, 1, 0, 3, 24, 0, 2, 1},
+             {0x300000000ull, 2, obs::NoSite, 1, 32, 2, 1, 0},
+             {77, 2, 1, 4, 40, 3, 0, 1}};
+  S.Edges = {{1, 2}, {3, 1}, {2, 0}};
+  S.Roots = {{Snap::RootKind::Global, 0, 0, obs::NoFunc, 12, 0},
+             {Snap::RootKind::FpSlot, 1, 2, 1, -3, 1},
+             {Snap::RootKind::ApSlot, 2, 3, 0, 4, 2},
+             {Snap::RootKind::Reg, 3, 4, 1, 5, 0},
+             {Snap::RootKind::Derived, 4, 5, 0, 6, 1}};
+  return S;
+}
+
+TEST(SnapCodec, EveryFieldRoundTrips) {
+  for (bool GenGc : {false, true})
+    for (bool StacksWalked : {false, true}) {
+      SCOPED_TRACE(std::to_string(GenGc) + std::to_string(StacksWalked));
+      obs::HeapSnapshot S = everyFieldSnapshot();
+      S.GenGc = GenGc;
+      S.StacksWalked = StacksWalked;
+      std::vector<uint8_t> Blob;
+      obs::encodeSnapshot(S, Blob);
+      obs::HeapSnapshot D;
+      std::string Err;
+      ASSERT_TRUE(obs::decodeSnapshot(Blob, D, Err)) << Err;
+      EXPECT_TRUE(D == S) << "decode(encode(S)) != S";
+    }
+}
+
+TEST(SnapCodec, EveryCheckRejectsItsInput) {
+  using Snap = obs::HeapSnapshot;
+  struct Case {
+    const char *Msg;
+    void (*Break)(Snap &);
+  };
+  const Case Cases[] = {
+      {"root kind out of range",
+       [](Snap &S) { S.Roots[1].Kind = static_cast<Snap::RootKind>(5); }},
+      {"node generation out of range", [](Snap &S) { S.Nodes[2].Gen = 2; }},
+      {"node type descriptor out of range",
+       [](Snap &S) { S.Nodes[0].Desc = 3; }},
+      {"node site out of range", [](Snap &S) { S.Nodes[2].Site = 2; }},
+      {"edge target out of range", [](Snap &S) { S.Edges[1].Target = 3; }},
+      {"root node out of range", [](Snap &S) { S.Roots[3].Node = 3; }},
+      {"root function out of range", [](Snap &S) { S.Roots[2].Func = 2; }},
+  };
+  for (const Case &C : Cases) {
+    Snap S = everyFieldSnapshot();
+    C.Break(S);
+    std::vector<uint8_t> Blob;
+    obs::encodeSnapshot(S, Blob);
+    Snap D;
+    std::string Err;
+    EXPECT_FALSE(obs::decodeSnapshot(Blob, D, Err)) << C.Msg;
+    EXPECT_EQ(Err, std::string("snapshot decode: ") + C.Msg);
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Cross-check over the §6 benchmarks and the corpus, all four configs
 //===----------------------------------------------------------------------===//

@@ -25,8 +25,9 @@
 ///       argument, auto-discovers base.snap.1, base.snap.2, ... plus the
 ///       at-exit base.snap; with several, uses them in the given order.
 ///       Reports per-snapshot crosschecked totals, incremental and
-///       cumulative per-site growth, and retaining-path churn.  Exits
-///       non-zero if any snapshot fails its internal crosscheck.
+///       cumulative per-site growth, and retaining-path churn.  Exits 1
+///       if any snapshot fails its internal crosscheck, and 2 (a usage
+///       error) when the stream has fewer than 2 snapshots.
 ///
 /// Any truncated or corrupt snapshot file is a one-line diagnostic and a
 /// non-zero exit — never a partial report.
@@ -122,6 +123,15 @@ int main(int argc, char **argv) {
         if (!load(F, Stream.back()))
           return 1;
       }
+    }
+    // A run that never collected leaves only the at-exit file: there is
+    // nothing to watch, which is a usage error, not a failed crosscheck.
+    if (Stream.size() < 2) {
+      std::fprintf(stderr,
+                   "mgc-heapsnap: --watch needs at least 2 snapshots, "
+                   "found %zu\n",
+                   Stream.size());
+      return 2;
     }
     bool CrosscheckOk = false;
     std::string Out = obs::watchSnapshots(Stream, TopN, CrosscheckOk);
