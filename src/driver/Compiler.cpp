@@ -219,9 +219,18 @@ CompileResult driver::compile(const std::string &Source,
     gcmaps::AllocSite Site;
   };
   std::vector<PendingSite> PendingSites;
+  // Every function is emitted before any is linked, so the program's code
+  // vector is allocated once, at its final size.
+  std::vector<codegen::EmitResult> Emitted;
+  Emitted.reserve(M->Functions.size());
+  size_t CodeSize = 0;
   for (size_t I = 0; I != M->Functions.size(); ++I) {
-    codegen::EmitResult ER =
-        codegen::emitFunction(*M->Functions[I], Safety[I], EO);
+    Emitted.push_back(codegen::emitFunction(*M->Functions[I], Safety[I], EO));
+    CodeSize += Emitted.back().Code.size();
+  }
+  Prog->Code.reserve(CodeSize);
+  for (size_t I = 0; I != M->Functions.size(); ++I) {
+    codegen::EmitResult &ER = Emitted[I];
     uint32_t Entry = static_cast<uint32_t>(Prog->Code.size());
     ER.Meta.EntryIndex = Entry;
     // Rebase control-flow targets and gc-point return addresses.

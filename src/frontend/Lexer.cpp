@@ -119,7 +119,8 @@ TokKind classifyWord(std::string_view Word) {
   if (!std::all_of(Word.begin(), Word.end(), isUpper))
     return TokKind::Ident;
   for (const Keyword &K : Keywords)
-    if (K.Spelling == Word)
+    if (K.Spelling.size() == Word.size() && K.Spelling[0] == Word[0] &&
+        std::equal(Word.begin(), Word.end(), K.Spelling.begin()))
       return K.Kind;
   return TokKind::Ident;
 }

@@ -6,6 +6,8 @@
 
 #include "ir/IR.h"
 
+#include "support/DynBitset.h"
+
 #include <algorithm>
 
 using namespace mgc;
@@ -98,27 +100,26 @@ void Predecessors::recompute(const Function &F) {
 std::vector<unsigned> Function::reversePostOrder() const {
   std::vector<unsigned> PostOrder;
   PostOrder.reserve(Blocks.size());
-  std::vector<uint8_t> State(Blocks.size(), 0); // 0=unseen 1=open 2=done
+  DynBitset Seen(Blocks.size());
   // Iterative DFS to avoid deep recursion on long block chains.  An entry
   // holds a block and the number of its successors already visited; each
   // block is pushed at most once, so the stack never reallocates.
   std::vector<std::pair<unsigned, unsigned>> Stack;
   Stack.reserve(Blocks.size());
   Stack.emplace_back(0, 0);
-  State[0] = 1;
+  Seen.set(0);
   while (!Stack.empty()) {
     auto &[Id, Visited] = Stack.back();
     unsigned Succs[2], NumSuccs = 0;
     Blocks[Id]->forEachSuccessor([&](unsigned S) { Succs[NumSuccs++] = S; });
     if (Visited < NumSuccs) {
       unsigned S = Succs[Visited++];
-      if (State[S] == 0) {
-        State[S] = 1;
+      if (!Seen.test(S)) {
+        Seen.set(S);
         Stack.emplace_back(S, 0);
       }
       continue;
     }
-    State[Id] = 2;
     PostOrder.push_back(Id);
     Stack.pop_back();
   }
@@ -128,6 +129,12 @@ std::vector<unsigned> Function::reversePostOrder() const {
 
 void Function::removeUnreachableBlocks() {
   std::vector<unsigned> Order = reversePostOrder();
+  // Every block reachable and already in reverse post-order: nothing moves.
+  bool InOrder = Order.size() == Blocks.size();
+  for (unsigned I = 0; InOrder && I != Order.size(); ++I)
+    InOrder = Order[I] == I;
+  if (InOrder)
+    return;
   std::vector<int> NewId(Blocks.size(), -1);
   for (unsigned I = 0; I != Order.size(); ++I)
     NewId[Order[I]] = static_cast<int>(I);

@@ -332,20 +332,28 @@ bool opt::eliminateDeadCode(Function &F, Scratch &S) {
   // the derivation state any surviving use sees (DESIGN §3, fact (1)), so
   // a deletion only drops the deleted instructions' rows, and only
   // liveness is solved again.
+  // The possible bases are marked when the first dead definition is met.
   std::vector<char> &MayBeBase = S.MayBeBase;
-  MayBeBase.assign(F.VRegs.size(), 0);
-  auto Mark = [&](const Operand &O) {
-    if (O.isReg() && F.kindOf(O.R) != PtrKind::NonPtr &&
-        F.kindOf(O.R) != PtrKind::Derived)
-      MayBeBase[static_cast<size_t>(O.R)] = 1;
+  bool Marked = false;
+  auto MayBeBaseOf = [&](VReg R) {
+    if (!Marked) {
+      Marked = true;
+      MayBeBase.assign(F.VRegs.size(), 0);
+      auto Mark = [&](const Operand &O) {
+        if (O.isReg() && F.kindOf(O.R) != PtrKind::NonPtr &&
+            F.kindOf(O.R) != PtrKind::Derived)
+          MayBeBase[static_cast<size_t>(O.R)] = 1;
+      };
+      for (const auto &BB : F.Blocks)
+        for (const Instr &I : BB->Instrs)
+          if (I.Dst != NoVReg && F.kindOf(I.Dst) == PtrKind::Derived) {
+            Mark(I.A);
+            if (I.Op == Opcode::DeriveDiff)
+              Mark(I.B);
+          }
+    }
+    return MayBeBase[static_cast<size_t>(R)] != 0;
   };
-  for (const auto &BB : F.Blocks)
-    for (const Instr &I : BB->Instrs)
-      if (I.Dst != NoVReg && F.kindOf(I.Dst) == PtrKind::Derived) {
-        Mark(I.A);
-        if (I.Op == Opcode::DeriveDiff)
-          Mark(I.B);
-      }
 
   const analysis::ExtraUses *Extra = nullptr; // &S.Extra once derived.
   bool Changed = false;
@@ -366,7 +374,7 @@ bool opt::eliminateDeadCode(Function &F, Scratch &S) {
             Ins.Op == Opcode::Mov && Ins.A.isReg() && Ins.A.R == Ins.Dst;
         if (SelfMove || (Ins.Dst != NoVReg && Ins.isPure() &&
                          !Live.test(static_cast<size_t>(Ins.Dst)))) {
-          if (!SelfMove && !Extra && MayBeBase[static_cast<size_t>(Ins.Dst)]) {
+          if (!SelfMove && !Extra && MayBeBaseOf(Ins.Dst)) {
             BaseDies = true;
             break;
           }
